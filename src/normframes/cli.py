@@ -29,7 +29,7 @@ from .expr import (
     parse_expr,
     to_source,
 )
-from .geometry import Chart, FrameField, VectorField
+from .geometry import Chart, FrameField, GeometryError, VectorField
 from .derivation import (
     Connection,
     Derivation,
@@ -39,8 +39,6 @@ from .derivation import (
     WTemplate,
     linearity_probe,
     template_symbols,
-    transform_w,
-    w_of,
 )
 from .curvature import (
     curvature_matrix,
@@ -51,17 +49,22 @@ from .curvature import (
     torsion_vector,
 )
 from .frames import (
+    DEFAULT_STEP,
     CurveSpec,
     GridSpec,
     NoFrameExistsError,
     NotFlatError,
     NotLinearConnectionError,
     PointFrameSpec,
-    _segment_transport,
+    anchor_residual,
+    curve_segment_residual,
+    direction_functions,
+    edge_propagators,
     flat_frame_neighborhood,
     frame_at_point_connection,
     frame_at_point_general,
     frame_at_point_holonomic,
+    grid_edge_residual,
     identity_seed,
     transformed_components_max,
     transport_along_curve,
@@ -550,21 +553,18 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float
     at = chart.point(locus["point"])
     if doc.get("field"):
         x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in doc["field"]])
-        w_prime = transform_w(w_of(setup.deriv, x), x, transform)
-        residual = float(np.max(np.abs(w_prime.evaluate_at(at))))
+        residual = anchor_residual(setup.deriv, x, transform, at)
     else:
         residual = transformed_components_max(setup.deriv, transform, at)
     return residual, {"anchor_residual": residual}
 
 
 def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
-    from .derivation import w_of as _w_of
-    from .expr import compile_exprs
-
     chart = setup.chart
     n = chart.dimension
     data = doc.get("data", {})
     matrices = np.asarray(data.get("matrices"), dtype=float)
+    _require(bool(np.isfinite(matrices).all()), "frame matrices must be finite numbers")
     locus = doc.get("locus", {})
 
     if kind == "curve":
@@ -575,34 +575,13 @@ def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
         field_comps = doc.get("field")
         _require(field_comps is not None, "curve frame files carry the transported field")
         x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in field_comps])
-        w_entries = _w_of(setup.deriv, x).entries
-        w_fn = compile_exprs(list(w_entries.flat), chart.symbols)
         s_vals = np.asarray(block.get("s"), dtype=float)
-        worst = 0.0
-        worst_at = None
+        _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
         # re-transport every inter-node segment from the raw data
-        exprs = [parse_expr(e, [Symbol("s")]) for e in block.get("exprs", [])]
+        param = Symbol("s")
+        exprs = [parse_expr(e, [param]) for e in block.get("exprs", [])]
         _require(len(exprs) == n, "curve frame files carry the curve expressions")
-        curve_fn = compile_exprs(exprs, [Symbol("s")])
-
-        def m_of_s(s):
-            return np.array(w_fn(*curve_fn(s)), dtype=float).reshape(n, n)
-
-        for i in range(len(s_vals) - 1):
-            h = float(s_vals[i + 1] - s_vals[i])
-            a = matrices[i]
-            m0 = m_of_s(float(s_vals[i]))
-            mm = m_of_s(float(s_vals[i]) + 0.5 * h)
-            m1 = m_of_s(float(s_vals[i + 1]))
-            k1 = -(m0 @ a)
-            k2 = -(mm @ (a + 0.5 * h * k1))
-            k3 = -(mm @ (a + 0.5 * h * k2))
-            k4 = -(m1 @ (a + h * k3))
-            carried = a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            defect = np.linalg.solve(matrices[i + 1], carried - matrices[i + 1])
-            value = float(np.max(np.abs(defect))) / abs(h)
-            if value > worst:
-                worst, worst_at = value, i
+        worst, worst_at = curve_segment_residual(setup.deriv, x, exprs, param, s_vals, matrices)
         return worst, {"max_residual": worst, "worst_segment": worst_at}
 
     block = locus.get("grid", {})
@@ -610,28 +589,12 @@ def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
     _require(len(axes) == n, "grid frame files carry per-axis node arrays")
     shape = tuple(len(ax) for ax in axes)
     _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
-    from .frames import _direction_matrices
-
-    m_exprs = _direction_matrices(setup.deriv)
-    m_fns = [compile_exprs(list(m.flat), chart.symbols) for m in m_exprs]
-    h = 1e-3
-    worst = 0.0
-    worst_at = None
-    for axis in range(n):
-        ax = axes[axis]
-        for idx in np.ndindex(shape):
-            i = idx[axis]
-            if i + 1 >= len(ax):
-                continue
-            pt = np.array([axes[d][idx[d]] for d in range(n)])
-            carried = _segment_transport(
-                m_fns[axis], pt, axis, float(ax[i + 1] - ax[i]), matrices[idx], h
-            )
-            nxt = tuple(v if d != axis else i + 1 for d, v in enumerate(idx))
-            defect = np.linalg.solve(matrices[nxt], carried - matrices[nxt])
-            value = float(np.max(np.abs(defect))) / float(ax[i + 1] - ax[i])
-            if value > worst:
-                worst, worst_at = value, {"node": list(idx), "axis": axis}
+    # re-transported at the default step, whatever step built the file
+    propagators = [
+        edge_propagators(m_fn, axes, axis, DEFAULT_STEP)
+        for axis, m_fn in enumerate(direction_functions(setup.deriv))
+    ]
+    worst, worst_at = grid_edge_residual(axes, matrices, propagators)
     return worst, {"max_residual": worst, "worst_edge": worst_at}
 
 
@@ -716,7 +679,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
+    except (InputError, GeometryError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except DomainError as err:

@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 # Symbol kinds
 COORDINATE = "coordinate"
 VECTOR_COMPONENT = "vector-component"
@@ -818,28 +820,39 @@ def _pysource(e: Expr, names: dict[str, str]) -> str:
 
 
 def compile_exprs(exprs, symbols: Iterable[Symbol]):
-    """Compile a flat sequence of coordinate-only Exprs to one fast callable.
+    """Compile a flat sequence of coordinate-only Exprs to one numpy callable.
 
-    The callable takes the coordinate values in the order of ``symbols``
-    and returns a tuple of floats.  Domain failures surface as
-    :class:`DomainError`, same as :func:`evaluate`.
+    The callable takes the coordinate values in the order of ``symbols``,
+    as scalars or arrays that broadcast together, and returns an ndarray
+    of shape ``(len(exprs),) + broadcast shape``.  Arithmetic runs under
+    ``np.errstate`` raising on division by zero, invalid operations and
+    overflow; those failures and any non-finite result surface as
+    :class:`DomainError` naming the expression, the same policy as
+    :func:`evaluate`.
     """
+    exprs = list(exprs)
     order = list(symbols)
     names = {s.name: f"v{i}" for i, s in enumerate(order)}
-    body = ",".join(_pysource(e, names) for e in exprs)
     args = ",".join(names[s.name] for s in order)
-    source = f"def _compiled({args}):\n    return ({body}{',' if body else ''})\n"
-    namespace = {"_pow": math.pow}
-    namespace.update({f"_{name}": fn for name, fn in _MATH_FUNCS.items()})
+    source = "".join(
+        f"def _e{i}({args}):\n    return {_pysource(e, names)}\n" for i, e in enumerate(exprs)
+    )
+    namespace = {"_pow": np.power, **{f"_{name}": getattr(np, name) for name in FUNCTIONS}}
     exec(source, namespace)  # noqa: S102 - generated from a closed grammar
-    raw = namespace["_compiled"]
+    parts = [namespace[f"_e{i}"] for i in range(len(exprs))]
 
-    def wrapped(*vals):
-        try:
-            return raw(*vals)
-        except ZeroDivisionError:
-            raise DomainError("division by zero") from None
-        except (ValueError, OverflowError) as err:
-            raise DomainError(str(err)) from None
+    def compiled(*vals):
+        arrays = [np.asarray(v, dtype=float) for v in vals]
+        out = np.empty((len(parts),) + np.broadcast_shapes(*(a.shape for a in arrays)))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for i, part in enumerate(parts):
+                try:
+                    out[i] = part(*arrays)
+                except (FloatingPointError, ZeroDivisionError) as err:
+                    raise DomainError(f"{to_source(exprs[i])} is undefined: {err}") from None
+        if not np.isfinite(out).all():
+            bad = next(e for e, row in zip(exprs, out) if not np.isfinite(row).all())
+            raise DomainError(f"evaluation produced a non-finite value for {to_source(bad)}")
+        return out
 
-    return wrapped
+    return compiled

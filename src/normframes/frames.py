@@ -223,20 +223,27 @@ def frame_at_point_general(
     entries = _first_order_transform(frame, x0, a0, linear, spec.quadratic)
     transform = SymbolicTransform(frame, entries, _validate=False)
 
-    if abs(det0) > DEGENERACY_TOL:
-        transformed = transform_w(w_x, x, transform)
-        residual = float(np.max(np.abs(transformed.evaluate_at(x0))))
-    else:
-        # Degenerate anchor matrix (rank-deficient seeds): check the
-        # uninverted form W(x0) A(x0) + X(A)|x0 = 0 instead.
-        xa = x.apply_to_matrix(transform.entries)
-        xa0 = matops.evaluate_array(xa, chart.assignment(x0))
-        residual = float(np.max(np.abs(w0 @ a0 + xa0)))
+    residual = anchor_residual(deriv, x, transform, x0)
     if residual > POINT_TOL:
         raise VerificationError(
             f"constructed frame fails its own check at the anchor (residual {residual:.3e})"
         )
     return PointFrameResult(transform, x0, residual, field=x, anchor_determinant=det0)
+
+
+def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransform, x0) -> float:
+    """max |W'_X(x0)|: the components along X in the transformed frame at the anchor.
+
+    A singular anchor matrix (the rank-one factorized seed) spans no
+    transformed frame, so the uninverted form W(x0) A(x0) + X(A)(x0) = 0
+    is checked instead.
+    """
+    w_x = w_of(deriv, x)
+    a0 = transform.evaluate_at(x0)
+    if abs(float(np.linalg.det(a0))) > DEGENERACY_TOL:
+        return float(np.max(np.abs(transform_w(w_x, x, transform).evaluate_at(x0))))
+    xa0 = matops.evaluate_array(x.apply_to_matrix(transform.entries), deriv.chart.assignment(x0))
+    return float(np.max(np.abs(w_x.evaluate_at(x0) @ a0 + xa0)))
 
 
 def point_frame_certificate(
@@ -371,6 +378,68 @@ def shell_component_growth(
 
 
 # ---------------------------------------------------------------------------
+# the transport kernel: dA/dt = -M(t) A is linear in A, so carrying any A
+# along a segment is one matrix product with the segment's propagator P.
+
+
+def _matrices(rows: np.ndarray, n: int) -> np.ndarray:
+    """Compiled (n*n, ...) component rows as a (..., n, n) stack."""
+    return np.moveaxis(rows, 0, -1).reshape(rows.shape[1:] + (n, n))
+
+
+def _step_counts(lengths: np.ndarray, h: float) -> np.ndarray:
+    """RK4 steps per segment: the fewest whose length is at most h."""
+    return np.maximum(1, np.ceil(np.abs(lengths) / h - 1e-12)).astype(int)
+
+
+def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndarray:
+    """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for many
+    straight segments at once.
+
+    ``starts`` is (E, d) and ``direction`` broadcasts against it; segment e
+    runs t from 0 to lengths[e] in steps[e] classical RK4 steps (``steps``
+    may be one count for all).  ``m_fn`` is a compiled M taking the d point
+    coordinates.  Segments are grouped by step count; each step evaluates M
+    once, at the stacked midpoints and endpoints of its group, and only the
+    current (E, n, n) state is held.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    steps = np.broadcast_to(steps, lengths.shape)
+    out = np.empty((len(lengths), n, n))
+    for count in np.unique(steps):
+        rows = np.flatnonzero(steps == count)
+        twice = np.concatenate([starts[rows], starts[rows]])
+        dt = (lengths[rows] / count)[:, None]
+        h = dt[:, :, None]
+        p = np.tile(np.eye(n), (len(rows), 1, 1))
+        m_prev = _matrices(m_fn(*starts[rows].T), n)
+        for i in range(count):
+            t0 = i * dt
+            points = twice + np.concatenate([t0 + 0.5 * dt, t0 + dt]) * direction
+            m_mid, m_next = np.split(_matrices(m_fn(*points.T), n), 2)
+            k1 = -(m_prev @ p)
+            k2 = -(m_mid @ (p + 0.5 * h * k1))
+            k3 = -(m_mid @ (p + 0.5 * h * k2))
+            k4 = -(m_next @ (p + h * k3))
+            p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            m_prev = m_next
+        out[rows] = p
+    return out
+
+
+def _edge_defects(carried: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """max |A_next^{-1} (carried - A_next)| per edge."""
+    return np.max(np.abs(np.linalg.solve(target, carried - target)), axis=(-2, -1))
+
+
+def _curve_matrix_function(deriv: Derivation, x: VectorField, exprs, parameter: Symbol):
+    """Compiled M(s) = W_X(curve(s)) of the curve parameter."""
+    w_fn = compile_exprs(list(w_of(deriv, x).entries.flat), deriv.chart.symbols)
+    curve_fn = compile_exprs(exprs, [parameter])
+    return lambda s: w_fn(*curve_fn(s))
+
+
+# ---------------------------------------------------------------------------
 # transport along integral curves
 
 
@@ -422,32 +491,6 @@ class CurveFrame:
         return int(np.argmin(np.abs(self.s_values - self.curve.s0)))
 
 
-def _rk4_linear_sweep(m_of_t, a0: np.ndarray, t_values: np.ndarray) -> list[np.ndarray]:
-    """Integrate dA/dt = -M(t) A through the given consecutive t values.
-
-    Returns A at every t value (including the first).  The classical
-    one-step scheme; M is independent of A, so three evaluations per step
-    (endpoints shared between steps).
-    """
-    out = [a0]
-    a = a0
-    m_prev = m_of_t(float(t_values[0]))
-    for i in range(len(t_values) - 1):
-        t0 = float(t_values[i])
-        t1 = float(t_values[i + 1])
-        h = t1 - t0
-        m_mid = m_of_t(t0 + 0.5 * h)
-        m_next = m_of_t(t1)
-        k1 = -(m_prev @ a)
-        k2 = -(m_mid @ (a + (0.5 * h) * k1))
-        k3 = -(m_mid @ (a + (0.5 * h) * k2))
-        k4 = -(m_next @ (a + h * k3))
-        a = a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out.append(a)
-        m_prev = m_next
-    return out
-
-
 def transport_along_curve(
     deriv: Derivation,
     x: VectorField,
@@ -455,7 +498,11 @@ def transport_along_curve(
     b0,
     integral_curve_tol: float = 1e-6,
 ) -> CurveFrame:
-    """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes."""
+    """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes.
+
+    One classical RK4 step per node interval, forward and backward from the
+    node nearest s0.
+    """
     frame = deriv.frame
     chart = frame.chart
     n = frame.dimension
@@ -464,46 +511,46 @@ def transport_along_curve(
         raise ValueError("initial matrix must be square and invertible")
 
     s_values = curve.node_values()
-    points = np.array([curve.point_at(s) for s in s_values])
-    for pt in points:
-        if not chart.contains(pt):
-            raise CurveError(f"curve leaves the chart domain at {pt.tolist()}")
+    points = compile_exprs(curve.exprs, [curve.parameter])(s_values).T
+    lo, hi = np.array(chart.domain).T
+    outside = ~np.all((lo <= points) & (points <= hi), axis=1)
+    if outside.any():
+        pt = points[int(np.argmax(outside))]
+        raise CurveError(f"curve leaves the chart domain at {pt.tolist()}")
 
     # the curve must follow the field: dcurve/ds = (coordinate components of X)
-    vel = curve.velocity_exprs()
-    for s, pt in zip(s_values, points):
-        v = np.array([evaluate(e, {curve.parameter.name: float(s)}) for e in vel])
-        v_field = frame.evaluate_at(pt) @ x.at(pt)
-        if float(np.max(np.abs(v - v_field))) > integral_curve_tol:
-            raise CurveError(
-                f"curve is not an integral curve of the field at s={float(s)!r}: "
-                f"velocity {v.tolist()} vs field {v_field.tolist()}"
-            )
+    velocity = compile_exprs(curve.velocity_exprs(), [curve.parameter])(s_values).T
+    b_nodes = _matrices(compile_exprs(list(frame.matrix.flat), chart.symbols)(*points.T), n)
+    x_nodes = compile_exprs(x.components, chart.symbols)(*points.T).T
+    v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
+    off = np.max(np.abs(velocity - v_field), axis=1) > integral_curve_tol
+    if off.any():
+        i = int(np.argmax(off))
+        raise CurveError(
+            f"curve is not an integral curve of the field at s={float(s_values[i])!r}: "
+            f"velocity {velocity[i].tolist()} vs field {v_field[i].tolist()}"
+        )
 
-    w_entries = w_of(deriv, x).entries
-    w_fn = compile_exprs(list(w_entries.flat), chart.symbols)
-    curve_fn = compile_exprs(curve.exprs, [curve.parameter])
-
-    def m_of_s(s: float) -> np.ndarray:
-        return np.array(w_fn(*curve_fn(s)), dtype=float).reshape(n, n)
-
+    m_fn = _curve_matrix_function(deriv, x, curve.exprs, curve.parameter)
     base = int(np.argmin(np.abs(s_values - curve.s0)))
-    matrices = np.empty((len(s_values), n, n))
-    forward = _rk4_linear_sweep(m_of_s, b0, s_values[base:])
-    matrices[base:] = forward
-    backward = _rk4_linear_sweep(m_of_s, b0, s_values[base::-1])
-    matrices[: base + 1] = backward[::-1]
+    # segment i steps forward from s_i at and after the base node, backward from s_{i+1} before it
+    ahead = np.arange(len(s_values) - 1) >= base
+    starts = np.where(ahead, s_values[:-1], s_values[1:])[:, None]
+    signed = np.where(ahead, 1.0, -1.0) * np.diff(s_values)
+    props = _rk4_propagators(m_fn, n, starts, 1.0, signed, 1)
+    matrices = _fill_lattice((len(s_values),), (base,), b0, [props], [props])
 
-    for s, mat in zip(s_values, matrices):
-        if abs(np.linalg.det(mat)) <= DEGENERACY_TOL:
-            raise ConstructionError(f"transported frame degenerates at s={float(s)!r}")
+    degenerate = np.abs(np.linalg.det(matrices)) <= DEGENERACY_TOL
+    if degenerate.any():
+        s = float(s_values[int(np.argmax(degenerate))])
+        raise ConstructionError(f"transported frame degenerates at s={s!r}")
 
-    h = curve.step
     residuals = np.zeros(len(s_values))
-    for i in range(1, len(s_values) - 1):
-        dmat = (matrices[i + 1] - matrices[i - 1]) / (2.0 * h)
-        defect = dmat + m_of_s(float(s_values[i])) @ matrices[i]
-        residuals[i] = float(np.max(np.abs(defect)))
+    if len(s_values) > 2:
+        defect = (matrices[2:] - matrices[:-2]) / (2.0 * curve.step) + (
+            _matrices(m_fn(s_values[1:-1]), n) @ matrices[1:-1]
+        )
+        residuals[1:-1] = np.max(np.abs(defect), axis=(1, 2))
     return CurveFrame(
         curve=curve,
         field=x,
@@ -513,6 +560,26 @@ def transport_along_curve(
         directional_residuals=residuals,
         max_directional_residual=float(np.max(residuals)) if len(residuals) else 0.0,
     )
+
+
+def curve_segment_residual(
+    deriv: Derivation, x: VectorField, exprs, parameter: Symbol, s_values, matrices
+) -> tuple[float, Optional[int]]:
+    """Transformed components along a curve frame, in integrated form.
+
+    Carries each node's matrix one RK4 step to the next node and measures
+    A_next^{-1} (carried - A_next) per unit parameter.  Returns the worst
+    value and the index of its segment (None when every value is zero).
+    """
+    n = deriv.frame.dimension
+    lengths = np.diff(s_values)
+    m_fn = _curve_matrix_function(deriv, x, exprs, parameter)
+    props = _rk4_propagators(m_fn, n, s_values[:-1, None], 1.0, lengths, 1)
+    values = _edge_defects(props @ matrices[:-1], matrices[1:]) / np.abs(lengths)
+    if not len(values) or not values.max() > 0.0:
+        return 0.0, None
+    worst = int(np.argmax(values))
+    return float(values[worst]), worst
 
 
 # ---------------------------------------------------------------------------
@@ -573,64 +640,78 @@ class GridFrame:
     def partial_derivatives_at(self, index: tuple[int, ...], delta: float = 1e-5) -> np.ndarray:
         """d A / d x^alpha at a node by short refreshed transports.
 
-        Re-integrates the construction ODE a small signed step along each
-        axis from the stored node matrix; centered difference of the two
-        fresh values.  Returns an array [alpha, i, j].
+        Re-integrates the construction ODE one step of +delta and one of
+        -delta along each axis from the stored node matrix; centered
+        difference of the two fresh values.  Returns an array [alpha, i, j].
         """
         pt = self.point_at(index)
         a = self.matrix_at(index)
         n = a.shape[0]
+        starts = np.stack([pt, pt])
         out = np.empty((self.dimension, n, n))
-        for alpha in range(self.dimension):
-            plus = _segment_transport(self.m_functions[alpha], pt, alpha, +delta, a, delta)
-            minus = _segment_transport(self.m_functions[alpha], pt, alpha, -delta, a, delta)
+        for alpha, m_fn in enumerate(self.m_functions):
+            direction = np.eye(self.dimension)[alpha]
+            plus, minus = _rk4_propagators(m_fn, n, starts, direction, [delta, -delta], 1) @ a
             out[alpha] = (plus - minus) / (2.0 * delta)
         return out
 
 
-def _segment_transport(m_fn, start_pt: np.ndarray, axis: int, length: float, a: np.ndarray, h: float) -> np.ndarray:
-    """Transport A along a straight axis segment of signed length."""
-    if length == 0.0:
-        return a
-    steps = max(1, int(math.ceil(abs(length) / h - 1e-12)))
-    dt = length / steps
-    n = a.shape[0]
-
-    def m_at(t: float) -> np.ndarray:
-        q = start_pt.copy()
-        q[axis] += t
-        return np.array(m_fn(*q), dtype=float).reshape(n, n)
-
-    m_prev = m_at(0.0)
-    for i in range(steps):
-        t0 = i * dt
-        m_mid = m_at(t0 + 0.5 * dt)
-        m_next = m_at(t0 + dt)
-        k1 = -(m_prev @ a)
-        k2 = -(m_mid @ (a + (0.5 * dt) * k1))
-        k3 = -(m_mid @ (a + (0.5 * dt) * k2))
-        k4 = -(m_next @ (a + dt * k3))
-        a = a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        m_prev = m_next
-    return a
-
-
-def _direction_matrices(deriv: Derivation) -> list[np.ndarray]:
-    """M_alpha = B^k_alpha W_{E_k} as expression matrices; dA/dx^alpha = -M_alpha A."""
+def direction_functions(deriv: Derivation) -> list:
+    """M_alpha = B^k_alpha W_{E_k}, compiled over the chart coordinates, one
+    per axis; the frame equations read dA/dx^alpha = -M_alpha A."""
     frame = deriv.frame
     n = frame.dimension
-    w_frames = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
-    if frame.is_coordinate:
-        return w_frames
-    inv = frame.inverse_exprs()  # inv[k, alpha] = B^k_alpha
-    out = []
-    for alpha in range(n):
-        acc = None
-        for k in range(n):
-            scaled = matops.map_exprs(lambda e, k=k: simplify(inv[k, alpha] * e), w_frames[k])
-            acc = scaled if acc is None else matops.matadd(acc, scaled)
-        out.append(acc)
-    return out
+    mats = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
+    if not frame.is_coordinate:
+        inv = frame.inverse_exprs()  # inv[k, alpha] = B^k_alpha
+        w_frames, mats = mats, []
+        for alpha in range(n):
+            acc = None
+            for k in range(n):
+                scaled = matops.map_exprs(lambda e, k=k: simplify(inv[k, alpha] * e), w_frames[k])
+                acc = scaled if acc is None else matops.matadd(acc, scaled)
+            mats.append(acc)
+    return [compile_exprs(list(m.flat), frame.chart.symbols) for m in mats]
+
+
+def edge_propagators(m_fn, axes: list, axis: int, h: float, backward: bool = False) -> np.ndarray:
+    """Propagators of every lattice edge along one axis, at RK4 step h.
+
+    ``m_fn`` is the axis's entry of :func:`direction_functions`.  The result
+    has the lattice shape, one shorter along ``axis``, plus (n, n): entry
+    [idx] carries A from node idx to idx + e_axis, or back from idx + e_axis
+    to idx when ``backward``.
+    """
+    n = len(axes)
+    ax = axes[axis]
+    lo, hi = (ax[1:], ax[:-1]) if backward else (ax[:-1], ax[1:])
+    mesh = np.meshgrid(*[lo if d == axis else a for d, a in enumerate(axes)], indexing="ij")
+    starts = np.stack([m.ravel() for m in mesh], axis=-1)
+    lengths = np.take(hi - lo, np.indices(mesh[0].shape)[axis]).ravel()
+    props = _rk4_propagators(m_fn, n, starts, np.eye(n)[axis], lengths, _step_counts(lengths, h))
+    return props.reshape(mesh[0].shape + (n, n))
+
+
+def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dict]]:
+    """Transformed components on a grid frame, in integrated form.
+
+    Carries each node's matrix across each lattice edge with that edge's
+    propagator (``propagators[axis]`` from :func:`edge_propagators`) and
+    measures A_next^{-1} (carried - A_next) per unit length.  Returns the
+    worst value and its edge as {"node": [...], "axis": a}, or None when
+    every value is zero.
+    """
+    n = len(axes)
+    worst, worst_at = 0.0, None
+    for axis, props in enumerate(propagators):
+        head, tail = np.delete(matrices, -1, axis), np.delete(matrices, 0, axis)
+        spacing = np.diff(axes[axis]).reshape([-1 if d == axis else 1 for d in range(n)])
+        values = _edge_defects(props @ head, tail) / spacing
+        k = int(np.argmax(values))
+        if values.flat[k] > worst:
+            worst = float(values.flat[k])
+            worst_at = {"node": [int(i) for i in np.unravel_index(k, values.shape)], "axis": axis}
+    return worst, worst_at
 
 
 def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
@@ -649,69 +730,33 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
                 )
 
 
-def _integrate_lattice(
-    axes: list[np.ndarray],
-    base_index: tuple[int, ...],
-    b0: np.ndarray,
-    m_fns: list,
-    h: float,
-    order: Sequence[int],
-) -> np.ndarray:
-    """Fill the lattice along axis-ordered polylines from the base node."""
-    shape = tuple(len(ax) for ax in axes)
-    n = b0.shape[0]
-    values = np.full(shape + (n, n), np.nan)
-    values[base_index] = b0
+def _fill_lattice(shape, base, b0, forward, backward) -> np.ndarray:
+    """Fill the lattice along axis-ordered polylines from the base node:
+    along axis 0 first, then every filled node's fibre along axis 1, and so on."""
+    values = np.full(shape + b0.shape, np.nan)
+    values[base] = b0
+    for axis in range(len(shape)):
+        def at(i, axis=axis):
+            return (slice(None),) * axis + (i,) + tuple(base[axis + 1 :])
 
-    filled = [base_index]
-    for axis in order:
-        new_filled = []
-        for idx in filled:
-            base_i = idx[axis]
-            ax = axes[axis]
-            # forward sweep
-            a = values[idx]
-            for i in range(base_i, len(ax) - 1):
-                pt = np.array([axes[d][idx[d]] if d != axis else ax[i] for d in range(len(axes))])
-                a = _segment_transport(m_fns[axis], pt, axis, float(ax[i + 1] - ax[i]), a, h)
-                nxt = tuple(v if d != axis else i + 1 for d, v in enumerate(idx))
-                values[nxt] = a
-            # backward sweep
-            a = values[idx]
-            for i in range(base_i, 0, -1):
-                pt = np.array([axes[d][idx[d]] if d != axis else ax[i] for d in range(len(axes))])
-                a = _segment_transport(m_fns[axis], pt, axis, float(ax[i - 1] - ax[i]), a, h)
-                nxt = tuple(v if d != axis else i - 1 for d, v in enumerate(idx))
-                values[nxt] = a
-            new_filled.extend(
-                tuple(v if d != axis else i for d, v in enumerate(idx))
-                for i in range(len(ax))
-            )
-        filled = new_filled
+        for i in range(base[axis], shape[axis] - 1):
+            values[at(i + 1)] = forward[axis][at(i)] @ values[at(i)]
+        for i in range(base[axis], 0, -1):
+            values[at(i - 1)] = backward[axis][at(i - 1)] @ values[at(i)]
     return values
 
 
-def _integrate_to_node(
-    axes: list[np.ndarray],
-    base_index: tuple[int, ...],
-    target: tuple[int, ...],
-    b0: np.ndarray,
-    m_fns: list,
-    h: float,
-    order: Sequence[int],
-) -> np.ndarray:
-    """Transport from the base node to one target node along the given axis order."""
+def _polyline_product(forward, backward, base, target, order, b0) -> np.ndarray:
+    """Carry b0 from the base node to the target node along the given axis order."""
     a = b0
-    current = list(base_index)
+    current = list(base)
     for axis in order:
-        ax = axes[axis]
-        i = current[axis]
-        step = 1 if target[axis] >= i else -1
-        while i != target[axis]:
-            pt = np.array([axes[d][current[d]] if d != axis else ax[i] for d in range(len(axes))])
-            a = _segment_transport(m_fns[axis], pt, axis, float(ax[i + step] - ax[i]), a, h)
-            i += step
-            current[axis] = i
+        while current[axis] < target[axis]:
+            a = forward[axis][tuple(current)] @ a
+            current[axis] += 1
+        while current[axis] > target[axis]:
+            current[axis] -= 1
+            a = backward[axis][tuple(current)] @ a
     return a
 
 
@@ -752,7 +797,10 @@ def flat_frame_neighborhood(
             "no neighborhood-wide vanishing-component frame exists",
             obstruction,
         )
-    verdict = linearity_probe(deriv, _grid_base_point(grid, chart), seed=seed)
+    axes = grid.axes(chart)
+    base_index = grid.base()
+    base_point = np.array([axes[a][i] for a, i in enumerate(base_index)])
+    verdict = linearity_probe(deriv, base_point, seed=seed)
     if not verdict.is_linear:
         raise NotLinearConnectionError(
             "derivation is not a linear connection at the base node "
@@ -761,59 +809,44 @@ def flat_frame_neighborhood(
         )
     _pointwise_linearity_gate(deriv, seed)
 
-    axes = grid.axes(chart)
-    base_index = grid.base()
     b0 = np.eye(n) if b0 is None else np.asarray(b0, dtype=float)
     if abs(np.linalg.det(b0)) <= DEGENERACY_TOL:
         raise ValueError("base matrix must be invertible")
 
-    m_exprs = _direction_matrices(deriv)
-    m_fns = [compile_exprs(list(m.flat), chart.symbols) for m in m_exprs]
-
-    order = tuple(range(n))
-    values = _integrate_lattice(axes, base_index, b0, m_fns, h, order)
+    m_fns = direction_functions(deriv)
+    forward = [edge_propagators(m_fns[a], axes, a, h) for a in range(n)]
+    backward = [
+        edge_propagators(m_fns[a], axes, a, h, backward=True) if base_index[a] > 0 else None
+        for a in range(n)
+    ]
+    shape = tuple(len(ax) for ax in axes)
+    values = _fill_lattice(shape, base_index, b0, forward, backward)
 
     # path-independence audit: reverse axis order at seeded nodes
     rng = np.random.default_rng(seed)
-    shape = tuple(len(ax) for ax in axes)
     audit_dev = 0.0
     for _ in range(10):
         target = tuple(int(rng.integers(0, s)) for s in shape)
-        alt = _integrate_to_node(axes, base_index, target, b0, m_fns, h, order[::-1])
+        alt = _polyline_product(forward, backward, base_index, target, reversed(range(n)), b0)
         audit_dev = max(audit_dev, float(np.max(np.abs(alt - values[target]))))
     if audit_dev > audit_tol:
         raise VerificationError(
             f"path-independence audit failed (deviation {audit_dev:.3e} > {audit_tol:.1e})"
         )
 
-    # transformed components at every node, in integrated form: transport
-    # each lattice edge afresh and compare with the stored endpoint.
-    gamma_resid = 0.0
-    for axis in range(n):
-        ax = axes[axis]
-        for idx in np.ndindex(shape):
-            i = idx[axis]
-            if i + 1 >= len(ax):
-                continue
-            pt = np.array([axes[d][idx[d]] for d in range(n)])
-            carried = _segment_transport(
-                m_fns[axis], pt, axis, float(ax[i + 1] - ax[i]), values[idx], h
-            )
-            nxt = tuple(v if d != axis else i + 1 for d, v in enumerate(idx))
-            target = values[nxt]
-            defect = np.linalg.solve(target, carried - target)
-            gamma_resid = max(
-                gamma_resid, float(np.max(np.abs(defect))) / float(ax[i + 1] - ax[i])
-            )
+    # transformed components at every node, in integrated form: carry each
+    # node across each lattice edge and compare with the stored endpoint.
+    gamma_resid, _ = grid_edge_residual(axes, values, forward)
     if gamma_resid > gamma_tol:
         raise VerificationError(
             f"transformed components exceed tolerance on the grid "
             f"({gamma_resid:.3e} > {gamma_tol:.1e})"
         )
 
-    for idx in np.ndindex(shape):
-        if abs(np.linalg.det(values[idx])) <= DEGENERACY_TOL:
-            raise ConstructionError(f"frame degenerates at node {idx}")
+    degenerate = np.abs(np.linalg.det(values)) <= DEGENERACY_TOL
+    if degenerate.any():
+        idx = tuple(int(i) for i in np.argwhere(degenerate)[0])
+        raise ConstructionError(f"frame degenerates at node {idx}")
 
     return GridFrame(
         chart=chart,
@@ -825,11 +858,6 @@ def flat_frame_neighborhood(
         deriv=deriv,
         m_functions=m_fns,
     )
-
-
-def _grid_base_point(grid: GridSpec, chart: Chart) -> np.ndarray:
-    axes = grid.axes(chart)
-    return np.array([axes[a][i] for a, i in enumerate(grid.base())])
 
 
 # ---------------------------------------------------------------------------
@@ -981,30 +1009,27 @@ def _holonomicity_grid(
                 f"differences floor at about {spacing * spacing:.1e}"
             )
 
-    frame_vals = np.empty(shape + (n, n))
-    for idx in np.ndindex(shape):
-        frame_vals[idx] = frame.evaluate_at(grid_frame.point_at(idx))
+    frame_fn = compile_exprs(list(frame.matrix.flat), chart.symbols)
+    frame_vals = _matrices(frame_fn(*np.meshgrid(*axes, indexing="ij")), n)
     composed = np.einsum("...ab,...bc->...ac", frame_vals, grid_frame.matrices)
 
     # centered differences at interior nodes, lattice spacing
-    fd_worst = 0.0
-    interior = [range(1, s - 1) for s in shape]
-    for idx in np.ndindex(*[len(r) for r in interior]):
-        node = tuple(r[i] for r, i in zip(interior, idx))
-        db = np.empty((n, n, n))  # [beta, alpha, j'] of composed frame
-        for beta in range(n):
-            up = tuple(v if d != beta else v + 1 for d, v in enumerate(node))
-            dn = tuple(v if d != beta else v - 1 for d, v in enumerate(node))
-            db[beta] = (composed[up] - composed[dn]) / (axes[beta][node[beta] + 1] - axes[beta][node[beta] - 1])
-        bc = composed[node]
-        inv_bc = np.linalg.inv(bc)
-        for ip in range(n):
-            for jp in range(ip + 1, n):
-                comm_coord = np.einsum("b,ba->a", bc[:, ip], db[:, :, jp]) - np.einsum(
-                    "b,ba->a", bc[:, jp], db[:, :, ip]
-                )
-                comm = inv_bc @ comm_coord
-                fd_worst = max(fd_worst, float(np.max(np.abs(comm))))
+    def interior(beta=None, part=slice(1, -1)):
+        return tuple(part if d == beta else slice(1, -1) for d in range(n))
+
+    db = np.stack(  # [..., beta, alpha, j'] of the composed frame
+        [
+            (composed[interior(b, slice(2, None))] - composed[interior(b, slice(None, -2))])
+            / (axes[b][2:] - axes[b][:-2]).reshape([-1 if d == b else 1 for d in range(n)] + [1, 1])
+            for b in range(n)
+        ],
+        axis=-3,
+    )
+    bc = composed[interior()]
+    # [E_i', E_j'] in source-frame components, then in the composed frame
+    half = np.einsum("...bi,...baj->...aij", bc, db)
+    comm = np.einsum("...ka,...aij->...kij", np.linalg.inv(bc), half - np.swapaxes(half, -1, -2))
+    fd_worst = float(np.max(np.abs(comm))) if comm.size else 0.0
 
     # sharper estimate: short refreshed transports at seeded nodes + base
     rng = np.random.default_rng(seed)
@@ -1080,12 +1105,9 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
         tol = GRID_TOL if tol is None else tol
         if first.matrices.shape != second.matrices.shape:
             raise ValueError("grid frames must share a lattice")
-        shape = first.matrices.shape[:-2]
         ref = np.linalg.solve(first.matrix_at(first.base_index), second.matrix_at(first.base_index))
-        worst = 0.0
-        for idx in np.ndindex(shape):
-            a12 = np.linalg.solve(first.matrices[idx], second.matrices[idx])
-            worst = max(worst, float(np.max(np.abs(a12 - ref))))
+        a12 = np.linalg.solve(first.matrices, second.matrices)
+        worst = float(np.max(np.abs(a12 - ref)))
         return ConstancyVerdict(worst <= tol, ref, worst, tol)
 
     if isinstance(first, PointFrameResult) and isinstance(second, PointFrameResult):

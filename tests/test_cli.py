@@ -168,6 +168,34 @@ def test_frame_point_holonomic_emits_certificate(tmp_path):
     assert doc["verifier"]["certificate_symmetry_residual"] <= 1e-12
 
 
+def test_holonomic_point_frame_verifies(tmp_path):
+    # the factorized seed makes A(x0) rank one, so verify checks the
+    # uninverted W(x0) A(x0) + X(A)(x0) like the construction does
+    frame = tmp_path / "frame.json"
+    out = tmp_path / "verdict.json"
+    argv = ("frame", SPHERE, "point", "--at", "theta=1.0,phi=0.5", "--field", "meridian")
+    assert run(*argv, "--holonomic", "--out", str(frame)) == EXIT_OK
+    assert run("verify", SPHERE, str(frame), "--out", str(out)) == EXIT_OK
+    verdict = json.loads(out.read_text())
+    assert verdict["pass"] is True
+    assert verdict["detail"]["anchor_residual"] <= 1e-10
+
+
+def test_degenerate_spec_frame_exits_2_without_traceback(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "dimension": 2,
+        "coordinates": ["x", "y"],
+        "domain": [[0.0, 1.0], [0.0, 1.0]],
+        "frame": [["1", "x"], ["1", "x"]],
+        "derivation": {"lie": {}},
+    }))
+    assert run("analyze", str(spec), "--at", "x=0.5,y=0.5") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "determinant" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_frame_point_vanishing_field_exits_4(tmp_path):
     frame = tmp_path / "frame.json"
     code = run(
@@ -220,6 +248,23 @@ def test_corrupted_curve_frame_localized(tmp_path):
     verdict = json.loads(out.read_text())
     assert verdict["pass"] is False
     assert verdict["detail"]["worst_segment"] in (99, 100)
+
+
+def test_corrupted_grid_frame_localized(tmp_path):
+    frame = tmp_path / "frame.json"
+    out = tmp_path / "verdict.json"
+    assert run("frame", POLAR, "flat", "--grid", "9x7", "--out", str(frame)) == EXIT_OK
+    doc = json.loads(frame.read_text())
+    node = (4, 2)
+    doc["data"]["matrices"][node[0]][node[1]][0][1] += 0.1
+    frame.write_text(json.dumps(doc))
+    assert run("verify", POLAR, str(frame), "--tol", "1e-6", "--out", str(out)) == EXIT_VERIFY_FAIL
+    verdict = json.loads(out.read_text())
+    assert verdict["pass"] is False
+    edge = verdict["detail"]["worst_edge"]
+    start = tuple(edge["node"])
+    end = tuple(v + (d == edge["axis"]) for d, v in enumerate(start))
+    assert node in (start, end)
 
 
 def test_frame_flat_zero_connection_identity(tmp_path):

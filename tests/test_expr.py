@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from normframes.expr import (
     Sub,
     Sym,
     UnknownSymbolError,
+    compile_exprs,
     component_symbols,
     coordinate_symbols,
     differentiate,
@@ -255,11 +257,21 @@ def test_evaluate_missing_symbol():
         ("sqrt(r)", {"r": -2.0}),
         ("r^(0-2)", {"r": 0.0}),
         ("exp(r)", {"r": 1e4}),
+        ("r*10^308", {"r": 2.0}),
+        ("1/r", {"r": 0.0}),
     ],
 )
 def test_domain_errors_never_silent(source, point):
+    e = parse_expr(source, POLAR_SYMS)
     with pytest.raises(DomainError):
-        evaluate(parse_expr(source, POLAR_SYMS), point)
+        evaluate(e, point)
+    # the compiled path keeps the policy for scalar and array arguments,
+    # and names the failing expression
+    compiled = compile_exprs([Sym(THETA), e], POLAR_SYMS)
+    with pytest.raises(DomainError, match=re.escape(to_source(e))):
+        compiled(point["r"], 0.5)
+    with pytest.raises(DomainError, match=re.escape(to_source(e))):
+        compiled(np.array([1.5, point["r"]]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +387,28 @@ def test_simplify_agrees_with_original(tree, r_val, th_val):
         return
     after = evaluate(simplify(tree), point)
     assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+
+# an outer exp(exp(.)) and wide points make overflow, hence DomainError, common
+_overflow_prone = st.one_of(_trees, _trees.map(lambda t: Call("exp", Call("exp", t))))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_overflow_prone, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_compiled_agrees_with_evaluate(tree, r_val, th_val):
+    compiled = compile_exprs([tree], POLAR_SYMS)
+    try:
+        expected = evaluate(tree, {"r": r_val, "theta": th_val})
+    except DomainError:
+        with pytest.raises(DomainError):
+            compiled(r_val, th_val)
+        with pytest.raises(DomainError):
+            compiled(np.array([r_val, 1.0]), np.array([th_val, 0.5]))
+        return
+    try:
+        got = compiled(np.array([r_val]), th_val)
+    except DomainError:
+        return  # stricter is allowed: an intermediate overflow that evaluate absorbs
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - expected) <= 1e-9 * (1.0 + abs(expected))
+    assert compiled(r_val, th_val)[0] == pytest.approx(got[0, 0], rel=1e-15, abs=0.0)

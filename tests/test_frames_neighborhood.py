@@ -1,6 +1,8 @@
 """Neighborhood-wide frames on grids: construction, audits, holonomicity,
 constancy of the relating transforms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from normframes import (
     holonomicity_check,
     torsion_tensor,
 )
+from normframes.frames import direction_functions, edge_propagators
 
 
 def cartesian_in_polar(r, theta):
@@ -54,6 +57,73 @@ def test_polar_flat_frame_matches_cartesian_oracle(polar_flat_frame):
         oracle = cartesian_in_polar(*pt) @ correction
         worst = max(worst, float(np.max(np.abs(polar_flat_frame.matrices[idx] - oracle))))
     assert worst <= 1e-5
+
+
+def test_interior_base_grid_matches_oracle_and_base_zero_grid(polar_connection):
+    # an interior base node fills by backward as well as forward sweeps
+    grid = GridSpec((11, 11), base_index=(5, 5))
+    frame = flat_frame_neighborhood(polar_connection, grid, h=1e-3)
+    assert frame.gamma_prime_residual <= 1e-6
+    assert frame.path_audit_deviation <= 1e-6
+    assert np.array_equal(frame.matrix_at((5, 5)), np.eye(2))
+    correction = np.linalg.inv(cartesian_in_polar(*frame.point_at((5, 5))))
+    worst = 0.0
+    for idx in np.ndindex(11, 11):
+        oracle = cartesian_in_polar(*frame.point_at(idx)) @ correction
+        worst = max(worst, float(np.max(np.abs(frame.matrices[idx] - oracle))))
+    assert worst <= 1e-5
+    base_zero = flat_frame_neighborhood(polar_connection, GridSpec((11, 11)), h=1e-3)
+    verdict = constancy_check(base_zero, frame)
+    assert verdict.constant
+    assert verdict.max_deviation <= 1e-9
+
+
+def polar_direction_matrix(point, axis):
+    """M_alpha[i, j] = Gamma^i_{j alpha} of the flat polar connection, by hand."""
+    r = point[0]
+    if axis == 0:
+        return np.array([[0.0, 0.0], [0.0, 1.0 / r]])
+    return np.array([[0.0, -r], [1.0 / r, 0.0]])
+
+
+def scalar_rk4_propagator(start, axis, length, h):
+    """Reference: one edge at a time, one RK4 step at a time."""
+    steps = max(1, int(math.ceil(abs(length) / h - 1e-12)))
+    dt = length / steps
+
+    def m_at(t):
+        q = start.copy()
+        q[axis] += t
+        return polar_direction_matrix(q, axis)
+
+    p = np.eye(2)
+    for i in range(steps):
+        t0 = i * dt
+        m0, mm, m1 = m_at(t0), m_at(t0 + 0.5 * dt), m_at(t0 + dt)
+        k1 = -(m0 @ p)
+        k2 = -(mm @ (p + 0.5 * dt * k1))
+        k3 = -(mm @ (p + 0.5 * dt * k2))
+        k4 = -(m1 @ (p + dt * k3))
+        p = p + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return p
+
+
+def test_edge_propagators_match_scalar_loop(polar_connection):
+    axes = GridSpec((11, 11)).axes(polar_connection.chart)
+    m_fns = direction_functions(polar_connection)
+    worst = 0.0
+    for axis in range(2):
+        for backward in (False, True):
+            props = edge_propagators(m_fns[axis], axes, axis, 1e-3, backward=backward)
+            assert props.shape == tuple(10 if d == axis else 11 for d in range(2)) + (2, 2)
+            for idx in np.ndindex(props.shape[:2]):
+                lo = np.array([axes[d][idx[d]] for d in range(2)])
+                hi = lo.copy()
+                hi[axis] = axes[axis][idx[axis] + 1]
+                start, end = (hi, lo) if backward else (lo, hi)
+                ref = scalar_rk4_propagator(start, axis, float(end[axis] - start[axis]), 1e-3)
+                worst = max(worst, float(np.max(np.abs(props[idx] - ref))))
+    assert worst <= 1e-12
 
 
 def test_sphere_rejected_with_obstruction(sphere_connection):
