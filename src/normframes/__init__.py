@@ -47,7 +47,6 @@ from .geometry import (
     change_vector_frame,
     commutator,
     compose_frame,
-    frame_derivative,
     vanishes_on_chart,
 )
 from .derivation import (
@@ -58,7 +57,6 @@ from .derivation import (
     LinearityVerdict,
     STemplate,
     SymbolicTransform,
-    WMatrix,
     WTemplate,
     apply_derivation,
     connection_sigma,

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .expr import (
+    Const,
     DomainError,
     ExprError,
     Symbol,
@@ -223,8 +224,6 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         table = deriv_block["connection"]
         _require(isinstance(table, dict), "'connection' must map 'i,j,k' strings to expressions")
         gamma = np.empty((n, n, n), dtype=object)
-        from .expr import Const
-
         gamma[...] = Const(0.0)
         for key, text in table.items():
             parts = str(key).split(",")
@@ -536,21 +535,49 @@ def _parse_grid(text: Optional[str], n: int) -> tuple[int, ...]:
 # verify
 
 
+# JSON type of "data", key of the locus entry and that entry's type, per frame kind
+_FRAME_LAYOUT = {"symbolic": (list, "point", list), "curve": (dict, "curve", dict),
+                "grid": (dict, "grid", dict)}
+
+
+def _load_frame_document(path: str, n: int) -> dict:
+    """Read a frame file and check the layout every verifier relies on."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise InputError(f"cannot read frame file: {err}") from None
+    except json.JSONDecodeError as err:
+        raise InputError(f"frame file is not valid JSON: {err}") from None
+    _require(isinstance(doc, dict), "frame file root must be an object")
+    _require(
+        doc.get("dimension") == n,
+        f"frame dimension {doc.get('dimension')} does not match spec dimension {n}",
+    )
+    kind = doc.get("kind")
+    _require(kind in _FRAME_LAYOUT, f"unknown frame kind {kind!r}")
+    data_type, locus_key, locus_type = _FRAME_LAYOUT[kind]
+    _require(isinstance(doc.get("data"), data_type),
+             f"{kind} frame 'data' must be a JSON {data_type.__name__}")
+    locus = doc.get("locus")
+    _require(isinstance(locus, dict) and isinstance(locus.get(locus_key), locus_type),
+             f"{kind} frame 'locus' must be an object with a {locus_key!r} entry")
+    return doc
+
+
 def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
-    entries = doc.get("data")
+    entries = doc["data"]
     _require(
-        isinstance(entries, list) and len(entries) == n,
+        len(entries) == n and all(
+            isinstance(row, list) and len(row) == n and all(isinstance(e, str) for e in row)
+            for row in entries
+        ),
         "symbolic frame data must be an n x n expression array",
     )
-    parsed = [
-        [parse_expr(entries[i][j], chart.symbols) for j in range(n)] for i in range(n)
-    ]
+    parsed = [[parse_expr(e, chart.symbols) for e in row] for row in entries]
     transform = SymbolicTransform(setup.frame, parsed, _validate=False)
-    locus = doc.get("locus", {})
-    _require("point" in locus, "symbolic frame files carry a point locus")
-    at = chart.point(locus["point"])
+    at = chart.point(doc["locus"]["point"])
     if doc.get("field"):
         x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in doc["field"]])
         residual = anchor_residual(setup.deriv, x, transform, at)
@@ -562,13 +589,11 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float
 def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
-    data = doc.get("data", {})
-    matrices = np.asarray(data.get("matrices"), dtype=float)
+    matrices = np.asarray(doc["data"].get("matrices"), dtype=float)
     _require(bool(np.isfinite(matrices).all()), "frame matrices must be finite numbers")
-    locus = doc.get("locus", {})
+    block = doc["locus"][kind]
 
     if kind == "curve":
-        block = locus.get("curve", {})
         points = np.asarray(block.get("points"), dtype=float)
         _require(matrices.ndim == 3 and matrices.shape[1:] == (n, n), "bad curve matrices")
         _require(len(points) == len(matrices), "curve points and matrices disagree")
@@ -584,7 +609,6 @@ def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
         worst, worst_at = curve_segment_residual(setup.deriv, x, exprs, param, s_vals, matrices)
         return worst, {"max_residual": worst, "worst_segment": worst_at}
 
-    block = locus.get("grid", {})
     axes = [np.asarray(ax, dtype=float) for ax in block.get("axes", [])]
     _require(len(axes) == n, "grid frame files carry per-axis node arrays")
     shape = tuple(len(ax) for ax in axes)
@@ -600,24 +624,12 @@ def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
 
 def cmd_verify(args) -> int:
     setup = load_manifold_spec(args.spec)
-    try:
-        doc = json.loads(Path(args.frame).read_text())
-    except OSError as err:
-        raise InputError(f"cannot read frame file: {err}") from None
-    except json.JSONDecodeError as err:
-        raise InputError(f"frame file is not valid JSON: {err}") from None
-    if doc.get("dimension") != setup.chart.dimension:
-        raise InputError(
-            f"frame dimension {doc.get('dimension')} does not match spec "
-            f"dimension {setup.chart.dimension}"
-        )
-    kind = doc.get("kind")
+    doc = _load_frame_document(args.frame, setup.chart.dimension)
+    kind = doc["kind"]
     if kind == "symbolic":
         residual, detail = _verify_symbolic(setup, doc, args.tol)
-    elif kind in ("curve", "grid"):
-        residual, detail = _verify_nodes_by_transport(setup, doc, args.tol, kind)
     else:
-        raise InputError(f"unknown frame kind {kind!r}")
+        residual, detail = _verify_nodes_by_transport(setup, doc, args.tol, kind)
     report = {
         "tool": {"name": "normframes", "version": __version__},
         "input_digest": setup.digest,

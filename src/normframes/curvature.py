@@ -29,6 +29,7 @@ from .derivation import (
     FrameMatrix,
     VariantError,
     apply_derivation,
+    seeded_affine_fields,
     w_of,
 )
 
@@ -187,32 +188,27 @@ def integrability_residual(
     transform,
     points: Optional[Sequence] = None,
 ) -> IntegrabilityReport:
-    frame = deriv.frame
-    chart = frame.chart
+    chart = deriv.chart
     if points is None:
         pts = chart.sample_points()
     else:
         pts = np.array([chart.point(p) for p in points])
-    r_form = curvature_matrix(deriv, x, y)
     brk = commutator(x, y)
-    w_brk = w_of(deriv, brk).entries
-    a = transform.entries
-    brk_a = brk.apply_to_matrix(a)
-    residuals = np.empty((len(pts), frame.dimension, frame.dimension))
-    obstruction = 0.0
-    for row, pt in enumerate(pts):
-        assignment = chart.assignment(pt)
-        r_val = matops.evaluate_array(r_form.entries, assignment)
-        w_val = matops.evaluate_array(w_brk, assignment)
-        a_val = matops.evaluate_array(a, assignment)
-        brk_a_val = matops.evaluate_array(brk_a, assignment)
-        residuals[row] = brk_a_val + (r_val + w_val) @ a_val
-        obstruction = max(obstruction, float(np.max(np.abs(r_val))))
+    parts = np.stack([
+        curvature_matrix(deriv, x, y).entries,
+        w_of(deriv, brk).entries,
+        transform.entries,
+        brk.apply_to_matrix(transform.entries),
+    ])
+    r_val, w_val, a_val, brk_a_val = np.moveaxis(
+        matops.evaluate_points(parts, chart.symbols, pts), 1, 0
+    )
+    residuals = brk_a_val + (r_val + w_val) @ a_val
     return IntegrabilityReport(
         points=pts,
         residuals=residuals,
-        max_residual=float(np.max(np.abs(residuals))) if len(pts) else 0.0,
-        obstruction_norm=obstruction,
+        max_residual=float(np.max(np.abs(residuals), initial=0.0)),
+        obstruction_norm=float(np.max(np.abs(r_val), initial=0.0)),
     )
 
 
@@ -230,17 +226,23 @@ class Verdict:
 
 def _probe_pairs(frame: FrameField, seed: int) -> list[tuple[VectorField, VectorField]]:
     """Frame-field pairs plus seeded random polynomial fields."""
-    from .derivation import _seeded_affine_fields
-
     n = frame.dimension
     base = [frame.coordinate_vector(i) for i in range(n)]
     pairs = [(base[i], base[j]) for i in range(n) for j in range(i + 1, n)]
     rng = np.random.default_rng(seed)
-    rand = _seeded_affine_fields(frame, rng, 4)
+    rand = seeded_affine_fields(frame, rng, 4)
     pairs.extend(
         [(rand[0], rand[1]), (rand[1], rand[2]), (rand[2], rand[3]), (rand[3], rand[0])]
     )
     return pairs
+
+
+def _identity_verdict(forms, deriv: Derivation, seed: int, tol: float) -> Verdict:
+    """Largest |value| of the forms (iterables of Exprs) over the sample
+    cloud.  Each form gets one compiled evaluation; taking them one at a
+    time keeps only one form's trees and code alive."""
+    worst = max(vanishes_on_chart(form, deriv.chart, tol=tol, seed=seed)[1] for form in forms)
+    return Verdict(worst <= tol, worst, tol)
 
 
 def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
@@ -250,27 +252,19 @@ def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_T
     over a deterministic family of field pairs.
     """
     if isinstance(deriv, Connection):
-        tensor = curvature_tensor(deriv)
-        ok, worst = vanishes_on_chart(tensor.components.flat, deriv.chart, tol=tol, seed=seed)
-        return Verdict(ok, worst, tol)
-    worst = 0.0
-    for x, y in _probe_pairs(deriv.frame, seed):
-        form = curvature_matrix(deriv, x, y)
-        _, value = vanishes_on_chart(form.entries.flat, deriv.chart, tol=tol, seed=seed)
-        worst = max(worst, value)
-    return Verdict(worst <= tol, worst, tol)
+        forms = [curvature_tensor(deriv).components.flat]
+    else:
+        pairs = _probe_pairs(deriv.frame, seed)
+        forms = (curvature_matrix(deriv, x, y).entries.flat for x, y in pairs)
+    return _identity_verdict(forms, deriv, seed, tol)
 
 
 def is_torsion_free(
     deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL
 ) -> Verdict:
     if isinstance(deriv, Connection):
-        tensor = torsion_tensor(deriv)
-        ok, worst = vanishes_on_chart(tensor.components.flat, deriv.chart, tol=tol, seed=seed)
-        return Verdict(ok, worst, tol)
-    worst = 0.0
-    for x, y in _probe_pairs(deriv.frame, seed):
-        vec = torsion_vector(deriv, x, y)
-        _, value = vanishes_on_chart(vec.components, deriv.chart, tol=tol, seed=seed)
-        worst = max(worst, value)
-    return Verdict(worst <= tol, worst, tol)
+        forms = [torsion_tensor(deriv).components.flat]
+    else:
+        pairs = _probe_pairs(deriv.frame, seed)
+        forms = (torsion_vector(deriv, x, y).components for x, y in pairs)
+    return _identity_verdict(forms, deriv, seed, tol)

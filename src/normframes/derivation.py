@@ -35,13 +35,12 @@ from .expr import (
 )
 from .geometry import (
     Chart,
-    DEGENERACY_TOL,
-    DegenerateFrameError,
     FrameField,
     TensorField,
     VectorField,
     commutator,
     compose_frame,
+    require_nondegenerate,
 )
 
 PROBE_SEED = 42
@@ -72,13 +71,6 @@ class FrameMatrix:
     def evaluate_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.entries, self.frame.chart.assignment(point))
 
-    def simplified(self) -> "FrameMatrix":
-        return FrameMatrix(self.frame, matops.simplify_all(self.entries))
-
-
-# The W matrix of a derivation for a fixed field is just a FrameMatrix;
-# the alias keeps call sites readable.
-WMatrix = FrameMatrix
 
 
 class SymbolicTransform:
@@ -99,12 +91,8 @@ class SymbolicTransform:
         self._inverse = None
         self._composed = None
         if _validate:
-            for pt in frame.chart.sample_points():
-                det = np.linalg.det(self.evaluate_at(pt))
-                if abs(det) <= DEGENERACY_TOL:
-                    raise DegenerateFrameError(
-                        f"transform is singular at {pt.tolist()} (det={det!r})"
-                    )
+            require_nondegenerate(self.entries, frame.chart, lambda pt, det: (
+                f"transform is singular at {pt} (det={det!r})"))
 
     @classmethod
     def identity(cls, frame: FrameField) -> "SymbolicTransform":
@@ -168,10 +156,6 @@ class Connection(Derivation):
         gamma = np.empty((n, n, n), dtype=object)
         gamma[...] = Const(0.0)
         return cls(frame, gamma)
-
-    def gamma_matrix(self, k: int) -> np.ndarray:
-        """Gamma_k as an (i, j) matrix of Exprs."""
-        return self.gamma[:, :, k].copy()
 
     def gamma_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.gamma, self.chart.assignment(point))
@@ -254,7 +238,7 @@ def _lie_w(frame: FrameField, x: VectorField) -> np.ndarray:
     return out
 
 
-def w_of(deriv: Derivation, x: VectorField) -> WMatrix:
+def w_of(deriv: Derivation, x: VectorField) -> FrameMatrix:
     """Component matrix W_X of the derivation for the field X, in D's frame."""
     if x.frame is not deriv.frame:
         raise ValueError("vector field must be given in the derivation's frame")
@@ -268,13 +252,13 @@ def w_of(deriv: Derivation, x: VectorField) -> WMatrix:
                 for k in range(n):
                     acc = acc + deriv.gamma[i, j, k] * x.components[k]
                 out[i, j] = simplify(acc)
-        return WMatrix(frame, out)
+        return FrameMatrix(frame, out)
     if isinstance(deriv, LieType):
-        return WMatrix(frame, _lie_w(frame, x))
+        return FrameMatrix(frame, _lie_w(frame, x))
     if isinstance(deriv, WTemplate):
         bindings = _template_bindings(frame, x)
         out = matops.map_exprs(lambda e: simplify(substitute(e, bindings)), deriv.entries)
-        return WMatrix(frame, out)
+        return FrameMatrix(frame, out)
     if isinstance(deriv, STemplate):
         bindings = _template_bindings(frame, x)
         s_x = matops.map_exprs(lambda e: simplify(substitute(e, bindings)), deriv.entries)
@@ -283,11 +267,11 @@ def w_of(deriv: Derivation, x: VectorField) -> WMatrix:
         for i in range(n):
             for j in range(n):
                 out[i, j] = simplify(s_x[i, j] + lie[i, j])
-        return WMatrix(frame, out)
+        return FrameMatrix(frame, out)
     raise VariantError(f"unknown derivation variant {type(deriv).__name__}")
 
 
-def transform_w(w: WMatrix, x: VectorField, transform: SymbolicTransform) -> WMatrix:
+def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) -> FrameMatrix:
     """Push W through a frame change: W' = A^{-1}(W A + X(A)).
 
     ``x`` and ``w`` are given in the source frame of ``transform``; the
@@ -301,7 +285,7 @@ def transform_w(w: WMatrix, x: VectorField, transform: SymbolicTransform) -> WMa
     wa = matops.matmul(w.entries, a)
     xa = x.apply_to_matrix(a)
     out = matops.matmul(transform.inverse_entries(), matops.matadd(wa, xa))
-    return WMatrix(transform.composed_frame(), out)
+    return FrameMatrix(transform.composed_frame(), out)
 
 
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:
@@ -425,7 +409,9 @@ class LinearityVerdict:
     witness: Optional[dict] = field(default=None, repr=False)
 
 
-def _seeded_affine_fields(frame: FrameField, rng, count: int) -> list[VectorField]:
+def seeded_affine_fields(frame: FrameField, rng, count: int) -> list[VectorField]:
+    """``count`` fields with affine components c_0 + c_a x^a, coefficients
+    drawn from ``rng`` and rounded to 6 decimals."""
     n = frame.dimension
     syms = frame.chart.symbols
     fields = []
@@ -441,22 +427,24 @@ def _seeded_affine_fields(frame: FrameField, rng, count: int) -> list[VectorFiel
     return fields
 
 
-def _vanishing_fields(frame: FrameField, x0: np.ndarray, rng, extra: int = 2) -> list[VectorField]:
-    """Fields guaranteed to vanish at x0: (x^a - x0^a) E_l plus seeded mixes."""
+def vanishing_fields(frame: FrameField, anchor, mixes) -> list[VectorField]:
+    """Fields vanishing where x = ``anchor``: with d^a = x^a - anchor^a, d^a E_l
+    for every (a, l), then sum_a mix[i, a] d^a E_i for each (n, n) ``mixes``
+    entry.  Anchor and mixes hold Exprs: constants, or placeholder symbols."""
     n = frame.dimension
-    syms = frame.chart.symbols
-    offsets = [Sym(syms[a]) - Const(float(x0[a])) for a in range(n)]
-    fields = []
-    for a in range(n):
-        for l in range(n):
-            comps = [offsets[a] if i == l else Const(0.0) for i in range(n)]
-            fields.append(VectorField(frame, comps))
-    for _ in range(extra):
+    offsets = [Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)]
+    zero = Const(0.0)
+    fields = [
+        VectorField(frame, [offsets[a] if i == l else zero for i in range(n)])
+        for a in range(n)
+        for l in range(n)
+    ]
+    for mix in mixes:
         comps = []
-        for _i in range(n):
-            e: Expr = Const(0.0)
-            for a in range(n):
-                e = e + Const(round(rng.uniform(-1.0, 1.0), 6)) * offsets[a]
+        for row in mix:
+            e: Expr = zero
+            for c, offset in zip(row, offsets):
+                e = e + c * offset
             comps.append(simplify(e))
         fields.append(VectorField(frame, comps))
     return fields
@@ -475,13 +463,15 @@ def linearity_probe(
     matrices Gamma_k := W_{E_k}(x0) are extracted.
     """
     frame = deriv.frame
-    chart = frame.chart
-    x0 = chart.point(x0)
+    n = frame.dimension
+    x0 = frame.chart.point(x0)
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     witness = None
 
-    for probe in _vanishing_fields(frame, x0, rng):
+    anchor = [Const(float(v)) for v in x0]
+    mixes = matops.constant_exprs(np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6))
+    for probe in vanishing_fields(frame, anchor, mixes):
         w0 = w_of(deriv, probe).evaluate_at(x0)
         residual = float(np.max(np.abs(w0)))
         if residual > max_residual:
@@ -493,7 +483,7 @@ def linearity_probe(
                     "residual": residual,
                 }
 
-    pairs = _seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
+    pairs = seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
     for idx in range(PROBE_PAIRS):
         xf, yf = pairs[2 * idx], pairs[2 * idx + 1]
         a_val = round(rng.uniform(-2.0, 2.0), 6)
@@ -515,7 +505,6 @@ def linearity_probe(
     if max_residual > tol:
         return LinearityVerdict(False, max_residual, x0, witness=witness)
 
-    n = frame.dimension
     gammas = np.empty((n, n, n), dtype=float)
     for k in range(n):
         w_k = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)

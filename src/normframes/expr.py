@@ -102,14 +102,6 @@ def frame_derivative_symbol(i: int, j: int) -> Symbol:
     return Symbol(f"dX[{i},{j}]", FRAME_DERIVATIVE)
 
 
-def frame_derivative_symbols(n: int) -> tuple[Symbol, ...]:
-    return tuple(
-        frame_derivative_symbol(i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-
-
 NumberLike = Union[int, float, "Expr"]
 
 
@@ -243,14 +235,6 @@ def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)
     return Neg(e)
-
-
-def sym(s: Symbol) -> Sym:
-    return Sym(s)
-
-
-def call(func: str, arg: Expr) -> Call:
-    return Call(func, arg)
 
 
 def _make_call_builder(name):
@@ -792,31 +776,42 @@ def _subst(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
 # compilation (hot numeric loops: ODE right-hand sides, grid sweeps)
 
 
-def _pysource(e: Expr, names: dict[str, str]) -> str:
+# Parenthesis depth of one generated expression; a deeper subtree is hoisted
+# into a temporary, which keeps the evaluation order and so the values.
+MAX_NESTING = 50
+
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _pysource(e: Expr, names: dict[str, str], temps: list[str]) -> tuple[str, int]:
+    """Python source of ``e`` and its parenthesis depth, appending hoisted
+    subtrees to ``temps`` (referenced as ``_t0``, ``_t1``, ...)."""
     if isinstance(e, Const):
-        return repr(e.value)
+        return repr(e.value), 0
     if isinstance(e, Sym):
         try:
-            return names[e.symbol.name]
+            return names[e.symbol.name], 0
         except KeyError:
             raise MissingSymbolError(
                 f"symbol {e.symbol.name!r} is not part of the compilation signature"
             ) from None
     if isinstance(e, Neg):
-        return f"(-{_pysource(e.arg, names)})"
-    if isinstance(e, Add):
-        return f"({_pysource(e.left, names)}+{_pysource(e.right, names)})"
-    if isinstance(e, Sub):
-        return f"({_pysource(e.left, names)}-{_pysource(e.right, names)})"
-    if isinstance(e, Mul):
-        return f"({_pysource(e.left, names)}*{_pysource(e.right, names)})"
-    if isinstance(e, Div):
-        return f"({_pysource(e.left, names)}/{_pysource(e.right, names)})"
-    if isinstance(e, Pow):
-        return f"_pow({_pysource(e.base, names)},{_pysource(e.exponent, names)})"
-    if isinstance(e, Call):
-        return f"_{e.func}({_pysource(e.arg, names)})"
-    raise TypeError(f"not an Expr: {e!r}")
+        children, template = (e.arg,), "(-{})"
+    elif type(e) in _BINARY_OPS:
+        children, template = (e.left, e.right), "({}" + _BINARY_OPS[type(e)] + "{})"
+    elif isinstance(e, Pow):
+        children, template = (e.base, e.exponent), "_pow({},{})"
+    elif isinstance(e, Call):
+        children, template = (e.arg,), "_" + e.func + "({})"
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    parts = [_pysource(child, names, temps) for child in children]
+    text = template.format(*(source for source, _ in parts))
+    depth = 1 + max(d for _, d in parts)
+    if depth < MAX_NESTING:
+        return text, depth
+    temps.append(text)
+    return f"_t{len(temps) - 1}", 0
 
 
 def compile_exprs(exprs, symbols: Iterable[Symbol]):
@@ -834,11 +829,13 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
     order = list(symbols)
     names = {s.name: f"v{i}" for i, s in enumerate(order)}
     args = ",".join(names[s.name] for s in order)
-    source = "".join(
-        f"def _e{i}({args}):\n    return {_pysource(e, names)}\n" for i, e in enumerate(exprs)
-    )
     namespace = {"_pow": np.power, **{f"_{name}": getattr(np, name) for name in FUNCTIONS}}
-    exec(source, namespace)  # noqa: S102 - generated from a closed grammar
+    for i, e in enumerate(exprs):
+        temps: list[str] = []
+        result, _ = _pysource(e, names, temps)
+        hoisted = "".join(f"    _t{k} = {text}\n" for k, text in enumerate(temps))
+        # one exec per expression: the compiler's memory grows with the source it is given
+        exec(f"def _e{i}({args}):\n{hoisted}    return {result}\n", namespace)  # noqa: S102
     parts = [namespace[f"_e{i}"] for i in range(len(exprs))]
 
     def compiled(*vals):

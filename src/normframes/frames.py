@@ -26,14 +26,15 @@ from .geometry import (
     DEGENERACY_TOL,
     FrameField,
     VectorField,
+    vanishes_on_chart,
 )
 from .derivation import (
     Derivation,
     LinearityVerdict,
     SymbolicTransform,
-    _vanishing_fields,
     linearity_probe,
     transform_w,
+    vanishing_fields,
     w_of,
 )
 from .curvature import integrability_residual, is_flat
@@ -342,17 +343,22 @@ def frame_at_point_connection(
     )
 
 
+def _transformed_components(deriv: Derivation, transform: SymbolicTransform) -> np.ndarray:
+    """W' along every transformed frame direction E_k', through the
+    transformation law, stacked as [k', i, j]."""
+    frame = deriv.frame
+    out = []
+    for kp in range(frame.dimension):
+        x_kp = VectorField(frame, list(transform.entries[:, kp]))
+        out.append(transform_w(w_of(deriv, x_kp), x_kp, transform).entries)
+    return np.stack(out)
+
+
 def transformed_components_max(deriv: Derivation, transform: SymbolicTransform, point) -> float:
     """max |Gamma'| at a point: components of the derivation along every
     transformed frame direction, computed through the transformation law."""
-    frame = deriv.frame
-    n = frame.dimension
-    worst = 0.0
-    for kp in range(n):
-        x_kp = VectorField(frame, [transform.entries[k, kp] for k in range(n)])
-        w_prime = transform_w(w_of(deriv, x_kp), x_kp, transform)
-        worst = max(worst, float(np.max(np.abs(w_prime.evaluate_at(point)))))
-    return worst
+    comps = _transformed_components(deriv, transform)
+    return float(np.max(np.abs(matops.evaluate_array(comps, deriv.chart.assignment(point)))))
 
 
 def shell_component_growth(
@@ -365,16 +371,13 @@ def shell_component_growth(
     chart = deriv.frame.chart
     x0 = chart.point(anchor)
     n = chart.dimension
-    out = {}
-    for d in distances:
-        worst = 0.0
-        for alpha in range(n):
-            for sign in (+1.0, -1.0):
-                pt = x0.copy()
-                pt[alpha] += sign * d
-                worst = max(worst, transformed_components_max(deriv, transform, pt))
-        out[d] = worst
-    return out
+    unit_steps = np.concatenate([np.eye(n), -np.eye(n)])  # +e_alpha, then -e_alpha
+    steps = np.multiply.outer(np.asarray(distances, dtype=float), unit_steps)
+    values = matops.evaluate_points(
+        _transformed_components(deriv, transform), chart.symbols, (x0 + steps).reshape(-1, n)
+    )
+    worst = np.max(np.abs(values), axis=(1, 2, 3)).reshape(len(steps), 2 * n).max(axis=1)
+    return {d: float(w) for d, w in zip(distances, worst)}
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +523,8 @@ def transport_along_curve(
 
     # the curve must follow the field: dcurve/ds = (coordinate components of X)
     velocity = compile_exprs(curve.velocity_exprs(), [curve.parameter])(s_values).T
-    b_nodes = _matrices(compile_exprs(list(frame.matrix.flat), chart.symbols)(*points.T), n)
-    x_nodes = compile_exprs(x.components, chart.symbols)(*points.T).T
+    b_nodes = matops.evaluate_points(frame.matrix, chart.symbols, points)
+    x_nodes = matops.evaluate_points(x.components, chart.symbols, points)
     v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
     off = np.max(np.abs(velocity - v_field), axis=1) > integral_curve_tol
     if off.any():
@@ -607,7 +610,10 @@ class GridSpec:
         return [np.linspace(lo, hi, c) for (lo, hi), c in zip(box, self.counts)]
 
     def base(self) -> tuple[int, ...]:
-        return self.base_index if self.base_index is not None else tuple(0 for _ in self.counts)
+        base = tuple(0 for _ in self.counts) if self.base_index is None else tuple(self.base_index)
+        if len(base) != len(self.counts) or not all(0 <= i < c for i, c in zip(base, self.counts)):
+            raise ValueError(f"base_index {base} is not a node of the {self.counts} lattice")
+        return base
 
 
 @dataclass
@@ -715,19 +721,34 @@ def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dic
 
 
 def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
-    """Vanishing fields must have vanishing components at every sample point."""
+    """Vanishing fields must have vanishing components at every sample point.
+
+    The fields vanishing at a point p are built once, with p and the mix
+    coefficients as placeholder coordinates ('@' names no expression can
+    reference); their W matrices are then evaluated at x = p over the cloud.
+    """
     chart = deriv.chart
-    rng = np.random.default_rng(seed)
-    for pt in chart.sample_points():
-        for probe in _vanishing_fields(deriv.frame, chart.point(pt), rng, extra=1):
-            w0 = w_of(deriv, probe).evaluate_at(pt)
-            residual = float(np.max(np.abs(w0)))
-            if residual > tol:
-                raise NotLinearConnectionError(
-                    "derivation components do not vanish with the field at "
-                    f"{np.asarray(pt).tolist()} (residual {residual:.3e}); "
-                    "a vanishing-component frame would force linear-connection structure",
-                )
+    n = chart.dimension
+    anchor = tuple(Symbol(f"@p{a}") for a in range(n))
+    coeffs = tuple(Symbol(f"@c{i},{a}") for i in range(n) for a in range(n))
+    mix = np.array([Sym(c) for c in coeffs], dtype=object).reshape(1, n, n)
+    probes = vanishing_fields(deriv.frame, [Sym(p) for p in anchor], mix)
+    w_probes = np.stack([w_of(deriv, probe).entries for probe in probes])
+    points = chart.sample_points()
+    # one mix per point, drawn point by point from the seeded stream
+    draws = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
+    values = matops.evaluate_points(
+        w_probes, chart.symbols + anchor + coeffs, np.hstack([points, points, draws])
+    )
+    residuals = np.max(np.abs(values), axis=(-2, -1))  # [point, probe]
+    failing = np.argwhere(residuals > tol)
+    if failing.size:
+        row, probe = failing[0]
+        raise NotLinearConnectionError(
+            "derivation components do not vanish with the field at "
+            f"{points[row].tolist()} (residual {residuals[row, probe]:.3e}); "
+            "a vanishing-component frame would force linear-connection structure",
+        )
 
 
 def _fill_lattice(shape, base, b0, forward, backward) -> np.ndarray:
@@ -916,21 +937,15 @@ def holonomicity_check(
         sym_tol = 1e-10 if tol is None else tol
         if at is None:
             composed = transform.composed_frame()
-            anhol = composed.anholonomy()
-            from .geometry import vanishes_on_chart
-
             ok, worst = vanishes_on_chart(
-                anhol.coefficients.flat, composed.chart, tol=sym_tol
+                composed.anholonomy().coefficients.flat, composed.chart, tol=sym_tol
             )
             result = HolonomicityVerdict(ok, worst, sym_tol, "symbolic")
         else:
             a_val, comm = _symbolic_commutator_values(transform.frame, transform.entries, at)
-            inv_a = np.linalg.inv(a_val)
-            n = transform.frame.dimension
-            worst = 0.0
-            for ip in range(n):
-                for jp in range(ip + 1, n):
-                    worst = max(worst, float(np.max(np.abs(inv_a @ comm[:, ip, jp]))))
+            upper = np.triu_indices(transform.frame.dimension, 1)
+            in_frame = np.linalg.inv(a_val) @ comm[:, upper[0], upper[1]]
+            worst = float(np.max(np.abs(in_frame), initial=0.0))
             result = HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic")
         if deriv is not None and at is not None:
             result.torsion_match_residual = _torsion_commutator_residual_symbolic(
@@ -945,45 +960,37 @@ def holonomicity_check(
     raise TypeError("expected a SymbolicTransform or a GridFrame")
 
 
-def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
-    """Source-frame components of [E_i', E_j'] for a symbolic transform.
+def _pairing(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """t^k_{ab} A^a_{i'} A^b_{j'} as [..., k, i', j']."""
+    return np.einsum("...kab,...ai,...bj->...kij", t, a, a)
 
-    comm[k, i', j'] = A^a_{i'} E_a(A^k_{j'}) - A^a_{j'} E_a(A^k_{i'})
-                    + C^k_{ab} A^a_{i'} A^b_{j'}, evaluated at the point.
-    """
-    n = frame.dimension
+
+def _commutators(a: np.ndarray, ea: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Source-frame components of [E_i', E_j'] as [..., k, i', j']:
+    A^a_{i'} E_a(A^k_{j'}) - A^a_{j'} E_a(A^k_{i'}) + C^k_{ab} A^a_{i'} A^b_{j'},
+    given ea[..., a, k, j'] = E_a(A^k_{j'})."""
+    half = np.einsum("...ai,...akj->...kij", a, ea)
+    return half - np.swapaxes(half, -1, -2) + _pairing(c, a)
+
+
+def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
+    """A(at) and the commutators of the transformed frame of a symbolic transform at a point."""
     assignment = frame.chart.assignment(at)
     a_val = matops.evaluate_array(entries, assignment)
-    ea = np.empty((n, n, n))  # [a, k, j']
-    for a in range(n):
-        for k in range(n):
-            for jp in range(n):
-                ea[a, k, jp] = evaluate(frame.frame_derivative(a, entries[k, jp]), assignment)
-    c_val = frame.anholonomy().evaluate_at(at)
-    comm = np.empty((n, n, n))
-    for ip in range(n):
-        for jp in range(n):
-            comm[:, ip, jp] = (
-                np.einsum("a,ak->k", a_val[:, ip], ea[:, :, jp])
-                - np.einsum("a,ak->k", a_val[:, jp], ea[:, :, ip])
-                + np.einsum("kab,a,b->k", c_val, a_val[:, ip], a_val[:, jp])
-            )
-    return a_val, comm
+    derivatives = np.stack([
+        matops.map_exprs(lambda e, a=a: frame.frame_derivative(a, e), entries)
+        for a in range(frame.dimension)
+    ])
+    ea = matops.evaluate_array(derivatives, assignment)
+    return a_val, _commutators(a_val, ea, frame.anholonomy().evaluate_at(at))
 
 
 def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, at) -> float:
     """|[E_i', E_j'] + T(E_i', E_j')| at a vanishing-component point."""
     frame = deriv.frame
-    n = frame.dimension
-    assignment = frame.chart.assignment(at)
-    t_val = matops.evaluate_array(_torsion_exprs(deriv), assignment)
+    t_val = matops.evaluate_array(_torsion_exprs(deriv), frame.chart.assignment(at))
     a_val, comm = _symbolic_commutator_values(frame, transform.entries, at)
-    worst = 0.0
-    for ip in range(n):
-        for jp in range(n):
-            tors = np.einsum("kab,a,b->k", t_val, a_val[:, ip], a_val[:, jp])
-            worst = max(worst, float(np.max(np.abs(comm[:, ip, jp] + tors))))
-    return worst
+    return float(np.max(np.abs(comm + _pairing(t_val, a_val))))
 
 
 def _holonomicity_grid(
@@ -1033,50 +1040,33 @@ def _holonomicity_grid(
 
     # sharper estimate: short refreshed transports at seeded nodes + base
     rng = np.random.default_rng(seed)
-    sample_nodes = [grid_frame.base_index] + [
+    nodes = [grid_frame.base_index] + [
         tuple(int(rng.integers(0, s)) for s in shape) for _ in range(10)
     ]
-    t_exprs = _torsion_exprs(deriv)
-    anhol = frame.anholonomy()
-    refined_worst = 0.0
-    torsion_resid = 0.0
-    for node in sample_nodes:
-        pt = grid_frame.point_at(node)
-        assignment = chart.assignment(pt)
-        a_val = grid_frame.matrix_at(node)
-        da = grid_frame.partial_derivatives_at(node, delta=refine_delta)  # [alpha, i, j]
-        b_val = frame.evaluate_at(pt)
-        c_val = anhol.evaluate_at(pt)
-        t_val = matops.evaluate_array(t_exprs, assignment)
-        # E_a(A)_{ij} = B^alpha_a dA_{ij}/dx^alpha
-        ea_a = np.einsum("Aa,Aij->aij", b_val, da)
-        for ip in range(n):
-            for jp in range(ip + 1, n):
-                comm = (
-                    np.einsum("a,ak->k", a_val[:, ip], ea_a[:, :, jp])
-                    - np.einsum("a,ak->k", a_val[:, jp], ea_a[:, :, ip])
-                    + np.einsum("kab,a,b->k", c_val, a_val[:, ip], a_val[:, jp])
-                )
-                refined_worst = max(refined_worst, float(np.max(np.abs(comm))))
-                tors = np.einsum("kab,a,b->k", t_val, a_val[:, ip], a_val[:, jp])
-                torsion_resid = max(torsion_resid, float(np.max(np.abs(comm + tors))))
+    index = tuple(np.array(nodes).T)
+    a_val = grid_frame.matrices[index]
+    anhol_torsion = matops.evaluate_points(
+        np.stack([frame.anholonomy().coefficients, _torsion_exprs(deriv)]),
+        chart.symbols,
+        [grid_frame.point_at(node) for node in nodes],
+    )
+    da = np.stack([grid_frame.partial_derivatives_at(node, delta=refine_delta) for node in nodes])
+    # E_a(A)_{ij} = B^alpha_a dA_{ij}/dx^alpha
+    ea_a = np.einsum("NAa,NAij->Naij", frame_vals[index], da)
+    comm = _commutators(a_val, ea_a, anhol_torsion[:, 0])
+    twisted = comm + _pairing(anhol_torsion[:, 1], a_val)
+    upper = np.triu_indices(n, 1)
+    refined_worst = float(np.max(np.abs(comm[..., upper[0], upper[1]]), initial=0.0))
+    torsion_resid = float(np.max(np.abs(twisted[..., upper[0], upper[1]]), initial=0.0))
 
-    if method == "fd":
-        requested = fd_tol if tol is None else tol
-        return HolonomicityVerdict(
-            holonomic=fd_worst <= requested,
-            max_commutator=fd_worst,
-            tol=requested,
-            method="fd",
-            torsion_match_residual=torsion_resid,
-            fd_max_commutator=fd_worst,
-            fd_tol=fd_tol,
-        )
+    method = "fd" if method == "fd" else "refined"
+    worst = fd_worst if method == "fd" else refined_worst
+    requested = tol if tol is not None else (fd_tol if method == "fd" else GRID_TOL)
     return HolonomicityVerdict(
-        holonomic=refined_worst <= (tol if tol is not None else GRID_TOL),
-        max_commutator=refined_worst,
-        tol=tol if tol is not None else GRID_TOL,
-        method="refined",
+        holonomic=worst <= requested,
+        max_commutator=worst,
+        tol=requested,
+        method=method,
         torsion_match_residual=torsion_resid,
         fd_max_commutator=fd_worst,
         fd_tol=fd_tol,
@@ -1118,23 +1108,18 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
             if result.residual > POINT_TOL:
                 raise ValueError("point frames must be verified before comparison")
         frame = first.transform.frame
+        chart = frame.chart
         x0 = first.anchor
-        inv1 = first.transform.inverse_entries()
-        a12 = matops.matmul(inv1, second.transform.entries)
-        worst = 0.0
         n = frame.dimension
-        for k in range(n):
-            d_entries = matops.map_exprs(lambda e, k=k: frame.frame_derivative(k, e), a12)
-            vals = matops.evaluate_array(d_entries, frame.chart.assignment(x0))
-            worst = max(worst, float(np.max(np.abs(vals))))
-        ref = matops.evaluate_array(a12, frame.chart.assignment(x0))
-        shell = 0.0
-        for alpha in range(n):
-            for sign in (+1.0, -1.0):
-                pt = x0.copy()
-                pt[alpha] += sign * 1e-2
-                vals = matops.evaluate_array(a12, frame.chart.assignment(pt))
-                shell = max(shell, float(np.max(np.abs(vals - ref))))
+        a12 = matops.matmul(first.transform.inverse_entries(), second.transform.entries)
+        derivatives = np.stack([
+            matops.map_exprs(lambda e, k=k: frame.frame_derivative(k, e), a12) for k in range(n)
+        ])
+        worst = float(np.max(np.abs(matops.evaluate_array(derivatives, chart.assignment(x0)))))
+        ref = matops.evaluate_array(a12, chart.assignment(x0))
+        shell_points = x0 + 1e-2 * np.concatenate([np.eye(n), -np.eye(n)])
+        shell_values = matops.evaluate_points(a12, chart.symbols, shell_points)
+        shell = float(np.max(np.abs(shell_values - ref)))
         return ConstancyVerdict(
             worst <= tol, ref, worst, tol, derivative_residual=worst, shell_deviation=shell
         )

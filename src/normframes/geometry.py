@@ -51,6 +51,9 @@ class Chart:
     def __post_init__(self):
         if len(set(self.coordinates)) != len(self.coordinates):
             raise ValueError("coordinate names must be distinct")
+        # expressions can name only identifiers; other names are free for placeholders
+        if not all(c.isascii() and c.isidentifier() for c in self.coordinates):
+            raise ValueError("coordinate names must be identifiers")
         if len(self.domain) != len(self.coordinates):
             raise ValueError("one domain interval per coordinate is required")
         for lo, hi in self.domain:
@@ -112,14 +115,21 @@ def vanishes_on_chart(
 
     Returns (verdict, max |value| observed).
     """
-    worst = 0.0
-    points = chart.sample_points(count, seed)
-    flat = list(exprs)
-    for pt in points:
-        assignment = chart.assignment(pt)
-        for e in flat:
-            worst = max(worst, abs(evaluate(e, assignment)))
+    values = matops.evaluate_points(list(exprs), chart.symbols, chart.sample_points(count, seed))
+    worst = float(np.max(np.abs(values), initial=0.0))
     return worst <= tol, worst
+
+
+def require_nondegenerate(matrix: np.ndarray, chart: Chart, describe) -> None:
+    """Raise DegenerateFrameError at the first sample point where the
+    matrix's |det| is at most DEGENERACY_TOL; ``describe(point, det)``
+    words the message."""
+    points = chart.sample_points()
+    dets = np.linalg.det(matops.evaluate_points(matrix, chart.symbols, points))
+    singular = np.flatnonzero(np.abs(dets) <= DEGENERACY_TOL)
+    if singular.size:
+        first = singular[0]
+        raise DegenerateFrameError(describe(points[first].tolist(), dets[first]))
 
 
 class FrameField:
@@ -152,7 +162,8 @@ class FrameField:
         self._inverse_exprs = None
         self._anholonomy = None
         if _validate and not self._is_identity:
-            self._check_nondegenerate()
+            require_nondegenerate(self.matrix, chart, lambda pt, det: (
+                f"frame determinant {det!r} at {pt} is below {DEGENERACY_TOL}"))
 
     @classmethod
     def coordinate(cls, chart: Chart) -> "FrameField":
@@ -165,14 +176,6 @@ class FrameField:
     @property
     def is_coordinate(self) -> bool:
         return self._is_identity
-
-    def _check_nondegenerate(self):
-        for pt in self.chart.sample_points():
-            det = np.linalg.det(self.evaluate_at(pt))
-            if abs(det) <= DEGENERACY_TOL:
-                raise DegenerateFrameError(
-                    f"frame determinant {det!r} at {pt.tolist()} is below {DEGENERACY_TOL}"
-                )
 
     def evaluate_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.matrix, self.chart.assignment(point))
@@ -211,10 +214,6 @@ class FrameField:
         if self._anholonomy is None:
             self._anholonomy = anholonomy_coefficients(self)
         return self._anholonomy
-
-
-def frame_derivative(frame: FrameField, i: int, f: Expr) -> Expr:
-    return frame.frame_derivative(i, f)
 
 
 class VectorField:

@@ -4,13 +4,17 @@ Matrices are numpy object arrays holding :class:`~normframes.expr.Expr`
 entries.  Symbolic inversion uses the adjugate/determinant form and is
 restricted to n <= 4 to keep expression growth bounded; every consumer
 that needs larger frames evaluates numerically per point instead.
+
+Numeric evaluation has two entry points: :func:`evaluate_array` walks the
+trees at one point, :func:`evaluate_points` compiles an array once and
+evaluates it on a whole point set (sample cloud, shell, lattice nodes).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import Const, Div, Expr, evaluate, simplify
+from .expr import Const, Div, Expr, compile_exprs, evaluate, simplify
 
 MAX_SYMBOLIC_INVERSE = 4
 
@@ -116,3 +120,18 @@ def evaluate_array(matrix: np.ndarray, assignment) -> np.ndarray:
     for idx in np.ndindex(matrix.shape):
         out[idx] = evaluate(matrix[idx], assignment)
     return out
+
+
+def evaluate_points(matrix, symbols, points) -> np.ndarray:
+    """Evaluate every entry of an Expr array at many points in one call.
+
+    ``points`` holds one row of coordinate values per point, in the order
+    of ``symbols``; the result has shape ``(len(points),) + matrix.shape``.
+    The array is compiled once; non-finite values and domain failures raise
+    :class:`~normframes.expr.DomainError`, as in :func:`evaluate_array`.
+    """
+    matrix = np.asarray(matrix, dtype=object)
+    symbols = list(symbols)
+    points = np.asarray(points, dtype=float).reshape(len(points), len(symbols))
+    values = compile_exprs(matrix.flat, symbols)(*points.T)
+    return values.T.reshape((len(points),) + matrix.shape)

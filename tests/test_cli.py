@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from normframes.cli import (
     EXIT_DOMAIN,
@@ -296,6 +297,36 @@ def test_verify_dimension_mismatch_exits_2(tmp_path):
     doc["dimension"] = 3
     frame.write_text(json.dumps(doc))
     assert run("verify", POLAR, str(frame)) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: [doc],
+        lambda doc: dict(doc, data=[doc["data"]]),
+        lambda doc: dict(doc, locus=[doc["locus"]]),
+    ],
+    ids=["root-list", "data-list", "locus-list"],
+)
+def test_malformed_frame_document_exits_2(tmp_path, capsys, corrupt):
+    frame = tmp_path / "frame.json"
+    assert run("frame", ZERO, "flat", "--grid", "5x5", "--out", str(frame)) == EXIT_OK
+    frame.write_text(json.dumps(corrupt(json.loads(frame.read_text()))))
+    capsys.readouterr()
+    assert run("verify", ZERO, str(frame)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_deep_chain_entry_frame_flat_exits_0(tmp_path):
+    # 261 chained terms nest deeper than Python's parser allows in one expression
+    doc = json.loads(Path(POLAR).read_text())
+    doc["derivation"]["connection"]["1,2,2"] = "-r" + "+theta-theta" * 130
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(doc))
+    frame = tmp_path / "frame.json"
+    assert run("frame", str(spec), "flat", "--grid", "5x5", "--out", str(frame)) == EXIT_OK
+    assert run("verify", str(spec), str(frame), "--tol", "1e-6") == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

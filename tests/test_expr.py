@@ -412,3 +412,18 @@ def test_compiled_agrees_with_evaluate(tree, r_val, th_val):
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - expected) <= 1e-9 * (1.0 + abs(expected))
     assert compiled(r_val, th_val)[0] == pytest.approx(got[0, 0], rel=1e-15, abs=0.0)
+
+
+def test_compiled_deep_trees_agree_with_evaluate():
+    # nesting deeper than one Python expression allows is split into temporaries
+    chain = parse_expr("-r" + "+theta-theta" * 150, POLAR_SYMS)
+    nested = Sym(R)
+    for _ in range(300):
+        nested = Call("sin", nested)
+    compiled = compile_exprs([chain, nested], POLAR_SYMS)
+    r_vals, th_vals = np.array([0.5, 1.25, 2.0]), np.array([0.1, 0.7, 1.5])
+    got = compiled(r_vals, th_vals)
+    for k, (r_val, th_val) in enumerate(zip(r_vals, th_vals)):
+        point = {"r": r_val, "theta": th_val}
+        assert got[0, k] == evaluate(chain, point)  # arithmetic only: same operations, same bits
+        assert got[1, k] == pytest.approx(evaluate(nested, point), rel=1e-12, abs=1e-15)

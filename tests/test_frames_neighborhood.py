@@ -2,6 +2,7 @@
 constancy of the relating transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from normframes import (
     holonomicity_check,
     torsion_tensor,
 )
-from normframes.frames import direction_functions, edge_propagators
+from normframes.frames import _pointwise_linearity_gate, direction_functions, edge_propagators
 
 
 def cartesian_in_polar(r, theta):
@@ -76,6 +77,24 @@ def test_interior_base_grid_matches_oracle_and_base_zero_grid(polar_connection):
     verdict = constancy_check(base_zero, frame)
     assert verdict.constant
     assert verdict.max_deviation <= 1e-9
+
+
+@pytest.mark.parametrize("base_index", [(-1, 0), (7, 0)])
+def test_base_index_outside_the_lattice_is_rejected(polar_connection, base_index):
+    grid = GridSpec((5, 5), base_index=base_index)
+    with pytest.raises(ValueError, match=re.escape(f"base_index {base_index}")):
+        flat_frame_neighborhood(polar_connection, grid, h=1e-3)
+
+
+def test_linearity_gate_rejects_lie_type_at_first_sample_point(lie_plane):
+    first = lie_plane.chart.sample_points()[0].tolist()
+    with pytest.raises(NotLinearConnectionError, match=re.escape(str(first))):
+        _pointwise_linearity_gate(lie_plane, seed=42)
+
+
+def test_linearity_gate_passes_linear_connections(polar_connection, torsion_plane):
+    _pointwise_linearity_gate(polar_connection, seed=42)
+    _pointwise_linearity_gate(torsion_plane, seed=42)
 
 
 def polar_direction_matrix(point, axis):

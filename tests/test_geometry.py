@@ -7,14 +7,18 @@ from normframes import (
     Chart,
     Const,
     DegenerateFrameError,
+    DomainError,
     FrameField,
     SymbolicTransform,
     VectorField,
     anholonomy_coefficients,
     change_vector_frame,
     commutator,
+    curvature_tensor,
+    torsion_tensor,
     vanishes_on_chart,
 )
+from normframes import matops
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields
@@ -23,6 +27,12 @@ from conftest import affine_fields
 def test_chart_rejects_duplicate_names():
     with pytest.raises(ValueError):
         Chart(("x", "x"), ((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["@p0", "x 1", "1x"])
+def test_chart_rejects_names_expressions_cannot_reference(name):
+    with pytest.raises(ValueError, match="identifiers"):
+        Chart((name, "y"), ((0.0, 1.0), (0.0, 1.0)))
 
 
 def test_chart_rejects_empty_interval():
@@ -218,3 +228,44 @@ def test_change_frame_preserves_geometric_vector(polar, polar_connection):
         before = x.coordinate_components_at(pt)
         after = out.coordinate_components_at(pt)
         assert np.max(np.abs(before - after)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one compiled evaluation path for point sets
+
+
+@pytest.fixture(scope="module")
+def fixture_arrays(polar, sphere, polar_connection, sphere_connection, torsion_plane,
+                   polar_orthonormal_frame):
+    return {
+        "polar curvature": (curvature_tensor(polar_connection).components, polar),
+        "sphere curvature": (curvature_tensor(sphere_connection).components, sphere),
+        "sphere torsion": (torsion_tensor(sphere_connection).components, sphere),
+        "plane torsion": (torsion_tensor(torsion_plane).components, torsion_plane.chart),
+        "orthonormal anholonomy": (polar_orthonormal_frame.anholonomy().coefficients, polar),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["polar curvature", "sphere curvature", "sphere torsion", "plane torsion",
+     "orthonormal anholonomy"],
+)
+def test_evaluate_points_matches_pointwise_tree_walk(fixture_arrays, name):
+    array, chart = fixture_arrays[name]
+    points = chart.sample_points()
+    expected = np.stack([matops.evaluate_array(array, chart.assignment(p)) for p in points])
+    got = matops.evaluate_points(array, chart.symbols, points)
+    assert got.shape == (len(points),) + array.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+
+@pytest.mark.parametrize(
+    "name, pole", [("sphere curvature", [0.0, 1.0]), ("orthonormal anholonomy", [0.0, 0.5])]
+)
+def test_evaluate_points_raises_at_a_pole_like_the_tree_walk(fixture_arrays, name, pole):
+    array, chart = fixture_arrays[name]
+    with pytest.raises(DomainError):
+        matops.evaluate_array(array, chart.assignment(pole))
+    with pytest.raises(DomainError):
+        matops.evaluate_points(array, chart.symbols, [chart.sample_points()[0], pole])

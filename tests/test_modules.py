@@ -1,0 +1,20 @@
+"""Module boundaries of the package source."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "normframes").glob("*.py"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}:{node.lineno} imports {alias.name} from .{node.module or ''}"
+                    for alias in node.names
+                    # dunder names such as __version__ are public
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert SOURCES and not offenders, offenders
