@@ -162,6 +162,20 @@ def _require(cond: bool, message: str):
         raise InputError(message)
 
 
+def _numbers(value, what: str, array: bool = False):
+    """``value`` as a float, or as a float array; anything else is an input error."""
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be numbers") from None
+
+
+def _named_blocks(doc: dict, key: str):
+    blocks = doc.get(key) or {}
+    _require(isinstance(blocks, dict), f"'{key}' must be an object keyed by name")
+    return blocks.items()
+
+
 def load_manifold_spec(path: str) -> ManifoldSetup:
     try:
         raw = Path(path).read_bytes()
@@ -187,8 +201,9 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         and all(isinstance(iv, list) and len(iv) == 2 for iv in domain),
         "'domain' must list one [lo, hi] interval per coordinate",
     )
+    bounds = tuple(tuple(_numbers(v, "'domain' bounds") for v in iv) for iv in domain)
     try:
-        chart = Chart(tuple(coords), tuple((float(a), float(b)) for a, b in domain))
+        chart = Chart(tuple(coords), bounds)
     except ValueError as err:
         raise InputError(str(err)) from None
 
@@ -262,7 +277,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         deriv = WTemplate(frame, entries) if variant == "w_template" else STemplate(frame, entries)
 
     fields = {}
-    for name, comps in (doc.get("fields") or {}).items():
+    for name, comps in _named_blocks(doc, "fields"):
         _require(
             isinstance(comps, list) and len(comps) == n,
             f"field {name!r} must list {n} component expressions",
@@ -273,7 +288,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
 
     curves = {}
     s_symbol = Symbol("s")
-    for name, block in (doc.get("curves") or {}).items():
+    for name, block in _named_blocks(doc, "curves"):
         _require(isinstance(block, dict), f"curve {name!r} must be an object")
         exprs = block.get("exprs")
         _require(
@@ -291,13 +306,12 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
             isinstance(interval, list) and len(interval) == 2,
             f"curve {name!r} needs an [a, b] interval",
         )
-        s0 = block.get("s0", interval[0])
-        step = block.get("step", 1e-3)
+        a, b = (_numbers(v, f"curve {name!r} interval") for v in interval)
         curves[name] = CurveSpec(
             exprs=tuple(parsed),
-            interval=(float(interval[0]), float(interval[1])),
-            s0=float(s0),
-            step=float(step),
+            interval=(a, b),
+            s0=_numbers(block.get("s0", a), f"curve {name!r} s0"),
+            step=_numbers(block.get("step", 1e-3), f"curve {name!r} step"),
             parameter=s_symbol,
         )
 
@@ -579,6 +593,7 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float
     transform = SymbolicTransform(setup.frame, parsed, _validate=False)
     at = chart.point(doc["locus"]["point"])
     if doc.get("field"):
+        _require(isinstance(doc["field"], list), "the frame file's field must list expressions")
         x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in doc["field"]])
         residual = anchor_residual(setup.deriv, x, transform, at)
     else:
@@ -589,28 +604,33 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float
 def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
-    matrices = np.asarray(doc["data"].get("matrices"), dtype=float)
+    matrices = _numbers(doc["data"].get("matrices"), "frame matrices", array=True)
     _require(bool(np.isfinite(matrices).all()), "frame matrices must be finite numbers")
     block = doc["locus"][kind]
 
     if kind == "curve":
-        points = np.asarray(block.get("points"), dtype=float)
+        points = _numbers(block.get("points"), "curve points", array=True)
         _require(matrices.ndim == 3 and matrices.shape[1:] == (n, n), "bad curve matrices")
-        _require(len(points) == len(matrices), "curve points and matrices disagree")
+        _require(points.shape[:1] == matrices.shape[:1], "curve points and matrices disagree")
         field_comps = doc.get("field")
-        _require(field_comps is not None, "curve frame files carry the transported field")
+        _require(isinstance(field_comps, list), "curve frame files carry the transported field")
         x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in field_comps])
-        s_vals = np.asarray(block.get("s"), dtype=float)
+        s_vals = _numbers(block.get("s"), "curve parameters", array=True)
         _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
         # re-transport every inter-node segment from the raw data
         param = Symbol("s")
-        exprs = [parse_expr(e, [param]) for e in block.get("exprs", [])]
-        _require(len(exprs) == n, "curve frame files carry the curve expressions")
+        exprs = block.get("exprs")
+        _require(isinstance(exprs, list) and len(exprs) == n,
+                 "curve frame files carry the curve expressions")
+        exprs = [parse_expr(e, [param]) for e in exprs]
         worst, worst_at = curve_segment_residual(setup.deriv, x, exprs, param, s_vals, matrices)
         return worst, {"max_residual": worst, "worst_segment": worst_at}
 
-    axes = [np.asarray(ax, dtype=float) for ax in block.get("axes", [])]
-    _require(len(axes) == n, "grid frame files carry per-axis node arrays")
+    axes = block.get("axes")
+    _require(isinstance(axes, list) and len(axes) == n,
+             "grid frame files carry per-axis node arrays")
+    axes = [_numbers(ax, f"grid axis {a}", array=True) for a, ax in enumerate(axes)]
+    _require(all(ax.ndim == 1 for ax in axes), "grid axes must be node arrays")
     shape = tuple(len(ax) for ax in axes)
     _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
     # re-transported at the default step, whatever step built the file

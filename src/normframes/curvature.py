@@ -120,22 +120,23 @@ def curvature_tensor(deriv: Connection) -> CurvatureTensor:
     return CurvatureTensor(frame, out)
 
 
-def torsion_tensor(deriv: Connection) -> TorsionTensor:
-    """T^i_{kl} = -(G^i_{kl} - G^i_{lk}) - C^i_{kl}."""
-    if not isinstance(deriv, Connection):
-        raise VariantError("the torsion tensor requires the connection variant")
+def torsion_tensor(deriv: Derivation) -> TorsionTensor:
+    """T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl}.
+
+    Built from the frame-direction component matrices of any derivation;
+    for a connection (W_{E_l})^i_k = G^i_{kl}.  The result is a tensor only
+    for linear connections.
+    """
     frame = deriv.frame
     n = frame.dimension
-    g = deriv.gamma
+    w_frames = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
     C = frame.anholonomy()
     out = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                acc: Expr = -(g[i, k, l] - g[i, l, k])
-                if not C.is_zero:
-                    acc = acc - C.entry(i, k, l)
-                out[i, k, l] = simplify(acc)
+    for i, k, l in np.ndindex(out.shape):
+        acc: Expr = -(w_frames[l][i, k] - w_frames[k][i, l])
+        if not C.is_zero:
+            acc = acc - C.entry(i, k, l)
+        out[i, k, l] = simplify(acc)
     return TorsionTensor(frame, out)
 
 

@@ -2,20 +2,23 @@
 
 A derivation D assigns to each vector field X an operator D_X acting on
 tensor fields.  Its components in a frame are the matrix W_X defined by
-D_X E_j = (W_X)^i_j E_i; for a linear connection W_X = Gamma_k X^k.  Four
-variants are supported:
+D_X E_j = (W_X)^i_j E_i.  Every variant is a case of one formula,
+(W_X)^i_j = (S_X)^i_j - E_j(X^i) + C^i_{kj} X^k, so each is held as its W
+template: W_X as expressions in the coordinates, the component symbols
+X1..Xn and the frame derivatives dX[i,j] = E_j(X^i); :func:`w_of` is one
+substitution into it.  Four variants are supported:
 
 * :class:`Connection` -- coefficients Gamma^i_{jk} (k is the direction leg),
-* :class:`LieType`    -- D_X is the Lie derivative along X,
-* :class:`WTemplate`  -- W given directly as expressions in the coordinates,
-  the component symbols X1..Xn and the frame derivatives dX[i,j],
-* :class:`STemplate`  -- the (1,1)-tensor part S_X given as a template, with
-  W_X assembled as (S_X)^i_j - E_j(X^i) + C^i_{kj} X^k.
+  template Gamma_k X^k,
+* :class:`LieType`    -- D_X is the Lie derivative along X (S = 0),
+* :class:`WTemplate`  -- the W template given directly,
+* :class:`STemplate`  -- the (1,1)-tensor part S_X given as a template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,13 +123,46 @@ class SymbolicTransform:
         return SymbolicTransform(self.composed_frame(), self.inverse_entries(), _validate=False)
 
 
+def _frame_derivative_slots(n: int) -> list[tuple[Symbol, int, int]]:
+    """(dX[i+1,j+1], i, j) for every frame derivative E_j(X^i)."""
+    return [(frame_derivative_symbol(i + 1, j + 1), i, j) for i, j in np.ndindex(n, n)]
+
+
 class Derivation:
+    """Base of the variants.  Each supplies its W template (see the module
+    docstring), which is built once, on first use."""
+
     def __init__(self, frame: FrameField):
         self.frame = frame
 
     @property
     def chart(self) -> Chart:
         return self.frame.chart
+
+    def _build_template(self) -> np.ndarray:
+        raise VariantError(f"unknown derivation variant {type(self).__name__}")
+
+    @cached_property
+    def w_template(self) -> np.ndarray:
+        """W_X as an n x n Expr array over coordinates, X1..Xn and dX[i,j]."""
+        return self._build_template()
+
+    @cached_property
+    def _template_derivatives(self) -> list[tuple[Symbol, int, int]]:
+        used = set().union(*map(free_symbols, self.w_template.flat))
+        return [slot for slot in _frame_derivative_slots(self.frame.dimension) if slot[0] in used]
+
+
+def _lie_template(frame: FrameField) -> np.ndarray:
+    """-dX[i,j] + C^i_{kj} X^k, the S = 0 case of the component formula."""
+    n = frame.dimension
+    C = frame.anholonomy()
+    xs = [Sym(s) for s in component_symbols(n)]
+    ks = () if C.is_zero else range(n)
+    out = np.empty((n, n), dtype=object)
+    for s, i, j in _frame_derivative_slots(n):
+        out[i, j] = sum((C.entry(i, k, j) * xs[k] for k in ks), -Sym(s))
+    return out
 
 
 class Connection(Derivation):
@@ -150,6 +186,13 @@ class Connection(Derivation):
             out[idx] = e
         self.gamma = out
 
+    def _build_template(self) -> np.ndarray:
+        xs = [Sym(s) for s in component_symbols(self.frame.dimension)]
+        out = np.empty(self.gamma.shape[:2], dtype=object)
+        for i, j in np.ndindex(out.shape):
+            out[i, j] = sum((g * x for g, x in zip(self.gamma[i, j], xs)), Const(0.0))
+        return out
+
     @classmethod
     def zero(cls, frame: FrameField) -> "Connection":
         n = frame.dimension
@@ -164,111 +207,56 @@ class Connection(Derivation):
 class LieType(Derivation):
     """S = 0: D_X is the Lie derivative along X."""
 
+    def _build_template(self) -> np.ndarray:
+        return _lie_template(self.frame)
 
-class WTemplate(Derivation):
+
+class _Template(Derivation):
+    def __init__(self, frame: FrameField, entries):
+        super().__init__(frame)
+        self.entries = (
+            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
+        )
+        allowed = set(template_symbols(frame.chart, frame.dimension).values())
+        for e in self.entries.flat:
+            for s in free_symbols(e):
+                if s not in allowed:
+                    raise ValueError(f"template references undeclared symbol {s.name!r}")
+
+
+class WTemplate(_Template):
     """Component matrix given directly as a template over X-symbols."""
 
-    def __init__(self, frame: FrameField, entries):
-        super().__init__(frame)
-        self.entries = (
-            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
-        )
-        _check_template_symbols(self.entries, frame)
+    def _build_template(self) -> np.ndarray:
+        return self.entries
 
 
-class STemplate(Derivation):
+class STemplate(_Template):
     """S_X as a template; W_X is assembled through the component formula."""
 
-    def __init__(self, frame: FrameField, entries):
-        super().__init__(frame)
-        self.entries = (
-            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
-        )
-        _check_template_symbols(self.entries, frame)
-
-
-def _check_template_symbols(entries: np.ndarray, frame: FrameField):
-    n = frame.dimension
-    allowed = set(frame.chart.symbols)
-    allowed.update(component_symbols(n))
-    allowed.update(frame_derivative_symbol(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    for idx in np.ndindex(entries.shape):
-        for s in free_symbols(entries[idx]):
-            if s not in allowed:
-                raise ValueError(f"template references undeclared symbol {s.name!r}")
+    def _build_template(self) -> np.ndarray:
+        return self.entries + _lie_template(self.frame)
 
 
 def template_symbols(chart: Chart, n: int) -> dict[str, Symbol]:
     """Symbol table for parsing template entries: coords + X-i + dX[i,j]."""
     table = chart.symbol_table()
-    for s in component_symbols(n):
+    for s in component_symbols(n) + tuple(slot[0] for slot in _frame_derivative_slots(n)):
         table[s.name] = s
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            s = frame_derivative_symbol(i, j)
-            table[s.name] = s
     return table
 
 
-def _template_bindings(frame: FrameField, x: VectorField) -> dict[Symbol, Expr]:
-    n = frame.dimension
-    bindings: dict[Symbol, Expr] = {}
-    for i, s in enumerate(component_symbols(n)):
-        bindings[s] = x.components[i]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            bindings[frame_derivative_symbol(i, j)] = frame.frame_derivative(
-                j - 1, x.components[i - 1]
-            )
-    return bindings
-
-
-def _lie_w(frame: FrameField, x: VectorField) -> np.ndarray:
-    """-E_j(X^i) + C^i_{kj} X^k, the S = 0 case of the component formula."""
-    n = frame.dimension
-    C = frame.anholonomy()
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc: Expr = -frame.frame_derivative(j, x.components[i])
-            if not C.is_zero:
-                for k in range(n):
-                    acc = acc + C.entry(i, k, j) * x.components[k]
-            out[i, j] = simplify(acc)
-    return out
-
-
 def w_of(deriv: Derivation, x: VectorField) -> FrameMatrix:
-    """Component matrix W_X of the derivation for the field X, in D's frame."""
-    if x.frame is not deriv.frame:
-        raise ValueError("vector field must be given in the derivation's frame")
+    """Component matrix W_X of the derivation for the field X, in D's frame:
+    its W template with X1..Xn bound to X's components and each dX[i,j] it
+    uses bound to E_j(X^i)."""
     frame = deriv.frame
-    n = frame.dimension
-    if isinstance(deriv, Connection):
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc: Expr = Const(0.0)
-                for k in range(n):
-                    acc = acc + deriv.gamma[i, j, k] * x.components[k]
-                out[i, j] = simplify(acc)
-        return FrameMatrix(frame, out)
-    if isinstance(deriv, LieType):
-        return FrameMatrix(frame, _lie_w(frame, x))
-    if isinstance(deriv, WTemplate):
-        bindings = _template_bindings(frame, x)
-        out = matops.map_exprs(lambda e: simplify(substitute(e, bindings)), deriv.entries)
-        return FrameMatrix(frame, out)
-    if isinstance(deriv, STemplate):
-        bindings = _template_bindings(frame, x)
-        s_x = matops.map_exprs(lambda e: simplify(substitute(e, bindings)), deriv.entries)
-        lie = _lie_w(frame, x)
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = simplify(s_x[i, j] + lie[i, j])
-        return FrameMatrix(frame, out)
-    raise VariantError(f"unknown derivation variant {type(deriv).__name__}")
+    if x.frame is not frame:
+        raise ValueError("vector field must be given in the derivation's frame")
+    bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
+    for s, i, j in deriv._template_derivatives:
+        bindings[s] = frame.frame_derivative(j, x.components[i])
+    return FrameMatrix(frame, matops.simplify_all(substitute(deriv.w_template, bindings)))
 
 
 def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) -> FrameMatrix:

@@ -442,6 +442,8 @@ def parse_expr(source: str, symbols: Iterable[Symbol] | Mapping[str, Symbol]) ->
     Every identifier must resolve to a declared symbol or to one of the
     known functions; anything else raises :class:`UnknownSymbolError`.
     """
+    if not isinstance(source, str):
+        raise ExprError(f"expression must be a string, not {type(source).__name__}")
     if isinstance(symbols, Mapping):
         table = dict(symbols)
     else:
@@ -733,11 +735,13 @@ def simplify(e: Expr) -> Expr:
 # substitution
 
 
-def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
+def substitute(e, bindings: Mapping[Symbol, Expr]):
     """Replace vector-component / frame-derivative symbols by expressions.
 
     Bindings must map non-coordinate symbols to coordinate-only expressions;
-    this is how W/S templates get instantiated at a concrete vector field.
+    this is how W templates get instantiated at a concrete vector field.
+    ``e`` is an Expr or an object array of them; an array is substituted
+    entry by entry, with the bindings checked once.
     """
     for key, val in bindings.items():
         if key.kind == COORDINATE:
@@ -747,7 +751,10 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
                 raise UnknownSymbolError(
                     f"binding for {key.name!r} introduces non-coordinate symbol {free.name!r}"
                 )
-    return _subst(e, dict(bindings))
+    bindings = dict(bindings)
+    if isinstance(e, np.ndarray):
+        return np.vectorize(lambda node: _subst(node, bindings), otypes=[object])(e)
+    return _subst(e, bindings)
 
 
 def _subst(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:

@@ -37,7 +37,7 @@ from .derivation import (
     vanishing_fields,
     w_of,
 )
-from .curvature import integrability_residual, is_flat
+from .curvature import integrability_residual, is_flat, torsion_tensor
 
 POINT_TOL = 1e-10
 CERT_TOL = 1e-12
@@ -896,23 +896,6 @@ class HolonomicityVerdict:
     fd_tol: Optional[float] = None
 
 
-def _torsion_exprs(deriv: Derivation) -> np.ndarray:
-    """T^i_{ab} from the frame-direction component matrices and anholonomy."""
-    frame = deriv.frame
-    n = frame.dimension
-    w_frames = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
-    C = frame.anholonomy()
-    out = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                acc: Expr = -(w_frames[b][i, a] - w_frames[a][i, b])
-                if not C.is_zero:
-                    acc = acc - C.entry(i, a, b)
-                out[i, a, b] = simplify(acc)
-    return out
-
-
 def holonomicity_check(
     transform,
     at=None,
@@ -988,7 +971,7 @@ def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
 def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, at) -> float:
     """|[E_i', E_j'] + T(E_i', E_j')| at a vanishing-component point."""
     frame = deriv.frame
-    t_val = matops.evaluate_array(_torsion_exprs(deriv), frame.chart.assignment(at))
+    t_val = matops.evaluate_array(torsion_tensor(deriv).components, frame.chart.assignment(at))
     a_val, comm = _symbolic_commutator_values(frame, transform.entries, at)
     return float(np.max(np.abs(comm + _pairing(t_val, a_val))))
 
@@ -1046,7 +1029,7 @@ def _holonomicity_grid(
     index = tuple(np.array(nodes).T)
     a_val = grid_frame.matrices[index]
     anhol_torsion = matops.evaluate_points(
-        np.stack([frame.anholonomy().coefficients, _torsion_exprs(deriv)]),
+        np.stack([frame.anholonomy().coefficients, torsion_tensor(deriv).components]),
         chart.symbols,
         [grid_frame.point_at(node) for node in nodes],
     )

@@ -299,21 +299,78 @@ def test_verify_dimension_mismatch_exits_2(tmp_path):
     assert run("verify", POLAR, str(frame)) == EXIT_INPUT
 
 
+def _grid_frame(tmp_path):
+    frame = tmp_path / "frame.json"
+    assert run("frame", ZERO, "flat", "--grid", "5x5", "--out", str(frame)) == EXIT_OK
+    return ZERO, frame
+
+
+def _curve_frame(tmp_path):
+    frame = tmp_path / "frame.json"
+    argv = ("frame", POLAR, "curve", "--field", "angular", "--curve", "unit_circle",
+            "--step", "0.05", "--out", str(frame))
+    assert run(*argv) == EXIT_OK
+    return POLAR, frame
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, corrupt",
+    [
+        (_grid_frame, lambda doc: [doc]),
+        (_grid_frame, lambda doc: dict(doc, data=[doc["data"]])),
+        (_grid_frame, lambda doc: dict(doc, locus=[doc["locus"]])),
+        (_grid_frame, lambda doc: _set(doc, ("data", "matrices"), {"a": 1})),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), {"a": 1})),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes"), {"a": 1})),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), 0.5)),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), {"a": 1})),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), 0.5)),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "s"), {"a": 1})),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs", 0), 1)),
+        (_curve_frame, lambda doc: _set(doc, ("field",), 1)),
+    ],
+    ids=["root-list", "data-list", "locus-list", "grid-matrices-object", "grid-axis-object",
+         "grid-axes-object", "grid-axis-number", "curve-points-object", "curve-points-number",
+         "curve-s-object", "curve-expr-number", "curve-field-number"],
+)
+def test_malformed_frame_document_exits_2(tmp_path, capsys, make, corrupt):
+    spec, frame = make(tmp_path)
+    frame.write_text(json.dumps(corrupt(json.loads(frame.read_text()))))
+    capsys.readouterr()
+    assert run("verify", spec, str(frame)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda doc: [doc],
-        lambda doc: dict(doc, data=[doc["data"]]),
-        lambda doc: dict(doc, locus=[doc["locus"]]),
+        lambda doc: dict(doc, fields=[doc["fields"]]),
+        lambda doc: dict(doc, curves=[doc["curves"]]),
+        lambda doc: _set(doc, ("curves", "unit_circle", "exprs", 0), 1),
+        lambda doc: _set(doc, ("curves", "unit_circle", "interval"), [None, 1]),
+        lambda doc: _set(doc, ("curves", "unit_circle", "step"), "fine"),
+        lambda doc: _set(doc, ("domain", 0), [None, 2.0]),
     ],
-    ids=["root-list", "data-list", "locus-list"],
+    ids=["fields-list", "curves-list", "curve-expr-number", "interval-null", "step-string",
+         "domain-null"],
 )
-def test_malformed_frame_document_exits_2(tmp_path, capsys, corrupt):
-    frame = tmp_path / "frame.json"
-    assert run("frame", ZERO, "flat", "--grid", "5x5", "--out", str(frame)) == EXIT_OK
-    frame.write_text(json.dumps(corrupt(json.loads(frame.read_text()))))
+def test_malformed_spec_exits_2(tmp_path, capsys, corrupt):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(corrupt(json.loads(Path(POLAR).read_text()))))
     capsys.readouterr()
-    assert run("verify", ZERO, str(frame)) == EXIT_INPUT
+    argv = ("frame", str(spec), "curve", "--field", "angular", "--curve", "unit_circle",
+            "--out", str(tmp_path / "frame.json"))
+    assert run(*argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 

@@ -1,11 +1,14 @@
 """Curvature/torsion forms, tensors, operator oracles, and verdicts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from normframes import (
     Connection,
     Const,
+    LieType,
     SymbolicTransform,
     TensorField,
     VectorField,
@@ -21,6 +24,7 @@ from normframes import (
     transform_connection,
     vanishes_on_chart,
 )
+from normframes.cli import load_manifold_spec
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields, riemann_classical
@@ -174,6 +178,44 @@ def test_torsion_tensor_fixture_values(torsion_plane):
         if idx not in ((0, 0, 1), (0, 1, 0))
     ]
     assert all(e == Const(0.0) for e in others)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CONNECTION_SPECS = [
+    ROOT / "demos" / "specs" / f"{name}.json"
+    for name in ("polar_euclidean", "unit_sphere", "flat_with_torsion", "orthonormal_polar",
+                 "zero_connection")
+] + [ROOT / "benchmarks" / "specs" / "sph3_orthonormal.json"]
+
+
+@pytest.mark.parametrize("path", CONNECTION_SPECS, ids=lambda p: p.stem)
+def test_torsion_tensor_of_a_connection_is_the_gamma_formula(path):
+    # T^i_{kl} = -(G^i_{kl} - G^i_{lk}) - C^i_{kl}, tree for tree
+    deriv = load_manifold_spec(str(path)).deriv
+    n = deriv.frame.dimension
+    g, C = deriv.gamma, deriv.frame.anholonomy()
+    tensor = torsion_tensor(deriv)
+    for i, k, l in np.ndindex(n, n, n):
+        acc = -(g[i, k, l] - g[i, l, k])
+        if not C.is_zero:
+            acc = acc - C.entry(i, k, l)
+        assert tensor.components[i, k, l] == simplify(acc), (path.stem, i, k, l)
+
+
+def test_torsion_tensor_of_lie_type_is_the_torsion_on_frame_pairs(polar, polar_orthonormal_frame):
+    # for the Lie type T(E_k, E_l) = [E_k, E_l] = C^i_{kl} E_i; not a tensor, but
+    # its frame-pair values still match the torsion form
+    deriv = LieType(polar_orthonormal_frame)
+    tensor = torsion_tensor(deriv)
+    forms = [tensor.components[i, k, l] - c for (i, k, l), c in
+             np.ndenumerate(polar_orthonormal_frame.anholonomy().coefficients)]
+    for k in range(2):
+        for l in range(2):
+            e_k, e_l = (polar_orthonormal_frame.coordinate_vector(a) for a in (k, l))
+            t_kl = torsion_vector(deriv, e_k, e_l).components
+            forms += [tensor.components[i, k, l] - t_kl[i] for i in range(2)]
+    ok, worst = vanishes_on_chart(forms, polar)
+    assert ok, worst
 
 
 def test_zero_gamma_in_anholonomic_frame_torsion_is_minus_c(polar, polar_orthonormal_frame):

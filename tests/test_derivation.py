@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from normframes import (
+    Connection,
     Const,
+    Derivation,
+    LieType,
     STemplate,
     SymbolicTransform,
     TensorField,
@@ -23,7 +26,18 @@ from normframes import (
     vanishes_on_chart,
     w_of,
 )
-from normframes.expr import Sym, evaluate, parse_expr, simplify
+from normframes.derivation import VariantError, vanishing_fields
+from normframes.expr import (
+    Symbol,
+    UnknownSymbolError,
+    Sym,
+    component_symbols,
+    evaluate,
+    frame_derivative_symbol,
+    parse_expr,
+    simplify,
+    substitute,
+)
 
 from conftest import affine_fields, christoffel_from_metric, polar_metric, sphere_metric
 
@@ -104,6 +118,128 @@ def test_w_template_instantiation(polar, polar_connection):
             ]
         )
         assert np.max(np.abs(w.evaluate_at(pt) - expected)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every variant is a W template: pinned against the per-variant formulas
+
+
+def _reference_bindings(frame, x):
+    n = frame.dimension
+    bindings = dict(zip(component_symbols(n), x.components))
+    for i in range(n):
+        for j in range(n):
+            bindings[frame_derivative_symbol(i + 1, j + 1)] = frame.frame_derivative(
+                j, x.components[i]
+            )
+    return bindings
+
+
+def _reference_lie(frame, x):
+    """-E_j(X^i) + C^i_{kj} X^k."""
+    n = frame.dimension
+    C = frame.anholonomy()
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            acc = -frame.frame_derivative(j, x.components[i])
+            if not C.is_zero:
+                for k in range(n):
+                    acc = acc + C.entry(i, k, j) * x.components[k]
+            out[i, j] = simplify(acc)
+    return out
+
+
+def _reference_w(deriv, x):
+    """W_X by the formula of each variant: Gamma_k X^k, the Lie formula, the
+    substituted W template, and the substituted S template plus the Lie formula."""
+    frame = deriv.frame
+    n = frame.dimension
+    if isinstance(deriv, Connection):
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                acc = Const(0.0)
+                for k in range(n):
+                    acc = acc + deriv.gamma[i, j, k] * x.components[k]
+                out[i, j] = simplify(acc)
+        return out
+    if isinstance(deriv, LieType):
+        return _reference_lie(frame, x)
+    bindings = _reference_bindings(frame, x)
+    subst = np.vectorize(lambda e: simplify(substitute(e, bindings)), otypes=[object])
+    if isinstance(deriv, WTemplate):
+        return subst(deriv.entries)
+    s_x, lie = subst(deriv.entries), _reference_lie(frame, x)
+    return np.vectorize(lambda a, b: simplify(a + b), otypes=[object])(s_x, lie)
+
+
+@pytest.fixture(scope="module")
+def variants(polar, polar_connection, polar_orthonormal_frame):
+    # the orthonormal frame has nonzero anholonomy, so the C X term is live
+    frame = polar_orthonormal_frame
+    syms = template_symbols(polar, 2)
+
+    def parsed(rows):
+        return [[parse_expr(e, syms) for e in row] for row in rows]
+
+    return {
+        "connection": polar_connection,
+        "lie": LieType(frame),
+        "w_template": WTemplate(frame, parsed(
+            [["r*X2 - dX[1,2]", "sin(theta)*X1 + dX[2,1]*dX[1,1]"], ["0", "X1*X2/r"]]
+        )),
+        "s_template": STemplate(frame, parsed(
+            [["dX[1,2] + X2", "-r*X2"], ["(1/r)*X1 - dX[1,2]", "0*X1"]]
+        )),
+    }
+
+
+def _probe_fields(frame):
+    n = frame.dimension
+    anchor = [Sym(Symbol(f"@p{a}")) for a in range(n)]
+    mix = [[[Sym(Symbol(f"@c{i},{a}")) for a in range(n)] for i in range(n)]]
+    return (
+        [frame.coordinate_vector(k) for k in range(n)]
+        + affine_fields(frame, 11, 3)
+        + vanishing_fields(frame, anchor, mix)[-1:]
+    )
+
+
+@pytest.mark.parametrize("name", ["connection", "lie", "w_template", "s_template"])
+def test_w_of_matches_the_per_variant_formula(variants, name):
+    deriv = variants[name]
+    for x in _probe_fields(deriv.frame):
+        got = w_of(deriv, x).entries
+        expected = _reference_w(deriv, x)
+        assert all(a == b for a, b in zip(got.flat, expected.flat)), (name, x.components)
+
+
+def test_bare_derivation_has_no_template(polar_connection):
+    bare = Derivation(polar_connection.frame)
+    with pytest.raises(VariantError):
+        w_of(bare, polar_connection.frame.coordinate_vector(0))
+
+
+def test_substitute_array_matches_entries_and_checks_bindings(polar):
+    syms = template_symbols(polar, 2)
+    r, th = polar.symbols
+    entries = np.array(
+        [[parse_expr(e, syms) for e in row] for row in [["X1*r + dX[1,2]", "X2"], ["theta", "1"]]],
+        dtype=object,
+    )
+    bindings = {
+        component_symbols(2)[0]: Sym(th),
+        component_symbols(2)[1]: Sym(r) * Sym(th),
+        frame_derivative_symbol(1, 2): parse_expr("1", []),
+    }
+    out = substitute(entries, bindings)
+    assert out.shape == entries.shape
+    assert all(out[idx] == substitute(entries[idx], bindings) for idx in np.ndindex(out.shape))
+    with pytest.raises(ValueError, match="coordinate"):
+        substitute(entries, {r: Sym(th)})
+    with pytest.raises(UnknownSymbolError):
+        substitute(entries, {component_symbols(2)[0]: Sym(component_symbols(2)[1])})
 
 
 # ---------------------------------------------------------------------------
