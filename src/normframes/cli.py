@@ -578,7 +578,7 @@ def _load_frame_document(path: str, n: int) -> dict:
     return doc
 
 
-def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float, dict]:
+def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
     entries = doc["data"]
@@ -601,7 +601,7 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict, tol: float) -> tuple[float
     return residual, {"anchor_residual": residual}
 
 
-def _verify_nodes_by_transport(setup, doc, tol, kind) -> tuple[float, dict]:
+def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
     matrices = _numbers(doc["data"].get("matrices"), "frame matrices", array=True)
@@ -647,9 +647,9 @@ def cmd_verify(args) -> int:
     doc = _load_frame_document(args.frame, setup.chart.dimension)
     kind = doc["kind"]
     if kind == "symbolic":
-        residual, detail = _verify_symbolic(setup, doc, args.tol)
+        residual, detail = _verify_symbolic(setup, doc)
     else:
-        residual, detail = _verify_nodes_by_transport(setup, doc, args.tol, kind)
+        residual, detail = _verify_nodes_by_transport(setup, doc, kind)
     report = {
         "tool": {"name": "normframes", "version": __version__},
         "input_digest": setup.digest,

@@ -64,15 +64,12 @@ def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> Curva
     frame = deriv.frame
     w_x = w_of(deriv, x).entries
     w_y = w_of(deriv, y).entries
-    x_wy = x.apply_to_matrix(w_y)
-    y_wx = y.apply_to_matrix(w_x)
-    comm = matops.matmul(w_x, w_y)
-    comm = matops.matadd(comm, matops.map_exprs(lambda e: -e, matops.matmul(w_y, w_x)))
+    x_wy = x.apply_to(w_y)
+    y_wx = y.apply_to(w_x)
     w_brk = w_of(deriv, commutator(x, y)).entries
-    total = matops.matadd(x_wy, matops.map_exprs(lambda e: -e, y_wx))
-    total = matops.matadd(total, comm)
-    total = matops.matadd(total, matops.map_exprs(lambda e: -e, w_brk))
-    return CurvatureMatrixForm(frame, matops.simplify_all(total))
+    # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
+    total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
+    return CurvatureMatrixForm(frame, simplify(total))
 
 
 def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
@@ -147,9 +144,7 @@ def curvature_operator_oracle(
     dxy = apply_derivation(deriv, x, apply_derivation(deriv, y, z))
     dyx = apply_derivation(deriv, y, apply_derivation(deriv, x, z))
     dbrk = apply_derivation(deriv, commutator(x, y), z)
-    out = np.empty(z.components.shape, dtype=object)
-    for idx in np.ndindex(z.components.shape):
-        out[idx] = simplify(dxy.components[idx] - dyx.components[idx] - dbrk.components[idx])
+    out = simplify(dxy.components - dyx.components - dbrk.components)
     return TensorField(deriv.frame, z.p, z.q, out)
 
 
@@ -199,7 +194,7 @@ def integrability_residual(
         curvature_matrix(deriv, x, y).entries,
         w_of(deriv, brk).entries,
         transform.entries,
-        brk.apply_to_matrix(transform.entries),
+        brk.apply_to(transform.entries),
     ])
     r_val, w_val, a_val, brk_a_val = np.moveaxis(
         matops.evaluate_points(parts, chart.symbols, pts), 1, 0

@@ -64,9 +64,7 @@ class FrameMatrix:
 
     def __init__(self, frame: FrameField, entries):
         self.frame = frame
-        self.entries = (
-            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
-        )
+        self.entries = matops.expr_matrix(entries)
         n = frame.dimension
         if self.entries.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix")
@@ -85,9 +83,7 @@ class SymbolicTransform:
 
     def __init__(self, frame: FrameField, entries, _validate: bool = True):
         self.frame = frame
-        self.entries = (
-            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
-        )
+        self.entries = matops.expr_matrix(entries)
         n = frame.dimension
         if self.entries.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix")
@@ -99,7 +95,7 @@ class SymbolicTransform:
 
     @classmethod
     def identity(cls, frame: FrameField) -> "SymbolicTransform":
-        return cls(frame, matops.identity_exprs(frame.dimension), _validate=False)
+        return cls(frame, matops.constant_exprs(np.eye(frame.dimension)), _validate=False)
 
     @classmethod
     def constant(cls, frame: FrameField, values) -> "SymbolicTransform":
@@ -117,10 +113,6 @@ class SymbolicTransform:
         if self._composed is None:
             self._composed = compose_frame(self.frame, self.entries)
         return self._composed
-
-    def inverse_transform(self) -> "SymbolicTransform":
-        """The inverse change, expressed on the composed frame."""
-        return SymbolicTransform(self.composed_frame(), self.inverse_entries(), _validate=False)
 
 
 def _frame_derivative_slots(n: int) -> list[tuple[Symbol, int, int]]:
@@ -214,9 +206,7 @@ class LieType(Derivation):
 class _Template(Derivation):
     def __init__(self, frame: FrameField, entries):
         super().__init__(frame)
-        self.entries = (
-            entries if isinstance(entries, np.ndarray) else matops.expr_matrix(entries)
-        )
+        self.entries = matops.expr_matrix(entries)
         allowed = set(template_symbols(frame.chart, frame.dimension).values())
         for e in self.entries.flat:
             for s in free_symbols(e):
@@ -256,7 +246,7 @@ def w_of(deriv: Derivation, x: VectorField) -> FrameMatrix:
     bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
     for s, i, j in deriv._template_derivatives:
         bindings[s] = frame.frame_derivative(j, x.components[i])
-    return FrameMatrix(frame, matops.simplify_all(substitute(deriv.w_template, bindings)))
+    return FrameMatrix(frame, simplify(substitute(deriv.w_template, bindings)))
 
 
 def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) -> FrameMatrix:
@@ -270,10 +260,9 @@ def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) ->
     if x.frame is not transform.frame:
         raise ValueError("vector field and transform must share a frame")
     a = transform.entries
-    wa = matops.matmul(w.entries, a)
-    xa = x.apply_to_matrix(a)
-    out = matops.matmul(transform.inverse_entries(), matops.matadd(wa, xa))
-    return FrameMatrix(transform.composed_frame(), out)
+    # the inner simplify stays: each of its entries feeds n entries of the product
+    inner = simplify(w.entries @ a + x.apply_to(a))
+    return FrameMatrix(transform.composed_frame(), simplify(transform.inverse_entries() @ inner))
 
 
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:
@@ -360,12 +349,8 @@ def transform_connection(deriv: Connection, transform: SymbolicTransform) -> Con
     n = frame.dimension
     a = transform.entries
     ainv = transform.inverse_entries()
-    # E_k(A^i_{j'}) precomputed
-    ek_a = np.empty((n, n, n), dtype=object)  # [k][i][j']
-    for k in range(n):
-        for i in range(n):
-            for jp in range(n):
-                ek_a[k, i, jp] = frame.frame_derivative(k, a[i, jp])
+    # E_k(A^i_{j'}) precomputed, as [k][i][j']
+    ek_a = np.stack([frame.frame_derivative(k, a) for k in range(n)])
     gamma = np.empty((n, n, n), dtype=object)
     for ip in range(n):
         for jp in range(n):

@@ -259,6 +259,16 @@ sinh = _make_call_builder("sinh")
 cosh = _make_call_builder("cosh")
 
 
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    return ()
+
+
 def free_symbols(e: Expr) -> frozenset[Symbol]:
     out: set[Symbol] = set()
     stack = [e]
@@ -266,17 +276,19 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
         node = stack.pop()
         if isinstance(node, Sym):
             out.add(node.symbol)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-            stack.append(node.exponent)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        else:
+            stack.extend(_children(node))
     return frozenset(out)
+
+
+def _depth(e: Expr) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursing."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +448,21 @@ class _Parser:
         return int(text)
 
 
+# Longest root-to-leaf path, in nodes, that parse_expr accepts.  Every tree
+# walk recurses per level, and derived trees (W templates, frame derivatives,
+# curvature) are deeper than their inputs.  Under the CLI, at Python's default
+# recursion limit, a sum of terms first overflows at depth 485 in a template
+# entry, 490 in a connection entry and 492 in a frame entry.
+MAX_DEPTH = 400
+
+
 def parse_expr(source: str, symbols: Iterable[Symbol] | Mapping[str, Symbol]) -> Expr:
     """Parse ``source`` against a declared symbol set.
 
     Every identifier must resolve to a declared symbol or to one of the
     known functions; anything else raises :class:`UnknownSymbolError`.
+    Input that nests too deeply for the parser, or whose tree is deeper
+    than ``MAX_DEPTH`` (400) nodes, raises :class:`ExprError`.
     """
     if not isinstance(source, str):
         raise ExprError(f"expression must be a string, not {type(source).__name__}")
@@ -448,7 +470,14 @@ def parse_expr(source: str, symbols: Iterable[Symbol] | Mapping[str, Symbol]) ->
         table = dict(symbols)
     else:
         table = {s.name: s for s in symbols}
-    return _Parser(source, table).parse()
+    try:
+        tree = _Parser(source, table).parse()
+    except RecursionError:
+        raise ExprError("expression nests too deeply to parse") from None
+    depth = _depth(tree)
+    if depth > MAX_DEPTH:
+        raise ExprError(f"expression tree depth {depth} exceeds the budget of {MAX_DEPTH}")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +540,15 @@ def to_source(e: Expr) -> str:
 # calculus and evaluation
 
 
-def differentiate(e: Expr, s: Symbol) -> Expr:
-    """Partial derivative of ``e`` with respect to the coordinate symbol ``s``."""
+def differentiate(e, s: Symbol):
+    """Partial derivative of ``e`` with respect to the coordinate symbol ``s``.
+
+    ``e`` is an Expr or an object array of them, differentiated entry by entry.
+    """
     if s.kind != COORDINATE:
         raise ValueError(f"can only differentiate along coordinate symbols, got {s.kind}")
+    if isinstance(e, np.ndarray):
+        return np.vectorize(lambda node: _diff(node, s), otypes=[object])(e)
     return _diff(e, s)
 
 
@@ -639,7 +673,9 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
 
 
 def _fold(e: Expr) -> Expr:
-    """One bottom-up rewriting pass."""
+    """One bottom-up rewriting pass.  Returns ``e`` itself when no rule
+    applies anywhere in it; every rule shrinks the tree, so that is exactly
+    the fixed point."""
     if isinstance(e, (Const, Sym)):
         return e
     if isinstance(e, Neg):
@@ -648,7 +684,7 @@ def _fold(e: Expr) -> Expr:
             return Const(-arg.value)
         if isinstance(arg, Neg):
             return arg.arg
-        return Neg(arg)
+        return e if arg is e.arg else Neg(arg)
     if isinstance(e, Add):
         left, right = _fold(e.left), _fold(e.right)
         if _is_const(left, 0.0):
@@ -661,7 +697,7 @@ def _fold(e: Expr) -> Expr:
             return ZERO
         if isinstance(left, Neg) and left.arg == right:
             return ZERO
-        return Add(left, right)
+        return e if left is e.left and right is e.right else Add(left, right)
     if isinstance(e, Sub):
         left, right = _fold(e.left), _fold(e.right)
         if _is_const(right, 0.0):
@@ -672,7 +708,7 @@ def _fold(e: Expr) -> Expr:
             return Const(left.value - right.value)
         if left == right:
             return ZERO
-        return Sub(left, right)
+        return e if left is e.left and right is e.right else Sub(left, right)
     if isinstance(e, Mul):
         left, right = _fold(e.left), _fold(e.right)
         if _is_const(left, 0.0) or _is_const(right, 0.0):
@@ -683,7 +719,7 @@ def _fold(e: Expr) -> Expr:
             return left
         if isinstance(left, Const) and isinstance(right, Const):
             return Const(left.value * right.value)
-        return Mul(left, right)
+        return e if left is e.left and right is e.right else Mul(left, right)
     if isinstance(e, Div):
         left, right = _fold(e.left), _fold(e.right)
         if _is_const(right, 1.0):
@@ -692,7 +728,7 @@ def _fold(e: Expr) -> Expr:
             return ZERO
         if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
             return Const(left.value / right.value)
-        return Div(left, right)
+        return e if left is e.left and right is e.right else Div(left, right)
     if isinstance(e, Pow):
         base, expo = _fold(e.base), _fold(e.exponent)
         if _is_const(expo, 1.0):
@@ -703,29 +739,44 @@ def _fold(e: Expr) -> Expr:
             try:
                 value = math.pow(base.value, expo.value)
             except (ValueError, OverflowError):
-                return Pow(base, expo)
+                value = math.inf
             if math.isfinite(value):
                 return Const(value)
-        return Pow(base, expo)
+        return e if base is e.base and expo is e.exponent else Pow(base, expo)
     if isinstance(e, Call):
         arg = _fold(e.arg)
         if isinstance(arg, Const):
             try:
                 value = _MATH_FUNCS[e.func](arg.value)
             except (ValueError, OverflowError):
-                return Call(e.func, arg)
+                value = math.inf
             if math.isfinite(value):
                 return Const(value)
-        return Call(e.func, arg)
+        return e if arg is e.arg else Call(e.func, arg)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def simplify(e: Expr) -> Expr:
-    """Rewrite to a fixed point of the folding rules.  Value-preserving."""
+def simplify(e):
+    """Rewrite to a fixed point of the folding rules.  Value-preserving.
+
+    ``e`` is an Expr or an object array of them; an array is simplified
+    entry by entry and keeps its shape.
+    """
+    if isinstance(e, np.ndarray):
+        # a loop, not np.vectorize: numpy would report the IEEE flags that a
+        # failed constant fold (say sqrt(-1)) leaves set as RuntimeWarnings
+        out = np.empty(e.shape, dtype=object)
+        for idx in np.ndindex(e.shape):
+            out[idx] = _simplify(e[idx])
+        return out
+    return _simplify(e)
+
+
+def _simplify(e: Expr) -> Expr:
     current = e
     for _ in range(1000):
         nxt = _fold(current)
-        if nxt == current:
+        if nxt is current:
             return current
         current = nxt
     return current  # pragma: no cover - the rules strictly shrink the tree
@@ -758,24 +809,23 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
 
 
 def _subst(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
+    """``e`` with the bound symbols replaced; a subtree with nothing to bind
+    is returned as the same object, so it stays shared."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Sym):
         return bindings.get(e.symbol, e)
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, bindings))
-    if isinstance(e, Add):
-        return Add(_subst(e.left, bindings), _subst(e.right, bindings))
-    if isinstance(e, Sub):
-        return Sub(_subst(e.left, bindings), _subst(e.right, bindings))
-    if isinstance(e, Mul):
-        return Mul(_subst(e.left, bindings), _subst(e.right, bindings))
-    if isinstance(e, Div):
-        return Div(_subst(e.left, bindings), _subst(e.right, bindings))
+    if isinstance(e, (Neg, Call)):
+        arg = _subst(e.arg, bindings)
+        if arg is e.arg:
+            return e
+        return Neg(arg) if isinstance(e, Neg) else Call(e.func, arg)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = _subst(e.left, bindings), _subst(e.right, bindings)
+        return e if left is e.left and right is e.right else type(e)(left, right)
     if isinstance(e, Pow):
-        return Pow(_subst(e.base, bindings), _subst(e.exponent, bindings))
-    if isinstance(e, Call):
-        return Call(e.func, _subst(e.arg, bindings))
+        base, expo = _subst(e.base, bindings), _subst(e.exponent, bindings)
+        return e if base is e.base and expo is e.exponent else Pow(base, expo)
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -243,7 +243,7 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
     a0 = transform.evaluate_at(x0)
     if abs(float(np.linalg.det(a0))) > DEGENERACY_TOL:
         return float(np.max(np.abs(transform_w(w_x, x, transform).evaluate_at(x0))))
-    xa0 = matops.evaluate_array(x.apply_to_matrix(transform.entries), deriv.chart.assignment(x0))
+    xa0 = matops.evaluate_array(x.apply_to(transform.entries), deriv.chart.assignment(x0))
     return float(np.max(np.abs(w_x.evaluate_at(x0) @ a0 + xa0)))
 
 
@@ -670,13 +670,7 @@ def direction_functions(deriv: Derivation) -> list:
     mats = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
     if not frame.is_coordinate:
         inv = frame.inverse_exprs()  # inv[k, alpha] = B^k_alpha
-        w_frames, mats = mats, []
-        for alpha in range(n):
-            acc = None
-            for k in range(n):
-                scaled = matops.map_exprs(lambda e, k=k: simplify(inv[k, alpha] * e), w_frames[k])
-                acc = scaled if acc is None else matops.matadd(acc, scaled)
-            mats.append(acc)
+        mats = [simplify(sum(inv[k, alpha] * mats[k] for k in range(n))) for alpha in range(n)]
     return [compile_exprs(list(m.flat), frame.chart.symbols) for m in mats]
 
 
@@ -960,10 +954,7 @@ def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
     """A(at) and the commutators of the transformed frame of a symbolic transform at a point."""
     assignment = frame.chart.assignment(at)
     a_val = matops.evaluate_array(entries, assignment)
-    derivatives = np.stack([
-        matops.map_exprs(lambda e, a=a: frame.frame_derivative(a, e), entries)
-        for a in range(frame.dimension)
-    ])
+    derivatives = np.stack([frame.frame_derivative(a, entries) for a in range(frame.dimension)])
     ea = matops.evaluate_array(derivatives, assignment)
     return a_val, _commutators(a_val, ea, frame.anholonomy().evaluate_at(at))
 
@@ -1094,10 +1085,8 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
         chart = frame.chart
         x0 = first.anchor
         n = frame.dimension
-        a12 = matops.matmul(first.transform.inverse_entries(), second.transform.entries)
-        derivatives = np.stack([
-            matops.map_exprs(lambda e, k=k: frame.frame_derivative(k, e), a12) for k in range(n)
-        ])
+        a12 = simplify(first.transform.inverse_entries() @ second.transform.entries)
+        derivatives = np.stack([frame.frame_derivative(k, a12) for k in range(n)])
         worst = float(np.max(np.abs(matops.evaluate_array(derivatives, chart.assignment(x0)))))
         ref = matops.evaluate_array(a12, chart.assignment(x0))
         shell_points = x0 + 1e-2 * np.concatenate([np.eye(n), -np.eye(n)])

@@ -144,10 +144,10 @@ class FrameField:
         self.chart = chart
         n = chart.dimension
         if matrix is None:
-            self.matrix = matops.identity_exprs(n)
+            self.matrix = matops.constant_exprs(np.eye(n))
             self._is_identity = True
         else:
-            self.matrix = matops.expr_matrix(matrix) if not isinstance(matrix, np.ndarray) else matrix
+            self.matrix = matops.expr_matrix(matrix)
             if self.matrix.shape != (n, n):
                 raise ValueError(f"frame matrix must be {n}x{n}")
             self._is_identity = all(
@@ -191,13 +191,14 @@ class FrameField:
         """Symbolic inverse B^i_a (adjugate form, n <= 4)."""
         if self._inverse_exprs is None:
             if self._is_identity:
-                self._inverse_exprs = matops.identity_exprs(self.dimension)
+                self._inverse_exprs = matops.constant_exprs(np.eye(self.dimension))
             else:
                 self._inverse_exprs = matops.inverse(self.matrix)
         return self._inverse_exprs
 
-    def frame_derivative(self, i: int, f: Expr) -> Expr:
-        """E_i(f) = sum_a B^a_i df/dx^a.  Frame index i is 0-based."""
+    def frame_derivative(self, i: int, f):
+        """E_i(f) = sum_a B^a_i df/dx^a.  Frame index i is 0-based; ``f`` is
+        an Expr or an object array of them."""
         syms = self.chart.symbols
         acc: Expr = Const(0.0)
         for a in range(self.dimension):
@@ -245,15 +246,12 @@ class VectorField:
         """Components against d/dx^a, i.e. B X; frame-independent data."""
         return self.frame.evaluate_at(point) @ self.at(point)
 
-    def apply_to(self, f: Expr) -> Expr:
-        """X(f) = X^k E_k(f)."""
+    def apply_to(self, f):
+        """X(f) = X^k E_k(f); ``f`` is an Expr or an object array of them."""
         acc: Expr = Const(0.0)
         for k in range(self.frame.dimension):
             acc = acc + self.components[k] * self.frame.frame_derivative(k, f)
         return simplify(acc)
-
-    def apply_to_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        return matops.map_exprs(self.apply_to, matrix)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_frame(self, other)
@@ -392,24 +390,10 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
 
 def compose_frame(frame: FrameField, transform_entries: np.ndarray) -> FrameField:
     """New frame E_i' = A^i_{i'} E_i, i.e. B' = B A as coordinate matrices."""
-    return FrameField(frame.chart, matops.matmul(frame.matrix, transform_entries))
+    return FrameField(frame.chart, simplify(frame.matrix @ transform_entries))
 
 
 def change_vector_frame(x: VectorField, transform) -> VectorField:
     """Push components through a symbolic frame change: X^{i'} = (A^{-1})^{i'}_i X^i."""
-    if hasattr(transform, "inverse_entries"):
-        entries = transform.entries
-        inv = transform.inverse_entries()
-        target = transform.composed_frame()
-    else:
-        entries = transform
-        inv = matops.inverse(entries)
-        target = compose_frame(x.frame, entries)
-    n = x.frame.dimension
-    comps = []
-    for ip in range(n):
-        acc: Expr = Const(0.0)
-        for i in range(n):
-            acc = acc + inv[ip, i] * x.components[i]
-        comps.append(simplify(acc))
-    return VectorField(target, comps)
+    comps = np.array(x.components, dtype=object)
+    return VectorField(transform.composed_frame(), simplify(transform.inverse_entries() @ comps))

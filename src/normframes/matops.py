@@ -1,7 +1,10 @@
-"""Matrices of expressions: products, determinants, adjugate inverses.
+"""What numpy lacks for matrices of expressions: coercion, determinants,
+adjugate inverses and evaluation.
 
-Matrices are numpy object arrays holding :class:`~normframes.expr.Expr`
-entries.  Symbolic inversion uses the adjugate/determinant form and is
+Symbolic matrices are numpy object arrays of :class:`~normframes.expr.Expr`.
+Sums, products and negation are numpy's ``+``, ``@`` and unary ``-``, and
+each result is simplified once with :func:`~normframes.expr.simplify`.
+Symbolic inversion uses the adjugate/determinant form and is
 restricted to n <= 4 to keep expression growth bounded; every consumer
 that needs larger frames evaluates numerically per point instead.
 
@@ -20,6 +23,9 @@ MAX_SYMBOLIC_INVERSE = 4
 
 
 def expr_matrix(rows) -> np.ndarray:
+    """Rows of Exprs or numbers as an object array; an ndarray passes through."""
+    if isinstance(rows, np.ndarray):
+        return rows
     out = np.empty((len(rows), len(rows[0])), dtype=object)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
@@ -27,53 +33,8 @@ def expr_matrix(rows) -> np.ndarray:
     return out
 
 
-def identity_exprs(n: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Const(1.0 if i == j else 0.0)
-    return out
-
-
 def constant_exprs(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape, dtype=object)
-    for idx in np.ndindex(values.shape):
-        out[idx] = Const(values[idx])
-    return out
-
-
-def map_exprs(fn, matrix: np.ndarray) -> np.ndarray:
-    out = np.empty(matrix.shape, dtype=object)
-    for idx in np.ndindex(matrix.shape):
-        out[idx] = fn(matrix[idx])
-    return out
-
-
-def simplify_all(matrix: np.ndarray) -> np.ndarray:
-    return map_exprs(simplify, matrix)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape
-    m2, p = b.shape
-    if m != m2:
-        raise ValueError("shape mismatch in symbolic matrix product")
-    out = np.empty((n, p), dtype=object)
-    for i in range(n):
-        for j in range(p):
-            acc: Expr = Const(0.0)
-            for k in range(m):
-                acc = acc + a[i, k] * b[k, j]
-            out[i, j] = simplify(acc)
-    return out
-
-
-def matadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(a.shape):
-        out[idx] = simplify(a[idx] + b[idx])
-    return out
+    return np.vectorize(Const, otypes=[object])(np.asarray(values, dtype=float))
 
 
 def determinant(matrix: np.ndarray) -> Expr:

@@ -386,6 +386,31 @@ def test_deep_chain_entry_frame_flat_exits_0(tmp_path):
     assert run("verify", str(spec), str(frame), "--tol", "1e-6") == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        ("analyze", "+".join(["0*x1"] * 3000)),
+        ("flat", "+".join(["0*x1"] * 3000)),
+        ("analyze", "(" * 3000 + "x1" + ")" * 3000),
+        ("analyze", "-" * 3000 + "x1"),
+    ],
+    ids=["sum-analyze", "sum-frame-flat", "parentheses", "unary-minus"],
+)
+def test_deep_connection_entry_exits_2(tmp_path, capsys, command, entry):
+    doc = json.loads(Path(ZERO).read_text())
+    doc["derivation"]["connection"]["1,1,1"] = entry
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(doc))
+    argv = {
+        "analyze": ("analyze", str(spec), "--at", "x1=0.5,x2=0.5"),
+        "flat": ("frame", str(spec), "flat", "--grid", "5x5", "--out", str(tmp_path / "f.json")),
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # emitter
 

@@ -14,7 +14,9 @@ from normframes.expr import (
     Call,
     Const,
     Div,
+    MAX_DEPTH,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     MissingSymbolError,
     Mul,
@@ -41,6 +43,14 @@ POLAR_SYMS = (R, THETA)
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def test_parse_depth_budget():
+    assert parse_expr("+".join(["r"] * MAX_DEPTH), POLAR_SYMS) is not None
+    with pytest.raises(ExprError, match="depth"):
+        parse_expr("+".join(["r"] * (MAX_DEPTH + 1)), POLAR_SYMS)
+    with pytest.raises(ExprError, match="too deeply"):
+        parse_expr("(" * 3000 + "r" + ")" * 3000, POLAR_SYMS)
 
 
 def test_single_token_symbol():
@@ -308,6 +318,17 @@ def test_simplify_preserves_value_on_random_trees():
         checked += 1
 
 
+def test_simplify_array_is_entrywise_and_keeps_shape():
+    rng = random.Random(17)
+    trees = np.empty((2, 3, 2), dtype=object)
+    for idx in np.ndindex(trees.shape):
+        trees[idx] = random_expr(rng, POLAR_SYMS, 4)
+    out = simplify(trees)
+    assert out.shape == trees.shape and out.dtype == object
+    for idx in np.ndindex(trees.shape):
+        assert out[idx] == simplify(trees[idx])
+
+
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -337,6 +358,18 @@ def test_substitute_reproduces_contraction_column():
         out = simplify(substitute(template[j], {x1: Const(1.0), x2: Const(0.0)}))
         point = {"r": 1.3, "theta": 0.4}
         assert evaluate(out, point) == evaluate(gamma[j][0], point)
+
+
+def test_substitute_keeps_unbound_subtrees_shared():
+    x1, x2 = component_symbols(2)
+    gamma = parse_expr("sin(r)*theta^2-r/(1+theta)", POLAR_SYMS)
+    assert substitute(gamma, {x1: Sym(R)}) is gamma
+    # the shape of a connection's W template entry: Const(0) + G1*X1 + G2*X2
+    template = Add(Add(Const(0.0), Mul(gamma, Sym(x1))), Mul(Neg(gamma), Sym(x2)))
+    out = substitute(template, {x1: Sym(THETA), x2: Const(2.0)})
+    assert out == Add(Add(Const(0.0), Mul(gamma, Sym(THETA))), Mul(Neg(gamma), Const(2.0)))
+    assert out.left.right.left is gamma
+    assert out.right.left is template.right.left
 
 
 def test_substitute_rejects_nondeclared_symbols_in_binding():
