@@ -37,7 +37,6 @@ from .expr import (
     to_source,
 )
 from .geometry import (
-    AnholonomyObject,
     Chart,
     DegenerateFrameError,
     FrameField,
@@ -52,7 +51,6 @@ from .geometry import (
 from .derivation import (
     Connection,
     Derivation,
-    FrameMatrix,
     LieType,
     LinearityVerdict,
     STemplate,
@@ -69,10 +67,7 @@ from .derivation import (
     w_of,
 )
 from .curvature import (
-    CurvatureMatrixForm,
-    CurvatureTensor,
     IntegrabilityReport,
-    TorsionTensor,
     Verdict,
     curvature_matrix,
     curvature_operator_oracle,

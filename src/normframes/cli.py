@@ -51,6 +51,7 @@ from .curvature import (
 )
 from .frames import (
     DEFAULT_STEP,
+    CurveError,
     CurveSpec,
     GridSpec,
     NoFrameExistsError,
@@ -475,7 +476,7 @@ def cmd_frame(args) -> int:
             raise InputError("curve transport needs --curve naming a spec curve")
         x = setup.fields[args.field]
         curve = setup.curves[args.curve]
-        if args.step:
+        if args.step is not None:
             curve = CurveSpec(curve.exprs, curve.interval, curve.s0, args.step, curve.parameter)
         frame_result = transport_along_curve(deriv, x, curve, np.eye(n))
         doc = _frame_header(setup, "curve")
@@ -499,9 +500,8 @@ def cmd_frame(args) -> int:
     if args.mode == "flat":
         counts = _parse_grid(args.grid, n)
         grid = GridSpec(counts)
-        result = flat_frame_neighborhood(
-            deriv, grid, h=args.step or 1e-3, seed=args.probe_seed
-        )
+        h = DEFAULT_STEP if args.step is None else args.step
+        result = flat_frame_neighborhood(deriv, grid, h=h, seed=args.probe_seed)
         doc = _frame_header(setup, "grid")
         doc["field"] = None
         doc["data"] = {"matrices": result.matrices}
@@ -711,8 +711,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GeometryError) as err:
+    except (InputError, GeometryError, CurveError) as err:
         print(f"input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # deep products and quotients grow with each derivative past the parse budget
+        print("input error: an expression nests too deeply to process", file=sys.stderr)
         return EXIT_INPUT
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)

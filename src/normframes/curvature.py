@@ -9,7 +9,7 @@ verbatim; recorded signs on the fixtures are outputs, never inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .geometry import (
 from .derivation import (
     Connection,
     Derivation,
-    FrameMatrix,
     VariantError,
     apply_derivation,
     seeded_affine_fields,
@@ -37,47 +36,25 @@ IDENTITY_TOL = 1e-10
 VERDICT_SEED = 42
 
 
-class CurvatureMatrixForm(FrameMatrix):
-    """(R(X,Y))^i_k for a fixed pair of fields, as a matrix of Exprs."""
-
-
-@dataclass
-class CurvatureTensor:
-    frame: FrameField
-    components: np.ndarray = field(repr=False)  # object array (n, n, n, n), R^i_{jkl}
-
-    def evaluate_at(self, point) -> np.ndarray:
-        return matops.evaluate_array(self.components, self.frame.chart.assignment(point))
-
-
-@dataclass
-class TorsionTensor:
-    frame: FrameField
-    components: np.ndarray = field(repr=False)  # object array (n, n, n), T^i_{kl}
-
-    def evaluate_at(self, point) -> np.ndarray:
-        return matops.evaluate_array(self.components, self.frame.chart.assignment(point))
-
-
-def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> CurvatureMatrixForm:
-    """X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}."""
-    frame = deriv.frame
-    w_x = w_of(deriv, x).entries
-    w_y = w_of(deriv, y).entries
+def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
+    """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
+    (1,1) tensor field for the fixed pair of fields."""
+    w_x = w_of(deriv, x).components
+    w_y = w_of(deriv, y).components
     x_wy = x.apply_to(w_y)
     y_wx = y.apply_to(w_x)
-    w_brk = w_of(deriv, commutator(x, y)).entries
+    w_brk = w_of(deriv, commutator(x, y)).components
     # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
     total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
-    return CurvatureMatrixForm(frame, simplify(total))
+    return TensorField(deriv.frame, 1, 1, simplify(total))
 
 
 def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
     """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l."""
     frame = deriv.frame
     n = frame.dimension
-    w_x = w_of(deriv, x).entries
-    w_y = w_of(deriv, y).entries
+    w_x = w_of(deriv, x).components
+    w_y = w_of(deriv, y).components
     C = frame.anholonomy()
     comps = []
     for i in range(n):
@@ -87,14 +64,15 @@ def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorF
         if not C.is_zero:
             for k in range(n):
                 for l in range(n):
-                    acc = acc - C.entry(i, k, l) * x.components[k] * y.components[l]
+                    acc = acc - C.components[i, k, l] * x.components[k] * y.components[l]
         comps.append(simplify(acc))
     return VectorField(frame, comps)
 
 
-def curvature_tensor(deriv: Connection) -> CurvatureTensor:
+def curvature_tensor(deriv: Connection) -> TensorField:
     """R^i_{jkl} = -E_l(G^i_{jk}) + E_k(G^i_{jl}) - G^m_{jk} G^i_{ml}
-    + G^m_{jl} G^i_{mk} - G^i_{jm} C^m_{kl}, with G the connection array."""
+    + G^m_{jl} G^i_{mk} - G^i_{jm} C^m_{kl}, with G the connection array;
+    a (1,3) tensor field."""
     if not isinstance(deriv, Connection):
         raise VariantError("the curvature tensor requires the connection variant")
     frame = deriv.frame
@@ -112,13 +90,14 @@ def curvature_tensor(deriv: Connection) -> CurvatureTensor:
                         acc = acc - g[m, j, k] * g[i, m, l] + g[m, j, l] * g[i, m, k]
                     if not C.is_zero:
                         for m in range(n):
-                            acc = acc - g[i, j, m] * C.entry(m, k, l)
+                            acc = acc - g[i, j, m] * C.components[m, k, l]
                     out[i, j, k, l] = simplify(acc)
-    return CurvatureTensor(frame, out)
+    return TensorField(frame, 1, 3, out)
 
 
-def torsion_tensor(deriv: Derivation) -> TorsionTensor:
-    """T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl}.
+def torsion_tensor(deriv: Derivation) -> TensorField:
+    """T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl}, a (1,2)
+    tensor field.
 
     Built from the frame-direction component matrices of any derivation;
     for a connection (W_{E_l})^i_k = G^i_{kl}.  The result is a tensor only
@@ -126,15 +105,15 @@ def torsion_tensor(deriv: Derivation) -> TorsionTensor:
     """
     frame = deriv.frame
     n = frame.dimension
-    w_frames = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
+    w_frames = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
     C = frame.anholonomy()
     out = np.empty((n, n, n), dtype=object)
     for i, k, l in np.ndindex(out.shape):
         acc: Expr = -(w_frames[l][i, k] - w_frames[k][i, l])
         if not C.is_zero:
-            acc = acc - C.entry(i, k, l)
+            acc = acc - C.components[i, k, l]
         out[i, k, l] = simplify(acc)
-    return TorsionTensor(frame, out)
+    return TensorField(frame, 1, 2, out)
 
 
 def curvature_operator_oracle(
@@ -191,8 +170,8 @@ def integrability_residual(
         pts = np.array([chart.point(p) for p in points])
     brk = commutator(x, y)
     parts = np.stack([
-        curvature_matrix(deriv, x, y).entries,
-        w_of(deriv, brk).entries,
+        curvature_matrix(deriv, x, y).components,
+        w_of(deriv, brk).components,
         transform.entries,
         brk.apply_to(transform.entries),
     ])
@@ -251,7 +230,7 @@ def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_T
         forms = [curvature_tensor(deriv).components.flat]
     else:
         pairs = _probe_pairs(deriv.frame, seed)
-        forms = (curvature_matrix(deriv, x, y).entries.flat for x, y in pairs)
+        forms = (curvature_matrix(deriv, x, y).components.flat for x, y in pairs)
     return _identity_verdict(forms, deriv, seed, tol)
 
 

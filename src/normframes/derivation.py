@@ -59,21 +59,6 @@ class VariantError(DerivationError):
     """Operation applied to the wrong derivation variant."""
 
 
-class FrameMatrix:
-    """An n x n matrix of coordinate-only Exprs attached to a frame."""
-
-    def __init__(self, frame: FrameField, entries):
-        self.frame = frame
-        self.entries = matops.expr_matrix(entries)
-        n = frame.dimension
-        if self.entries.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix")
-
-    def evaluate_at(self, point) -> np.ndarray:
-        return matops.evaluate_array(self.entries, self.frame.chart.assignment(point))
-
-
-
 class SymbolicTransform:
     """Invertible matrix A^i_{i'} of Exprs over a chart; a frame change.
 
@@ -153,7 +138,7 @@ def _lie_template(frame: FrameField) -> np.ndarray:
     ks = () if C.is_zero else range(n)
     out = np.empty((n, n), dtype=object)
     for s, i, j in _frame_derivative_slots(n):
-        out[i, j] = sum((C.entry(i, k, j) * xs[k] for k in ks), -Sym(s))
+        out[i, j] = sum((C.components[i, k, j] * xs[k] for k in ks), -Sym(s))
     return out
 
 
@@ -179,18 +164,12 @@ class Connection(Derivation):
         self.gamma = out
 
     def _build_template(self) -> np.ndarray:
-        xs = [Sym(s) for s in component_symbols(self.frame.dimension)]
-        out = np.empty(self.gamma.shape[:2], dtype=object)
-        for i, j in np.ndindex(out.shape):
-            out[i, j] = sum((g * x for g, x in zip(self.gamma[i, j], xs)), Const(0.0))
-        return out
+        xs = np.array([Sym(s) for s in component_symbols(self.frame.dimension)], dtype=object)
+        return self.gamma @ xs
 
     @classmethod
     def zero(cls, frame: FrameField) -> "Connection":
-        n = frame.dimension
-        gamma = np.empty((n, n, n), dtype=object)
-        gamma[...] = Const(0.0)
-        return cls(frame, gamma)
+        return cls(frame, np.full((frame.dimension,) * 3, Const(0.0), dtype=object))
 
     def gamma_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.gamma, self.chart.assignment(point))
@@ -236,20 +215,20 @@ def template_symbols(chart: Chart, n: int) -> dict[str, Symbol]:
     return table
 
 
-def w_of(deriv: Derivation, x: VectorField) -> FrameMatrix:
+def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     """Component matrix W_X of the derivation for the field X, in D's frame:
     its W template with X1..Xn bound to X's components and each dX[i,j] it
-    uses bound to E_j(X^i)."""
+    uses bound to E_j(X^i); a (1,1) tensor field."""
     frame = deriv.frame
     if x.frame is not frame:
         raise ValueError("vector field must be given in the derivation's frame")
     bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
     for s, i, j in deriv._template_derivatives:
         bindings[s] = frame.frame_derivative(j, x.components[i])
-    return FrameMatrix(frame, simplify(substitute(deriv.w_template, bindings)))
+    return TensorField(frame, 1, 1, simplify(substitute(deriv.w_template, bindings)))
 
 
-def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) -> FrameMatrix:
+def transform_w(w: TensorField, x: VectorField, transform: SymbolicTransform) -> TensorField:
     """Push W through a frame change: W' = A^{-1}(W A + X(A)).
 
     ``x`` and ``w`` are given in the source frame of ``transform``; the
@@ -261,8 +240,9 @@ def transform_w(w: FrameMatrix, x: VectorField, transform: SymbolicTransform) ->
         raise ValueError("vector field and transform must share a frame")
     a = transform.entries
     # the inner simplify stays: each of its entries feeds n entries of the product
-    inner = simplify(w.entries @ a + x.apply_to(a))
-    return FrameMatrix(transform.composed_frame(), simplify(transform.inverse_entries() @ inner))
+    inner = simplify(w.components @ a + x.apply_to(a))
+    outer = simplify(transform.inverse_entries() @ inner)
+    return TensorField(transform.composed_frame(), 1, 1, outer)
 
 
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:
@@ -276,7 +256,7 @@ def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> Tenso
         raise ValueError("tensor must be given in the derivation's frame")
     frame = deriv.frame
     n = frame.dimension
-    w = w_of(deriv, x).entries
+    w = w_of(deriv, x).components
     p, q = t.p, t.q
     out = np.empty(t.components.shape, dtype=object)
     for idx in np.ndindex(t.components.shape):
@@ -325,14 +305,8 @@ def symmetrize_connection(deriv: Connection) -> Connection:
     """Connection built from the symmetric part of the coefficients."""
     if not isinstance(deriv, Connection):
         raise VariantError("symmetrization requires the connection variant")
-    n = deriv.frame.dimension
-    gamma = np.empty((n, n, n), dtype=object)
-    half = Const(0.5)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gamma[i, j, k] = simplify(half * (deriv.gamma[i, j, k] + deriv.gamma[i, k, j]))
-    return Connection(deriv.frame, gamma)
+    g = deriv.gamma
+    return Connection(deriv.frame, simplify(Const(0.5) * (g + g.transpose(0, 2, 1))))
 
 
 def transform_connection(deriv: Connection, transform: SymbolicTransform) -> Connection:
@@ -405,22 +379,14 @@ def vanishing_fields(frame: FrameField, anchor, mixes) -> list[VectorField]:
     for every (a, l), then sum_a mix[i, a] d^a E_i for each (n, n) ``mixes``
     entry.  Anchor and mixes hold Exprs: constants, or placeholder symbols."""
     n = frame.dimension
-    offsets = [Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)]
+    offsets = np.array([Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)], dtype=object)
     zero = Const(0.0)
     fields = [
         VectorField(frame, [offsets[a] if i == l else zero for i in range(n)])
         for a in range(n)
         for l in range(n)
     ]
-    for mix in mixes:
-        comps = []
-        for row in mix:
-            e: Expr = zero
-            for c, offset in zip(row, offsets):
-                e = e + c * offset
-            comps.append(simplify(e))
-        fields.append(VectorField(frame, comps))
-    return fields
+    return fields + [VectorField(frame, simplify(mix @ offsets)) for mix in mixes]
 
 
 def linearity_probe(

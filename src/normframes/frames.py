@@ -350,7 +350,7 @@ def _transformed_components(deriv: Derivation, transform: SymbolicTransform) -> 
     out = []
     for kp in range(frame.dimension):
         x_kp = VectorField(frame, list(transform.entries[:, kp]))
-        out.append(transform_w(w_of(deriv, x_kp), x_kp, transform).entries)
+        out.append(transform_w(w_of(deriv, x_kp), x_kp, transform).components)
     return np.stack(out)
 
 
@@ -437,7 +437,7 @@ def _edge_defects(carried: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _curve_matrix_function(deriv: Derivation, x: VectorField, exprs, parameter: Symbol):
     """Compiled M(s) = W_X(curve(s)) of the curve parameter."""
-    w_fn = compile_exprs(list(w_of(deriv, x).entries.flat), deriv.chart.symbols)
+    w_fn = compile_exprs(list(w_of(deriv, x).components.flat), deriv.chart.symbols)
     curve_fn = compile_exprs(exprs, [parameter])
     return lambda s: w_fn(*curve_fn(s))
 
@@ -460,8 +460,8 @@ class CurveSpec:
         lo, hi = self.interval
         if not (lo <= self.s0 <= hi):
             raise ValueError("s0 must lie inside the parameter interval")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
 
     def node_values(self) -> np.ndarray:
         lo, hi = self.interval
@@ -667,7 +667,7 @@ def direction_functions(deriv: Derivation) -> list:
     per axis; the frame equations read dA/dx^alpha = -M_alpha A."""
     frame = deriv.frame
     n = frame.dimension
-    mats = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
+    mats = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
     if not frame.is_coordinate:
         inv = frame.inverse_exprs()  # inv[k, alpha] = B^k_alpha
         mats = [simplify(sum(inv[k, alpha] * mats[k] for k in range(n))) for alpha in range(n)]
@@ -727,7 +727,7 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
     coeffs = tuple(Symbol(f"@c{i},{a}") for i in range(n) for a in range(n))
     mix = np.array([Sym(c) for c in coeffs], dtype=object).reshape(1, n, n)
     probes = vanishing_fields(deriv.frame, [Sym(p) for p in anchor], mix)
-    w_probes = np.stack([w_of(deriv, probe).entries for probe in probes])
+    w_probes = np.stack([w_of(deriv, probe).components for probe in probes])
     points = chart.sample_points()
     # one mix per point, drawn point by point from the seeded stream
     draws = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
@@ -791,6 +791,8 @@ def flat_frame_neighborhood(
     reverse axis order, and verifies the transformed components at every
     node in integrated (edge-transport) form.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h!r}")
     chart = deriv.chart
     n = deriv.frame.dimension
 
@@ -915,7 +917,7 @@ def holonomicity_check(
         if at is None:
             composed = transform.composed_frame()
             ok, worst = vanishes_on_chart(
-                composed.anholonomy().coefficients.flat, composed.chart, tol=sym_tol
+                composed.anholonomy().components.flat, composed.chart, tol=sym_tol
             )
             result = HolonomicityVerdict(ok, worst, sym_tol, "symbolic")
         else:
@@ -1020,7 +1022,7 @@ def _holonomicity_grid(
     index = tuple(np.array(nodes).T)
     a_val = grid_frame.matrices[index]
     anhol_torsion = matops.evaluate_points(
-        np.stack([frame.anholonomy().coefficients, torsion_tensor(deriv).components]),
+        np.stack([frame.anholonomy().components, torsion_tensor(deriv).components]),
         chart.symbols,
         [grid_frame.point_at(node) for node in nodes],
     )

@@ -1,4 +1,4 @@
-"""Charts, frame fields, vector/tensor fields and the anholonomy object.
+"""Charts, frame fields and their anholonomy, vector fields and tensor fields.
 
 A chart is a single coordinate patch with a sampling box; every identity
 verdict in the library ("vanishes identically", "frame nondegenerate") is
@@ -140,7 +140,7 @@ class FrameField:
     construction time.
     """
 
-    def __init__(self, chart: Chart, matrix=None, _validate: bool = True):
+    def __init__(self, chart: Chart, matrix=None):
         self.chart = chart
         n = chart.dimension
         if matrix is None:
@@ -155,13 +155,13 @@ class FrameField:
                 for i in range(n)
                 for j in range(n)
             )
-        for idx in np.ndindex(self.matrix.shape):
-            bad = [s for s in free_symbols(self.matrix[idx]) if s.kind != COORDINATE]
+        for e in self.matrix.flat:
+            bad = [s for s in free_symbols(e) if s.kind != COORDINATE]
             if bad:
                 raise ValueError(f"frame entries must be coordinate-only, found {bad}")
         self._inverse_exprs = None
         self._anholonomy = None
-        if _validate and not self._is_identity:
+        if not self._is_identity:
             require_nondegenerate(self.matrix, chart, lambda pt, det: (
                 f"frame determinant {det!r} at {pt} is below {DEGENERACY_TOL}"))
 
@@ -199,19 +199,16 @@ class FrameField:
     def frame_derivative(self, i: int, f):
         """E_i(f) = sum_a B^a_i df/dx^a.  Frame index i is 0-based; ``f`` is
         an Expr or an object array of them."""
-        syms = self.chart.symbols
-        acc: Expr = Const(0.0)
-        for a in range(self.dimension):
-            df = differentiate(f, syms[a])
-            acc = acc + self.matrix[a, i] * df
-        return simplify(acc)
+        return simplify(sum(self.matrix[a, i] * differentiate(f, s)
+                            for a, s in enumerate(self.chart.symbols)))
 
     def coordinate_vector(self, i: int) -> "VectorField":
         """The i-th frame field E_i, as a vector field in this frame."""
         comps = [Const(1.0 if j == i else 0.0) for j in range(self.dimension)]
         return VectorField(self, comps)
 
-    def anholonomy(self) -> "AnholonomyObject":
+    def anholonomy(self) -> "TensorField":
+        """The anholonomy C^i_{jk} as a (1,2) tensor field."""
         if self._anholonomy is None:
             self._anholonomy = anholonomy_coefficients(self)
         return self._anholonomy
@@ -248,10 +245,8 @@ class VectorField:
 
     def apply_to(self, f):
         """X(f) = X^k E_k(f); ``f`` is an Expr or an object array of them."""
-        acc: Expr = Const(0.0)
-        for k in range(self.frame.dimension):
-            acc = acc + self.components[k] * self.frame.frame_derivative(k, f)
-        return simplify(acc)
+        return simplify(sum(c * self.frame.frame_derivative(k, f)
+                            for k, c in enumerate(self.components)))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_frame(self, other)
@@ -272,7 +267,12 @@ def _require_same_frame(a, b):
 
 @dataclass
 class TensorField:
-    """Type (p,q) tensor; components stored densely, upper indices first."""
+    """Type (p,q) tensor; components stored densely, upper indices first.
+
+    The one frame-attached component array: the anholonomy C^i_{jk} is
+    (1,2), W_X and the curvature matrix R(X,Y) are (1,1), the curvature
+    tensor is (1,3) and the torsion tensor (1,2).
+    """
 
     frame: FrameField
     p: int
@@ -298,10 +298,7 @@ class TensorField:
 
     @classmethod
     def from_vector(cls, x: VectorField) -> "TensorField":
-        arr = np.empty(x.frame.dimension, dtype=object)
-        for i, c in enumerate(x.components):
-            arr[i] = c
-        return cls(x.frame, 1, 0, arr)
+        return cls(x.frame, 1, 0, np.array(x.components, dtype=object))
 
     @classmethod
     def covector(cls, frame: FrameField, components) -> "TensorField":
@@ -318,74 +315,39 @@ class TensorField:
     def evaluate_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.components, self.frame.chart.assignment(point))
 
-
-class AnholonomyObject:
-    """Structure functions C^i_{jk} of a frame: [E_j, E_k] = C^i_{jk} E_i.
-
-    Antisymmetry in (j,k) is exact by construction: the (k,j) entry is the
-    negation of the (j,k) entry node.
-    """
-
-    def __init__(self, frame: FrameField, coefficients: np.ndarray):
-        self.frame = frame
-        self.coefficients = coefficients  # object array, shape (n, n, n)
-
-    def entry(self, i: int, j: int, k: int) -> Expr:
-        return self.coefficients[i, j, k]
-
-    def evaluate_at(self, point) -> np.ndarray:
-        return matops.evaluate_array(self.coefficients, self.frame.chart.assignment(point))
-
     @property
     def is_zero(self) -> bool:
-        return all(
-            self.coefficients[idx] == Const(0.0)
-            for idx in np.ndindex(self.coefficients.shape)
-        )
+        zero = Const(0.0)
+        return all(c == zero for c in self.components.flat)
 
 
-def anholonomy_coefficients(frame: FrameField) -> AnholonomyObject:
-    """C^i_{jk} = B^i_a (E_j(B^a_k) - E_k(B^a_j)), exact antisymmetry."""
+def anholonomy_coefficients(frame: FrameField) -> TensorField:
+    """C^i_{jk} = B^i_a (E_j(B^a_k) - E_k(B^a_j)), exact antisymmetry: the
+    (k,j) entry is the negation of the (j,k) entry node."""
     n = frame.dimension
-    C = np.empty((n, n, n), dtype=object)
     zero = Const(0.0)
-    if frame.is_coordinate:
-        C[...] = zero
-        return AnholonomyObject(frame, C)
-    inv = frame.inverse_exprs()
-    for i in range(n):
-        for j in range(n):
-            C[i, j, j] = zero
-    for j in range(n):
-        for k in range(j + 1, n):
-            # commutator of E_j and E_k in coordinate components
-            for i in range(n):
-                acc: Expr = zero
-                for a in range(n):
-                    diff = frame.frame_derivative(j, frame.matrix[a, k]) - \
-                        frame.frame_derivative(k, frame.matrix[a, j])
-                    acc = acc + inv[i, a] * diff
-                acc = simplify(acc)
-                C[i, j, k] = acc
-                C[i, k, j] = zero if acc == zero else -acc
-    return AnholonomyObject(frame, C)
+    C = np.full((n, n, n), zero, dtype=object)
+    if not frame.is_coordinate:
+        inv, b = frame.inverse_exprs(), frame.matrix
+        for j, k in zip(*np.triu_indices(n, 1)):
+            # the commutator [E_j, E_k] in coordinate components, then in the frame
+            bracket = frame.frame_derivative(j, b[:, k]) - frame.frame_derivative(k, b[:, j])
+            col = simplify(inv @ bracket)
+            C[:, j, k] = col
+            C[:, k, j] = [zero if c == zero else -c for c in col]
+    return TensorField(frame, 1, 2, C)
 
 
 def commutator(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y]^i = X(Y^i) - Y(X^i) + C^i_{jk} X^j Y^k."""
     _require_same_frame(x, y)
-    frame = x.frame
-    n = frame.dimension
-    C = frame.anholonomy()
-    comps = []
-    for i in range(n):
-        acc: Expr = x.apply_to(y.components[i]) - y.apply_to(x.components[i])
-        if not C.is_zero:
-            for j in range(n):
-                for k in range(n):
-                    acc = acc + C.entry(i, j, k) * x.components[j] * y.components[k]
-        comps.append(simplify(acc))
-    return VectorField(frame, comps)
+    C = x.frame.anholonomy()
+    xs, ys = np.array(x.components, dtype=object), np.array(y.components, dtype=object)
+    acc = x.apply_to(ys) - y.apply_to(xs)
+    if not C.is_zero:
+        n = x.frame.dimension
+        acc = sum((C.components[:, j, k] * xs[j] * ys[k] for j, k in np.ndindex(n, n)), acc)
+    return VectorField(x.frame, simplify(acc))
 
 
 def compose_frame(frame: FrameField, transform_entries: np.ndarray) -> FrameField:

@@ -411,6 +411,49 @@ def test_deep_connection_entry_exits_2(tmp_path, capsys, command, entry):
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
+def _zero_spec_with_entry(tmp_path, entry):
+    doc = json.loads(Path(ZERO).read_text())
+    doc["derivation"]["connection"]["1,1,1"] = entry
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        # within the parse budget, but each derivative roughly doubles the depth
+        lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "*".join(["(1+0.001*x1)"] * 170)),
+                     "--at", "x1=0.5,x2=0.5"),
+        lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "/".join(["(2+x1)"] * 115)),
+                     "--at", "x1=0.5,x2=0.5"),
+        # the radial field does not follow the unit circle
+        lambda tmp: ("frame", POLAR, "curve", "--field", "radial", "--curve", "unit_circle",
+                     "--out", str(tmp / "frame.json")),
+    ],
+    ids=["deep-product", "deep-quotient", "curve-off-field"],
+)
+def test_recursion_and_curve_errors_exit_2(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "frame.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["flat", "curve"])
+@pytest.mark.parametrize("step", ["0", "-1", "inf", "nan"])
+def test_step_must_be_finite_and_positive(tmp_path, capsys, mode, step):
+    extra = {"flat": ("--grid", "5x5"), "curve": ("--field", "angular", "--curve", "unit_circle")}
+    out = tmp_path / "frame.json"
+    capsys.readouterr()
+    assert run("frame", POLAR, mode, *extra[mode], "--step", step, "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: step must be finite and positive")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # emitter
 

@@ -41,7 +41,7 @@ def frame_pair(deriv):
 def test_zero_connection_curvature_matrix_vanishes(zero_connection):
     x, y = frame_pair(zero_connection)
     form = curvature_matrix(zero_connection, x, y)
-    assert all(form.entries[i, j] == Const(0.0) for i in range(2) for j in range(2))
+    assert all(form.components[i, j] == Const(0.0) for i in range(2) for j in range(2))
 
 
 def test_polar_curvature_matrix_vanishes_at_random_points(polar, polar_connection):
@@ -198,7 +198,7 @@ def test_torsion_tensor_of_a_connection_is_the_gamma_formula(path):
     for i, k, l in np.ndindex(n, n, n):
         acc = -(g[i, k, l] - g[i, l, k])
         if not C.is_zero:
-            acc = acc - C.entry(i, k, l)
+            acc = acc - C.components[i, k, l]
         assert tensor.components[i, k, l] == simplify(acc), (path.stem, i, k, l)
 
 
@@ -208,7 +208,7 @@ def test_torsion_tensor_of_lie_type_is_the_torsion_on_frame_pairs(polar, polar_o
     deriv = LieType(polar_orthonormal_frame)
     tensor = torsion_tensor(deriv)
     forms = [tensor.components[i, k, l] - c for (i, k, l), c in
-             np.ndenumerate(polar_orthonormal_frame.anholonomy().coefficients)]
+             np.ndenumerate(polar_orthonormal_frame.anholonomy().components)]
     for k in range(2):
         for l in range(2):
             e_k, e_l = (polar_orthonormal_frame.coordinate_vector(a) for a in (k, l))

@@ -74,7 +74,7 @@ def test_zero_connection_components_vanish(zero_connection, plane):
     x1, _ = plane.symbols
     x = VectorField(zero_connection.frame, [Sym(x1), Const(2.0)])
     w = w_of(zero_connection, x)
-    assert all(w.entries[i, j] == Const(0.0) for i in range(2) for j in range(2))
+    assert all(w.components[i, j] == Const(0.0) for i in range(2) for j in range(2))
 
 
 def test_lie_components_hand_case(lie_plane, plane):
@@ -145,7 +145,7 @@ def _reference_lie(frame, x):
             acc = -frame.frame_derivative(j, x.components[i])
             if not C.is_zero:
                 for k in range(n):
-                    acc = acc + C.entry(i, k, j) * x.components[k]
+                    acc = acc + C.components[i, k, j] * x.components[k]
             out[i, j] = simplify(acc)
     return out
 
@@ -210,7 +210,7 @@ def _probe_fields(frame):
 def test_w_of_matches_the_per_variant_formula(variants, name):
     deriv = variants[name]
     for x in _probe_fields(deriv.frame):
-        got = w_of(deriv, x).entries
+        got = w_of(deriv, x).components
         expected = _reference_w(deriv, x)
         assert all(a == b for a, b in zip(got.flat, expected.flat)), (name, x.components)
 

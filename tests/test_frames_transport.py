@@ -87,7 +87,7 @@ def test_polar_circle_components_vanish_along_tangent(polar_connection, polar_ci
     from normframes.expr import compile_exprs
     from normframes import w_of
 
-    w_fn = compile_exprs(list(w_of(polar_connection, x).entries.flat), polar_connection.chart.symbols)
+    w_fn = compile_exprs(list(w_of(polar_connection, x).components.flat), polar_connection.chart.symbols)
     worst = 0.0
     h = curve.step
     for i in range(len(result.s_values) - 1):

@@ -84,7 +84,7 @@ def test_degenerate_frame_rejected(plane):
 
 def test_coordinate_frame_anholonomy_vanishes(polar_connection):
     anhol = polar_connection.frame.anholonomy()
-    ok, worst = vanishes_on_chart(anhol.coefficients.flat, polar_connection.chart)
+    ok, worst = vanishes_on_chart(anhol.components.flat, polar_connection.chart)
     assert ok and worst == 0.0
 
 
@@ -118,8 +118,8 @@ def test_anholonomy_against_nested_derivative_oracle(polar, polar_orthonormal_fr
                     - frame.frame_derivative(k, frame.frame_derivative(j, Sym(syms[a])))
                 )
                 rhs = simplify(
-                    anhol.entry(0, j, k) * frame.matrix[a, 0]
-                    + anhol.entry(1, j, k) * frame.matrix[a, 1]
+                    anhol.components[0, j, k] * frame.matrix[a, 0]
+                    + anhol.components[1, j, k] * frame.matrix[a, 1]
                 )
                 for pt in polar.sample_points(6, 8):
                     asg = polar.assignment(pt)
@@ -131,7 +131,7 @@ def test_anholonomy_antisymmetric_by_construction(polar_orthonormal_frame):
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                total = simplify(anhol.entry(i, j, k) + anhol.entry(i, k, j))
+                total = simplify(anhol.components[i, j, k] + anhol.components[i, k, j])
                 assert total == Const(0.0)
 
 
@@ -242,7 +242,7 @@ def fixture_arrays(polar, sphere, polar_connection, sphere_connection, torsion_p
         "sphere curvature": (curvature_tensor(sphere_connection).components, sphere),
         "sphere torsion": (torsion_tensor(sphere_connection).components, sphere),
         "plane torsion": (torsion_tensor(torsion_plane).components, torsion_plane.chart),
-        "orthonormal anholonomy": (polar_orthonormal_frame.anholonomy().coefficients, polar),
+        "orthonormal anholonomy": (polar_orthonormal_frame.anholonomy().components, polar),
     }
 
 

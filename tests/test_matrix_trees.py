@@ -4,8 +4,11 @@ Symbolic matrices are numpy object arrays: the library multiplies, adds and
 negates them with numpy's ``@``, ``+`` and unary ``-`` and simplifies each
 result once.  The reference helpers below are the former per-step forms: a
 ``Const(0)``-seeded product simplified entry by entry, an entry-wise
-simplified sum, and entry-wise negation.  Every result must be the very same
-tree, entry by entry, on every demo and benchmark spec.
+simplified sum, and entry-wise negation; the ``ref_*`` loops further down
+are the former index loops of frame derivatives, field actions, the
+anholonomy, commutators, the connection template and the vanishing probe
+fields.  Every result must be the very same tree, entry by entry, on every
+demo and benchmark spec.
 """
 
 from pathlib import Path
@@ -16,8 +19,24 @@ import pytest
 from normframes import frames, matops
 from normframes.cli import load_manifold_spec
 from normframes.curvature import _probe_pairs, curvature_matrix
-from normframes.derivation import SymbolicTransform, transform_w, w_of
-from normframes.expr import Const, Expr, Sym, simplify
+from normframes.derivation import (
+    Connection,
+    SymbolicTransform,
+    seeded_affine_fields,
+    transform_w,
+    vanishing_fields,
+    w_of,
+)
+from normframes.expr import (
+    Const,
+    Expr,
+    Sym,
+    Symbol,
+    component_symbols,
+    differentiate,
+    simplify,
+    substitute,
+)
 from normframes.frames import PointFrameResult, constancy_check, direction_functions
 from normframes.geometry import commutator, compose_frame
 
@@ -84,12 +103,12 @@ def setup(request):
 def test_curvature_matrix_trees(setup):
     deriv = setup.deriv
     for x, y in _probe_pairs(deriv.frame, 42):
-        w_x, w_y = w_of(deriv, x).entries, w_of(deriv, y).entries
-        w_brk = w_of(deriv, commutator(x, y)).entries
+        w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
+        w_brk = w_of(deriv, commutator(x, y)).components
         comm = ref_matadd(ref_matmul(w_x, w_y), ref_neg(ref_matmul(w_y, w_x)))
         total = ref_matadd(x.apply_to(w_y), ref_neg(y.apply_to(w_x)))
         total = ref_matadd(ref_matadd(total, comm), ref_neg(w_brk))
-        assert_same_trees(curvature_matrix(deriv, x, y).entries, simplify(total))
+        assert_same_trees(curvature_matrix(deriv, x, y).components, simplify(total))
 
 
 def test_transform_trees(setup, monkeypatch):
@@ -99,8 +118,8 @@ def test_transform_trees(setup, monkeypatch):
     x = _probe_pairs(frame, 42)[-1][0]
     w = w_of(deriv, x)
     a = first.entries
-    inner = ref_matadd(ref_matmul(w.entries, a), x.apply_to(a))
-    assert_same_trees(transform_w(w, x, first).entries, ref_matmul(first.inverse_entries(), inner))
+    inner = ref_matadd(ref_matmul(w.components, a), x.apply_to(a))
+    assert_same_trees(transform_w(w, x, first).components, ref_matmul(first.inverse_entries(), inner))
     assert_same_trees(compose_frame(frame, a).matrix, ref_matmul(frame.matrix, a))
 
     shells = []
@@ -129,7 +148,7 @@ def test_direction_function_trees(setup, monkeypatch):
 
     monkeypatch.setattr(frames, "compile_exprs", capture)
     direction_functions(deriv)
-    mats = [w_of(deriv, frame.coordinate_vector(k)).entries for k in range(n)]
+    mats = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
     if not frame.is_coordinate:
         inv = frame.inverse_exprs()
         want = []
@@ -145,3 +164,138 @@ def test_direction_function_trees(setup, monkeypatch):
     assert len(compiled) == n
     for got, want in zip(compiled, mats):
         assert_same_trees(np.array(got, dtype=object), want.ravel())
+
+
+def ref_frame_derivative(frame, i, f):
+    acc: Expr = Const(0.0)
+    for a in range(frame.dimension):
+        acc = acc + frame.matrix[a, i] * differentiate(f, frame.chart.symbols[a])
+    return simplify(acc)
+
+
+def ref_apply_to(x, f):
+    acc: Expr = Const(0.0)
+    for k in range(x.frame.dimension):
+        acc = acc + x.components[k] * ref_frame_derivative(x.frame, k, f)
+    return simplify(acc)
+
+
+def ref_anholonomy(frame):
+    n = frame.dimension
+    zero = Const(0.0)
+    C = np.empty((n, n, n), dtype=object)
+    C[...] = zero
+    if frame.is_coordinate:
+        return C
+    inv = frame.inverse_exprs()
+    for j in range(n):
+        for k in range(j + 1, n):
+            for i in range(n):
+                acc: Expr = zero
+                for a in range(n):
+                    diff = ref_frame_derivative(frame, j, frame.matrix[a, k]) - \
+                        ref_frame_derivative(frame, k, frame.matrix[a, j])
+                    acc = acc + inv[i, a] * diff
+                acc = simplify(acc)
+                C[i, j, k] = acc
+                C[i, k, j] = zero if acc == zero else -acc
+    return C
+
+
+def ref_commutator(x, y, C):
+    n = x.frame.dimension
+    is_zero = all(c == Const(0.0) for c in C.flat)
+    comps = []
+    for i in range(n):
+        acc: Expr = ref_apply_to(x, y.components[i]) - ref_apply_to(y, x.components[i])
+        if not is_zero:
+            for j in range(n):
+                for k in range(n):
+                    acc = acc + C[i, j, k] * x.components[j] * y.components[k]
+        comps.append(simplify(acc))
+    return np.array(comps, dtype=object)
+
+
+def ref_connection_template(gamma):
+    n = gamma.shape[0]
+    xs = [Sym(s) for s in component_symbols(n)]
+    out = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        out[i, j] = sum((g * x for g, x in zip(gamma[i, j], xs)), Const(0.0))
+    return out
+
+
+def ref_mixed_fields(frame, anchor, mixes):
+    offsets = [Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)]
+    fields = []
+    for mix in mixes:
+        comps = []
+        for row in mix:
+            e: Expr = Const(0.0)
+            for c, offset in zip(row, offsets):
+                e = e + c * offset
+            comps.append(simplify(e))
+        fields.append(np.array(comps, dtype=object))
+    return fields
+
+
+def probe_fields(frame):
+    return [f for pair in _probe_pairs(frame, 42) for f in pair]
+
+
+def test_frame_derivative_and_field_action_trees(setup):
+    deriv = setup.deriv
+    frame = deriv.frame
+    fields = probe_fields(frame)
+    for x, y in zip(fields, fields[1:]):
+        ys = np.array(y.components, dtype=object)
+        for k in range(frame.dimension):
+            assert_same_trees(frame.frame_derivative(k, ys), ref_frame_derivative(frame, k, ys))
+            scalar = y.components[0]
+            assert frame.frame_derivative(k, scalar) == ref_frame_derivative(frame, k, scalar)
+        assert_same_trees(x.apply_to(ys), ref_apply_to(x, ys))
+
+
+@pytest.mark.parametrize("composed", [False, True], ids=["spec-frame", "composed-frame"])
+def test_anholonomy_and_commutator_trees(setup, composed):
+    frame = setup.frame
+    pairs = _probe_pairs(frame, 42)
+    if composed:
+        # a full lower triangle, as the spec frames are diagonal; one seeded
+        # pair keeps the 4-D case short
+        frame = affine_transform(frame, 1).composed_frame()
+        pairs = _probe_pairs(frame, 42)[-1:]
+    C = ref_anholonomy(frame)
+    assert_same_trees(frame.anholonomy().components, C)
+    for x, y in pairs:
+        got = np.array(commutator(x, y).components, dtype=object)
+        assert_same_trees(got, ref_commutator(x, y, C))
+
+
+def test_connection_template_trees(setup):
+    deriv = setup.deriv
+    frame = deriv.frame
+    if not isinstance(deriv, Connection):
+        # seeded affine coefficients in the spec's frame
+        fields = seeded_affine_fields(frame, np.random.default_rng(3), frame.dimension ** 2)
+        deriv = Connection(frame, np.array([f.components for f in fields], dtype=object))
+    template = ref_connection_template(deriv.gamma)
+    for x in probe_fields(frame):
+        bindings = dict(zip(component_symbols(frame.dimension), x.components))
+        assert_same_trees(w_of(deriv, x).components, simplify(substitute(template, bindings)))
+
+
+def test_vanishing_field_trees(setup):
+    frame = setup.frame
+    n = frame.dimension
+    centre = [Const((lo + hi) / 2.0) for lo, hi in frame.chart.domain]
+    draws = np.round(np.random.default_rng(7).uniform(-1.0, 1.0, (2, n, n)), 6)
+    placeholders = [Sym(Symbol(f"@p{a}")) for a in range(n)]
+    symbolic_mix = np.array([Sym(Symbol(f"@c{i}")) for i in range(n * n)], dtype=object)
+    cases = [(centre, matops.constant_exprs(draws)), (placeholders, symbolic_mix.reshape(1, n, n))]
+    for anchor, mixes in cases:
+        got = vanishing_fields(frame, anchor, mixes)[n * n:]
+        want = ref_mixed_fields(frame, anchor, mixes)
+        assert len(got) == len(want)
+        for field, comps in zip(got, want):
+            assert_same_trees(np.array(field.components, dtype=object), comps)
