@@ -4,7 +4,8 @@ Spec files and outputs are JSON.  Reports are written through a
 deterministic emitter (stable key order, floats at 17 significant digits)
 so identical inputs and seed produce byte-identical files.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 domain error,
+Exit codes: 0 ok, 1 verification failure (also a construction that fails
+its own checks), 2 input error (also exhausted memory), 3 domain error,
 4 existence-condition violation, 5 flatness violation.
 """
 
@@ -51,6 +52,7 @@ from .curvature import (
 )
 from .frames import (
     DEFAULT_STEP,
+    ConstructionError,
     CurveError,
     CurveSpec,
     GridSpec,
@@ -730,8 +732,15 @@ def main(argv=None) -> int:
     except (NotFlatError, NotLinearConnectionError) as err:
         print(f"flatness violation: {err}", file=sys.stderr)
         return EXIT_FLATNESS
+    except ConstructionError as err:
+        # failed self-checks: the audit and self-check verifications, degenerate nodes and curves
+        print(f"construction failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except ValueError as err:
         print(f"input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("input error: the input needs more memory than is available", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -225,7 +225,7 @@ def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
     for s, i, j in deriv._template_derivatives:
         bindings[s] = frame.frame_derivative(j, x.components[i])
-    return TensorField(frame, 1, 1, simplify(substitute(deriv.w_template, bindings)))
+    return TensorField(frame, 1, 1, substitute(deriv.w_template, bindings))
 
 
 def transform_w(w: TensorField, x: VectorField, transform: SymbolicTransform) -> TensorField:

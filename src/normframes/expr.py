@@ -547,9 +547,7 @@ def differentiate(e, s: Symbol):
     """
     if s.kind != COORDINATE:
         raise ValueError(f"can only differentiate along coordinate symbols, got {s.kind}")
-    if isinstance(e, np.ndarray):
-        return np.vectorize(lambda node: _diff(node, s), otypes=[object])(e)
-    return _diff(e, s)
+    return _entrywise(_diff, e, s)
 
 
 def _diff(e: Expr, s: Symbol) -> Expr:
@@ -672,21 +670,27 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
-def _fold(e: Expr) -> Expr:
-    """One bottom-up rewriting pass.  Returns ``e`` itself when no rule
-    applies anywhere in it; every rule shrinks the tree, so that is exactly
-    the fixed point."""
-    if isinstance(e, (Const, Sym)):
+def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
+    """The one rewrite walk: a single bottom-up pass that replaces each bound
+    symbol by its value (already folded) and applies the rules above.
+
+    One pass is the fixed point.  Every rule returns a folded child, a
+    constant, or a node whose children are folded and on which no rule fires;
+    folding any of these again changes nothing.  Returns ``e`` itself when
+    nothing changes anywhere in it, so such subtrees stay shared."""
+    if isinstance(e, Const):
         return e
+    if isinstance(e, Sym):
+        return bindings.get(e.symbol, e) if bindings else e
     if isinstance(e, Neg):
-        arg = _fold(e.arg)
+        arg = _fold(e.arg, bindings)
         if isinstance(arg, Const):
             return Const(-arg.value)
         if isinstance(arg, Neg):
             return arg.arg
         return e if arg is e.arg else Neg(arg)
     if isinstance(e, Add):
-        left, right = _fold(e.left), _fold(e.right)
+        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
         if _is_const(left, 0.0):
             return right
         if _is_const(right, 0.0):
@@ -699,7 +703,7 @@ def _fold(e: Expr) -> Expr:
             return ZERO
         return e if left is e.left and right is e.right else Add(left, right)
     if isinstance(e, Sub):
-        left, right = _fold(e.left), _fold(e.right)
+        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
         if _is_const(right, 0.0):
             return left
         if _is_const(left, 0.0):
@@ -710,7 +714,7 @@ def _fold(e: Expr) -> Expr:
             return ZERO
         return e if left is e.left and right is e.right else Sub(left, right)
     if isinstance(e, Mul):
-        left, right = _fold(e.left), _fold(e.right)
+        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
         if _is_const(left, 0.0) or _is_const(right, 0.0):
             return ZERO
         if _is_const(left, 1.0):
@@ -721,7 +725,7 @@ def _fold(e: Expr) -> Expr:
             return Const(left.value * right.value)
         return e if left is e.left and right is e.right else Mul(left, right)
     if isinstance(e, Div):
-        left, right = _fold(e.left), _fold(e.right)
+        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
         if _is_const(right, 1.0):
             return left
         if _is_const(left, 0.0) and not _is_const(right, 0.0):
@@ -730,7 +734,7 @@ def _fold(e: Expr) -> Expr:
             return Const(left.value / right.value)
         return e if left is e.left and right is e.right else Div(left, right)
     if isinstance(e, Pow):
-        base, expo = _fold(e.base), _fold(e.exponent)
+        base, expo = _fold(e.base, bindings), _fold(e.exponent, bindings)
         if _is_const(expo, 1.0):
             return base
         if _is_const(expo, 0.0):
@@ -744,7 +748,7 @@ def _fold(e: Expr) -> Expr:
                 return Const(value)
         return e if base is e.base and expo is e.exponent else Pow(base, expo)
     if isinstance(e, Call):
-        arg = _fold(e.arg)
+        arg = _fold(e.arg, bindings)
         if isinstance(arg, Const):
             try:
                 value = _MATH_FUNCS[e.func](arg.value)
@@ -756,30 +760,27 @@ def _fold(e: Expr) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _entrywise(fn, e, arg):
+    """``fn(e, arg)``, or, for an object array ``e``, ``fn`` applied entry by
+    entry into an array of the same shape.  A loop, not np.vectorize: numpy
+    would report the IEEE flags that a failed constant fold (say sqrt(-1))
+    leaves set as RuntimeWarnings."""
+    if not isinstance(e, np.ndarray):
+        return fn(e, arg)
+    out = np.empty(e.shape, dtype=object)
+    for idx in np.ndindex(e.shape):
+        out[idx] = fn(e[idx], arg)
+    return out
+
+
 def simplify(e):
-    """Rewrite to a fixed point of the folding rules.  Value-preserving.
+    """Rewrite to the fixed point of the folding rules: one :func:`_fold`
+    pass with nothing bound.  Value-preserving.
 
     ``e`` is an Expr or an object array of them; an array is simplified
     entry by entry and keeps its shape.
     """
-    if isinstance(e, np.ndarray):
-        # a loop, not np.vectorize: numpy would report the IEEE flags that a
-        # failed constant fold (say sqrt(-1)) leaves set as RuntimeWarnings
-        out = np.empty(e.shape, dtype=object)
-        for idx in np.ndindex(e.shape):
-            out[idx] = _simplify(e[idx])
-        return out
-    return _simplify(e)
-
-
-def _simplify(e: Expr) -> Expr:
-    current = e
-    for _ in range(1000):
-        nxt = _fold(current)
-        if nxt is current:
-            return current
-        current = nxt
-    return current  # pragma: no cover - the rules strictly shrink the tree
+    return _entrywise(_fold, e, {})
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +788,14 @@ def _simplify(e: Expr) -> Expr:
 
 
 def substitute(e, bindings: Mapping[Symbol, Expr]):
-    """Replace vector-component / frame-derivative symbols by expressions.
+    """Replace vector-component / frame-derivative symbols by expressions
+    and simplify the result, in the one :func:`_fold` pass.
 
     Bindings must map non-coordinate symbols to coordinate-only expressions;
     this is how W templates get instantiated at a concrete vector field.
-    ``e`` is an Expr or an object array of them; an array is substituted
-    entry by entry, with the bindings checked once.
+    Each binding is folded once, however often its symbol occurs.  ``e`` is
+    an Expr or an object array of them; an array is substituted entry by
+    entry, with the bindings checked once.
     """
     for key, val in bindings.items():
         if key.kind == COORDINATE:
@@ -802,31 +805,7 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
                 raise UnknownSymbolError(
                     f"binding for {key.name!r} introduces non-coordinate symbol {free.name!r}"
                 )
-    bindings = dict(bindings)
-    if isinstance(e, np.ndarray):
-        return np.vectorize(lambda node: _subst(node, bindings), otypes=[object])(e)
-    return _subst(e, bindings)
-
-
-def _subst(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
-    """``e`` with the bound symbols replaced; a subtree with nothing to bind
-    is returned as the same object, so it stays shared."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Sym):
-        return bindings.get(e.symbol, e)
-    if isinstance(e, (Neg, Call)):
-        arg = _subst(e.arg, bindings)
-        if arg is e.arg:
-            return e
-        return Neg(arg) if isinstance(e, Neg) else Call(e.func, arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        left, right = _subst(e.left, bindings), _subst(e.right, bindings)
-        return e if left is e.left and right is e.right else type(e)(left, right)
-    if isinstance(e, Pow):
-        base, expo = _subst(e.base, bindings), _subst(e.exponent, bindings)
-        return e if base is e.base and expo is e.exponent else Pow(base, expo)
-    raise TypeError(f"not an Expr: {e!r}")
+    return _entrywise(_fold, e, {key: _fold(val, {}) for key, val in bindings.items()})
 
 
 # ---------------------------------------------------------------------------

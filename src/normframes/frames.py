@@ -44,6 +44,9 @@ CERT_TOL = 1e-12
 GRID_TOL = 1e-6
 DEFAULT_STEP = 1e-3
 ZERO_FIELD_TOL = 1e-12
+INTEGRAL_CURVE_TOL = 1e-6  # max |curve velocity - field| at a curve node
+REFINE_DELTA = 1e-5  # coordinate step of the refreshed transports behind grid holonomicity
+SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
 
 
 class ConstructionError(Exception):
@@ -103,7 +106,6 @@ class PointFrameSpec:
     quadratic: Optional[np.ndarray] = None
     b_matrix: Optional[np.ndarray] = None
     b_quadratic: Optional[np.ndarray] = None
-    holonomic: bool = False
 
     def seed_array(self, n: int) -> np.ndarray:
         if self.a_factors is not None:
@@ -213,7 +215,8 @@ def frame_at_point_general(
     a = spec.seed_array(n)
     a0 = a @ x_val  # A(x0)[j, j'] = a[j, j', k] X^k(x0)
     det0 = float(np.linalg.det(a0))
-    if not spec.holonomic and abs(det0) <= DEGENERACY_TOL:
+    # a factorized seed is rank one by design, so only a full seed must be invertible here
+    if spec.a_factors is None and abs(det0) <= DEGENERACY_TOL:
         raise ValueError(
             f"seed produces a degenerate anchor matrix (det = {det0!r}); "
             "choose a seed with a[., ., k] X^k(x0) invertible"
@@ -282,12 +285,6 @@ def frame_at_point_holonomic(
     """
     if spec.a_factors is None:
         raise ValueError("holonomic construction requires the factorized seed")
-    spec = PointFrameSpec(
-        anchor=spec.anchor,
-        a_factors=spec.a_factors,
-        quadratic=spec.quadratic,
-        holonomic=True,
-    )
     result = frame_at_point_general(deriv, x, spec)
     cert, asym = point_frame_certificate(deriv, x, spec)
     if asym > CERT_TOL:
@@ -303,7 +300,6 @@ def frame_at_point_connection(
     deriv: Derivation,
     spec: PointFrameSpec,
     seed: int = 42,
-    tol: float = POINT_TOL,
 ) -> PointFrameResult:
     """Frame with vanishing connection components at the anchor.
 
@@ -333,7 +329,7 @@ def frame_at_point_connection(
     transform = SymbolicTransform(frame, entries, _validate=False)
 
     residual = transformed_components_max(deriv, transform, x0)
-    if residual > tol:
+    if residual > POINT_TOL:
         raise VerificationError(
             f"constructed frame fails its own check at the anchor (residual {residual:.3e})"
         )
@@ -365,19 +361,18 @@ def shell_component_growth(
     deriv: Derivation,
     transform: SymbolicTransform,
     anchor,
-    distances: Sequence[float] = (1e-2, 1e-3),
 ) -> dict[float, float]:
-    """max |Gamma'| on axis-aligned shells at the given coordinate distances."""
+    """max |Gamma'| on axis-aligned shells at the coordinate distances SHELL_DISTANCES."""
     chart = deriv.frame.chart
     x0 = chart.point(anchor)
     n = chart.dimension
     unit_steps = np.concatenate([np.eye(n), -np.eye(n)])  # +e_alpha, then -e_alpha
-    steps = np.multiply.outer(np.asarray(distances, dtype=float), unit_steps)
+    steps = np.multiply.outer(np.asarray(SHELL_DISTANCES), unit_steps)
     values = matops.evaluate_points(
         _transformed_components(deriv, transform), chart.symbols, (x0 + steps).reshape(-1, n)
     )
     worst = np.max(np.abs(values), axis=(1, 2, 3)).reshape(len(steps), 2 * n).max(axis=1)
-    return {d: float(w) for d, w in zip(distances, worst)}
+    return {d: float(w) for d, w in zip(SHELL_DISTANCES, worst)}
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +494,6 @@ def transport_along_curve(
     x: VectorField,
     curve: CurveSpec,
     b0,
-    integral_curve_tol: float = 1e-6,
 ) -> CurveFrame:
     """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes.
 
@@ -526,7 +520,7 @@ def transport_along_curve(
     b_nodes = matops.evaluate_points(frame.matrix, chart.symbols, points)
     x_nodes = matops.evaluate_points(x.components, chart.symbols, points)
     v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
-    off = np.max(np.abs(velocity - v_field), axis=1) > integral_curve_tol
+    off = np.max(np.abs(velocity - v_field), axis=1) > INTEGRAL_CURVE_TOL
     if off.any():
         i = int(np.argmax(off))
         raise CurveError(
@@ -643,11 +637,11 @@ class GridFrame:
     def matrix_at(self, index: tuple[int, ...]) -> np.ndarray:
         return self.matrices[tuple(index)]
 
-    def partial_derivatives_at(self, index: tuple[int, ...], delta: float = 1e-5) -> np.ndarray:
+    def partial_derivatives_at(self, index: tuple[int, ...]) -> np.ndarray:
         """d A / d x^alpha at a node by short refreshed transports.
 
-        Re-integrates the construction ODE one step of +delta and one of
-        -delta along each axis from the stored node matrix; centered
+        Re-integrates the construction ODE one step of +REFINE_DELTA and one
+        of -REFINE_DELTA along each axis from the stored node matrix; centered
         difference of the two fresh values.  Returns an array [alpha, i, j].
         """
         pt = self.point_at(index)
@@ -657,8 +651,9 @@ class GridFrame:
         out = np.empty((self.dimension, n, n))
         for alpha, m_fn in enumerate(self.m_functions):
             direction = np.eye(self.dimension)[alpha]
-            plus, minus = _rk4_propagators(m_fn, n, starts, direction, [delta, -delta], 1) @ a
-            out[alpha] = (plus - minus) / (2.0 * delta)
+            steps = [REFINE_DELTA, -REFINE_DELTA]
+            plus, minus = _rk4_propagators(m_fn, n, starts, direction, steps, 1) @ a
+            out[alpha] = (plus - minus) / (2.0 * REFINE_DELTA)
         return out
 
 
@@ -781,8 +776,6 @@ def flat_frame_neighborhood(
     b0=None,
     h: float = DEFAULT_STEP,
     seed: int = 42,
-    gamma_tol: float = GRID_TOL,
-    audit_tol: float = GRID_TOL,
 ) -> GridFrame:
     """Frame with vanishing components on a whole grid; flat connections only.
 
@@ -846,18 +839,18 @@ def flat_frame_neighborhood(
         target = tuple(int(rng.integers(0, s)) for s in shape)
         alt = _polyline_product(forward, backward, base_index, target, reversed(range(n)), b0)
         audit_dev = max(audit_dev, float(np.max(np.abs(alt - values[target]))))
-    if audit_dev > audit_tol:
+    if audit_dev > GRID_TOL:
         raise VerificationError(
-            f"path-independence audit failed (deviation {audit_dev:.3e} > {audit_tol:.1e})"
+            f"path-independence audit failed (deviation {audit_dev:.3e} > {GRID_TOL:.1e})"
         )
 
     # transformed components at every node, in integrated form: carry each
     # node across each lattice edge and compare with the stored endpoint.
     gamma_resid, _ = grid_edge_residual(axes, values, forward)
-    if gamma_resid > gamma_tol:
+    if gamma_resid > GRID_TOL:
         raise VerificationError(
             f"transformed components exceed tolerance on the grid "
-            f"({gamma_resid:.3e} > {gamma_tol:.1e})"
+            f"({gamma_resid:.3e} > {GRID_TOL:.1e})"
         )
 
     degenerate = np.abs(np.linalg.det(values)) <= DEGENERACY_TOL
@@ -897,7 +890,6 @@ def holonomicity_check(
     at=None,
     tol: Optional[float] = None,
     deriv: Optional[Derivation] = None,
-    refine_delta: float = 1e-5,
     seed: int = 42,
     method: str = "refined",
 ) -> HolonomicityVerdict:
@@ -933,9 +925,7 @@ def holonomicity_check(
         return result
 
     if isinstance(transform, GridFrame):
-        return _holonomicity_grid(
-            transform, tol=tol, refine_delta=refine_delta, seed=seed, method=method
-        )
+        return _holonomicity_grid(transform, tol=tol, seed=seed, method=method)
     raise TypeError("expected a SymbolicTransform or a GridFrame")
 
 
@@ -972,7 +962,6 @@ def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, a
 def _holonomicity_grid(
     grid_frame: GridFrame,
     tol: Optional[float],
-    refine_delta: float,
     seed: int,
     method: str = "refined",
 ) -> HolonomicityVerdict:
@@ -1026,7 +1015,7 @@ def _holonomicity_grid(
         chart.symbols,
         [grid_frame.point_at(node) for node in nodes],
     )
-    da = np.stack([grid_frame.partial_derivatives_at(node, delta=refine_delta) for node in nodes])
+    da = np.stack([grid_frame.partial_derivatives_at(node) for node in nodes])
     # E_a(A)_{ij} = B^alpha_a dA_{ij}/dx^alpha
     ea_a = np.einsum("NAa,NAij->Naij", frame_vals[index], da)
     comm = _commutators(a_val, ea_a, anhol_torsion[:, 0])

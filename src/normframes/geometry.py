@@ -23,7 +23,6 @@ from .expr import (
     differentiate,
     evaluate,
     free_symbols,
-    parse_expr,
     simplify,
 )
 
@@ -71,9 +70,6 @@ class Chart:
     def symbol_table(self) -> dict[str, Symbol]:
         return {s.name: s for s in self.symbols}
 
-    def parse(self, source: str) -> Expr:
-        return parse_expr(source, self.symbols)
-
     def point(self, value) -> np.ndarray:
         """Normalize a point given as a sequence or a name->value mapping."""
         if isinstance(value, Mapping):
@@ -108,14 +104,13 @@ def vanishes_on_chart(
     exprs: Iterable[Expr],
     chart: Chart,
     tol: float = IDENTITY_TOL,
-    count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> tuple[bool, float]:
     """Probabilistic identity test: evaluate on the chart's sample cloud.
 
     Returns (verdict, max |value| observed).
     """
-    values = matops.evaluate_points(list(exprs), chart.symbols, chart.sample_points(count, seed))
+    values = matops.evaluate_points(list(exprs), chart.symbols, chart.sample_points(seed=seed))
     worst = float(np.max(np.abs(values), initial=0.0))
     return worst <= tol, worst
 

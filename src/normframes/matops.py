@@ -3,7 +3,9 @@ adjugate inverses and evaluation.
 
 Symbolic matrices are numpy object arrays of :class:`~normframes.expr.Expr`.
 Sums, products and negation are numpy's ``+``, ``@`` and unary ``-``, and
-each result is simplified once with :func:`~normframes.expr.simplify`.
+each result is simplified once with :func:`~normframes.expr.simplify`, a
+single folding pass (:func:`~normframes.expr.substitute` folds as it binds,
+so instantiated templates need no further pass).
 Symbolic inversion uses the adjugate/determinant form and is
 restricted to n <= 4 to keep expression growth bounded; every consumer
 that needs larger frames evaluates numerically per point instead.

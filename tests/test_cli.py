@@ -454,6 +454,29 @@ def test_step_must_be_finite_and_positive(tmp_path, capsys, mode, step):
     assert len(err.strip().splitlines()) == 1 and not out.exists()
 
 
+def test_failed_self_check_exits_1_with_one_line(tmp_path, capsys):
+    # a finite positive but coarse step passes validation and fails the path-independence audit
+    spec = str(SPECS.parent.parent / "benchmarks" / "specs" / "sph3_orthonormal.json")
+    out = tmp_path / "frame.json"
+    capsys.readouterr()
+    argv = ("frame", spec, "flat", "--grid", "3x3x3", "--step", "10", "--out", str(out))
+    assert run(*argv) == EXIT_VERIFY_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("construction failed: path-independence audit failed")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr("normframes.cli.load_manifold_spec", exhausted)
+    capsys.readouterr()
+    assert run("analyze", POLAR, "--at", "r=1,theta=0.5") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # emitter
 

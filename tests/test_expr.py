@@ -367,8 +367,8 @@ def test_substitute_keeps_unbound_subtrees_shared():
     # the shape of a connection's W template entry: Const(0) + G1*X1 + G2*X2
     template = Add(Add(Const(0.0), Mul(gamma, Sym(x1))), Mul(Neg(gamma), Sym(x2)))
     out = substitute(template, {x1: Sym(THETA), x2: Const(2.0)})
-    assert out == Add(Add(Const(0.0), Mul(gamma, Sym(THETA))), Mul(Neg(gamma), Const(2.0)))
-    assert out.left.right.left is gamma
+    assert out == Add(Mul(gamma, Sym(THETA)), Mul(Neg(gamma), Const(2.0)))
+    assert out.left.left is gamma
     assert out.right.left is template.right.left
 
 

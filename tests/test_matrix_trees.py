@@ -73,7 +73,8 @@ def ref_neg(a):
 def assert_same_trees(got, want):
     assert got.shape == want.shape and got.dtype == object
     for idx in np.ndindex(want.shape):
-        assert got[idx] == want[idx], idx
+        # repr, not ==: Const(-0.0) == Const(0.0), and a flipped zero sign shows in reports
+        assert repr(got[idx]) == repr(want[idx]), idx
 
 
 def affine_transform(frame, seed: int) -> SymbolicTransform:

@@ -1,0 +1,136 @@
+"""The one rewrite walk: ``simplify`` and ``substitute`` are each a single
+``_fold`` pass.
+
+The reference code below is the former form: ``ref_subst`` rebuilt the
+tree around the bound values without folding, and ``ref_simplify`` repeated
+fold passes until one changed nothing.  Trees are compared by ``repr``, not
+``==``: ``Const(-0.0) == Const(0.0)``, so ``==`` cannot see a flipped zero
+sign, and a flipped sign shows in report tables.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normframes.cli import load_manifold_spec
+from normframes.curvature import _probe_pairs
+from normframes.derivation import w_of
+from normframes.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Sym,
+    _fold,
+    component_symbols,
+    coordinate_symbols,
+    frame_derivative_symbol,
+    simplify,
+    substitute,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(
+    (ROOT / "benchmarks" / "specs").glob("*.json")
+)
+
+R, THETA = coordinate_symbols(("r", "theta"))
+PLACEHOLDERS = component_symbols(2) + (frame_derivative_symbol(1, 2), frame_derivative_symbol(2, 1))
+
+
+def ref_subst(e, bindings):
+    """The bound symbols replaced, nothing folded; a subtree with nothing to
+    bind is returned as the same object."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Sym):
+        return bindings.get(e.symbol, e)
+    if isinstance(e, (Neg, Call)):
+        arg = ref_subst(e.arg, bindings)
+        if arg is e.arg:
+            return e
+        return Neg(arg) if isinstance(e, Neg) else Call(e.func, arg)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = ref_subst(e.left, bindings), ref_subst(e.right, bindings)
+        return e if left is e.left and right is e.right else type(e)(left, right)
+    base, expo = ref_subst(e.base, bindings), ref_subst(e.exponent, bindings)
+    return e if base is e.base and expo is e.exponent else Pow(base, expo)
+
+
+def ref_simplify(e):
+    """Fold passes until one changes nothing."""
+    for _ in range(1000):
+        nxt = _fold(e, {})
+        if nxt is e:
+            return e
+        e = nxt
+    raise AssertionError("no fixed point after 1000 fold passes")
+
+
+def assert_same_tree(got, want):
+    assert repr(got) == repr(want)
+
+
+_constants = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0]).map(Const)
+_coordinates = st.sampled_from([Sym(R), Sym(THETA)])
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, children),
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        # the structural cancellations x-x, x+(-x) and (-x)+x
+        children.map(lambda a: Sub(a, a)),
+        children.map(lambda a: Add(a, Neg(a))),
+        children.map(lambda a: Add(Neg(a), a)),
+    )
+
+
+_coordinate_trees = st.recursive(st.one_of(_constants, _coordinates), _extend, max_leaves=12)
+_templates = st.recursive(
+    st.one_of(_constants, _coordinates, st.sampled_from([Sym(s) for s in PLACEHOLDERS])),
+    _extend,
+    max_leaves=16,
+)
+_bindings = st.dictionaries(st.sampled_from(PLACEHOLDERS), _coordinate_trees)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_templates)
+def test_one_pass_is_the_fixed_point(tree):
+    once = simplify(tree)
+    assert_same_tree(once, ref_simplify(tree))
+    assert simplify(once) is once
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_templates, _bindings)
+def test_substitute_folds_as_it_binds(template, bindings):
+    assert_same_tree(substitute(template, bindings), ref_simplify(ref_subst(template, bindings)))
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
+def test_w_templates_instantiate_as_before(path):
+    deriv = load_manifold_spec(str(path)).deriv
+    frame = deriv.frame
+    template = deriv.w_template
+    for x in [f for pair in _probe_pairs(frame, 42) for f in pair]:
+        bindings = dict(zip(component_symbols(frame.dimension), x.components))
+        for s, i, j in deriv._template_derivatives:
+            bindings[s] = frame.frame_derivative(j, x.components[i])
+        got = w_of(deriv, x).components
+        for idx in np.ndindex(template.shape):
+            assert_same_tree(got[idx], ref_simplify(ref_subst(template[idx], bindings)))

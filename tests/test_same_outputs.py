@@ -1,0 +1,32 @@
+"""tools/same_outputs.py: byte-identity of CLI results between two source trees."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_same_source_gives_same_outputs_on_one_demo_spec():
+    tool = load_tool()
+    group = tool.demo_runs(tool.DEMO_SPECS / "zero_connection.json")
+    # analyze, then a frame and its verify for the connection point, the one field and the grid
+    assert [argv[0] for argv in group] == ["analyze"] + ["frame", "verify"] * 3
+    assert tool.compare(tool.SRC, [group]) == []
+
+
+def test_every_differing_part_is_reported():
+    tool = load_tool()
+    group = [("analyze", "spec.json", "--out", "a.json")]
+    same = [(0, b"", b"", b"{}")]
+    assert tool.mismatches(group, same, same) == []
+    changed = [(1, b"x", b"y", None)]
+    assert tool.mismatches(group, same, changed) == [
+        f"analyze spec.json --out a.json: {part} differs" for part in tool.PARTS
+    ]

@@ -1,0 +1,100 @@
+"""Check that two source trees give byte-identical CLI results.
+
+    python tools/same_outputs.py PARENT_SRC
+
+Runs every op of ``benchmarks/workloads.build_ops`` at seeds 3, 5 and 7,
+plus ``analyze``, ``frame ... point`` (the connection form and each spec
+field), ``frame ... flat`` and a ``verify`` of each frame file on every
+demo spec.  Each op runs as a fresh ``python -m normframes.cli``, once with
+``PARENT_SRC`` and once with this checkout's ``src/`` on ``PYTHONPATH``.
+The ops of one group share a new empty directory per side, so ``verify``
+reads the frame file its group wrote.  Exit code, stdout, stderr and the
+bytes of the ``--out`` file must match.  Prints each mismatch and exits 1
+if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEMO_SPECS = ROOT / "demos" / "specs"
+SEEDS = (3, 5, 7)
+PARTS = ("exit code", "stdout", "stderr", "output file")
+
+sys.path.insert(0, str(ROOT / "benchmarks"))
+_dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import workloads  # noqa: E402  (no bytecode cache: nothing is left behind under benchmarks/)
+sys.dont_write_bytecode = _dont_write_bytecode
+
+
+def benchmark_groups() -> list:
+    return [[op.argv for op in workloads.build_ops(name, seed)]
+            for name in workloads.WORKLOADS for seed in SEEDS]
+
+
+def demo_runs(spec: Path) -> list:
+    """analyze, point and flat frames, and their verify, at the centre of the domain box."""
+    doc = json.loads(spec.read_text())
+    coords, path = doc["coordinates"], str(spec)
+    centre = ",".join(f"{c}={(lo + hi) / 2.0!r}" for c, (lo, hi) in zip(coords, doc["domain"]))
+    modes = ([("point", "--at", centre)]
+             + [("point", "--at", centre, "--field", name) for name in doc.get("fields", {})]
+             + [("flat", "--grid", "x".join(["5"] * len(coords)))])
+    runs = [("analyze", path, "--at", centre, "--out", "analysis.json")]
+    for k, mode in enumerate(modes):
+        runs.append(("frame", path, *mode, "--out", f"frame{k}.json"))
+        runs.append(("verify", path, f"frame{k}.json", "--out", f"verify{k}.json"))
+    return runs
+
+
+def run_group(src: Path, group: list) -> list:
+    """(exit code, stdout, stderr, output bytes or None) of each op, in order."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in group:
+            proc = subprocess.run([sys.executable, "-m", "normframes.cli", *argv],
+                                  cwd=tmp, env=env, capture_output=True)
+            out = Path(tmp, argv[argv.index("--out") + 1])
+            results.append((proc.returncode, proc.stdout, proc.stderr,
+                            out.read_bytes() if out.exists() else None))
+    return results
+
+
+def mismatches(group: list, left: list, right: list) -> list:
+    return [f"{' '.join(argv)}: {part} differs"
+            for argv, a, b in zip(group, left, right)
+            for part, x, y in zip(PARTS, a, b) if x != y]
+
+
+def compare(parent_src: Path, groups: list) -> list:
+    problems = []
+    for group in groups:
+        problems += mismatches(group, run_group(parent_src, group), run_group(SRC, group))
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path, help="the src/ directory to compare against")
+    args = parser.parse_args(argv)
+    if not (args.parent_src / "normframes" / "cli.py").is_file():
+        parser.error(f"{args.parent_src} holds no normframes package")
+    groups = benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
+    problems = compare(args.parent_src.resolve(), groups)
+    for line in problems:
+        print(line)
+    print(f"{sum(map(len, groups))} op runs, {len(problems)} mismatches")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
