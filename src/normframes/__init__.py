@@ -69,12 +69,15 @@ from .derivation import (
 from .curvature import (
     IntegrabilityReport,
     Verdict,
+    curvature_forms,
     curvature_matrix,
     curvature_operator_oracle,
     curvature_tensor,
     integrability_residual,
     is_flat,
     is_torsion_free,
+    sampled_verdict,
+    torsion_forms,
     torsion_operator_oracle,
     torsion_tensor,
     torsion_vector,

@@ -42,14 +42,7 @@ from .derivation import (
     linearity_probe,
     template_symbols,
 )
-from .curvature import (
-    curvature_matrix,
-    curvature_tensor,
-    is_flat,
-    is_torsion_free,
-    torsion_tensor,
-    torsion_vector,
-)
+from .curvature import curvature_forms, sampled_verdict, torsion_forms
 from .frames import (
     DEFAULT_STEP,
     ConstructionError,
@@ -358,28 +351,26 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
 
     anhol = frame.anholonomy()
     tables: dict = {"anholonomy": anhol.evaluate_at(at)}
+    # built once: the tables read the frame-pair forms, the verdicts sample all of them
+    curvature = list(curvature_forms(deriv, seed))
+    torsion = list(torsion_forms(deriv, seed))
     if isinstance(deriv, Connection):
-        tables["curvature_tensor"] = curvature_tensor(deriv).evaluate_at(at)
-        tables["torsion_tensor"] = torsion_tensor(deriv).evaluate_at(at)
+        tables["curvature_tensor"] = curvature[0].evaluate_at(at)
+        tables["torsion_tensor"] = torsion[0].evaluate_at(at)
         tables["connection"] = deriv.gamma_at(at)
     else:
         assignment = chart.assignment(at)
-        pair_curv = {}
-        pair_tors = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                label = f"E{i + 1},E{j + 1}"
-                ei = frame.coordinate_vector(i)
-                ej = frame.coordinate_vector(j)
-                pair_curv[label] = curvature_matrix(deriv, ei, ej).evaluate_at(at)
-                pair_tors[label] = [
-                    evaluate(c, assignment) for c in torsion_vector(deriv, ei, ej).components
-                ]
-        tables["curvature_matrix"] = pair_curv
-        tables["torsion_vector"] = pair_tors
+        labels = [f"E{i + 1},E{j + 1}" for i in range(n) for j in range(i + 1, n)]
+        tables["curvature_matrix"] = {
+            label: form.evaluate_at(at) for label, form in zip(labels, curvature)
+        }
+        tables["torsion_vector"] = {
+            label: [evaluate(c, assignment) for c in form.components]
+            for label, form in zip(labels, torsion)
+        }
 
-    flat = is_flat(deriv, seed=seed)
-    tfree = is_torsion_free(deriv, seed=seed)
+    flat = sampled_verdict(curvature, chart, seed)
+    tfree = sampled_verdict(torsion, chart, seed)
     linear = linearity_probe(deriv, at, seed=seed)
     verdicts = {
         "flat": _verdict_dict(flat),

@@ -212,11 +212,34 @@ def _probe_pairs(frame: FrameField, seed: int) -> list[tuple[VectorField, Vector
     return pairs
 
 
-def _identity_verdict(forms, deriv: Derivation, seed: int, tol: float) -> Verdict:
-    """Largest |value| of the forms (iterables of Exprs) over the sample
-    cloud.  Each form gets one compiled evaluation; taking them one at a
-    time keeps only one form's trees and code alive."""
-    worst = max(vanishes_on_chart(form, deriv.chart, tol=tol, seed=seed)[1] for form in forms)
+def curvature_forms(deriv: Derivation, seed: int = VERDICT_SEED):
+    """The curvature forms :func:`is_flat` tests, built one at a time: the
+    curvature tensor of a connection; otherwise the curvature matrix of each
+    probe pair, the frame pairs (E_i, E_j), i < j, first."""
+    if isinstance(deriv, Connection):
+        yield curvature_tensor(deriv)
+        return
+    for x, y in _probe_pairs(deriv.frame, seed):
+        yield curvature_matrix(deriv, x, y)
+
+
+def torsion_forms(deriv: Derivation, seed: int = VERDICT_SEED):
+    """The torsion forms :func:`is_torsion_free` tests, in the order of
+    :func:`curvature_forms`: the torsion tensor of a connection, otherwise
+    the torsion vector of each probe pair."""
+    if isinstance(deriv, Connection):
+        yield torsion_tensor(deriv)
+        return
+    for x, y in _probe_pairs(deriv.frame, seed):
+        yield torsion_vector(deriv, x, y)
+
+
+def sampled_verdict(forms, chart, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
+    """Largest |component| of the forms (tensor or vector fields) over the
+    chart's sample cloud.  Each form gets one compiled evaluation; given one
+    at a time, only one form's trees and code stay alive."""
+    worst = max(vanishes_on_chart(np.ravel(form.components), chart, tol=tol, seed=seed)[1]
+                for form in forms)
     return Verdict(worst <= tol, worst, tol)
 
 
@@ -226,20 +249,10 @@ def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_T
     Connections test the full tensor; other variants probe the matrix form
     over a deterministic family of field pairs.
     """
-    if isinstance(deriv, Connection):
-        forms = [curvature_tensor(deriv).components.flat]
-    else:
-        pairs = _probe_pairs(deriv.frame, seed)
-        forms = (curvature_matrix(deriv, x, y).components.flat for x, y in pairs)
-    return _identity_verdict(forms, deriv, seed, tol)
+    return sampled_verdict(curvature_forms(deriv, seed), deriv.chart, seed, tol)
 
 
 def is_torsion_free(
     deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL
 ) -> Verdict:
-    if isinstance(deriv, Connection):
-        forms = [torsion_tensor(deriv).components.flat]
-    else:
-        pairs = _probe_pairs(deriv.frame, seed)
-        forms = (torsion_vector(deriv, x, y).components for x, y in pairs)
-    return _identity_verdict(forms, deriv, seed, tol)
+    return sampled_verdict(torsion_forms(deriv, seed), deriv.chart, seed, tol)

@@ -223,8 +223,10 @@ def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     if x.frame is not frame:
         raise ValueError("vector field must be given in the derivation's frame")
     bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
-    for s, i, j in deriv._template_derivatives:
-        bindings[s] = frame.frame_derivative(j, x.components[i])
+    slots = deriv._template_derivatives
+    if slots:
+        dx = frame.frame_derivatives(np.array(x.components, dtype=object))  # dx[j, i] = E_j(X^i)
+        bindings.update((s, dx[j, i]) for s, i, j in slots)
     return TensorField(frame, 1, 1, substitute(deriv.w_template, bindings))
 
 
@@ -324,7 +326,7 @@ def transform_connection(deriv: Connection, transform: SymbolicTransform) -> Con
     a = transform.entries
     ainv = transform.inverse_entries()
     # E_k(A^i_{j'}) precomputed, as [k][i][j']
-    ek_a = np.stack([frame.frame_derivative(k, a) for k in range(n)])
+    ek_a = frame.frame_derivatives(a)
     gamma = np.empty((n, n, n), dtype=object)
     for ip in range(n):
         for jp in range(n):

@@ -2,8 +2,12 @@
 
 Every component function in this library (frame matrices, connection
 coefficients, templates) is an :class:`Expr` over a declared set of
-:class:`Symbol` objects.  Expressions are immutable trees; all operations
-here are pure functions, so concurrent read access is safe.
+:class:`Symbol` objects.  Expressions are immutable trees that may share
+subtrees: one node object can be a child of many parents.  Folding,
+differentiation, free symbols and compilation visit each distinct node once;
+the first two through a memo keyed by node identity that lives for one public
+call.  All operations here are pure functions, so concurrent read access is
+safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -229,6 +233,8 @@ class Call(Expr):
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
 
 def neg(e: Expr) -> Expr:
     """Negation, folding negated constants so printing stays a bijection."""
@@ -260,24 +266,31 @@ cosh = _make_call_builder("cosh")
 
 
 def _children(e: Expr) -> tuple:
-    if isinstance(e, (Neg, Call)):
-        return (e.arg,)
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    kind = type(e)
+    if kind in _BINARY_OPS:
         return (e.left, e.right)
-    if isinstance(e, Pow):
+    if kind is Neg or kind is Call:
+        return (e.arg,)
+    if kind is Pow:
         return (e.base, e.exponent)
     return ()
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:
+    """The symbols ``e`` uses; each distinct node is visited once."""
+    if isinstance(e, Sym):
+        return frozenset((e.symbol,))
     out: set[Symbol] = set()
+    seen: set[int] = set()
     stack = [e]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            out.add(node.symbol)
-        else:
-            stack.extend(_children(node))
+        for child in _children(stack.pop()):
+            kind = type(child)
+            if kind is Sym:
+                out.add(child.symbol)
+            elif kind is not Const and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
     return frozenset(out)
 
 
@@ -449,10 +462,12 @@ class _Parser:
 
 
 # Longest root-to-leaf path, in nodes, that parse_expr accepts.  Every tree
-# walk recurses per level, and derived trees (W templates, frame derivatives,
-# curvature) are deeper than their inputs.  Under the CLI, at Python's default
-# recursion limit, a sum of terms first overflows at depth 485 in a template
-# entry, 490 in a connection entry and 492 in a frame entry.
+# walk recurses with one stack frame per level (the folding rules' `==` with
+# about three), and derived trees (W templates, frame derivatives, curvature)
+# are a few levels deeper than their inputs.  Under the CLI, at Python's default recursion limit, a sum of terms
+# first overflows at depth 983 in a template entry, 985 in a connection entry
+# and 984 in a frame entry under `analyze` (979, 981 and 978 under `frame ...
+# flat`).
 MAX_DEPTH = 400
 
 
@@ -543,57 +558,70 @@ def to_source(e: Expr) -> str:
 def differentiate(e, s: Symbol):
     """Partial derivative of ``e`` with respect to the coordinate symbol ``s``.
 
-    ``e`` is an Expr or an object array of them, differentiated entry by entry.
+    ``e`` is an Expr or an object array of them, differentiated entry by
+    entry; each distinct node is differentiated once per call.
     """
     if s.kind != COORDINATE:
         raise ValueError(f"can only differentiate along coordinate symbols, got {s.kind}")
     return _entrywise(_diff, e, s)
 
 
-def _diff(e: Expr, s: Symbol) -> Expr:
-    if isinstance(e, Const):
+def _diff(e: Expr, s: Symbol, memo: dict) -> Expr:
+    """d e / d s, recorded in ``memo`` (node id -> derivative) so a subtree
+    that occurs many times is differentiated once; its copies share the
+    result."""
+    kind = type(e)
+    if kind is Const:
         return ZERO
-    if isinstance(e, Sym):
+    if kind is Sym:
         return ONE if e.symbol == s else ZERO
+    key = id(e)
+    out = memo.get(key)
+    if out is None:
+        if kind in _BINARY_OPS:
+            out = _derivative(e, _diff(e.left, s, memo), _diff(e.right, s, memo))
+        elif kind is Neg or kind is Call:
+            out = _derivative(e, _diff(e.arg, s, memo), None)
+        elif kind is Pow:
+            out = _derivative(e, _diff(e.base, s, memo), _diff(e.exponent, s, memo))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[key] = out
+    return out
+
+
+def _derivative(e: Expr, da: Expr, db) -> Expr:
+    """The derivative of the composite node ``e``, given those of its
+    children (``db`` is None for one child)."""
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, s))
+        return Neg(da)
     if isinstance(e, Add):
-        return Add(_diff(e.left, s), _diff(e.right, s))
+        return Add(da, db)
     if isinstance(e, Sub):
-        return Sub(_diff(e.left, s), _diff(e.right, s))
+        return Sub(da, db)
     if isinstance(e, Mul):
-        return Add(Mul(_diff(e.left, s), e.right), Mul(e.left, _diff(e.right, s)))
+        return Add(Mul(da, e.right), Mul(e.left, db))
     if isinstance(e, Div):
-        num = Sub(Mul(_diff(e.left, s), e.right), Mul(e.left, _diff(e.right, s)))
+        num = Sub(Mul(da, e.right), Mul(e.left, db))
         return Div(num, Pow(e.right, Const(2.0)))
     if isinstance(e, Pow):
         base, expo = e.base, e.exponent
         if isinstance(expo, Const):
-            return Mul(
-                Mul(expo, Pow(base, Const(expo.value - 1.0))),
-                _diff(base, s),
-            )
+            return Mul(Mul(expo, Pow(base, Const(expo.value - 1.0))), da)
         # general u^v: u^v * (v' log u + v u'/u)
-        du, dv = _diff(base, s), _diff(expo, s)
-        return Mul(
-            e,
-            Add(Mul(dv, Call("log", base)), Mul(expo, Div(du, base))),
-        )
-    if isinstance(e, Call):
-        inner = _diff(e.arg, s)
-        u = e.arg
-        outer = {
-            "sin": lambda: Call("cos", u),
-            "cos": lambda: Neg(Call("sin", u)),
-            "tan": lambda: Div(ONE, Pow(Call("cos", u), Const(2.0))),
-            "exp": lambda: Call("exp", u),
-            "log": lambda: Div(ONE, u),
-            "sqrt": lambda: Div(ONE, Mul(Const(2.0), Call("sqrt", u))),
-            "sinh": lambda: Call("cosh", u),
-            "cosh": lambda: Call("sinh", u),
-        }[e.func]()
-        return Mul(outer, inner)
-    raise TypeError(f"not an Expr: {e!r}")
+        return Mul(e, Add(Mul(db, Call("log", base)), Mul(expo, Div(da, base))))
+    u = e.arg
+    outer = {
+        "sin": lambda: Call("cos", u),
+        "cos": lambda: Neg(Call("sin", u)),
+        "tan": lambda: Div(ONE, Pow(Call("cos", u), Const(2.0))),
+        "exp": lambda: Call("exp", u),
+        "log": lambda: Div(ONE, u),
+        "sqrt": lambda: Div(ONE, Mul(Const(2.0), Call("sqrt", u))),
+        "sinh": lambda: Call("cosh", u),
+        "cosh": lambda: Call("sinh", u),
+    }[e.func]()
+    return Mul(outer, da)
 
 
 def _normalize_assignment(assignment: Mapping) -> dict[str, float]:
@@ -666,31 +694,51 @@ def _eval(e: Expr, values: dict[str, float]) -> float:
 # changing evaluation behavior.
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
+def _is_const(e: Expr, value: float) -> bool:
+    return type(e) is Const and e.value == value
 
 
-def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
+def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
     """The one rewrite walk: a single bottom-up pass that replaces each bound
     symbol by its value (already folded) and applies the rules above.
 
     One pass is the fixed point.  Every rule returns a folded child, a
     constant, or a node whose children are folded and on which no rule fires;
     folding any of these again changes nothing.  Returns ``e`` itself when
-    nothing changes anywhere in it, so such subtrees stay shared."""
-    if isinstance(e, Const):
+    nothing changes anywhere in it, so such subtrees stay shared.  ``memo``
+    (node id -> folded node) lives for one public call, so a subtree that
+    occurs many times is folded once and its copies share the result."""
+    kind = type(e)
+    if kind is Const:
         return e
-    if isinstance(e, Sym):
+    if kind is Sym:
         return bindings.get(e.symbol, e) if bindings else e
-    if isinstance(e, Neg):
-        arg = _fold(e.arg, bindings)
-        if isinstance(arg, Const):
-            return Const(-arg.value)
-        if isinstance(arg, Neg):
-            return arg.arg
-        return e if arg is e.arg else Neg(arg)
-    if isinstance(e, Add):
-        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
+    key = id(e)
+    out = memo.get(key)
+    if out is None:
+        if kind in _BINARY_OPS:
+            out = _rewrite(e, _fold(e.left, bindings, memo), _fold(e.right, bindings, memo))
+        elif kind is Neg or kind is Call:
+            out = _rewrite(e, _fold(e.arg, bindings, memo), None)
+        elif kind is Pow:
+            out = _rewrite(e, _fold(e.base, bindings, memo), _fold(e.exponent, bindings, memo))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[key] = out
+    return out
+
+
+def _rewrite(e: Expr, left: Expr, right) -> Expr:
+    """The rules at the composite node ``e`` whose children are already
+    folded to ``left`` and ``right`` (None for one child)."""
+    kind = type(e)
+    if kind is Neg:
+        if isinstance(left, Const):
+            return Const(-left.value)
+        if isinstance(left, Neg):
+            return left.arg
+        return e if left is e.arg else Neg(left)
+    if kind is Add:
         if _is_const(left, 0.0):
             return right
         if _is_const(right, 0.0):
@@ -702,8 +750,7 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         if isinstance(left, Neg) and left.arg == right:
             return ZERO
         return e if left is e.left and right is e.right else Add(left, right)
-    if isinstance(e, Sub):
-        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
+    if kind is Sub:
         if _is_const(right, 0.0):
             return left
         if _is_const(left, 0.0):
@@ -713,8 +760,7 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         if left == right:
             return ZERO
         return e if left is e.left and right is e.right else Sub(left, right)
-    if isinstance(e, Mul):
-        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
+    if kind is Mul:
         if _is_const(left, 0.0) or _is_const(right, 0.0):
             return ZERO
         if _is_const(left, 1.0):
@@ -724,8 +770,7 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         if isinstance(left, Const) and isinstance(right, Const):
             return Const(left.value * right.value)
         return e if left is e.left and right is e.right else Mul(left, right)
-    if isinstance(e, Div):
-        left, right = _fold(e.left, bindings), _fold(e.right, bindings)
+    if kind is Div:
         if _is_const(right, 1.0):
             return left
         if _is_const(left, 0.0) and not _is_const(right, 0.0):
@@ -733,8 +778,8 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
             return Const(left.value / right.value)
         return e if left is e.left and right is e.right else Div(left, right)
-    if isinstance(e, Pow):
-        base, expo = _fold(e.base, bindings), _fold(e.exponent, bindings)
+    if kind is Pow:
+        base, expo = left, right
         if _is_const(expo, 1.0):
             return base
         if _is_const(expo, 0.0):
@@ -747,29 +792,28 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
             if math.isfinite(value):
                 return Const(value)
         return e if base is e.base and expo is e.exponent else Pow(base, expo)
-    if isinstance(e, Call):
-        arg = _fold(e.arg, bindings)
-        if isinstance(arg, Const):
-            try:
-                value = _MATH_FUNCS[e.func](arg.value)
-            except (ValueError, OverflowError):
-                value = math.inf
-            if math.isfinite(value):
-                return Const(value)
-        return e if arg is e.arg else Call(e.func, arg)
-    raise TypeError(f"not an Expr: {e!r}")
+    if isinstance(left, Const):
+        try:
+            value = _MATH_FUNCS[e.func](left.value)
+        except (ValueError, OverflowError):
+            value = math.inf
+        if math.isfinite(value):
+            return Const(value)
+    return e if left is e.arg else Call(e.func, left)
 
 
-def _entrywise(fn, e, arg):
-    """``fn(e, arg)``, or, for an object array ``e``, ``fn`` applied entry by
-    entry into an array of the same shape.  A loop, not np.vectorize: numpy
-    would report the IEEE flags that a failed constant fold (say sqrt(-1))
-    leaves set as RuntimeWarnings."""
+def _entrywise(fn, e, arg, memo=None):
+    """``fn(e, arg, memo)``, or, for an object array ``e``, ``fn`` applied
+    entry by entry into an array of the same shape.  One memo (a new one
+    unless given) serves every entry and is dropped on return.  A loop, not
+    np.vectorize: numpy would report the IEEE flags that a failed constant
+    fold (say sqrt(-1)) leaves set as RuntimeWarnings."""
+    memo = {} if memo is None else memo
     if not isinstance(e, np.ndarray):
-        return fn(e, arg)
+        return fn(e, arg, memo)
     out = np.empty(e.shape, dtype=object)
     for idx in np.ndindex(e.shape):
-        out[idx] = fn(e[idx], arg)
+        out[idx] = fn(e[idx], arg, memo)
     return out
 
 
@@ -805,7 +849,11 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
                 raise UnknownSymbolError(
                     f"binding for {key.name!r} introduces non-coordinate symbol {free.name!r}"
                 )
-    return _entrywise(_fold, e, {key: _fold(val, {}) for key, val in bindings.items()})
+    # binding values are coordinate-only, so their folds are the same with or
+    # without the bindings and the template walk can share their memo
+    memo: dict = {}
+    folded = {key: _fold(val, {}, memo) for key, val in bindings.items()}
+    return _entrywise(_fold, e, folded, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -816,38 +864,68 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
 # into a temporary, which keeps the evaluation order and so the values.
 MAX_NESTING = 50
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+def _shared_nodes(e: Expr) -> dict:
+    """``{id: None}`` for each composite node that occurs more than once in
+    ``e``; each distinct node is visited once."""
+    seen: set[int] = set()
+    shared: dict = {}
+    stack = [e]
+    while stack:
+        for child in _children(stack.pop()):
+            kind, key = type(child), id(child)
+            if kind is Const or kind is Sym:
+                continue
+            if key in seen:
+                shared[key] = None
+            else:
+                seen.add(key)
+                stack.append(child)
+    return shared
 
 
-def _pysource(e: Expr, names: dict[str, str], temps: list[str]) -> tuple[str, int]:
+def _pysource(e: Expr, names: dict[str, str], temps: list[str], shared: dict) -> tuple[str, int]:
     """Python source of ``e`` and its parenthesis depth, appending hoisted
-    subtrees to ``temps`` (referenced as ``_t0``, ``_t1``, ...)."""
-    if isinstance(e, Const):
+    subtrees to ``temps`` (referenced as ``_t0``, ``_t1``, ...).  A node in
+    ``shared`` is emitted once, as a temporary whose name ``shared`` then
+    holds; each of its occurrences reads that temporary."""
+    kind = type(e)
+    if kind is Const:
         return repr(e.value), 0
-    if isinstance(e, Sym):
+    if kind is Sym:
         try:
             return names[e.symbol.name], 0
         except KeyError:
             raise MissingSymbolError(
                 f"symbol {e.symbol.name!r} is not part of the compilation signature"
             ) from None
-    if isinstance(e, Neg):
+    key = id(e)
+    name = shared.get(key)
+    if name is not None:
+        return name, 0
+    if kind in _BINARY_OPS:
+        children, template = (e.left, e.right), "({}" + _BINARY_OPS[kind] + "{})"
+    elif kind is Neg:
         children, template = (e.arg,), "(-{})"
-    elif type(e) in _BINARY_OPS:
-        children, template = (e.left, e.right), "({}" + _BINARY_OPS[type(e)] + "{})"
-    elif isinstance(e, Pow):
+    elif kind is Pow:
         children, template = (e.base, e.exponent), "_pow({},{})"
-    elif isinstance(e, Call):
+    elif kind is Call:
         children, template = (e.arg,), "_" + e.func + "({})"
     else:
         raise TypeError(f"not an Expr: {e!r}")
-    parts = [_pysource(child, names, temps) for child in children]
-    text = template.format(*(source for source, _ in parts))
-    depth = 1 + max(d for _, d in parts)
-    if depth < MAX_NESTING:
+    texts, depth = [], 0
+    for child in children:
+        text, child_depth = _pysource(child, names, temps, shared)
+        texts.append(text)
+        depth = max(depth, child_depth + 1)
+    text = template.format(*texts)
+    if depth < MAX_NESTING and key not in shared:
         return text, depth
     temps.append(text)
-    return f"_t{len(temps) - 1}", 0
+    name = f"_t{len(temps) - 1}"
+    if key in shared:
+        shared[key] = name
+    return name, 0
 
 
 def compile_exprs(exprs, symbols: Iterable[Symbol]):
@@ -868,7 +946,7 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
     namespace = {"_pow": np.power, **{f"_{name}": getattr(np, name) for name in FUNCTIONS}}
     for i, e in enumerate(exprs):
         temps: list[str] = []
-        result, _ = _pysource(e, names, temps)
+        result, _ = _pysource(e, names, temps, _shared_nodes(e))
         hoisted = "".join(f"    _t{k} = {text}\n" for k, text in enumerate(temps))
         # one exec per expression: the compiler's memory grows with the source it is given
         exec(f"def _e{i}({args}):\n{hoisted}    return {result}\n", namespace)  # noqa: S102

@@ -47,6 +47,10 @@ ZERO_FIELD_TOL = 1e-12
 INTEGRAL_CURVE_TOL = 1e-6  # max |curve velocity - field| at a curve node
 REFINE_DELTA = 1e-5  # coordinate step of the refreshed transports behind grid holonomicity
 SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
+# Transport budget of one grid or curve frame, checked before anything is
+# allocated: grid nodes times the RK4 sub-steps of one edge along each axis
+# (GridSpec.rk4_steps), or curve nodes (CurveSpec.node_count).
+MAX_RK4_STEPS = 1_000_000
 
 
 class ConstructionError(Exception):
@@ -390,6 +394,11 @@ def _step_counts(lengths: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(1, np.ceil(np.abs(lengths) / h - 1e-12)).astype(int)
 
 
+def _require_budget(steps: float, what: str) -> None:
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(f"{what} needs {steps:.4g} RK4 steps, over the budget of {MAX_RK4_STEPS}")
+
+
 def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndarray:
     """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for many
     straight segments at once.
@@ -458,11 +467,21 @@ class CurveSpec:
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
 
-    def node_values(self) -> np.ndarray:
+    def _steps_each_side(self) -> tuple[float, float]:
         lo, hi = self.interval
-        k_min = -int(math.floor((self.s0 - lo) / self.step + 1e-9))
-        k_max = int(math.floor((hi - self.s0) / self.step + 1e-9))
-        return self.s0 + self.step * np.arange(k_min, k_max + 1)
+        return (self.s0 - lo) / self.step + 1e-9, (hi - self.s0) / self.step + 1e-9
+
+    def node_count(self) -> float:
+        """How many values :meth:`node_values` holds, counted without
+        building them (inf when too many to count)."""
+        below, above = self._steps_each_side()
+        if not max(below, above) < 2.0**53:
+            return math.inf
+        return float(math.floor(below) + math.floor(above) + 1)
+
+    def node_values(self) -> np.ndarray:
+        below, above = self._steps_each_side()
+        return self.s0 + self.step * np.arange(-math.floor(below), math.floor(above) + 1)
 
     def point_at(self, s: float) -> np.ndarray:
         assignment = {self.parameter.name: s}
@@ -507,6 +526,7 @@ def transport_along_curve(
     if b0.shape != (n, n) or abs(np.linalg.det(b0)) <= DEGENERACY_TOL:
         raise ValueError("initial matrix must be square and invertible")
 
+    _require_budget(curve.node_count(), f"a curve at step {curve.step!r}")
     s_values = curve.node_values()
     points = compile_exprs(curve.exprs, [curve.parameter])(s_values).T
     lo, hi = np.array(chart.domain).T
@@ -592,7 +612,7 @@ class GridSpec:
     base_index: Optional[tuple[int, ...]] = None
     box: Optional[tuple[tuple[float, float], ...]] = None
 
-    def axes(self, chart: Chart) -> list[np.ndarray]:
+    def _box(self, chart: Chart) -> tuple[tuple[float, float], ...]:
         if len(self.counts) != chart.dimension:
             raise ValueError("one node count per axis is required")
         if any(c < 2 for c in self.counts):
@@ -601,7 +621,21 @@ class GridSpec:
         for (lo, hi), (clo, chi) in zip(box, chart.domain):
             if lo < clo - 1e-12 or hi > chi + 1e-12:
                 raise ValueError("grid box must sit inside the chart domain")
-        return [np.linspace(lo, hi, c) for (lo, hi), c in zip(box, self.counts)]
+        return box
+
+    def axes(self, chart: Chart) -> list[np.ndarray]:
+        return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self._box(chart), self.counts)]
+
+    def rk4_steps(self, chart: Chart, h: float) -> float:
+        """Nodes times the RK4 sub-steps at step ``h`` of one edge along each
+        axis, counted without building the lattice (inf when too many to
+        count): the work of the forward transport."""
+        box = self._box(chart)
+        nodes = math.prod(self.counts)
+        per_edge = [abs(hi - lo) / (c - 1) / h - 1e-12 for (lo, hi), c in zip(box, self.counts)]
+        if not max(nodes, *per_edge) < 2.0**53:
+            return math.inf
+        return float(nodes * sum(max(1, math.ceil(e)) for e in per_edge))
 
     def base(self) -> tuple[int, ...]:
         base = tuple(0 for _ in self.counts) if self.base_index is None else tuple(self.base_index)
@@ -788,6 +822,8 @@ def flat_frame_neighborhood(
         raise ValueError(f"step must be finite and positive, got {h!r}")
     chart = deriv.chart
     n = deriv.frame.dimension
+    counts = "x".join(str(c) for c in grid.counts)
+    _require_budget(grid.rk4_steps(chart, h), f"a {counts} grid at step {h!r}")
 
     flat = is_flat(deriv)
     if not flat:
@@ -946,7 +982,7 @@ def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
     """A(at) and the commutators of the transformed frame of a symbolic transform at a point."""
     assignment = frame.chart.assignment(at)
     a_val = matops.evaluate_array(entries, assignment)
-    derivatives = np.stack([frame.frame_derivative(a, entries) for a in range(frame.dimension)])
+    derivatives = frame.frame_derivatives(entries)
     ea = matops.evaluate_array(derivatives, assignment)
     return a_val, _commutators(a_val, ea, frame.anholonomy().evaluate_at(at))
 
@@ -1077,7 +1113,7 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
         x0 = first.anchor
         n = frame.dimension
         a12 = simplify(first.transform.inverse_entries() @ second.transform.entries)
-        derivatives = np.stack([frame.frame_derivative(k, a12) for k in range(n)])
+        derivatives = frame.frame_derivatives(a12)
         worst = float(np.max(np.abs(matops.evaluate_array(derivatives, chart.assignment(x0)))))
         ref = matops.evaluate_array(a12, chart.assignment(x0))
         shell_points = x0 + 1e-2 * np.concatenate([np.eye(n), -np.eye(n)])

@@ -194,8 +194,18 @@ class FrameField:
     def frame_derivative(self, i: int, f):
         """E_i(f) = sum_a B^a_i df/dx^a.  Frame index i is 0-based; ``f`` is
         an Expr or an object array of them."""
-        return simplify(sum(self.matrix[a, i] * differentiate(f, s)
-                            for a, s in enumerate(self.chart.symbols)))
+        return simplify(self._along(i, [differentiate(f, s) for s in self.chart.symbols]))
+
+    def frame_derivatives(self, f) -> np.ndarray:
+        """Every E_i(f), stacked along a new first axis; the same trees as
+        :meth:`frame_derivative`, but each partial df/dx^a is taken once."""
+        partials = [differentiate(f, s) for s in self.chart.symbols]
+        return simplify(np.stack([np.asarray(self._along(i, partials), dtype=object)
+                                  for i in range(self.dimension)]))
+
+    def _along(self, i: int, partials):
+        """sum_a B^a_i partials[a], unsimplified."""
+        return sum(self.matrix[a, i] * p for a, p in enumerate(partials))
 
     def coordinate_vector(self, i: int) -> "VectorField":
         """The i-th frame field E_i, as a vector field in this frame."""
@@ -240,8 +250,8 @@ class VectorField:
 
     def apply_to(self, f):
         """X(f) = X^k E_k(f); ``f`` is an Expr or an object array of them."""
-        return simplify(sum(c * self.frame.frame_derivative(k, f)
-                            for k, c in enumerate(self.components)))
+        derivatives = self.frame.frame_derivatives(f)
+        return simplify(sum(c * d for c, d in zip(self.components, derivatives)))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_frame(self, other)
@@ -323,10 +333,10 @@ def anholonomy_coefficients(frame: FrameField) -> TensorField:
     zero = Const(0.0)
     C = np.full((n, n, n), zero, dtype=object)
     if not frame.is_coordinate:
-        inv, b = frame.inverse_exprs(), frame.matrix
+        inv, eb = frame.inverse_exprs(), frame.frame_derivatives(frame.matrix)
         for j, k in zip(*np.triu_indices(n, 1)):
             # the commutator [E_j, E_k] in coordinate components, then in the frame
-            bracket = frame.frame_derivative(j, b[:, k]) - frame.frame_derivative(k, b[:, j])
+            bracket = eb[j][:, k] - eb[k][:, j]
             col = simplify(inv @ bracket)
             C[:, j, k] = col
             C[:, k, j] = [zero if c == zero else -c for c in col]

@@ -1,0 +1,118 @@
+"""The transport budget: over-budget grid and curve requests are refused
+before anything is allocated.  Only computed budgets are checked here; no
+test runs a large transport."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from normframes import frames
+from normframes.cli import EXIT_INPUT, load_manifold_spec, main
+from normframes.frames import DEFAULT_STEP, MAX_RK4_STEPS, CurveSpec, GridSpec, _step_counts
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_SPECS = ROOT / "benchmarks" / "specs"
+DEMO_SPECS = ROOT / "demos" / "specs"
+POLAR = str(DEMO_SPECS / "polar_euclidean.json")
+
+
+@pytest.mark.parametrize("counts, h", [((41, 41), 1e-3), ((9, 7), 0.05), ((2, 2), 10.0)])
+def test_grid_budget_counts_the_kernel_sub_steps(counts, h):
+    chart = load_manifold_spec(POLAR).chart
+    grid = GridSpec(counts)
+    per_node = sum(int(_step_counts(np.diff(ax)[:1], h)[0]) for ax in grid.axes(chart))
+    assert grid.rk4_steps(chart, h) == math.prod(counts) * per_node
+
+
+@pytest.mark.parametrize("step", [1e-3, 2e-4, 0.37, 2.0])
+def test_curve_budget_counts_the_nodes(step):
+    curve = load_manifold_spec(POLAR).curves["unit_circle"]
+    curve = CurveSpec(curve.exprs, curve.interval, curve.s0, step, curve.parameter)
+    assert curve.node_count() == len(curve.node_values())
+
+
+def test_budgets_beyond_counting_are_infinite():
+    chart = load_manifold_spec(POLAR).chart
+    curve = load_manifold_spec(POLAR).curves["unit_circle"]
+    assert CurveSpec(curve.exprs, curve.interval, curve.s0, 1e-300).node_count() == math.inf
+    assert GridSpec((10**30, 2)).rk4_steps(chart, DEFAULT_STEP) == math.inf
+    assert GridSpec((3, 3)).rk4_steps(chart, 5e-324) == math.inf
+
+
+def _benchmark_requests():
+    """(spec, --grid counts or None, --step or None, curve name or None) of
+    every benchmark op that transports."""
+    import sys
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(ROOT / "benchmarks"))
+    requests = []
+    for name in workloads.WORKLOADS:
+        for op in workloads.build_ops(name, 7):
+            argv = list(op.argv)
+            if argv[0] != "frame" or argv[2] not in ("flat", "curve"):
+                continue
+            opt = dict(zip(argv[3:], argv[4:]))  # each option with the word after it
+            grid = tuple(int(c) for c in opt["--grid"].split("x")) if "--grid" in opt else None
+            step = float(opt["--step"]) if "--step" in opt else None
+            requests.append((argv[1], grid, step, opt.get("--curve")))
+    return requests
+
+
+def _demo_requests():
+    """The demo and test ops: 5x5 (or 5x5x5) grids and every spec curve at its own step."""
+    requests = []
+    for spec in sorted(DEMO_SPECS.glob("*.json")) + sorted(BENCH_SPECS.glob("*.json")):
+        doc = json.loads(spec.read_text())
+        requests.append((str(spec), (5,) * doc["dimension"], None, None))
+        requests.extend((str(spec), None, None, name) for name in doc.get("curves", {}))
+    return requests + [(POLAR, (41, 41), None, None), (POLAR, (9, 7), None, None)]
+
+
+@pytest.mark.parametrize("spec, grid, step, curve", _benchmark_requests() + _demo_requests())
+def test_benchmark_demo_and_test_requests_are_within_budget(spec, grid, step, curve):
+    setup = load_manifold_spec(spec)
+    if grid is not None:
+        steps = GridSpec(grid).rk4_steps(setup.chart, DEFAULT_STEP if step is None else step)
+    else:
+        c = setup.curves[curve]
+        steps = CurveSpec(c.exprs, c.interval, c.s0, c.step if step is None else step).node_count()
+    assert steps <= MAX_RK4_STEPS
+
+
+@pytest.fixture
+def nothing_allocated(monkeypatch):
+    """Fail at once if a refused request reached the verdicts or the lattice or node arrays."""
+    def reached(*args, **kwargs):
+        raise AssertionError("an over-budget request got past the budget check")
+
+    monkeypatch.setattr(frames, "is_flat", reached)
+    monkeypatch.setattr(GridSpec, "axes", reached)
+    monkeypatch.setattr(CurveSpec, "node_values", reached)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flat", "--grid", "2000x2000"),
+        ("flat", "--grid", "99999999999999999999x2"),
+        ("flat", "--grid", "5x5", "--step", "1e-7"),
+        ("curve", "--field", "angular", "--curve", "unit_circle", "--step", "1e-9"),
+        ("curve", "--field", "angular", "--curve", "unit_circle", "--step", "1e-300"),
+    ],
+    ids=["grid-nodes", "grid-huge-count", "grid-step", "curve-step", "curve-tiny-step"],
+)
+def test_over_budget_request_exits_2_before_allocating(tmp_path, capsys, nothing_allocated, argv):
+    out = tmp_path / "frame.json"
+    capsys.readouterr()
+    assert main(["frame", POLAR, *argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"over the budget of {MAX_RK4_STEPS}" in err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()

@@ -1,11 +1,13 @@
 """CLI pipeline: spec loading, analyze/frame/verify, exit codes, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from normframes.expr import MAX_DEPTH, Symbol, _depth, parse_expr
 from normframes.cli import (
     EXIT_DOMAIN,
     EXIT_EXISTENCE,
@@ -409,6 +411,58 @@ def test_deep_connection_entry_exits_2(tmp_path, capsys, command, entry):
     assert run(*argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
+def _sum_at_max_depth(first, leaf, last):
+    """``first+leaf-leaf+...+leaf-last``: MAX_DEPTH leaves joined left to
+    right, so the tree is exactly MAX_DEPTH nodes deep and, for
+    first == leaf == last, sums to zero."""
+    return first + f"-{leaf}+{leaf}" * ((MAX_DEPTH - 2) // 2) + f"-{last}"
+
+
+def _deep_entry_spec(tmp_path, where):
+    doc = json.loads(Path(ZERO).read_text())
+    if where == "connection":
+        doc["derivation"]["connection"]["1,1,1"] = _sum_at_max_depth("x1", "x1", "x1")
+    elif where == "w_template":
+        doc["derivation"] = {"w_template": [[_sum_at_max_depth("X1", "X1", "X1"), "0"], ["0", "0"]]}
+    else:
+        # 1 + (x1 - x1 + ... - 0): the identity frame, MAX_DEPTH deep
+        doc["frame"] = [[_sum_at_max_depth("1", "x1", "0"), "0"], ["0", "1"]]
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+def _run_with_frame_budget(levels, *argv):
+    """``run(*argv)`` allowed at most ``levels`` stack frames above the caller's."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + levels)
+    try:
+        return run(*argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("where", ["connection", "w_template", "frame"])
+def test_sum_entry_at_max_depth_runs_analyze_and_flat(tmp_path, capsys, where):
+    # Every tree walk keeps one stack frame per level (the memo lookup sits
+    # inside the walk), so a budget of MAX_DEPTH levels plus 100 for the CLI's
+    # own frames and the few levels derived trees add is enough; a walk with
+    # two frames per level would need twice MAX_DEPTH.
+    x1 = Symbol("x1")
+    assert _depth(parse_expr(_sum_at_max_depth("x1", "x1", "x1"), [x1])) == MAX_DEPTH
+    spec = _deep_entry_spec(tmp_path, where)
+    budget = MAX_DEPTH + 100
+    capsys.readouterr()
+    argv = ("analyze", spec, "--at", "x1=0.5,x2=0.5", "--out", str(tmp_path / "a.json"))
+    assert _run_with_frame_budget(budget, *argv) == EXIT_OK
+    argv = ("frame", spec, "flat", "--grid", "5x5", "--out", str(tmp_path / "frame.json"))
+    assert _run_with_frame_budget(budget, *argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def _zero_spec_with_entry(tmp_path, entry):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normframes.expr as expr_module
 from normframes.expr import (
     Add,
     Call,
@@ -31,6 +32,7 @@ from normframes.expr import (
     differentiate,
     evaluate,
     frame_derivative_symbol,
+    free_symbols,
     parse_expr,
     simplify,
     substitute,
@@ -460,3 +462,129 @@ def test_compiled_deep_trees_agree_with_evaluate():
         point = {"r": r_val, "theta": th_val}
         assert got[0, k] == evaluate(chain, point)  # arithmetic only: same operations, same bits
         assert got[1, k] == pytest.approx(evaluate(nested, point), rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: every walk visits each distinct node once
+
+DOUBLINGS = 40
+
+
+def _doubling_dag(leaf, k=DOUBLINGS):
+    """e_0 = leaf, e_{j+1} = e_j*e_j + leaf: 2k distinct composite nodes
+    with 4k child references, but 2^k copies of e_0 as a printed tree."""
+    e = leaf
+    for _ in range(k):
+        e = Add(Mul(e, e), leaf)
+    return e
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of expr.<name>; the walks recurse through the module
+    name, so every level is counted.  A walk that revisits shared subtrees
+    stops at once instead of running 2^DOUBLINGS steps."""
+    original = getattr(expr_module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        if len(calls) > 100 * DOUBLINGS:
+            raise AssertionError(f"expr.{name} revisits shared subtrees")
+        return original(*args)
+
+    monkeypatch.setattr(expr_module, name, counted)
+    return calls
+
+
+# one call at the root plus one per child reference; each distinct node is expanded once
+WALK_CALLS = 1 + 4 * DOUBLINGS
+EXPANSIONS = 2 * DOUBLINGS
+
+
+def test_simplify_walks_each_distinct_node_once(monkeypatch):
+    dag = _doubling_dag(Sym(R))
+    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_calls(monkeypatch, "_rewrite")
+    assert simplify(dag) is dag  # nothing folds, so the DAG comes back as it is
+    assert (len(calls), len(expanded)) == (WALK_CALLS, EXPANSIONS)
+
+
+def test_substitute_walks_each_distinct_node_once(monkeypatch):
+    x1 = component_symbols(1)[0]
+    dag = _doubling_dag(Sym(x1))
+    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_calls(monkeypatch, "_rewrite")
+    out = substitute(dag, {x1: Sym(R)})
+    # and one call for the binding, folded once up front
+    assert (len(calls), len(expanded)) == (WALK_CALLS + 1, EXPANSIONS)
+    monkeypatch.undo()
+    assert out.right == Sym(R) and out.left.left is out.left.right  # the result shares as the input
+    assert free_symbols(out) == {R}
+
+
+def test_differentiate_walks_each_distinct_node_once(monkeypatch):
+    dag = _doubling_dag(Sym(R))
+    calls, expanded = _count_calls(monkeypatch, "_diff"), _count_calls(monkeypatch, "_derivative")
+    derivative = differentiate(dag, R)
+    assert (len(calls), len(expanded)) == (WALK_CALLS, EXPANSIONS)
+    monkeypatch.undo()
+    # z -> z*z + x and its derivative dz -> (dz*z + z*dz) + 1, the same operations in numpy
+    x = np.linspace(-1.0, 0.25, 11)
+    z, dz = x.copy(), np.ones_like(x)
+    for _ in range(DOUBLINGS):
+        z, dz = z * z + x, (dz * z + z * dz) + 1.0
+    got = compile_exprs([dag, derivative], [R])(x)
+    assert np.array_equal(got[0], z) and np.array_equal(got[1], dz)
+
+
+def test_free_symbols_visits_each_distinct_node_once(monkeypatch):
+    dag = _doubling_dag(Sym(R)) * Sym(THETA)
+    expanded = _count_calls(monkeypatch, "_children")
+    assert free_symbols(dag) == {R, THETA}
+    assert len(expanded) == EXPANSIONS + 1
+
+
+def test_compile_emits_each_distinct_node_once(monkeypatch):
+    dag = _doubling_dag(Sym(R))
+    calls = _count_calls(monkeypatch, "_pysource")
+    compiled = compile_exprs([dag], [R])
+    assert len(calls) == WALK_CALLS
+    monkeypatch.undo()
+    x = np.linspace(-1.0, 0.25, 11)
+    z = x.copy()
+    for _ in range(DOUBLINGS):
+        z = z * z + x
+    assert np.array_equal(compiled(x)[0], z)
+
+
+@st.composite
+def _shared_trees(draw):
+    """Trees whose nodes reuse earlier nodes as children, so subtrees occur
+    many times as one object."""
+    nodes = draw(st.lists(_leaf, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 10))):
+        a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        nodes.append(draw(st.sampled_from([
+            Add(a, b), Sub(a, b), Mul(a, b), Mul(a, a), Div(a, Add(Mul(b, b), Const(1.0))),
+            Neg(a), Call("sin", a), Call("exp", Call("cos", a)), Pow(a, Const(2.0)),
+        ])))
+    return nodes[-1]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_shared_trees())
+def test_compiled_shared_trees_equal_their_unshared_reparse(tree):
+    unshared = parse_expr(to_source(tree), POLAR_SYMS)
+    points = (np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.7, 1.5]))
+    try:
+        expected = compile_exprs([unshared], POLAR_SYMS)(*points)
+    except DomainError:
+        with pytest.raises(DomainError):
+            compile_exprs([tree], POLAR_SYMS)(*points)
+        return
+    assert np.array_equal(compile_exprs([tree], POLAR_SYMS)(*points), expected)
+
+
+def test_compiled_doubling_dag_equals_its_unshared_reparse():
+    dag = _doubling_dag(Sym(R), k=8)
+    unshared = parse_expr(to_source(dag), POLAR_SYMS)
+    x = np.linspace(-1.0, 0.25, 11)
+    assert np.array_equal(compile_exprs([dag], [R])(x), compile_exprs([unshared], [R])(x))

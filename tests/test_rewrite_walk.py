@@ -1,11 +1,14 @@
 """The one rewrite walk: ``simplify`` and ``substitute`` are each a single
-``_fold`` pass.
+``_fold`` pass, and the walks memoise shared subtrees without changing a tree.
 
 The reference code below is the former form: ``ref_subst`` rebuilt the
 tree around the bound values without folding, and ``ref_simplify`` repeated
 fold passes until one changed nothing.  Trees are compared by ``repr``, not
 ``==``: ``Const(-0.0) == Const(0.0)``, so ``==`` cannot see a flipped zero
 sign, and a flipped sign shows in report tables.
+
+``ref_fold`` and ``ref_diff`` are the walks without a memo: every copy of a
+shared subtree is folded or differentiated again.
 """
 
 from pathlib import Path
@@ -30,8 +33,10 @@ from normframes.expr import (
     Sub,
     Sym,
     _fold,
+    _rewrite,
     component_symbols,
     coordinate_symbols,
+    differentiate,
     frame_derivative_symbol,
     simplify,
     substitute,
@@ -68,11 +73,59 @@ def ref_subst(e, bindings):
 def ref_simplify(e):
     """Fold passes until one changes nothing."""
     for _ in range(1000):
-        nxt = _fold(e, {})
+        nxt = _fold(e, {}, {})
         if nxt is e:
             return e
         e = nxt
     raise AssertionError("no fixed point after 1000 fold passes")
+
+
+def ref_fold(e):
+    """One fold pass, without a memo."""
+    if isinstance(e, (Const, Sym)):
+        return e
+    if isinstance(e, (Neg, Call)):
+        return _rewrite(e, ref_fold(e.arg), None)
+    if isinstance(e, Pow):
+        return _rewrite(e, ref_fold(e.base), ref_fold(e.exponent))
+    return _rewrite(e, ref_fold(e.left), ref_fold(e.right))
+
+
+def ref_diff(e, s):
+    """The derivative rules, recursing into every copy of a subtree."""
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Sym):
+        return Const(1.0) if e.symbol == s else Const(0.0)
+    if isinstance(e, Neg):
+        return Neg(ref_diff(e.arg, s))
+    if isinstance(e, Add):
+        return Add(ref_diff(e.left, s), ref_diff(e.right, s))
+    if isinstance(e, Sub):
+        return Sub(ref_diff(e.left, s), ref_diff(e.right, s))
+    if isinstance(e, Mul):
+        return Add(Mul(ref_diff(e.left, s), e.right), Mul(e.left, ref_diff(e.right, s)))
+    if isinstance(e, Div):
+        num = Sub(Mul(ref_diff(e.left, s), e.right), Mul(e.left, ref_diff(e.right, s)))
+        return Div(num, Pow(e.right, Const(2.0)))
+    if isinstance(e, Pow):
+        base, expo = e.base, e.exponent
+        if isinstance(expo, Const):
+            return Mul(Mul(expo, Pow(base, Const(expo.value - 1.0))), ref_diff(base, s))
+        du, dv = ref_diff(base, s), ref_diff(expo, s)
+        return Mul(e, Add(Mul(dv, Call("log", base)), Mul(expo, Div(du, base))))
+    u = e.arg
+    outer = {
+        "sin": Call("cos", u),
+        "cos": Neg(Call("sin", u)),
+        "tan": Div(Const(1.0), Pow(Call("cos", u), Const(2.0))),
+        "exp": Call("exp", u),
+        "log": Div(Const(1.0), u),
+        "sqrt": Div(Const(1.0), Mul(Const(2.0), Call("sqrt", u))),
+        "sinh": Call("cosh", u),
+        "cosh": Call("sinh", u),
+    }[e.func]
+    return Mul(outer, ref_diff(u, s))
 
 
 def assert_same_tree(got, want):
@@ -120,6 +173,57 @@ def test_one_pass_is_the_fixed_point(tree):
 @given(_templates, _bindings)
 def test_substitute_folds_as_it_binds(template, bindings):
     assert_same_tree(substitute(template, bindings), ref_simplify(ref_subst(template, bindings)))
+
+
+@st.composite
+def _shared(draw, leaves):
+    """Trees whose nodes reuse earlier nodes as children, so subtrees occur
+    many times as one object."""
+    nodes = draw(st.lists(leaves, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 10))):
+        a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from([Add, Sub, Mul, Div, Pow, Neg, Call, "x-x", "x+(-x)"]))
+        if kind is Call:
+            node = Call(draw(st.sampled_from(FUNCTIONS)), a)
+        elif kind is Neg:
+            node = Neg(a)
+        elif kind == "x-x":
+            node = Sub(a, a)
+        elif kind == "x+(-x)":
+            node = Add(a, Neg(a))
+        else:
+            node = kind(a, b)
+        nodes.append(node)
+    return nodes[-1]
+
+
+_shared_coordinate_trees = _shared(st.one_of(_constants, _coordinates))
+_shared_templates = _shared(
+    st.one_of(_constants, _coordinates, st.sampled_from([Sym(s) for s in PLACEHOLDERS]))
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_shared_coordinate_trees)
+def test_differentiate_shared_trees_as_without_memo(tree):
+    assert_same_tree(differentiate(tree, R), ref_diff(tree, R))
+    assert_same_tree(differentiate(tree, THETA), ref_diff(tree, THETA))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_shared_templates, _bindings)
+def test_fold_shared_trees_as_without_memo(template, bindings):
+    assert_same_tree(simplify(template), ref_fold(template))
+    assert_same_tree(substitute(template, bindings), ref_fold(ref_subst(template, bindings)))
+
+
+def test_memo_shares_results_between_array_entries():
+    shared = Mul(Add(Sym(R), Const(0.0)), Sym(THETA))
+    entries = np.array([Neg(shared), Call("sin", shared)], dtype=object)
+    folded = simplify(entries)
+    assert folded[0].arg is folded[1].arg  # one fold for the subtree both entries hold
+    derivative = differentiate(entries, R)
+    assert derivative[0].arg is derivative[1].right
 
 
 @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
