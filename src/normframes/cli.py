@@ -54,6 +54,7 @@ from .frames import (
     NotLinearConnectionError,
     PointFrameSpec,
     anchor_residual,
+    check_grid_axes,
     curve_segment_residual,
     direction_functions,
     edge_propagators,
@@ -95,6 +96,8 @@ def _emit(obj, pieces: list, indent: int):
             _emit(val, pieces, indent + 1)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size:
+        pieces.append(_float_array_text(obj, indent))
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = list(obj.tolist() if isinstance(obj, np.ndarray) else obj)
         if not items:
@@ -121,6 +124,20 @@ def _emit(obj, pieces: list, indent: int):
         pieces.append("null")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_array_text(arr: np.ndarray, indent: int) -> str:
+    """What :func:`_emit` writes for ``arr.tolist()``, built one nesting
+    level at a time instead of one call per number."""
+    if not np.isfinite(arr).all():
+        raise ValueError("reports must not contain non-finite numbers")
+    items = [format(v, ".17g") for v in arr.ravel().tolist()]
+    for level in reversed(range(arr.ndim)):
+        pad = "  " * (indent + level)
+        sep, size = ",\n" + pad + "  ", arr.shape[level]
+        items = ["[\n" + pad + "  " + sep.join(items[i:i + size]) + "\n" + pad + "]"
+                 for i in range(0, len(items), size)]
+    return items[0]
 
 
 def dumps_report(obj: dict) -> str:
@@ -626,6 +643,7 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     _require(all(ax.ndim == 1 for ax in axes), "grid axes must be node arrays")
     shape = tuple(len(ax) for ax in axes)
     _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
+    check_grid_axes(chart, axes, DEFAULT_STEP)
     # re-transported at the default step, whatever step built the file
     propagators = [
         edge_propagators(m_fn, axes, axis, DEFAULT_STEP)

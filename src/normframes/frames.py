@@ -51,6 +51,11 @@ SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
 # allocated: grid nodes times the RK4 sub-steps of one edge along each axis
 # (GridSpec.rk4_steps), or curve nodes (CurveSpec.node_count).
 MAX_RK4_STEPS = 1_000_000
+# Points per compiled-M call in the RK4 kernel; larger blocks of steps
+# measured slower (cache traffic).
+_M_CALL_POINTS = 1 << 12
+# How far a grid may reach past the chart's domain box.
+_BOX_SLACK = 1e-12
 
 
 class ConstructionError(Exception):
@@ -406,30 +411,37 @@ def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndar
     ``starts`` is (E, d) and ``direction`` broadcasts against it; segment e
     runs t from 0 to lengths[e] in steps[e] classical RK4 steps (``steps``
     may be one count for all).  ``m_fn`` is a compiled M taking the d point
-    coordinates.  Segments are grouped by step count; each step evaluates M
-    once, at the stacked midpoints and endpoints of its group, and only the
-    current (E, n, n) state is held.
+    coordinates.  Segments are grouped by step count.  The points where M
+    is sampled do not depend on the state, so M is evaluated once per block
+    of steps, at the midpoints and endpoints of every step of the block
+    for the whole group: at most _M_CALL_POINTS points per call, or one
+    step's 2 x group size when that is more.  Besides those (n*n, points)
+    values only the current (E, n, n) state is held.
     """
     lengths = np.asarray(lengths, dtype=float)
     steps = np.broadcast_to(steps, lengths.shape)
     out = np.empty((len(lengths), n, n))
     for count in np.unique(steps):
         rows = np.flatnonzero(steps == count)
-        twice = np.concatenate([starts[rows], starts[rows]])
+        origins = starts[rows]
         dt = (lengths[rows] / count)[:, None]
         h = dt[:, :, None]
+        half_h, sixth_h = 0.5 * h, h / 6.0
         p = np.tile(np.eye(n), (len(rows), 1, 1))
-        m_prev = _matrices(m_fn(*starts[rows].T), n)
-        for i in range(count):
-            t0 = i * dt
-            points = twice + np.concatenate([t0 + 0.5 * dt, t0 + dt]) * direction
-            m_mid, m_next = np.split(_matrices(m_fn(*points.T), n), 2)
-            k1 = -(m_prev @ p)
-            k2 = -(m_mid @ (p + 0.5 * h * k1))
-            k3 = -(m_mid @ (p + 0.5 * h * k2))
-            k4 = -(m_next @ (p + h * k3))
-            p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            m_prev = m_next
+        # -M throughout: (-M) @ P is -(M @ P) bit for bit
+        m_prev = -_matrices(m_fn(*origins.T), n)
+        block = max(1, _M_CALL_POINTS // (2 * len(rows)))
+        for first in range(0, count, block):
+            t0 = np.arange(first, min(first + block, count))[:, None, None] * dt
+            points = origins + np.stack([t0 + 0.5 * dt, t0 + dt]) * direction
+            m_mids, m_nexts = -_matrices(m_fn(*np.moveaxis(points, -1, 0)), n)
+            for m_mid, m_next in zip(m_mids, m_nexts):
+                k1 = m_prev @ p
+                k2 = m_mid @ (p + half_h * k1)
+                k3 = m_mid @ (p + half_h * k2)
+                k4 = m_next @ (p + h * k3)
+                p = p + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+                m_prev = m_next
         out[rows] = p
     return out
 
@@ -619,7 +631,7 @@ class GridSpec:
             raise ValueError("each axis needs at least two nodes")
         box = chart.domain if self.box is None else self.box
         for (lo, hi), (clo, chi) in zip(box, chart.domain):
-            if lo < clo - 1e-12 or hi > chi + 1e-12:
+            if lo < clo - _BOX_SLACK or hi > chi + _BOX_SLACK:
                 raise ValueError("grid box must sit inside the chart domain")
         return box
 
@@ -701,6 +713,32 @@ def direction_functions(deriv: Derivation) -> list:
         inv = frame.inverse_exprs()  # inv[k, alpha] = B^k_alpha
         mats = [simplify(sum(inv[k, alpha] * mats[k] for k in range(n))) for alpha in range(n)]
     return [compile_exprs(list(m.flat), frame.chart.symbols) for m in mats]
+
+
+def check_grid_axes(chart: Chart, axes: list, h: float) -> None:
+    """Refuse lattice axes that did not come from :class:`GridSpec` before
+    any edge is transported at step ``h``.
+
+    Each axis must have two or more nodes, be strictly increasing and lie
+    inside the chart's domain box (with GridSpec's slack), and
+    :func:`edge_propagators` on every axis must fit MAX_RK4_STEPS.  Raises
+    ValueError otherwise.
+    """
+    for a, (ax, (lo, hi)) in enumerate(zip(axes, chart.domain)):
+        if len(ax) < 2:
+            raise ValueError(f"grid axis {a} needs at least two nodes")
+        if not np.all(ax[1:] > ax[:-1]):
+            raise ValueError(f"grid axis {a} must be strictly increasing")
+        if not np.all((ax >= lo - _BOX_SLACK) & (ax <= hi + _BOX_SLACK)):
+            raise ValueError(f"grid axis {a} leaves the chart domain [{lo!r}, {hi!r}]")
+    nodes = math.prod(len(ax) for ax in axes)
+    steps = 0
+    for ax in axes:
+        # a line's steps sum to at least span / h: an axis over budget on that alone is not counted
+        span = float(ax[-1]) - float(ax[0])
+        line = int(_step_counts(np.diff(ax), h).sum()) if span / h <= MAX_RK4_STEPS else math.inf
+        steps += nodes // len(ax) * line
+    _require_budget(steps, "re-transporting the grid edges")
 
 
 def edge_propagators(m_fn, axes: list, axis: int, h: float, backward: bool = False) -> np.ndarray:

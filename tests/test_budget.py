@@ -116,3 +116,58 @@ def test_over_budget_request_exits_2_before_allocating(tmp_path, capsys, nothing
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and f"over the budget of {MAX_RK4_STEPS}" in err
     assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+@pytest.fixture
+def nothing_transported(monkeypatch):
+    """Fail at once if a refused frame file reached the compiler or the RK4 kernel."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a refused grid frame file got past the axis checks")
+
+    monkeypatch.setattr(frames, "_rk4_propagators", reached)
+    monkeypatch.setattr("normframes.cli.direction_functions", reached)
+
+
+@pytest.mark.parametrize(
+    "domain0, axis0, message",
+    [
+        # 1,000,001 steps of h = 1e-3 on each of the 3 lines along axis 0
+        ([-1.0, 2000.0], [-1.0, 0.0, 1000.0], f"over the budget of {MAX_RK4_STEPS}"),
+        ([-1.0, 1.0], [-1.0, 0.0, 1000.0], "grid axis 0 leaves the chart domain [-1.0, 1.0]"),
+        ([-1.0, 1.0], [-1.0, 0.0, 1.5], "grid axis 0 leaves the chart domain [-1.0, 1.0]"),
+        ([-1.0, 1.0], [-1.0, 1.0, 0.0], "grid axis 0 must be strictly increasing"),
+        ([-1.0, 1.0], [-1.0, 0.5, 0.5], "grid axis 0 must be strictly increasing"),
+        ([-1.0, 1.0], [-1.0, float("nan"), 1.0], "grid axis 0 must be strictly increasing"),
+        ([-1e308, 1e308], [-1e308, 0.0, 1e308], f"over the budget of {MAX_RK4_STEPS}"),
+        ([-1.0, 1.0], [0.0], "grid axis 0 needs at least two nodes"),
+    ],
+    ids=["over-budget", "far-outside-box", "outside-box", "decreasing", "repeated", "nan",
+         "huge-span", "one-node"],
+)
+def test_verify_refuses_bad_grid_axes_before_transporting(tmp_path, capsys, nothing_transported,
+                                                          domain0, axis0, message):
+    spec = json.loads((DEMO_SPECS / "zero_connection.json").read_text())
+    spec["domain"][0] = domain0
+    spec_path, frame, report = tmp_path / "spec.json", tmp_path / "frame.json", tmp_path / "r.json"
+    spec_path.write_text(json.dumps(spec))
+    frame.write_text(json.dumps({
+        "kind": "grid", "dimension": 2, "field": None,
+        "data": {"matrices": np.broadcast_to(np.eye(2), (len(axis0), 3, 2, 2)).tolist()},
+        "locus": {"grid": {"axes": [axis0, [-1.0, 0.0, 1.0]], "base_index": [0, 0]}},
+    }))
+    capsys.readouterr()
+    assert main(["verify", str(spec_path), str(frame), "--out", str(report)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert len(err.strip().splitlines()) == 1 and not report.exists()
+
+
+def test_verify_budget_counts_every_edge_of_the_retransport(monkeypatch):
+    chart = load_manifold_spec(str(DEMO_SPECS / "zero_connection.json")).chart
+    # 3 lines of 2,000 steps along axis 0, and 2 lines of 1 + 1,008 steps along axis 1
+    axes = [np.array([-1.0, 1.0]), np.array([-1.0, -0.999, 0.009])]
+    monkeypatch.setattr(frames, "MAX_RK4_STEPS", 8018)
+    frames.check_grid_axes(chart, axes, 1e-3)
+    monkeypatch.setattr(frames, "MAX_RK4_STEPS", 8017)
+    with pytest.raises(ValueError, match="needs 8018 RK4 steps, over the budget of 8017"):
+        frames.check_grid_axes(chart, axes, 1e-3)

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from normframes.expr import MAX_DEPTH, Symbol, _depth, parse_expr
 from normframes.cli import (
@@ -531,6 +534,26 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_transport_domain_failure_in_a_late_block_exits_3(tmp_path, capsys):
+    spec = json.loads(Path(ZERO).read_text())
+    spec["domain"][0] = [0.0, 1.0]
+    spec["derivation"]["connection"]["1,1,1"] = "sqrt(0.9 - x1)"
+    spec_path, frame, report = tmp_path / "spec.json", tmp_path / "frame.json", tmp_path / "r.json"
+    spec_path.write_text(json.dumps(spec))
+    # 41 lines along x1 take 49 RK4 steps per M evaluation: x1 passes 0.9 in the 19th of 21 blocks
+    frame.write_text(json.dumps({
+        "kind": "grid", "dimension": 2, "field": None,
+        "data": {"matrices": np.broadcast_to(np.eye(2), (2, 41, 2, 2)).tolist()},
+        "locus": {"grid": {"axes": [[0.0, 1.0], np.linspace(-1, 1, 41).tolist()],
+                           "base_index": [0, 0]}},
+    }))
+    capsys.readouterr()
+    assert run("verify", str(spec_path), str(frame), "--out", str(report)) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: sqrt(0.9-x1) is undefined")
+    assert len(err.strip().splitlines()) == 1 and not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # emitter
 
@@ -543,6 +566,37 @@ def test_dumps_report_is_stable_and_17g():
     parsed = json.loads(text)
     assert parsed["a"] == 0.1
     assert parsed["b"][1] == 2.5e-17
+
+
+EMITTED_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e-300, 3.0, -7.0, 0.1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+                   elements=EMITTED_FLOATS),
+    depth=st.integers(1, 3),
+)
+def test_float_arrays_emit_the_bytes_of_their_lists(arr, depth):
+    def nested(value):
+        for _ in range(depth - 1):
+            value = {"o": value}
+        return {"a": value}
+
+    assert dumps_report(nested(arr)) == dumps_report(nested(arr.tolist()))
+
+
+def test_empty_and_non_finite_float_arrays():
+    assert dumps_report({"a": np.empty(0)}) == '{\n  "a": []\n}\n'
+    assert dumps_report({"a": np.empty((2, 0))}) == '{\n  "a": [\n    [],\n    []\n  ]\n}\n'
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = np.array([[0.5, 1.0], [2.0, bad]])
+        for value in (arr, arr.tolist()):
+            with pytest.raises(ValueError, match="reports must not contain non-finite numbers"):
+                dumps_report({"a": value})
 
 
 def test_identity_frame_verifies_on_zero_spec(tmp_path):

@@ -3,6 +3,7 @@ constancy of the relating transforms."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from normframes import (
     holonomicity_check,
     torsion_tensor,
 )
-from normframes.frames import _pointwise_linearity_gate, direction_functions, edge_propagators
+from normframes import frames
+from normframes.expr import DomainError, Symbol, compile_exprs, parse_expr
+from normframes.frames import (
+    _pointwise_linearity_gate,
+    _rk4_propagators,
+    _step_counts,
+    direction_functions,
+    edge_propagators,
+)
 
 
 def cartesian_in_polar(r, theta):
@@ -143,6 +152,110 @@ def test_edge_propagators_match_scalar_loop(polar_connection):
                 ref = scalar_rk4_propagator(start, axis, float(end[axis] - start[axis]), 1e-3)
                 worst = max(worst, float(np.max(np.abs(props[idx] - ref))))
     assert worst <= 1e-12
+
+
+def per_step_rk4_propagators(m_fn, n, starts, direction, lengths, steps):
+    """Reference: the kernel with one M evaluation per RK4 step of a group."""
+    lengths = np.asarray(lengths, dtype=float)
+    steps = np.broadcast_to(steps, lengths.shape)
+    out = np.empty((len(lengths), n, n))
+    for count in np.unique(steps):
+        rows = np.flatnonzero(steps == count)
+        twice = np.concatenate([starts[rows], starts[rows]])
+        dt = (lengths[rows] / count)[:, None]
+        h = dt[:, :, None]
+        p = np.tile(np.eye(n), (len(rows), 1, 1))
+        m_prev = frames._matrices(m_fn(*starts[rows].T), n)
+        for i in range(count):
+            t0 = i * dt
+            points = twice + np.concatenate([t0 + 0.5 * dt, t0 + dt]) * direction
+            m_mid, m_next = np.split(frames._matrices(m_fn(*points.T), n), 2)
+            k1 = -(m_prev @ p)
+            k2 = -(m_mid @ (p + 0.5 * h * k1))
+            k3 = -(m_mid @ (p + 0.5 * h * k2))
+            k4 = -(m_next @ (p + h * k3))
+            p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            m_prev = m_next
+        out[rows] = p
+    return out
+
+
+def compiled_m(entries, names):
+    symbols = [Symbol(name) for name in names]
+    return compile_exprs([parse_expr(e, symbols) for e in entries], symbols)
+
+
+M2 = compiled_m(["sin(x1)*x2", "1/(2+x1)", "-x2", "cos(x1+x2)"], ["x1", "x2"])
+M3 = compiled_m(
+    ["0", "exp(-x1)", "x2*x3", "-exp(-x1)", "0.5", "sin(x3)", "x1", "-sin(x3)", "cos(x2)*x1"],
+    ["x1", "x2", "x3"],
+)
+M_CURVE = compiled_m(["0", "1/(2+s)", "-1/(2+s)", "sin(3*s)"], ["s"])
+
+
+def counted(m_fn, points):
+    """``m_fn`` recording the number of points of each call in ``points``."""
+    def wrapped(*coords):
+        points.append(math.prod(np.broadcast_shapes(*(np.shape(c) for c in coords))))
+        return m_fn(*coords)
+    return wrapped
+
+
+def kernel_cases():
+    rng = np.random.default_rng(5)
+    mixed = rng.uniform(-0.05, 0.05, 60)
+    return {
+        # several step counts at h = 1e-3, negative lengths among them
+        "mixed-counts": (M2, 2, rng.uniform(-0.5, 0.5, (60, 2)), np.array([1.0, 0.0]),
+                         mixed, _step_counts(mixed, 1e-3)),
+        # 100 rows make 20 steps a block: 57 steps are blocks of 20, 20 and 17
+        "partial-last-block": (M2, 2, rng.uniform(-0.5, 0.5, (100, 2)), np.array([0.6, -0.8]),
+                               np.full(100, -0.3), 57),
+        "scalar-direction": (M2, 2, rng.uniform(-0.5, 0.5, (30, 2)), 0.5,
+                             rng.uniform(-0.2, 0.2, 30), 300),
+        "n3-vector-direction": (M3, 3, rng.uniform(-0.5, 0.5, (48, 3)), np.eye(3)[2],
+                                rng.uniform(-0.3, 0.3, 48), np.repeat([40, 250, 301], 16)),
+        "one-long-segment": (M3, 3, np.array([[0.1, 0.2, 0.3]]), np.array([0.0, 1.0, 0.0]),
+                             np.array([-1.0]), 4500),
+        # a curve: one parameter, one step per segment, thousands of segments
+        "curve": (M_CURVE, 2, np.linspace(0.0, 6.0, 5001)[:-1, None], 1.0,
+                  np.where(np.arange(5000) < 2000, -1.0, 1.0) * 6.0 / 5000, 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(kernel_cases()))
+def test_kernel_equals_per_step_loop_bit_for_bit(case):
+    m_fn, n, starts, direction, lengths, steps = kernel_cases()[case]
+    expected = per_step_rk4_propagators(m_fn, n, starts, direction, lengths, steps)
+    assert np.array_equal(_rk4_propagators(m_fn, n, starts, direction, lengths, steps), expected)
+
+
+@pytest.mark.parametrize("case", list(kernel_cases()))
+def test_kernel_evaluates_m_once_per_bounded_block(case):
+    m_fn, n, starts, direction, lengths, steps = kernel_cases()[case]
+    points = []
+    _rk4_propagators(counted(m_fn, points), n, starts, direction, lengths, steps)
+    counts, sizes = np.unique(np.broadcast_to(steps, np.shape(lengths)), return_counts=True)
+    blocks = [max(1, frames._M_CALL_POINTS // (2 * int(size))) for size in sizes]
+    # within the bound, or one step (or the start points) of a group wider than it
+    wide = {k * int(size) for size in sizes for k in (1, 2)}
+    assert all(p <= frames._M_CALL_POINTS or p in wide for p in points)
+    # one call per block of each group, plus one at the group's start points
+    assert len(points) <= sum(-(-int(c) // b) + 1 for c, b in zip(counts, blocks))
+
+
+def test_domain_failure_in_a_late_block_raises_domain_error():
+    m_fn = compiled_m(["sqrt(0.9 - x1)", "0", "0", "x2"], ["x1", "x2"])
+    starts = np.stack([np.zeros(64), np.linspace(-1.0, 1.0, 64)], axis=1)
+    points = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=re.escape("sqrt(0.9-x1) is undefined")):
+            _rk4_propagators(counted(m_fn, points), 2, starts, np.array([1.0, 0.0]),
+                             np.ones(64), _step_counts(np.ones(64), 1e-3))
+    # x1 passes 0.9 in step 899 or 900 of 1,000: with 64 rows a block is 32 steps, the 29th of 32
+    block = frames._M_CALL_POINTS // (2 * 64)
+    assert block > 1 and len(points) - 1 in {899 // block + 1, 900 // block + 1}
 
 
 def test_sphere_rejected_with_obstruction(sphere_connection):
