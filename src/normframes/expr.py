@@ -6,8 +6,9 @@ coefficients, templates) is an :class:`Expr` over a declared set of
 subtrees: one node object can be a child of many parents.  Folding,
 differentiation, free symbols and compilation visit each distinct node once;
 the first two through a memo keyed by node identity that lives for one public
-call.  All operations here are pure functions, so concurrent read access is
-safe.
+call.  Compilation lays the nodes out as one tape of numpy operations and
+generates no Python source.  All operations here are pure functions, so
+concurrent read access is safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -233,7 +234,7 @@ class Call(Expr):
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_BINARY_OPS = frozenset((Add, Sub, Mul, Div))
 
 
 def neg(e: Expr) -> Expr:
@@ -461,10 +462,11 @@ class _Parser:
         return int(text)
 
 
-# Longest root-to-leaf path, in nodes, that parse_expr accepts.  Every tree
-# walk recurses with one stack frame per level (the folding rules' `==` with
-# about three), and derived trees (W templates, frame derivatives, curvature)
-# are a few levels deeper than their inputs.  Under the CLI, at Python's default recursion limit, a sum of terms
+# Longest root-to-leaf path, in nodes, that parse_expr accepts.  Folding,
+# differentiation, evaluation and printing recurse with one stack frame per
+# level (the folding rules' `==` with about three), and derived trees (W
+# templates, frame derivatives, curvature) are a few levels deeper than their
+# inputs.  Under the CLI, at Python's default recursion limit, a sum of terms
 # first overflows at depth 983 in a template entry, 985 in a connection entry
 # and 984 in a frame entry under `analyze` (979, 981 and 978 under `frame ...
 # flat`).
@@ -860,74 +862,6 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
 # compilation (hot numeric loops: ODE right-hand sides, grid sweeps)
 
 
-# Parenthesis depth of one generated expression; a deeper subtree is hoisted
-# into a temporary, which keeps the evaluation order and so the values.
-MAX_NESTING = 50
-
-
-def _shared_nodes(e: Expr) -> dict:
-    """``{id: None}`` for each composite node that occurs more than once in
-    ``e``; each distinct node is visited once."""
-    seen: set[int] = set()
-    shared: dict = {}
-    stack = [e]
-    while stack:
-        for child in _children(stack.pop()):
-            kind, key = type(child), id(child)
-            if kind is Const or kind is Sym:
-                continue
-            if key in seen:
-                shared[key] = None
-            else:
-                seen.add(key)
-                stack.append(child)
-    return shared
-
-
-def _pysource(e: Expr, names: dict[str, str], temps: list[str], shared: dict) -> tuple[str, int]:
-    """Python source of ``e`` and its parenthesis depth, appending hoisted
-    subtrees to ``temps`` (referenced as ``_t0``, ``_t1``, ...).  A node in
-    ``shared`` is emitted once, as a temporary whose name ``shared`` then
-    holds; each of its occurrences reads that temporary."""
-    kind = type(e)
-    if kind is Const:
-        return repr(e.value), 0
-    if kind is Sym:
-        try:
-            return names[e.symbol.name], 0
-        except KeyError:
-            raise MissingSymbolError(
-                f"symbol {e.symbol.name!r} is not part of the compilation signature"
-            ) from None
-    key = id(e)
-    name = shared.get(key)
-    if name is not None:
-        return name, 0
-    if kind in _BINARY_OPS:
-        children, template = (e.left, e.right), "({}" + _BINARY_OPS[kind] + "{})"
-    elif kind is Neg:
-        children, template = (e.arg,), "(-{})"
-    elif kind is Pow:
-        children, template = (e.base, e.exponent), "_pow({},{})"
-    elif kind is Call:
-        children, template = (e.arg,), "_" + e.func + "({})"
-    else:
-        raise TypeError(f"not an Expr: {e!r}")
-    texts, depth = [], 0
-    for child in children:
-        text, child_depth = _pysource(child, names, temps, shared)
-        texts.append(text)
-        depth = max(depth, child_depth + 1)
-    text = template.format(*texts)
-    if depth < MAX_NESTING and key not in shared:
-        return text, depth
-    temps.append(text)
-    name = f"_t{len(temps) - 1}"
-    if key in shared:
-        shared[key] = name
-    return name, 0
-
-
 def compile_exprs(exprs, symbols: Iterable[Symbol]):
     """Compile a flat sequence of coordinate-only Exprs to one numpy callable.
 
@@ -938,29 +872,75 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
     overflow; those failures and any non-finite result surface as
     :class:`DomainError` naming the expression, the same policy as
     :func:`evaluate`.
+
+    The expressions become one tape over a list of registers: the symbol
+    values, then the constants (Python floats), then one result per entry.
+    An entry ``(ufunc, out, a, b)`` stores ``ufunc(r[a], r[b])``, or
+    ``ufunc(r[a])`` when ``b`` is -1, in ``r[out]``.  One iterative
+    post-order pass over the distinct nodes of all expressions, in order,
+    builds the tape, so a subtree shared within or across expressions is
+    computed once, in the segment of the first expression that holds it.
+    Each entry applies the numpy operation of its node to the same operands
+    as in the unshared tree, so the values are bit-identical to it.  The
+    segments run in order and each root's row is written as its segment
+    ends, so a :class:`DomainError` names the first expression whose
+    evaluation fails.
     """
     exprs = list(exprs)
     order = list(symbols)
-    names = {s.name: f"v{i}" for i, s in enumerate(order)}
-    args = ",".join(names[s.name] for s in order)
-    namespace = {"_pow": np.power, **{f"_{name}": getattr(np, name) for name in FUNCTIONS}}
-    for i, e in enumerate(exprs):
-        temps: list[str] = []
-        result, _ = _pysource(e, names, temps, _shared_nodes(e))
-        hoisted = "".join(f"    _t{k} = {text}\n" for k, text in enumerate(temps))
-        # one exec per expression: the compiler's memory grows with the source it is given
-        exec(f"def _e{i}({args}):\n{hoisted}    return {result}\n", namespace)  # noqa: S102
-    parts = [namespace[f"_e{i}"] for i in range(len(exprs))]
+    slots = {s.name: i for i, s in enumerate(order)}
+    ufuncs = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide,
+              Pow: np.power, Neg: np.negative}
+    registers: list = [None] * len(order)  # a constant's value, else None until a call fills it
+    slot_of: dict[int, int] = {}  # node id -> register
+    segments = []  # (entries, root register) per expression
+    for root in exprs:
+        entries: list = []
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            kind = type(node)
+            if id(node) in slot_of:
+                pass
+            elif kind is Sym:
+                if node.symbol.name not in slots:
+                    raise MissingSymbolError(
+                        f"symbol {node.symbol.name!r} is not part of the compilation signature"
+                    )
+                slot_of[id(node)] = slots[node.symbol.name]
+            elif kind is Const:
+                slot_of[id(node)] = len(registers)
+                registers.append(node.value)
+            elif kind is Call or kind in ufuncs:
+                children = _children(node)
+                pending = [c for c in children if id(c) not in slot_of]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                fn = getattr(np, node.func) if kind is Call else ufuncs[kind]
+                b = slot_of[id(children[1])] if len(children) > 1 else -1
+                entries.append((fn, len(registers), slot_of[id(children[0])], b))
+                slot_of[id(node)] = len(registers)
+                registers.append(None)
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            stack.pop()
+        segments.append((entries, slot_of[id(root)]))
 
     def compiled(*vals):
-        arrays = [np.asarray(v, dtype=float) for v in vals]
-        out = np.empty((len(parts),) + np.broadcast_shapes(*(a.shape for a in arrays)))
+        if len(vals) != len(order):
+            raise TypeError(f"expected {len(order)} coordinate values, got {len(vals)}")
+        r = [np.asarray(v, dtype=float) for v in vals]
+        out = np.empty((len(segments),) + np.broadcast_shapes(*(a.shape for a in r)))
+        r += registers[len(r):]
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            for i, part in enumerate(parts):
+            for i, (entries, root) in enumerate(segments):
                 try:
-                    out[i] = part(*arrays)
-                except (FloatingPointError, ZeroDivisionError) as err:
+                    for fn, dst, a, b in entries:
+                        r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])
+                except FloatingPointError as err:
                     raise DomainError(f"{to_source(exprs[i])} is undefined: {err}") from None
+                out[i] = r[root]
         if not np.isfinite(out).all():
             bad = next(e for e, row in zip(exprs, out) if not np.isfinite(row).all())
             raise DomainError(f"evaluation produced a non-finite value for {to_source(bad)}")

@@ -124,7 +124,7 @@ def require_nondegenerate(matrix: np.ndarray, chart: Chart, describe) -> None:
     singular = np.flatnonzero(np.abs(dets) <= DEGENERACY_TOL)
     if singular.size:
         first = singular[0]
-        raise DegenerateFrameError(describe(points[first].tolist(), dets[first]))
+        raise DegenerateFrameError(describe(points[first].tolist(), float(dets[first])))
 
 
 class FrameField:

@@ -202,6 +202,22 @@ def test_degenerate_spec_frame_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_singular_frame_message_prints_a_plain_float(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "dimension": 2,
+        "coordinates": ["x", "y"],
+        "domain": [[0.0, 1.0], [0.0, 1.0]],
+        "frame": [["1", "1"], ["1", "1"]],
+        "derivation": {"lie": {}},
+    }))
+    capsys.readouterr()
+    assert run("analyze", str(spec), "--at", "x=0.5,y=0.5") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: frame determinant 0.0 at [")
+    assert "np.float64" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_frame_point_vanishing_field_exits_4(tmp_path):
     frame = tmp_path / "frame.json"
     code = run(
@@ -552,6 +568,23 @@ def test_transport_domain_failure_in_a_late_block_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("domain error: sqrt(0.9-x1) is undefined")
     assert len(err.strip().splitlines()) == 1 and not report.exists()
+
+
+@pytest.mark.parametrize("entry, named", [
+    ("s+1/0", "s+1.0/0.0"),
+    ("s+1e300*1e300", "s+1e+300*1e+300"),
+])
+def test_constant_only_curve_subtree_exits_3(tmp_path, capsys, entry, named):
+    spec = json.loads(Path(POLAR).read_text())
+    spec["curves"]["bad"] = {"exprs": ["1", entry], "interval": [0.0, 1.0], "s0": 0.0, "step": 0.001}
+    spec_path, frame = tmp_path / "spec.json", tmp_path / "frame.json"
+    spec_path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    argv = ("frame", str(spec_path), "curve", "--field", "angular", "--curve", "bad", "--out", str(frame))
+    assert run(*argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {named} is undefined: ")
+    assert len(err.strip().splitlines()) == 1 and not frame.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from normframes.expr import (
     Const,
     Div,
     MAX_DEPTH,
+    FUNCTIONS,
     DomainError,
     ExprError,
     ExprSyntaxError,
@@ -450,7 +453,7 @@ def test_compiled_agrees_with_evaluate(tree, r_val, th_val):
 
 
 def test_compiled_deep_trees_agree_with_evaluate():
-    # nesting deeper than one Python expression allows is split into temporaries
+    # deep chains and nests run on the tape like any other tree
     chain = parse_expr("-r" + "+theta-theta" * 150, POLAR_SYMS)
     nested = Sym(R)
     for _ in range(300):
@@ -542,17 +545,83 @@ def test_free_symbols_visits_each_distinct_node_once(monkeypatch):
     assert len(expanded) == EXPANSIONS + 1
 
 
-def test_compile_emits_each_distinct_node_once(monkeypatch):
+def _count_ufunc_calls(monkeypatch):
+    """Count the numpy operations that compiled callables run.
+    compile_exprs binds np.add, np.sin, ... as it builds, so callables
+    compiled after this call count every operation they apply."""
+    calls = []
+    for name in ("add", "subtract", "multiply", "divide", "power", "negative", *FUNCTIONS):
+        def counted(*args, _ufunc=getattr(np, name)):
+            calls.append(_ufunc)
+            return _ufunc(*args)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_compiled_runs_each_distinct_node_once(monkeypatch):
     dag = _doubling_dag(Sym(R))
-    calls = _count_calls(monkeypatch, "_pysource")
-    compiled = compile_exprs([dag], [R])
-    assert len(calls) == WALK_CALLS
-    monkeypatch.undo()
     x = np.linspace(-1.0, 0.25, 11)
+    calls = _count_ufunc_calls(monkeypatch)
+    one = compile_exprs([dag], [R])
+    three = compile_exprs([dag, dag * dag, Call("sin", dag)], [R])
+    assert calls == []
+    got = one(x)
+    assert len(calls) == EXPANSIONS
+    calls.clear()
+    # a subtree shared across expressions is computed once too
+    got_three = three(x)
+    assert len(calls) == EXPANSIONS + 2
+    monkeypatch.undo()
     z = x.copy()
     for _ in range(DOUBLINGS):
         z = z * z + x
-    assert np.array_equal(compiled(x)[0], z)
+    assert np.array_equal(got[0], z)
+    assert np.array_equal(got_three, np.stack([z, z * z, np.sin(z)]))
+
+
+def test_domain_error_names_the_first_expression_sharing_a_failing_subtree():
+    failing = Call("log", Sub(Sym(THETA), Const(1.0)))
+    exprs = [Sym(R) * Sym(R), Sym(R) + failing, failing * Sym(R)]
+    compiled = compile_exprs(exprs, POLAR_SYMS)
+    r_vals = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (np.array([2.0, 0.5]), 1.0):  # log of a negative number, then of zero
+            with pytest.raises(DomainError, match="^" + re.escape(to_source(exprs[1]) + " is undefined")):
+                compiled(r_vals, theta)
+    # where every expression is defined, the shared subtree gives each row its own values
+    theta = np.array([2.0, 3.5])
+    alone = [compile_exprs([e], POLAR_SYMS)(r_vals, theta)[0] for e in exprs]
+    assert np.array_equal(compiled(r_vals, theta), np.stack(alone))
+
+
+def test_compiled_takes_one_value_per_symbol():
+    compiled = compile_exprs([Sym(R) + 1.0], POLAR_SYMS)
+    for vals in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(TypeError):
+            compiled(*vals)
+
+
+def test_compiled_deep_chain_runs_within_a_few_stack_frames():
+    links = 10_000
+    chain = Sym(R)
+    for _ in range(links):
+        chain = Add(Mul(Const(0.5), chain), Sym(THETA))  # two levels per link
+    r_vals, th_vals = np.array([0.5, 1.25, 2.0]), np.array([0.1, 0.7, 1.5])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = compile_exprs([chain], POLAR_SYMS)(r_vals, th_vals)
+    finally:
+        sys.setrecursionlimit(limit)
+    z = r_vals.copy()
+    for _ in range(links):
+        z = 0.5 * z + th_vals
+    assert np.array_equal(got[0], z)
 
 
 @st.composite

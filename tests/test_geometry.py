@@ -78,6 +78,14 @@ def test_degenerate_frame_rejected(plane):
         FrameField(plane, [[Sym(x1), Sym(x1)], [Const(1.0), Const(1.0)]])
 
 
+def test_singular_frame_and_transform_messages_print_plain_floats(plane):
+    singular = [[Const(1.0), Const(1.0)], [Const(1.0), Const(1.0)]]
+    with pytest.raises(DegenerateFrameError, match=r"^frame determinant 0\.0 at \["):
+        FrameField(plane, singular)
+    with pytest.raises(DegenerateFrameError, match=r"^transform is singular at \[.*\] \(det=0\.0\)$"):
+        SymbolicTransform(FrameField(plane), singular)
+
+
 # ---------------------------------------------------------------------------
 # anholonomy
 

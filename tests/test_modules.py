@@ -18,3 +18,15 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert SOURCES and not offenders, offenders
+
+
+def test_no_module_runs_generated_source():
+    # numeric evaluation runs on compile_exprs' tape, never on generated Python
+    offenders = [
+        f"{path.name}:{node.lineno} calls {node.func.id}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+    assert SOURCES and not offenders, offenders
