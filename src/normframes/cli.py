@@ -45,6 +45,7 @@ from .derivation import (
 from .curvature import curvature_forms, sampled_verdict, torsion_forms
 from .frames import (
     DEFAULT_STEP,
+    ZERO_FIELD_TOL,
     ConstructionError,
     CurveError,
     CurveSpec,
@@ -183,6 +184,21 @@ def _numbers(value, what: str, array: bool = False):
         raise InputError(f"{what} must be numbers") from None
 
 
+def _expressions(value, shape: tuple, symbols, what: str):
+    """``value``, a JSON nested list of expression strings of exactly
+    ``shape`` (a lone string for ``()``), parsed entry by entry against
+    ``symbols``: an Expr, or nested lists of them.  Anything else is an
+    input error that names ``what`` and the entry's index."""
+    if not shape:
+        try:
+            return parse_expr(value, symbols)
+        except ExprError as err:
+            raise InputError(f"{what}: {err}") from None
+    _require(isinstance(value, list) and len(value) == shape[0],
+             f"{what}: expected a list of {shape[0]} entries")
+    return [_expressions(v, shape[1:], symbols, f"{what}[{i}]") for i, v in enumerate(value)]
+
+
 def _named_blocks(doc: dict, key: str):
     blocks = doc.get(key) or {}
     _require(isinstance(blocks, dict), f"'{key}' must be an object keyed by name")
@@ -220,27 +236,11 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
     except ValueError as err:
         raise InputError(str(err)) from None
 
-    def parse_in_chart(text, context):
-        _require(isinstance(text, str), f"{context}: expression entries must be strings")
-        try:
-            return parse_expr(text, chart.symbols)
-        except ExprError as err:
-            raise InputError(f"{context}: {err}") from None
-
     frame_entries = doc.get("frame")
     if frame_entries is None:
         frame = FrameField.coordinate(chart)
     else:
-        _require(
-            isinstance(frame_entries, list) and len(frame_entries) == n
-            and all(isinstance(row, list) and len(row) == n for row in frame_entries),
-            "'frame' must be an n x n array of expression strings",
-        )
-        frame = FrameField(
-            chart,
-            [[parse_in_chart(e, f"frame[{i}][{j}]") for j, e in enumerate(row)]
-             for i, row in enumerate(frame_entries)],
-        )
+        frame = FrameField(chart, _expressions(frame_entries, (n, n), chart.symbols, "frame"))
 
     deriv_block = doc.get("derivation")
     _require(isinstance(deriv_block, dict), "'derivation' object is required")
@@ -264,56 +264,26 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
                 all(1 <= v <= n for v in (i, j, k)),
                 f"connection key {key!r} out of range 1..{n}",
             )
-            gamma[i - 1, j - 1, k - 1] = parse_in_chart(text, f"connection[{key}]")
+            gamma[i - 1, j - 1, k - 1] = _expressions(text, (), chart.symbols,
+                                                      f"connection[{key}]")
         deriv: Derivation = Connection(frame, gamma)
     elif variant == "lie":
         _require(deriv_block["lie"] in ({}, None, True), "'lie' takes no parameters")
         deriv = LieType(frame)
     else:
-        table = deriv_block[variant]
-        _require(
-            isinstance(table, list) and len(table) == n
-            and all(isinstance(row, list) and len(row) == n for row in table),
-            f"'{variant}' must be an n x n array of expression strings",
-        )
-        symbols = template_symbols(chart, n)
-        entries = []
-        for i, row in enumerate(table):
-            parsed_row = []
-            for j, text in enumerate(row):
-                _require(isinstance(text, str), f"{variant}[{i}][{j}] must be a string")
-                try:
-                    parsed_row.append(parse_expr(text, symbols))
-                except ExprError as err:
-                    raise InputError(f"{variant}[{i}][{j}]: {err}") from None
-            entries.append(parsed_row)
+        entries = _expressions(deriv_block[variant], (n, n), template_symbols(chart, n), variant)
         deriv = WTemplate(frame, entries) if variant == "w_template" else STemplate(frame, entries)
 
     fields = {}
     for name, comps in _named_blocks(doc, "fields"):
-        _require(
-            isinstance(comps, list) and len(comps) == n,
-            f"field {name!r} must list {n} component expressions",
-        )
-        fields[name] = VectorField(
-            frame, [parse_in_chart(c, f"fields[{name}][{i}]") for i, c in enumerate(comps)]
-        )
+        fields[name] = VectorField(frame, _expressions(comps, (n,), chart.symbols,
+                                                       f"fields[{name}]"))
 
     curves = {}
     s_symbol = Symbol("s")
     for name, block in _named_blocks(doc, "curves"):
         _require(isinstance(block, dict), f"curve {name!r} must be an object")
-        exprs = block.get("exprs")
-        _require(
-            isinstance(exprs, list) and len(exprs) == n,
-            f"curve {name!r} must list {n} coordinate expressions",
-        )
-        parsed = []
-        for i, text in enumerate(exprs):
-            try:
-                parsed.append(parse_expr(text, [s_symbol]))
-            except ExprError as err:
-                raise InputError(f"curves[{name}][{i}]: {err}") from None
+        exprs = _expressions(block.get("exprs"), (n,), [s_symbol], f"curves[{name}][exprs]")
         interval = block.get("interval")
         _require(
             isinstance(interval, list) and len(interval) == 2,
@@ -321,7 +291,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         )
         a, b = (_numbers(v, f"curve {name!r} interval") for v in interval)
         curves[name] = CurveSpec(
-            exprs=tuple(parsed),
+            exprs=tuple(exprs),
             interval=(a, b),
             s0=_numbers(block.get("s0", a), f"curve {name!r} s0"),
             step=_numbers(block.get("step", 1e-3), f"curve {name!r} step"),
@@ -448,7 +418,7 @@ def cmd_frame(args) -> int:
                 raise InputError(f"spec declares no field named {args.field!r}")
             x = setup.fields[args.field]
             x_val = x.at(at)
-            vanishing = float(np.max(np.abs(x_val))) <= 1e-12
+            vanishing = float(np.max(np.abs(x_val))) <= ZERO_FIELD_TOL
             if args.holonomic:
                 a_mat = np.eye(n) if vanishing else _holonomic_matrix_seed(x_val)
                 spec = PointFrameSpec(anchor=at, a_factors=(np.ones(n), a_mat))
@@ -591,20 +561,11 @@ def _load_frame_document(path: str, n: int) -> dict:
 def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
     chart = setup.chart
     n = chart.dimension
-    entries = doc["data"]
-    _require(
-        len(entries) == n and all(
-            isinstance(row, list) and len(row) == n and all(isinstance(e, str) for e in row)
-            for row in entries
-        ),
-        "symbolic frame data must be an n x n expression array",
-    )
-    parsed = [[parse_expr(e, chart.symbols) for e in row] for row in entries]
+    parsed = _expressions(doc["data"], (n, n), chart.symbols, "data")
     transform = SymbolicTransform(setup.frame, parsed, _validate=False)
     at = chart.point(doc["locus"]["point"])
-    if doc.get("field"):
-        _require(isinstance(doc["field"], list), "the frame file's field must list expressions")
-        x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in doc["field"]])
+    if doc.get("field") is not None:
+        x = VectorField(setup.frame, _expressions(doc["field"], (n,), chart.symbols, "field"))
         residual = anchor_residual(setup.deriv, x, transform, at)
     else:
         residual = transformed_components_max(setup.deriv, transform, at)
@@ -622,17 +583,12 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
         points = _numbers(block.get("points"), "curve points", array=True)
         _require(matrices.ndim == 3 and matrices.shape[1:] == (n, n), "bad curve matrices")
         _require(points.shape[:1] == matrices.shape[:1], "curve points and matrices disagree")
-        field_comps = doc.get("field")
-        _require(isinstance(field_comps, list), "curve frame files carry the transported field")
-        x = VectorField(setup.frame, [parse_expr(c, chart.symbols) for c in field_comps])
+        x = VectorField(setup.frame, _expressions(doc.get("field"), (n,), chart.symbols, "field"))
         s_vals = _numbers(block.get("s"), "curve parameters", array=True)
         _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
         # re-transport every inter-node segment from the raw data
         param = Symbol("s")
-        exprs = block.get("exprs")
-        _require(isinstance(exprs, list) and len(exprs) == n,
-                 "curve frame files carry the curve expressions")
-        exprs = [parse_expr(e, [param]) for e in exprs]
+        exprs = _expressions(block.get("exprs"), (n,), [param], "locus[curve][exprs]")
         worst, worst_at = curve_segment_residual(setup.deriv, x, exprs, param, s_vals, matrices)
         return worst, {"max_residual": worst, "worst_segment": worst_at}
 

@@ -79,13 +79,13 @@ def curvature_tensor(deriv: Connection) -> TensorField:
     n = frame.dimension
     g = deriv.gamma
     C = frame.anholonomy()
+    dg = frame.frame_derivatives(g)  # dg[l, i, j, k] = E_l(G^i_{jk})
     out = np.empty((n, n, n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    acc: Expr = -frame.frame_derivative(l, g[i, j, k])
-                    acc = acc + frame.frame_derivative(k, g[i, j, l])
+                    acc: Expr = -dg[l, i, j, k] + dg[k, i, j, l]
                     for m in range(n):
                         acc = acc - g[m, j, k] * g[i, m, l] + g[m, j, l] * g[i, m, k]
                     if not C.is_zero:

@@ -464,12 +464,14 @@ class _Parser:
 
 # Longest root-to-leaf path, in nodes, that parse_expr accepts.  Folding,
 # differentiation, evaluation and printing recurse with one stack frame per
-# level (the folding rules' `==` with about three), and derived trees (W
-# templates, frame derivatives, curvature) are a few levels deeper than their
-# inputs.  Under the CLI, at Python's default recursion limit, a sum of terms
-# first overflows at depth 983 in a template entry, 985 in a connection entry
-# and 984 in a frame entry under `analyze` (979, 981 and 978 under `frame ...
-# flat`).
+# level (the folding rules compare trees with the iterative _same), and
+# derived trees (W templates, frame derivatives, curvature) are a few levels
+# deeper than their inputs.  Under the CLI, at Python's default recursion
+# limit, a sum of terms first overflows at depth 983 in a template entry, 985
+# in a connection entry and 984 in a frame entry under `analyze` (979, 981 and
+# 978 under `frame ... flat`).  Quotients are the exception: each derivative
+# roughly doubles their depth, so a connection entry of 328 terms `(2+x1)`
+# joined by `/` overflows under `analyze` (327 under `frame ... flat`).
 MAX_DEPTH = 400
 
 
@@ -700,6 +702,32 @@ def _is_const(e: Expr, value: float) -> bool:
     return type(e) is Const and e.value == value
 
 
+def _same(a: Expr, b: Expr) -> bool:
+    """``a == b``, the dataclass equality, compared without recursing: the
+    same node classes with ``Const`` values equal as floats (so -0.0 equals
+    0.0), the same symbols and function names, and identical subtrees
+    skipped."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Const:
+            if a.value != b.value:
+                return False
+        elif kind is Sym:
+            if a.symbol != b.symbol:
+                return False
+        elif kind is Call and a.func != b.func:
+            return False
+        else:
+            stack.extend(zip(_children(a), _children(b)))
+    return True
+
+
 def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
     """The one rewrite walk: a single bottom-up pass that replaces each bound
     symbol by its value (already folded) and applies the rules above.
@@ -747,9 +775,9 @@ def _rewrite(e: Expr, left: Expr, right) -> Expr:
             return left
         if isinstance(left, Const) and isinstance(right, Const):
             return Const(left.value + right.value)
-        if isinstance(right, Neg) and right.arg == left:
+        if isinstance(right, Neg) and _same(right.arg, left):
             return ZERO
-        if isinstance(left, Neg) and left.arg == right:
+        if isinstance(left, Neg) and _same(left.arg, right):
             return ZERO
         return e if left is e.left and right is e.right else Add(left, right)
     if kind is Sub:
@@ -759,7 +787,7 @@ def _rewrite(e: Expr, left: Expr, right) -> Expr:
             return neg(right) if not isinstance(right, Neg) else right.arg
         if isinstance(left, Const) and isinstance(right, Const):
             return Const(left.value - right.value)
-        if left == right:
+        if _same(left, right):
             return ZERO
         return e if left is e.left and right is e.right else Sub(left, right)
     if kind is Mul:

@@ -194,11 +194,11 @@ class FrameField:
     def frame_derivative(self, i: int, f):
         """E_i(f) = sum_a B^a_i df/dx^a.  Frame index i is 0-based; ``f`` is
         an Expr or an object array of them."""
-        return simplify(self._along(i, [differentiate(f, s) for s in self.chart.symbols]))
+        return self.frame_derivatives(f)[i]
 
     def frame_derivatives(self, f) -> np.ndarray:
-        """Every E_i(f), stacked along a new first axis; the same trees as
-        :meth:`frame_derivative`, but each partial df/dx^a is taken once."""
+        """Every E_i(f), stacked along a new first axis; each partial
+        df/dx^a is taken once."""
         partials = [differentiate(f, s) for s in self.chart.symbols]
         return simplify(np.stack([np.asarray(self._along(i, partials), dtype=object)
                                   for i in range(self.dimension)]))

@@ -396,6 +396,77 @@ def test_malformed_spec_exits_2(tmp_path, capsys, corrupt):
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "corrupt, entry",
+    [
+        (lambda doc: dict(doc, frame="1"), "frame"),
+        (lambda doc: dict(doc, frame=[["1", "0"], ["0"]]), "frame[1]"),
+        (lambda doc: dict(doc, derivation={"w_template": [["0", "0"], ["0", 1]]}),
+         "w_template[1][1]"),
+        (lambda doc: dict(doc, derivation={"s_template": [["X1"], ["0", "0"]]}), "s_template[0]"),
+        (lambda doc: _set(doc, ("derivation", "connection", "2,1,2"), 1), "connection[2,1,2]"),
+        (lambda doc: _set(doc, ("derivation", "connection", "2,1,2"), "1/"), "connection[2,1,2]"),
+        (lambda doc: _set(doc, ("fields", "angular", 1), 1), "fields[angular][1]"),
+        (lambda doc: _set(doc, ("fields", "angular"), ["0"]), "fields[angular]"),
+        (lambda doc: _set(doc, ("curves", "unit_circle", "exprs", 1), 1.5),
+         "curves[unit_circle][exprs][1]"),
+        (lambda doc: _set(doc, ("curves", "unit_circle", "exprs", 1), "r"),
+         "curves[unit_circle][exprs][1]"),
+    ],
+    ids=["frame-string", "frame-ragged", "w-template-number", "s-template-ragged",
+         "connection-number", "connection-unparsable", "field-number", "field-short",
+         "curve-expr-number", "curve-expr-coordinate"],
+)
+def test_malformed_spec_entry_is_named(tmp_path, capsys, corrupt, entry):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(corrupt(json.loads(Path(POLAR).read_text()))))
+    out = tmp_path / "frame.json"
+    capsys.readouterr()
+    assert run("frame", str(spec), "flat", "--grid", "5x5", "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {entry}: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
+def _symbolic_field_frame(tmp_path):
+    frame = tmp_path / "frame.json"
+    argv = ("frame", POLAR, "point", "--at", "r=1.5,theta=0.5", "--field", "angular",
+            "--out", str(frame))
+    assert run(*argv) == EXIT_OK
+    return POLAR, frame
+
+
+@pytest.mark.parametrize(
+    "make, corrupt, entry",
+    [
+        (_symbolic_field_frame, lambda doc: _set(doc, ("data", 0, 1), 1), "data[0][1]"),
+        (_symbolic_field_frame, lambda doc: _set(doc, ("data", 1, 0), "r*"), "data[1][0]"),
+        (_symbolic_field_frame, lambda doc: _set(doc, ("data", 1), ["1"]), "data[1]"),
+        (_symbolic_field_frame, lambda doc: _set(doc, ("field",), ["0"]), "field"),
+        (_symbolic_field_frame, lambda doc: _set(doc, ("field", 1), 1), "field[1]"),
+        (_symbolic_field_frame, lambda doc: _set(doc, ("field",), 0), "field"),
+        (_curve_frame, lambda doc: _set(doc, ("field",), ["0", "1", "0"]), "field"),
+        (_curve_frame, lambda doc: _set(doc, ("field", 0), 0), "field[0]"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs"), ["1"]),
+         "locus[curve][exprs]"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs", 1), "theta"),
+         "locus[curve][exprs][1]"),
+    ],
+    ids=["data-number", "data-unparsable", "data-ragged", "symbolic-field-short",
+         "symbolic-field-number", "symbolic-field-zero", "curve-field-long", "curve-field-number", "curve-exprs-short",
+         "curve-expr-unknown-symbol"],
+)
+def test_malformed_frame_entry_is_named(tmp_path, capsys, make, corrupt, entry):
+    spec, frame = make(tmp_path)
+    frame.write_text(json.dumps(corrupt(json.loads(frame.read_text()))))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run("verify", spec, str(frame), "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {entry}: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_deep_chain_entry_frame_flat_exits_0(tmp_path):
     # 261 chained terms nest deeper than Python's parser allows in one expression
     doc = json.loads(Path(POLAR).read_text())
@@ -443,8 +514,10 @@ def _deep_entry_spec(tmp_path, where):
     doc = json.loads(Path(ZERO).read_text())
     if where == "connection":
         doc["derivation"]["connection"]["1,1,1"] = _sum_at_max_depth("x1", "x1", "x1")
-    elif where == "w_template":
-        doc["derivation"] = {"w_template": [[_sum_at_max_depth("X1", "X1", "X1"), "0"], ["0", "0"]]}
+    elif where.startswith("w_template"):
+        # dX[1,2] leaves do not fold away, so the rules compare trees of the full depth
+        leaf = "X1" if where == "w_template" else "dX[1,2]"
+        doc["derivation"] = {"w_template": [[_sum_at_max_depth("X1", leaf, "X1"), "0"], ["0", "0"]]}
     else:
         # 1 + (x1 - x1 + ... - 0): the identity frame, MAX_DEPTH deep
         doc["frame"] = [[_sum_at_max_depth("1", "x1", "0"), "0"], ["0", "1"]]
@@ -466,7 +539,7 @@ def _run_with_frame_budget(levels, *argv):
         sys.setrecursionlimit(limit)
 
 
-@pytest.mark.parametrize("where", ["connection", "w_template", "frame"])
+@pytest.mark.parametrize("where", ["connection", "w_template", "w_template-dX", "frame"])
 def test_sum_entry_at_max_depth_runs_analyze_and_flat(tmp_path, capsys, where):
     # Every tree walk keeps one stack frame per level (the memo lookup sits
     # inside the walk), so a budget of MAX_DEPTH levels plus 100 for the CLI's
@@ -493,26 +566,36 @@ def _zero_spec_with_entry(tmp_path, entry):
 
 
 @pytest.mark.parametrize(
-    "make_argv",
+    "make_argv, code",
     [
-        # within the parse budget, but each derivative roughly doubles the depth
-        lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "*".join(["(1+0.001*x1)"] * 170)),
-                     "--at", "x1=0.5,x2=0.5"),
-        lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "/".join(["(2+x1)"] * 115)),
-                     "--at", "x1=0.5,x2=0.5"),
+        # within the parse budget; each derivative roughly doubles the depth,
+        # and the walks still fit the stack
+        (lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "*".join(["(1+0.001*x1)"] * 170)),
+                      "--at", "x1=0.5,x2=0.5"), EXIT_OK),
+        (lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "/".join(["(2+x1)"] * 115)),
+                      "--at", "x1=0.5,x2=0.5"), EXIT_OK),
+        # these derived trees overflow the stack: refused as input, not a traceback
+        (lambda tmp: ("analyze", _zero_spec_with_entry(tmp, "/".join(["(2+x1)"] * 399)),
+                      "--at", "x1=0.5,x2=0.5"), EXIT_INPUT),
+        (lambda tmp: ("frame", _zero_spec_with_entry(tmp, "/".join(["(2+x1)"] * 399)),
+                      "flat", "--grid", "5x5", "--out", str(tmp / "frame.json")), EXIT_INPUT),
         # the radial field does not follow the unit circle
-        lambda tmp: ("frame", POLAR, "curve", "--field", "radial", "--curve", "unit_circle",
-                     "--out", str(tmp / "frame.json")),
+        (lambda tmp: ("frame", POLAR, "curve", "--field", "radial", "--curve", "unit_circle",
+                      "--out", str(tmp / "frame.json")), EXIT_INPUT),
     ],
-    ids=["deep-product", "deep-quotient", "curve-off-field"],
+    ids=["deep-product", "deep-quotient", "deeper-quotient-analyze", "deeper-quotient-flat",
+         "curve-off-field"],
 )
-def test_recursion_and_curve_errors_exit_2(tmp_path, capsys, make_argv):
+def test_recursion_and_curve_errors_exit_2(tmp_path, capsys, make_argv, code):
     argv = make_argv(tmp_path)
     capsys.readouterr()
-    assert run(*argv) == EXIT_INPUT
+    assert run(*argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "frame.json").exists()
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "frame.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["flat", "curve"])

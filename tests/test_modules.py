@@ -20,6 +20,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert SOURCES and not offenders, offenders
 
 
+def test_cli_parses_expressions_only_in_its_one_reader():
+    # every expression entry of spec and frame files goes through cli._expressions
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    readers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_expressions"]
+    inside = {id(node) for reader in readers for node in ast.walk(reader)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "parse_expr"]
+    offenders = [f"cli.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert len(readers) == 1 and calls and not offenders, offenders
+
+
 def test_no_module_runs_generated_source():
     # numeric evaluation runs on compile_exprs' tape, never on generated Python
     offenders = [
