@@ -58,13 +58,13 @@ from .frames import (
     check_grid_axes,
     curve_segment_residual,
     direction_functions,
-    edge_propagators,
     flat_frame_neighborhood,
     frame_at_point_connection,
     frame_at_point_general,
     frame_at_point_holonomic,
     grid_edge_residual,
     identity_seed,
+    lattice_propagators,
     transformed_components_max,
     transport_along_curve,
 )
@@ -128,17 +128,17 @@ def _emit(obj, pieces: list, indent: int):
 
 
 def _float_array_text(arr: np.ndarray, indent: int) -> str:
-    """What :func:`_emit` writes for ``arr.tolist()``, built one nesting
-    level at a time instead of one call per number."""
+    """What :func:`_emit` writes for ``arr.tolist()``: one ``%`` over a
+    template built one nesting level at a time from "%.17g" placeholders
+    (``'%.17g' % v`` is ``format(v, '.17g')``)."""
     if not np.isfinite(arr).all():
         raise ValueError("reports must not contain non-finite numbers")
-    items = [format(v, ".17g") for v in arr.ravel().tolist()]
+    template = "%.17g"
     for level in reversed(range(arr.ndim)):
-        pad = "  " * (indent + level)
-        sep, size = ",\n" + pad + "  ", arr.shape[level]
-        items = ["[\n" + pad + "  " + sep.join(items[i:i + size]) + "\n" + pad + "]"
-                 for i in range(0, len(items), size)]
-    return items[0]
+        pad = "\n" + "  " * (indent + level)
+        items = ("," + pad + "  ").join([template] * arr.shape[level])
+        template = "[" + pad + "  " + items + pad + "]"
+    return template % tuple(arr.ravel().tolist())
 
 
 def dumps_report(obj: dict) -> str:
@@ -200,9 +200,10 @@ def _expressions(value, shape: tuple, symbols, what: str):
 
 
 def _named_blocks(doc: dict, key: str):
-    blocks = doc.get(key) or {}
-    _require(isinstance(blocks, dict), f"'{key}' must be an object keyed by name")
-    return blocks.items()
+    blocks = doc.get(key)  # missing or null: none
+    _require(blocks is None or isinstance(blocks, dict),
+             f"'{key}' must be an object keyed by name")
+    return (blocks or {}).items()
 
 
 def load_manifold_spec(path: str) -> ManifoldSetup:
@@ -601,10 +602,7 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
     check_grid_axes(chart, axes, DEFAULT_STEP)
     # re-transported at the default step, whatever step built the file
-    propagators = [
-        edge_propagators(m_fn, axes, axis, DEFAULT_STEP)
-        for axis, m_fn in enumerate(direction_functions(setup.deriv))
-    ]
+    propagators, _ = lattice_propagators(direction_functions(setup.deriv), axes, DEFAULT_STEP)
     worst, worst_at = grid_edge_residual(axes, matrices, propagators)
     return worst, {"max_residual": worst, "worst_edge": worst_at}
 

@@ -34,7 +34,7 @@ from .expr import (
     frame_derivative_symbol,
     free_symbols,
     simplify,
-    substitute,
+    substitute_unchecked,
 )
 from .geometry import (
     Chart,
@@ -227,7 +227,8 @@ def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     if slots:
         dx = frame.frame_derivatives(np.array(x.components, dtype=object))  # dx[j, i] = E_j(X^i)
         bindings.update((s, dx[j, i]) for s, i, j in slots)
-    return TensorField(frame, 1, 1, substitute(deriv.w_template, bindings))
+    # VectorField holds coordinate-only components, and E_j of one is coordinate-only
+    return TensorField(frame, 1, 1, substitute_unchecked(deriv.w_template, bindings))
 
 
 def transform_w(w: TensorField, x: VectorField, transform: SymbolicTransform) -> TensorField:

@@ -879,6 +879,13 @@ def substitute(e, bindings: Mapping[Symbol, Expr]):
                 raise UnknownSymbolError(
                     f"binding for {key.name!r} introduces non-coordinate symbol {free.name!r}"
                 )
+    return substitute_unchecked(e, bindings)
+
+
+def substitute_unchecked(e, bindings: Mapping[Symbol, Expr]):
+    """:func:`substitute` without its check of the bindings, for a caller
+    whose keys are non-coordinate and whose values are coordinate-only by
+    construction; other bindings give wrong results, not an error."""
     # binding values are coordinate-only, so their folds are the same with or
     # without the bindings and the template walk can share their memo
     memo: dict = {}

@@ -51,8 +51,8 @@ SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
 # allocated: grid nodes times the RK4 sub-steps of one edge along each axis
 # (GridSpec.rk4_steps), or curve nodes (CurveSpec.node_count).
 MAX_RK4_STEPS = 1_000_000
-# Points per compiled-M call in the RK4 kernel; larger blocks of steps
-# measured slower (cache traffic).
+# Points where the RK4 kernel samples M per block of steps, over all its
+# jobs; larger blocks of steps measured slower (cache traffic).
 _M_CALL_POINTS = 1 << 12
 # How far a grid may reach past the chart's domain box.
 _BOX_SLACK = 1e-12
@@ -404,46 +404,102 @@ def _require_budget(steps: float, what: str) -> None:
         raise ValueError(f"{what} needs {steps:.4g} RK4 steps, over the budget of {MAX_RK4_STEPS}")
 
 
-def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndarray:
-    """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for many
-    straight segments at once.
+def _rk4_kernel(n: int, jobs) -> list:
+    """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for the
+    straight segments of several jobs, advanced in one RK4 time loop.
 
-    ``starts`` is (E, d) and ``direction`` broadcasts against it; segment e
-    runs t from 0 to lengths[e] in steps[e] classical RK4 steps (``steps``
-    may be one count for all).  ``m_fn`` is a compiled M taking the d point
-    coordinates.  Segments are grouped by step count.  The points where M
-    is sampled do not depend on the state, so M is evaluated once per block
-    of steps, at the midpoints and endpoints of every step of the block
-    for the whole group: at most _M_CALL_POINTS points per call, or one
-    step's 2 x group size when that is more.  Besides those (n*n, points)
-    values only the current (E, n, n) state is held.
+    A job is ``(m_fn, starts, direction, lengths, steps)``: ``starts`` is
+    (E, d) and ``direction`` broadcasts against it; segment e runs t from 0
+    to lengths[e] in steps[e] classical RK4 steps (``steps`` may be one
+    count for all).  ``m_fn`` is a compiled M taking the d point
+    coordinates.  Returns one (E, n, n) array per job.
+
+    One time loop advances every job: all rows are sorted by step count,
+    most first, so the rows still running at any step are a prefix of the
+    state.  The state P, three stage arrays (k2 + k3 and then k4 share one)
+    and one scratch array are allocated once and updated in place; each row
+    runs the same numpy operations as a loop over its own step count alone,
+    so every propagator is bit for bit the same.  The points where M is
+    sampled do not depend on the state, so M is evaluated once per block of
+    steps in which the running rows do not change, at the midpoints and
+    endpoints of every step of the block, with one call per job: at most
+    _M_CALL_POINTS points per block over all jobs, or one step's 2 x the
+    running rows when that is more.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    steps = np.broadcast_to(steps, lengths.shape)
-    out = np.empty((len(lengths), n, n))
-    for count in np.unique(steps):
-        rows = np.flatnonzero(steps == count)
-        origins = starts[rows]
-        dt = (lengths[rows] / count)[:, None]
-        h = dt[:, :, None]
-        half_h, sixth_h = 0.5 * h, h / 6.0
-        p = np.tile(np.eye(n), (len(rows), 1, 1))
+    lengths = [np.asarray(job[3], dtype=float) for job in jobs]
+    steps = [np.broadcast_to(job[4], ln.shape) for job, ln in zip(jobs, lengths)]
+    bounds = np.cumsum([0] + [len(ln) for ln in lengths])
+    order = np.argsort(-np.concatenate(steps), kind="stable")  # state row -> row of all jobs
+    ends = np.concatenate(steps)[order]
+    if not len(ends):
+        return [np.empty((0, n, n)) for _ in jobs]
+    m_prev = np.empty((len(order), n, n))
+    dt = np.empty(len(order))
+    sampled = []  # per job with rows: its m_fn, and per row in state order its data and state row
+    for (m_fn, starts, direction, _, _), ln, count, lo, hi in zip(
+        jobs, lengths, steps, bounds[:-1], bounds[1:]
+    ):
+        at = np.flatnonzero((order >= lo) & (order < hi))
+        if not len(at):
+            continue
+        local = order[at] - lo
+        job_dt = (ln[local] / count[local])[:, None]
+        dt[at] = job_dt[:, 0]
+        origins = np.asarray(starts)[local]
         # -M throughout: (-M) @ P is -(M @ P) bit for bit
-        m_prev = -_matrices(m_fn(*origins.T), n)
-        block = max(1, _M_CALL_POINTS // (2 * len(rows)))
-        for first in range(0, count, block):
-            t0 = np.arange(first, min(first + block, count))[:, None, None] * dt
-            points = origins + np.stack([t0 + 0.5 * dt, t0 + dt]) * direction
-            m_mids, m_nexts = -_matrices(m_fn(*np.moveaxis(points, -1, 0)), n)
-            for m_mid, m_next in zip(m_mids, m_nexts):
-                k1 = m_prev @ p
-                k2 = m_mid @ (p + half_h * k1)
-                k3 = m_mid @ (p + half_h * k2)
-                k4 = m_next @ (p + h * k3)
-                p = p + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                m_prev = m_next
-        out[rows] = p
-    return out
+        m_prev[at] = -_matrices(m_fn(*origins.T), n)
+        # a slice where the job's rows are adjacent (the usual case): much faster to fill
+        if at[-1] - at[0] == len(at) - 1:
+            at = slice(at[0], at[-1] + 1)
+        sampled.append((m_fn, origins, direction, job_dt, count[local], at))
+    h = dt[:, None, None]
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    first = 0
+    while first < ends[0]:
+        running = int(np.count_nonzero(ends > first))
+        last = min(first + max(1, _M_CALL_POINTS // (2 * running)), int(ends[running - 1]))
+        m = np.empty((2, last - first, running, n * n))
+        t = np.arange(first, last)[:, None, None]
+        for m_fn, origins, direction, job_dt, count, at in sampled:
+            k = int(np.count_nonzero(count > first))
+            if k:
+                dt_k = job_dt[:k]
+                t0 = t * dt_k
+                points = origins[:k] + np.stack([t0 + 0.5 * dt_k, t0 + dt_k]) * direction
+                rows = slice(at.start, at.start + k) if isinstance(at, slice) else at[:k]
+                m[:, :, rows] = np.moveaxis(m_fn(*np.moveaxis(points, -1, 0)), 0, -1)
+        m = np.negative(m, out=m).reshape(m.shape[:3] + (n, n))
+        if not first:  # after the first block's M calls, whose temporaries are freed by now
+            p, k1, k23, k34, scratch = (np.empty_like(m_prev) for _ in range(5))
+            p[:] = np.eye(n)
+        pk, a1, a23, a34, s = (x[:running] for x in (p, k1, k23, k34, scratch))
+        hh, hf, h6 = h[:running], half_h[:running], sixth_h[:running]
+        mp = m_prev[:running]
+        for m_mid, m_next in zip(m[0], m[1]):
+            # k1 = M P, k2 = M_mid (P + h/2 k1), k3 = M_mid (P + h/2 k2),
+            # k4 = M_next (P + h k3), P += h/6 (k1 + 2 (k2 + k3) + k4)
+            np.matmul(mp, pk, out=a1)
+            np.add(pk, np.multiply(hf, a1, out=s), out=s)
+            np.matmul(m_mid, s, out=a23)
+            np.add(pk, np.multiply(hf, a23, out=s), out=s)
+            np.matmul(m_mid, s, out=a34)
+            np.add(pk, np.multiply(hh, a34, out=s), out=s)
+            np.add(a23, a34, out=a23)
+            np.matmul(m_next, s, out=a34)
+            np.multiply(2.0, a23, out=s)
+            np.add(np.add(a1, s, out=s), a34, out=s)
+            np.add(pk, np.multiply(h6, s, out=s), out=pk)
+            mp = m_next
+        m_prev[:running] = mp
+        first = last
+    scratch[order] = p  # back in the jobs' row order
+    return [scratch[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndarray:
+    """:func:`_rk4_kernel` for one job: the (E, n, n) propagators of the
+    segments from ``starts`` along ``direction``."""
+    return _rk4_kernel(n, [(m_fn, starts, direction, lengths, steps)])[0]
 
 
 def _edge_defects(carried: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -741,6 +797,19 @@ def check_grid_axes(chart: Chart, axes: list, h: float) -> None:
     _require_budget(steps, "re-transporting the grid edges")
 
 
+def _edge_job(m_fn, axes: list, axis: int, h: float, backward: bool):
+    """The kernel job of every lattice edge along one axis, and the shape
+    its propagators take (see :func:`edge_propagators`)."""
+    n = len(axes)
+    ax = axes[axis]
+    lo, hi = (ax[1:], ax[:-1]) if backward else (ax[:-1], ax[1:])
+    mesh = np.meshgrid(*[lo if d == axis else a for d, a in enumerate(axes)], indexing="ij")
+    starts = np.stack([m.ravel() for m in mesh], axis=-1)
+    lengths = np.take(hi - lo, np.indices(mesh[0].shape)[axis]).ravel()
+    job = (m_fn, starts, np.eye(n)[axis], lengths, _step_counts(lengths, h))
+    return job, mesh[0].shape + (n, n)
+
+
 def edge_propagators(m_fn, axes: list, axis: int, h: float, backward: bool = False) -> np.ndarray:
     """Propagators of every lattice edge along one axis, at RK4 step h.
 
@@ -749,14 +818,24 @@ def edge_propagators(m_fn, axes: list, axis: int, h: float, backward: bool = Fal
     [idx] carries A from node idx to idx + e_axis, or back from idx + e_axis
     to idx when ``backward``.
     """
+    job, shape = _edge_job(m_fn, axes, axis, h, backward)
+    return _rk4_kernel(len(axes), [job])[0].reshape(shape)
+
+
+def lattice_propagators(m_fns: list, axes: list, h: float, base=None) -> tuple[list, list]:
+    """:func:`edge_propagators` of every axis, forward and, along each axis
+    where the base node is not the first, backward, in one kernel call.
+
+    ``m_fns`` is :func:`direction_functions`.  Returns (forward, backward),
+    one entry per axis; a backward entry is None where ``base`` (default:
+    the first node) has index 0.
+    """
     n = len(axes)
-    ax = axes[axis]
-    lo, hi = (ax[1:], ax[:-1]) if backward else (ax[:-1], ax[1:])
-    mesh = np.meshgrid(*[lo if d == axis else a for d, a in enumerate(axes)], indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=-1)
-    lengths = np.take(hi - lo, np.indices(mesh[0].shape)[axis]).ravel()
-    props = _rk4_propagators(m_fn, n, starts, np.eye(n)[axis], lengths, _step_counts(lengths, h))
-    return props.reshape(mesh[0].shape + (n, n))
+    base = (0,) * n if base is None else base
+    keys = [(a, False) for a in range(n)] + [(a, True) for a in range(n) if base[a] > 0]
+    jobs, shapes = zip(*(_edge_job(m_fns[a], axes, a, h, back) for a, back in keys))
+    props = dict(zip(keys, (p.reshape(s) for p, s in zip(_rk4_kernel(n, jobs), shapes))))
+    return [props[a, False] for a in range(n)], [props.get((a, True)) for a in range(n)]
 
 
 def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dict]]:
@@ -818,13 +897,16 @@ def _fill_lattice(shape, base, b0, forward, backward) -> np.ndarray:
     values = np.full(shape + b0.shape, np.nan)
     values[base] = b0
     for axis in range(len(shape)):
-        def at(i, axis=axis):
-            return (slice(None),) * axis + (i,) + tuple(base[axis + 1 :])
-
+        # the nodes filled so far and their edges along axis, position along axis first
+        line = (slice(None),) * (axis + 1) + tuple(base[axis + 1 :])
+        v = np.moveaxis(values[line], axis, 0)
+        f = np.moveaxis(forward[axis][line], axis, 0)
         for i in range(base[axis], shape[axis] - 1):
-            values[at(i + 1)] = forward[axis][at(i)] @ values[at(i)]
-        for i in range(base[axis], 0, -1):
-            values[at(i - 1)] = backward[axis][at(i - 1)] @ values[at(i)]
+            np.matmul(f[i], v[i], out=v[i + 1])
+        if base[axis]:
+            b = np.moveaxis(backward[axis][line], axis, 0)
+            for i in range(base[axis], 0, -1):
+                np.matmul(b[i - 1], v[i], out=v[i - 1])
     return values
 
 
@@ -898,11 +980,7 @@ def flat_frame_neighborhood(
         raise ValueError("base matrix must be invertible")
 
     m_fns = direction_functions(deriv)
-    forward = [edge_propagators(m_fns[a], axes, a, h) for a in range(n)]
-    backward = [
-        edge_propagators(m_fns[a], axes, a, h, backward=True) if base_index[a] > 0 else None
-        for a in range(n)
-    ]
+    forward, backward = lattice_propagators(m_fns, axes, h, base_index)
     shape = tuple(len(ax) for ax in axes)
     values = _fill_lattice(shape, base_index, b0, forward, backward)
 

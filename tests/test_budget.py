@@ -124,7 +124,7 @@ def nothing_transported(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("a refused grid frame file got past the axis checks")
 
-    monkeypatch.setattr(frames, "_rk4_propagators", reached)
+    monkeypatch.setattr(frames, "_rk4_kernel", reached)
     monkeypatch.setattr("normframes.cli.direction_functions", reached)
 
 

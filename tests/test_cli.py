@@ -396,6 +396,20 @@ def test_malformed_spec_exits_2(tmp_path, capsys, corrupt):
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["fields", "curves"])
+@pytest.mark.parametrize("value", [0, "", False, []],
+                         ids=["zero", "empty-string", "false", "list"])
+def test_falsy_named_blocks_are_not_read_as_none(tmp_path, capsys, key, value):
+    # only a missing key or null means "none"
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(dict(json.loads(Path(POLAR).read_text()), **{key: value})))
+    capsys.readouterr()
+    assert run("analyze", str(spec), "--at", "r=1,theta=0.5", "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"input error: '{key}' must be an object keyed by name\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "corrupt, entry",
     [

@@ -26,6 +26,7 @@ from normframes import (
     vanishes_on_chart,
     w_of,
 )
+from normframes import expr
 from normframes.derivation import VariantError, vanishing_fields
 from normframes.expr import (
     Symbol,
@@ -204,6 +205,22 @@ def _probe_fields(frame):
         + affine_fields(frame, 11, 3)
         + vanishing_fields(frame, anchor, mix)[-1:]
     )
+
+
+def test_w_of_skips_the_binding_check_that_substitute_keeps(variants, monkeypatch):
+    # w_of binds coordinate-only values by construction, so it walks none of them again
+    deriv = variants["w_template"]
+    fields = _probe_fields(deriv.frame)
+    walked = []
+    free_symbols = expr.free_symbols
+    monkeypatch.setattr(expr, "free_symbols", lambda e: walked.append(e) or free_symbols(e))
+    for x in fields:
+        w_of(deriv, x)
+    assert walked == []
+    x1, x2 = component_symbols(2)
+    with pytest.raises(UnknownSymbolError, match="introduces non-coordinate symbol 'X2'"):
+        substitute(deriv.entries, {x1: Sym(x2)})
+    assert walked
 
 
 @pytest.mark.parametrize("name", ["connection", "lie", "w_template", "s_template"])

@@ -4,6 +4,7 @@ constancy of the relating transforms."""
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from normframes import (
     torsion_tensor,
 )
 from normframes import frames
+from normframes.cli import EXIT_OK, load_manifold_spec, main
 from normframes.expr import DomainError, Symbol, compile_exprs, parse_expr
 from normframes.frames import (
     _pointwise_linearity_gate,
@@ -32,6 +34,9 @@ from normframes.frames import (
     direction_functions,
     edge_propagators,
 )
+
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
+SPH3 = str(BENCH_SPECS / "sph3_orthonormal.json")
 
 
 def cartesian_in_polar(r, theta):
@@ -256,6 +261,96 @@ def test_domain_failure_in_a_late_block_raises_domain_error():
     # x1 passes 0.9 in step 899 or 900 of 1,000: with 64 rows a block is 32 steps, the 29th of 32
     block = frames._M_CALL_POINTS // (2 * 64)
     assert block > 1 and len(points) - 1 in {899 // block + 1, 900 // block + 1}
+
+
+def edge_segments(axes, axis, backward):
+    """Start points and signed lengths of every lattice edge along ``axis``,
+    node by node, and the lattice shape of the edges."""
+    shape = tuple(len(ax) - (d == axis) for d, ax in enumerate(axes))
+    starts, lengths = [], []
+    for idx in np.ndindex(*shape):
+        start = [axes[d][i] for d, i in enumerate(idx)]
+        lo, hi = axes[axis][idx[axis]], axes[axis][idx[axis] + 1]
+        start[axis] = hi if backward else lo
+        starts.append(start)
+        lengths.append(lo - hi if backward else hi - lo)
+    return np.array(starts), np.array(lengths), shape
+
+
+# RK4 steps per edge at h = 1e-3: 100 along axis 0; 200, 50 and 250 along axis 1 and 20
+# and 150 along axis 2, whose uneven edges fall into several step groups
+LATTICE_AXES = [np.linspace(-0.3, 0.0, 4), np.array([-0.2, 0.0, 0.05, 0.3]),
+                np.array([0.1, 0.12, 0.27])]
+LATTICE_BASE = (2, 1, 1)
+
+
+def test_lattice_propagators_equal_per_step_loop_bit_for_bit():
+    points = []
+    m_fns = [counted(M3, points) for _ in range(3)]
+    forward, backward = frames.lattice_propagators(m_fns, LATTICE_AXES, 1e-3, LATTICE_BASE)
+    # every axis has a base index above 0, so every axis has backward edges
+    for axis in range(3):
+        for back, props in ((False, forward[axis]), (True, backward[axis])):
+            starts, lengths, shape = edge_segments(LATTICE_AXES, axis, back)
+            expected = per_step_rk4_propagators(M3, 3, starts, np.eye(3)[axis], lengths,
+                                                _step_counts(lengths, 1e-3))
+            assert props.shape == shape + (3, 3)
+            assert np.array_equal(props.reshape(-1, 3, 3), expected)
+    assert points and max(points) <= frames._M_CALL_POINTS
+
+
+def fill_lattice_by_node(shape, base, b0, forward, backward):
+    """Reference: the lattice fill indexing one line position at a time."""
+    values = np.full(shape + b0.shape, np.nan)
+    values[base] = b0
+    for axis in range(len(shape)):
+        def at(i, axis=axis):
+            return (slice(None),) * axis + (i,) + tuple(base[axis + 1 :])
+
+        for i in range(base[axis], shape[axis] - 1):
+            values[at(i + 1)] = forward[axis][at(i)] @ values[at(i)]
+        for i in range(base[axis], 0, -1):
+            values[at(i - 1)] = backward[axis][at(i - 1)] @ values[at(i)]
+    return values
+
+
+@pytest.mark.parametrize("shape, base", [((9,), (4,)), ((5, 4), (2, 1)), ((4, 3, 5), (1, 1, 2))])
+def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape, base):
+    rng = np.random.default_rng(11)
+    n = 3  # 3 x 3 matrices on every lattice, so that no two products commute
+    edges = [shape[:a] + (shape[a] - 1,) + shape[a + 1 :] + (n, n) for a in range(len(shape))]
+    forward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
+    backward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
+    b0 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    values = frames._fill_lattice(shape, base, b0, forward, backward)
+    assert not np.isnan(values).any()
+    assert np.array_equal(values, fill_lattice_by_node(shape, base, b0, forward, backward))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The arguments of every entry into the RK4 kernel, one tuple each."""
+    calls = []
+    kernel = frames._rk4_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(frames, "_rk4_kernel", counting)
+    return calls
+
+
+def test_one_kernel_call_per_lattice(tmp_path, kernel_calls):
+    # an interior base node: the backward edges go into the same call
+    deriv = load_manifold_spec(SPH3).deriv
+    flat_frame_neighborhood(deriv, GridSpec((4, 4, 4), base_index=(1, 2, 1)), h=1e-2)
+    assert len(kernel_calls) == 1
+    frame, report = tmp_path / "frame.json", tmp_path / "report.json"
+    assert main(["frame", SPH3, "flat", "--grid", "4x4x4", "--out", str(frame)]) == EXIT_OK
+    assert len(kernel_calls) == 2
+    assert main(["verify", SPH3, str(frame), "--out", str(report)]) == EXIT_OK
+    assert len(kernel_calls) == 3
 
 
 def test_sphere_rejected_with_obstruction(sphere_connection):
