@@ -55,8 +55,9 @@ from .frames import (
     NotLinearConnectionError,
     PointFrameSpec,
     anchor_residual,
-    check_grid_axes,
-    curve_segment_residual,
+    check_lattice_axes,
+    curve_direction_function,
+    curve_points,
     direction_functions,
     flat_frame_neighborhood,
     frame_at_point_connection,
@@ -574,6 +575,7 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
 
 
 def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
+    """Re-transport every edge of a grid, or of a curve's 1-D lattice of node parameters."""
     chart = setup.chart
     n = chart.dimension
     matrices = _numbers(doc["data"].get("matrices"), "frame matrices", array=True)
@@ -587,24 +589,29 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
         x = VectorField(setup.frame, _expressions(doc.get("field"), (n,), chart.symbols, "field"))
         s_vals = _numbers(block.get("s"), "curve parameters", array=True)
         _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
-        # re-transport every inter-node segment from the raw data
         param = Symbol("s")
         exprs = _expressions(block.get("exprs"), (n,), [param], "locus[curve][exprs]")
-        worst, worst_at = curve_segment_residual(setup.deriv, x, exprs, param, s_vals, matrices)
-        return worst, {"max_residual": worst, "worst_segment": worst_at}
-
-    axes = block.get("axes")
-    _require(isinstance(axes, list) and len(axes) == n,
-             "grid frame files carry per-axis node arrays")
-    axes = [_numbers(ax, f"grid axis {a}", array=True) for a, ax in enumerate(axes)]
-    _require(all(ax.ndim == 1 for ax in axes), "grid axes must be node arrays")
-    shape = tuple(len(ax) for ax in axes)
-    _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
-    check_grid_axes(chart, axes, DEFAULT_STEP)
-    # re-transported at the default step, whatever step built the file
-    propagators, _ = lattice_propagators(direction_functions(setup.deriv), axes, DEFAULT_STEP)
+        axes, h = [s_vals], None  # one RK4 step per segment
+        check_lattice_axes(axes, h)
+        curve_points(chart, exprs, param, s_vals)
+        m_fns = [curve_direction_function(setup.deriv, x, exprs, param)]
+    else:
+        axes = block.get("axes")
+        _require(isinstance(axes, list) and len(axes) == n,
+                 "grid frame files carry per-axis node arrays")
+        axes = [_numbers(ax, f"grid axis {a}", array=True) for a, ax in enumerate(axes)]
+        _require(all(ax.ndim == 1 for ax in axes), "grid axes must be node arrays")
+        shape = tuple(len(ax) for ax in axes)
+        _require(matrices.shape == shape + (n, n), "grid matrices disagree with axes")
+        h = DEFAULT_STEP  # whatever step built the file
+        check_lattice_axes(axes, h, chart.domain)
+        m_fns = direction_functions(setup.deriv)
+    propagators, _ = lattice_propagators(m_fns, axes, h)
     worst, worst_at = grid_edge_residual(axes, matrices, propagators)
-    return worst, {"max_residual": worst, "worst_edge": worst_at}
+    if kind == "grid":
+        return worst, {"max_residual": worst, "worst_edge": worst_at}
+    # segment i joins curve nodes i and i + 1
+    return worst, {"max_residual": worst, "worst_segment": worst_at and worst_at["node"][0]}
 
 
 def cmd_verify(args) -> int:

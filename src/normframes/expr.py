@@ -644,47 +644,56 @@ def evaluate(e: Expr, assignment: Mapping) -> float:
     square roots, ``0^negative`` and overflow.  Never returns NaN or inf.
     """
     values = _normalize_assignment(assignment)
-    result = _eval(e, values)
+    result = _eval(e, values, {})
     if not math.isfinite(result):
         raise DomainError(f"evaluation produced a non-finite value for {to_source(e)}")
     return result
 
 
-def _eval(e: Expr, values: dict[str, float]) -> float:
-    if isinstance(e, Const):
+def _eval(e: Expr, values: dict[str, float], memo: dict) -> float:
+    """The value of ``e``, recorded in ``memo`` (node id -> value) so a
+    subtree that occurs many times is evaluated once."""
+    kind = type(e)
+    if kind is Const:
         return e.value
-    if isinstance(e, Sym):
+    if kind is Sym:
         try:
             return values[e.symbol.name]
         except KeyError:
             raise MissingSymbolError(f"no value supplied for symbol {e.symbol.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, values)
-    if isinstance(e, Add):
-        return _eval(e.left, values) + _eval(e.right, values)
-    if isinstance(e, Sub):
-        return _eval(e.left, values) - _eval(e.right, values)
-    if isinstance(e, Mul):
-        return _eval(e.left, values) * _eval(e.right, values)
-    if isinstance(e, Div):
-        denom = _eval(e.right, values)
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    if kind is Add:
+        out = _eval(e.left, values, memo) + _eval(e.right, values, memo)
+    elif kind is Mul:
+        out = _eval(e.left, values, memo) * _eval(e.right, values, memo)
+    elif kind is Sub:
+        out = _eval(e.left, values, memo) - _eval(e.right, values, memo)
+    elif kind is Neg:
+        out = -_eval(e.arg, values, memo)
+    elif kind is Div:
+        denom = _eval(e.right, values, memo)
         if denom == 0.0:
             raise DomainError("division by zero")
-        return _eval(e.left, values) / denom
-    if isinstance(e, Pow):
-        base = _eval(e.base, values)
-        expo = _eval(e.exponent, values)
+        out = _eval(e.left, values, memo) / denom
+    elif kind is Pow:
+        base = _eval(e.base, values, memo)
+        expo = _eval(e.exponent, values, memo)
         try:
-            return math.pow(base, expo)
+            out = math.pow(base, expo)
         except (ValueError, OverflowError) as err:
             raise DomainError(f"{base!r}^{expo!r} is undefined: {err}") from None
-    if isinstance(e, Call):
-        arg = _eval(e.arg, values)
+    elif kind is Call:
+        arg = _eval(e.arg, values, memo)
         try:
-            return _MATH_FUNCS[e.func](arg)
+            out = _MATH_FUNCS[e.func](arg)
         except (ValueError, OverflowError) as err:
             raise DomainError(f"{e.func}({arg!r}) is undefined: {err}") from None
-    raise TypeError(f"not an Expr: {e!r}")
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Constructions of frames in which derivation components vanish.
 
-Three loci are supported, each with its own existence conditions and its
-own verifier (constructions are never trusted, always re-checked through
-the transformation law):
+Three loci are supported, each with its own existence conditions
+(constructions are never trusted, always re-checked through the
+transformation law):
 
 * a single point, for a fixed field (first-order seed construction) or for
   a derivation that is a linear connection at that point,
 * an integral curve of a fixed field (matrix transport ODE),
 * a whole neighborhood, for flat linear connections (grid integration of
   the frame equations, with a path-independence audit).
+
+A curve frame is the 1-D lattice of its node parameters, with the one
+direction function M(s) = W_X(curve(s)): curves and grids share one
+transport, one edge verifier and one set of file checks.
 """
 
 from __future__ import annotations
@@ -404,7 +408,7 @@ def _require_budget(steps: float, what: str) -> None:
         raise ValueError(f"{what} needs {steps:.4g} RK4 steps, over the budget of {MAX_RK4_STEPS}")
 
 
-def _rk4_kernel(n: int, jobs) -> list:
+def _rk4_kernel(jobs) -> list:
     """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for the
     straight segments of several jobs, advanced in one RK4 time loop.
 
@@ -412,7 +416,9 @@ def _rk4_kernel(n: int, jobs) -> list:
     (E, d) and ``direction`` broadcasts against it; segment e runs t from 0
     to lengths[e] in steps[e] classical RK4 steps (``steps`` may be one
     count for all).  ``m_fn`` is a compiled M taking the d point
-    coordinates.  Returns one (E, n, n) array per job.
+    coordinates; the frame size n comes from its n*n rows.  Returns one
+    (E, n, n) array per job, or (0, 0, 0) arrays when no job has a segment
+    (M is never called).
 
     One time loop advances every job: all rows are sorted by step count,
     most first, so the rows still running at any step are a prefix of the
@@ -432,8 +438,8 @@ def _rk4_kernel(n: int, jobs) -> list:
     order = np.argsort(-np.concatenate(steps), kind="stable")  # state row -> row of all jobs
     ends = np.concatenate(steps)[order]
     if not len(ends):
-        return [np.empty((0, n, n)) for _ in jobs]
-    m_prev = np.empty((len(order), n, n))
+        return [np.empty((0, 0, 0)) for _ in jobs]
+    m_prev = None
     dt = np.empty(len(order))
     sampled = []  # per job with rows: its m_fn, and per row in state order its data and state row
     for (m_fn, starts, direction, _, _), ln, count, lo, hi in zip(
@@ -446,8 +452,13 @@ def _rk4_kernel(n: int, jobs) -> list:
         job_dt = (ln[local] / count[local])[:, None]
         dt[at] = job_dt[:, 0]
         origins = np.asarray(starts)[local]
+        rows = m_fn(*origins.T)
+        if m_prev is None:
+            n = math.isqrt(len(rows))
+            m_prev = np.empty((len(order), n, n))
         # -M throughout: (-M) @ P is -(M @ P) bit for bit
-        m_prev[at] = -_matrices(m_fn(*origins.T), n)
+        m_prev[at] = -_matrices(rows, n)
+        del rows  # not kept alive through the time loop
         # a slice where the job's rows are adjacent (the usual case): much faster to fill
         if at[-1] - at[0] == len(at) - 1:
             at = slice(at[0], at[-1] + 1)
@@ -496,22 +507,26 @@ def _rk4_kernel(n: int, jobs) -> list:
     return [scratch[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _rk4_propagators(m_fn, n: int, starts, direction, lengths, steps) -> np.ndarray:
-    """:func:`_rk4_kernel` for one job: the (E, n, n) propagators of the
-    segments from ``starts`` along ``direction``."""
-    return _rk4_kernel(n, [(m_fn, starts, direction, lengths, steps)])[0]
-
-
-def _edge_defects(carried: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """max |A_next^{-1} (carried - A_next)| per edge."""
-    return np.max(np.abs(np.linalg.solve(target, carried - target)), axis=(-2, -1))
-
-
-def _curve_matrix_function(deriv: Derivation, x: VectorField, exprs, parameter: Symbol):
-    """Compiled M(s) = W_X(curve(s)) of the curve parameter."""
+def curve_direction_function(deriv: Derivation, x: VectorField, exprs, parameter: Symbol):
+    """The direction function of a curve frame's 1-D lattice: M(s) =
+    W_X(curve(s)), compiled over the curve parameter."""
     w_fn = compile_exprs(list(w_of(deriv, x).components.flat), deriv.chart.symbols)
     curve_fn = compile_exprs(exprs, [parameter])
     return lambda s: w_fn(*curve_fn(s))
+
+
+def curve_points(chart: Chart, exprs, parameter: Symbol, s_values) -> np.ndarray:
+    """The curve's points at the parameters ``s_values``, one row each.
+    Raises CurveError when one leaves the chart's domain box."""
+    points = compile_exprs(exprs, [parameter])(s_values).T
+    lo, hi = np.array(chart.domain).T
+    outside = ~np.all((lo <= points) & (points <= hi), axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise CurveError(
+            f"curve leaves the chart domain at s={float(s_values[i])!r}: {points[i].tolist()}"
+        )
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +570,6 @@ class CurveSpec:
         assignment = {self.parameter.name: s}
         return np.array([evaluate(e, assignment) for e in self.exprs])
 
-    def velocity_exprs(self) -> tuple:
-        return tuple(differentiate(e, self.parameter) for e in self.exprs)
-
 
 @dataclass
 class CurveFrame:
@@ -571,10 +583,6 @@ class CurveFrame:
     directional_residuals: np.ndarray
     max_directional_residual: float
 
-    @property
-    def base_index(self) -> int:
-        return int(np.argmin(np.abs(self.s_values - self.curve.s0)))
-
 
 def transport_along_curve(
     deriv: Derivation,
@@ -584,8 +592,8 @@ def transport_along_curve(
 ) -> CurveFrame:
     """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes.
 
-    One classical RK4 step per node interval, forward and backward from the
-    node nearest s0.
+    The nodes are a 1-D lattice based at the node nearest s0: one classical
+    RK4 step per node interval, forward and backward from the base.
     """
     frame = deriv.frame
     chart = frame.chart
@@ -596,15 +604,11 @@ def transport_along_curve(
 
     _require_budget(curve.node_count(), f"a curve at step {curve.step!r}")
     s_values = curve.node_values()
-    points = compile_exprs(curve.exprs, [curve.parameter])(s_values).T
-    lo, hi = np.array(chart.domain).T
-    outside = ~np.all((lo <= points) & (points <= hi), axis=1)
-    if outside.any():
-        pt = points[int(np.argmax(outside))]
-        raise CurveError(f"curve leaves the chart domain at {pt.tolist()}")
+    points = curve_points(chart, curve.exprs, curve.parameter, s_values)
 
     # the curve must follow the field: dcurve/ds = (coordinate components of X)
-    velocity = compile_exprs(curve.velocity_exprs(), [curve.parameter])(s_values).T
+    velocity = compile_exprs([differentiate(e, curve.parameter) for e in curve.exprs],
+                             [curve.parameter])(s_values).T
     b_nodes = matops.evaluate_points(frame.matrix, chart.symbols, points)
     x_nodes = matops.evaluate_points(x.components, chart.symbols, points)
     v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
@@ -616,14 +620,10 @@ def transport_along_curve(
             f"velocity {velocity[i].tolist()} vs field {v_field[i].tolist()}"
         )
 
-    m_fn = _curve_matrix_function(deriv, x, curve.exprs, curve.parameter)
-    base = int(np.argmin(np.abs(s_values - curve.s0)))
-    # segment i steps forward from s_i at and after the base node, backward from s_{i+1} before it
-    ahead = np.arange(len(s_values) - 1) >= base
-    starts = np.where(ahead, s_values[:-1], s_values[1:])[:, None]
-    signed = np.where(ahead, 1.0, -1.0) * np.diff(s_values)
-    props = _rk4_propagators(m_fn, n, starts, 1.0, signed, 1)
-    matrices = _fill_lattice((len(s_values),), (base,), b0, [props], [props])
+    m_fn = curve_direction_function(deriv, x, curve.exprs, curve.parameter)
+    base = (int(np.argmin(np.abs(s_values - curve.s0))),)
+    forward, backward = lattice_propagators([m_fn], [s_values], None, base)
+    matrices = _fill_lattice((len(s_values),), base, b0, forward, backward)
 
     degenerate = np.abs(np.linalg.det(matrices)) <= DEGENERACY_TOL
     if degenerate.any():
@@ -645,26 +645,6 @@ def transport_along_curve(
         directional_residuals=residuals,
         max_directional_residual=float(np.max(residuals)) if len(residuals) else 0.0,
     )
-
-
-def curve_segment_residual(
-    deriv: Derivation, x: VectorField, exprs, parameter: Symbol, s_values, matrices
-) -> tuple[float, Optional[int]]:
-    """Transformed components along a curve frame, in integrated form.
-
-    Carries each node's matrix one RK4 step to the next node and measures
-    A_next^{-1} (carried - A_next) per unit parameter.  Returns the worst
-    value and the index of its segment (None when every value is zero).
-    """
-    n = deriv.frame.dimension
-    lengths = np.diff(s_values)
-    m_fn = _curve_matrix_function(deriv, x, exprs, parameter)
-    props = _rk4_propagators(m_fn, n, s_values[:-1, None], 1.0, lengths, 1)
-    values = _edge_defects(props @ matrices[:-1], matrices[1:]) / np.abs(lengths)
-    if not len(values) or not values.max() > 0.0:
-        return 0.0, None
-    worst = int(np.argmax(values))
-    return float(values[worst]), worst
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +733,8 @@ class GridFrame:
         out = np.empty((self.dimension, n, n))
         for alpha, m_fn in enumerate(self.m_functions):
             direction = np.eye(self.dimension)[alpha]
-            steps = [REFINE_DELTA, -REFINE_DELTA]
-            plus, minus = _rk4_propagators(m_fn, n, starts, direction, steps, 1) @ a
+            job = (m_fn, starts, direction, [REFINE_DELTA, -REFINE_DELTA], 1)
+            plus, minus = _rk4_kernel([job])[0] @ a
             out[alpha] = (plus - minus) / (2.0 * REFINE_DELTA)
         return out
 
@@ -771,88 +751,89 @@ def direction_functions(deriv: Derivation) -> list:
     return [compile_exprs(list(m.flat), frame.chart.symbols) for m in mats]
 
 
-def check_grid_axes(chart: Chart, axes: list, h: float) -> None:
-    """Refuse lattice axes that did not come from :class:`GridSpec` before
-    any edge is transported at step ``h``.
+def check_lattice_axes(axes: list, h: Optional[float], box=None) -> None:
+    """Refuse the node axes of a frame file before any edge is transported,
+    at RK4 step ``h`` or, when ``h`` is None, in one step per edge.
 
-    Each axis must have two or more nodes, be strictly increasing and lie
-    inside the chart's domain box (with GridSpec's slack), and
-    :func:`edge_propagators` on every axis must fit MAX_RK4_STEPS.  Raises
-    ValueError otherwise.
+    Each axis must be strictly increasing and finite, and re-transporting
+    every edge must fit MAX_RK4_STEPS.  With ``box`` (one [lo, hi] per axis)
+    the axes are a grid's, and each must also have two or more nodes inside
+    its interval (with GridSpec's slack); without, the one axis holds a
+    curve's parameters.  Raises ValueError otherwise.
     """
-    for a, (ax, (lo, hi)) in enumerate(zip(axes, chart.domain)):
-        if len(ax) < 2:
-            raise ValueError(f"grid axis {a} needs at least two nodes")
+    grid = box is not None
+    for a, ax in enumerate(axes):
+        name = f"grid axis {a}" if grid else "curve parameters"
+        if grid and len(ax) < 2:
+            raise ValueError(f"{name} needs at least two nodes")
         if not np.all(ax[1:] > ax[:-1]):
-            raise ValueError(f"grid axis {a} must be strictly increasing")
-        if not np.all((ax >= lo - _BOX_SLACK) & (ax <= hi + _BOX_SLACK)):
-            raise ValueError(f"grid axis {a} leaves the chart domain [{lo!r}, {hi!r}]")
+            raise ValueError(f"{name} must be strictly increasing")
+        if grid and not np.all((ax >= box[a][0] - _BOX_SLACK) & (ax <= box[a][1] + _BOX_SLACK)):
+            raise ValueError(f"{name} leaves the chart domain [{box[a][0]!r}, {box[a][1]!r}]")
+        if not np.isfinite(ax).all():
+            raise ValueError(f"{name} must be finite")
     nodes = math.prod(len(ax) for ax in axes)
     steps = 0
     for ax in axes:
-        # a line's steps sum to at least span / h: an axis over budget on that alone is not counted
-        span = float(ax[-1]) - float(ax[0])
-        line = int(_step_counts(np.diff(ax), h).sum()) if span / h <= MAX_RK4_STEPS else math.inf
+        if h is None:
+            line = len(ax) - 1
+        elif (float(ax[-1]) - float(ax[0])) / h <= MAX_RK4_STEPS:
+            line = int(_step_counts(np.diff(ax), h).sum())
+        else:  # a line's steps sum to at least span / h: over budget on that alone
+            line = math.inf
         steps += nodes // len(ax) * line
-    _require_budget(steps, "re-transporting the grid edges")
+    _require_budget(steps, f"re-transporting the {'grid edges' if grid else 'curve segments'}")
 
 
-def _edge_job(m_fn, axes: list, axis: int, h: float, backward: bool):
-    """The kernel job of every lattice edge along one axis, and the shape
-    its propagators take (see :func:`edge_propagators`)."""
-    n = len(axes)
-    ax = axes[axis]
-    lo, hi = (ax[1:], ax[:-1]) if backward else (ax[:-1], ax[1:])
+def _edge_job(m_fn, axes: list, axis: int, h: Optional[float], lo, hi):
+    """The kernel job of the lattice edges from the nodes ``lo`` to the nodes
+    ``hi`` along ``axis`` (every node along the other axes), and the lattice
+    shape of their propagators."""
     mesh = np.meshgrid(*[lo if d == axis else a for d, a in enumerate(axes)], indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=-1)
     lengths = np.take(hi - lo, np.indices(mesh[0].shape)[axis]).ravel()
-    job = (m_fn, starts, np.eye(n)[axis], lengths, _step_counts(lengths, h))
-    return job, mesh[0].shape + (n, n)
+    steps = 1 if h is None else _step_counts(lengths, h)
+    return (m_fn, starts, np.eye(len(axes))[axis], lengths, steps), mesh[0].shape
 
 
-def edge_propagators(m_fn, axes: list, axis: int, h: float, backward: bool = False) -> np.ndarray:
-    """Propagators of every lattice edge along one axis, at RK4 step h.
+def lattice_propagators(m_fns: list, axes: list, h: Optional[float], base=None) -> tuple:
+    """Propagators of the lattice edges in one kernel call, at RK4 step
+    ``h`` or, when ``h`` is None, in one step per edge.
 
-    ``m_fn`` is the axis's entry of :func:`direction_functions`.  The result
-    has the lattice shape, one shorter along ``axis``, plus (n, n): entry
-    [idx] carries A from node idx to idx + e_axis, or back from idx + e_axis
-    to idx when ``backward``.
+    ``m_fns`` holds one compiled M per axis (:func:`direction_functions`, or
+    :func:`curve_direction_function` for a curve).  Returns (forward,
+    backward), one entry per axis.  forward[a] has the lattice shape, one
+    shorter along a, plus (n, n): entry [idx] carries A from node idx to
+    idx + e_a.  backward[a] holds only the edges below ``base`` (default:
+    the first node) along a, all that a fill from the base reads: entry
+    [idx] carries A back from idx + e_a to idx; None where base[a] is 0.
     """
-    job, shape = _edge_job(m_fn, axes, axis, h, backward)
-    return _rk4_kernel(len(axes), [job])[0].reshape(shape)
-
-
-def lattice_propagators(m_fns: list, axes: list, h: float, base=None) -> tuple[list, list]:
-    """:func:`edge_propagators` of every axis, forward and, along each axis
-    where the base node is not the first, backward, in one kernel call.
-
-    ``m_fns`` is :func:`direction_functions`.  Returns (forward, backward),
-    one entry per axis; a backward entry is None where ``base`` (default:
-    the first node) has index 0.
-    """
-    n = len(axes)
-    base = (0,) * n if base is None else base
-    keys = [(a, False) for a in range(n)] + [(a, True) for a in range(n) if base[a] > 0]
-    jobs, shapes = zip(*(_edge_job(m_fns[a], axes, a, h, back) for a, back in keys))
-    props = dict(zip(keys, (p.reshape(s) for p, s in zip(_rk4_kernel(n, jobs), shapes))))
-    return [props[a, False] for a in range(n)], [props.get((a, True)) for a in range(n)]
+    base = (0,) * len(axes) if base is None else base
+    edges = [(a, ax[:-1], ax[1:]) for a, ax in enumerate(axes)]
+    edges += [(a, ax[1 : b + 1], ax[:b]) for a, (ax, b) in enumerate(zip(axes, base)) if b > 0]
+    jobs, shapes = zip(*(_edge_job(m_fns[a], axes, a, h, lo, hi) for a, lo, hi in edges))
+    props = [p.reshape(s + p.shape[1:]) for p, s in zip(_rk4_kernel(jobs), shapes)]
+    backward = iter(props[len(axes) :])
+    return props[: len(axes)], [next(backward) if b > 0 else None for b in base]
 
 
 def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dict]]:
-    """Transformed components on a grid frame, in integrated form.
+    """Transformed components on a lattice frame, in integrated form.
 
     Carries each node's matrix across each lattice edge with that edge's
-    propagator (``propagators[axis]`` from :func:`edge_propagators`) and
-    measures A_next^{-1} (carried - A_next) per unit length.  Returns the
-    worst value and its edge as {"node": [...], "axis": a}, or None when
-    every value is zero.
+    propagator (``propagators[axis]``, the forward entries of
+    :func:`lattice_propagators`) and measures A_next^{-1} (carried - A_next)
+    per unit length.  Returns the worst value and its edge as {"node": [...],
+    "axis": a}, or None when every value is zero (or there is no edge).
     """
-    n = len(axes)
     worst, worst_at = 0.0, None
-    for axis, props in enumerate(propagators):
-        head, tail = np.delete(matrices, -1, axis), np.delete(matrices, 0, axis)
-        spacing = np.diff(axes[axis]).reshape([-1 if d == axis else 1 for d in range(n)])
-        values = _edge_defects(props @ head, tail) / spacing
+    for axis, (ax, props) in enumerate(zip(axes, propagators)):
+        if len(ax) < 2:
+            continue
+        head = matrices[(slice(None),) * axis + (slice(None, -1),)]
+        tail = matrices[(slice(None),) * axis + (slice(1, None),)]
+        spacing = np.diff(ax).reshape([-1 if d == axis else 1 for d in range(len(axes))])
+        values = np.max(np.abs(np.linalg.solve(tail, props @ head - tail)), axis=(-2, -1)) / spacing
         k = int(np.argmax(values))
         if values.flat[k] > worst:
             worst = float(values.flat[k])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from normframes import frames
-from normframes.cli import EXIT_INPUT, load_manifold_spec, main
+from normframes.cli import EXIT_INPUT, EXIT_OK, load_manifold_spec, main
 from normframes.frames import DEFAULT_STEP, MAX_RK4_STEPS, CurveSpec, GridSpec, _step_counts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,7 +167,93 @@ def test_verify_budget_counts_every_edge_of_the_retransport(monkeypatch):
     # 3 lines of 2,000 steps along axis 0, and 2 lines of 1 + 1,008 steps along axis 1
     axes = [np.array([-1.0, 1.0]), np.array([-1.0, -0.999, 0.009])]
     monkeypatch.setattr(frames, "MAX_RK4_STEPS", 8018)
-    frames.check_grid_axes(chart, axes, 1e-3)
+    frames.check_lattice_axes(axes, 1e-3, chart.domain)
     monkeypatch.setattr(frames, "MAX_RK4_STEPS", 8017)
     with pytest.raises(ValueError, match="needs 8018 RK4 steps, over the budget of 8017"):
-        frames.check_grid_axes(chart, axes, 1e-3)
+        frames.check_lattice_axes(axes, 1e-3, chart.domain)
+
+
+def circle_frame(s_values) -> dict:
+    """A frame file of the unit circle of the polar demo spec at the given
+    parameters, holding the rotations that solve its transport exactly."""
+    s = np.asarray(s_values, dtype=float)
+    c, t = np.cos(s), np.sin(s)
+    return {
+        "kind": "curve", "dimension": 2, "field": ["0", "1"],
+        "data": {"matrices": np.stack([c, t, -t, c], axis=-1).reshape(-1, 2, 2).tolist()},
+        "locus": {"curve": {"exprs": ["1", "s"], "s": s.tolist(),
+                            "points": np.stack([np.ones_like(s), s], axis=-1).tolist(),
+                            "s0": 0.0, "step": 0.01}},
+    }
+
+
+@pytest.fixture
+def no_curve_transported(monkeypatch):
+    """Fail at once if a refused curve frame file reached the compiler of M or the RK4 kernel."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a refused curve frame file got past the curve checks")
+
+    monkeypatch.setattr(frames, "_rk4_kernel", reached)
+    monkeypatch.setattr("normframes.cli.curve_direction_function", reached)
+
+
+def _repeat(doc):
+    """Node 101 a copy of node 100, matrix and all: a segment of length 0
+    whose defect 0/0 passed as a residual of 0."""
+    doc["locus"]["curve"]["s"][101] = doc["locus"]["curve"]["s"][100]
+    doc["data"]["matrices"][101] = doc["data"]["matrices"][100]
+
+
+def _swap(doc):
+    s = doc["locus"]["curve"]["s"]
+    s[50], s[51] = s[51], s[50]
+
+
+def _nan(doc):
+    doc["locus"]["curve"]["s"][7] = float("nan")
+
+
+def _infinite(doc):
+    doc["locus"]["curve"]["s"][-1] = float("inf")
+
+
+@pytest.mark.parametrize(
+    "s_values, edit, budget, message",
+    [
+        (np.linspace(0.0, 1.5, 151), _repeat, None, "curve parameters must be strictly increasing"),
+        (np.linspace(0.0, 1.5, 151), _swap, None, "curve parameters must be strictly increasing"),
+        (np.linspace(0.0, 1.5, 151), _nan, None, "curve parameters must be strictly increasing"),
+        (np.linspace(0.0, 1.5, 151), _infinite, None, "curve parameters must be finite"),
+        # built on a spec whose theta domain reaches 3.1; the polar spec's stops at 1.6
+        (np.linspace(0.0, 3.1, 311), None, None,
+         "curve leaves the chart domain at s=1.61: [1.0, 1.61]"),
+        (np.linspace(0.0, 1.5, 151), None, 149,
+         "re-transporting the curve segments needs 150 RK4 steps, over the budget of 149"),
+    ],
+    ids=["repeated", "decreasing", "nan", "infinite", "leaves-domain", "over-budget"],
+)
+def test_verify_refuses_bad_curve_parameters_before_transporting(
+        tmp_path, capsys, monkeypatch, no_curve_transported, s_values, edit, budget, message):
+    doc = circle_frame(s_values)
+    if edit is not None:
+        edit(doc)
+    if budget is not None:
+        monkeypatch.setattr(frames, "MAX_RK4_STEPS", budget)
+    frame, report = tmp_path / "frame.json", tmp_path / "r.json"
+    frame.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", POLAR, str(frame), "--out", str(report)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"input error: {message}\n" and not report.exists()
+
+
+def test_one_node_curve_file_verifies(tmp_path):
+    frame, report = tmp_path / "frame.json", tmp_path / "r.json"
+    frame.write_text(json.dumps(circle_frame([0.5])))
+    assert main(["verify", POLAR, str(frame), "--out", str(report)]) == EXIT_OK
+    detail = json.loads(report.read_text())["detail"]
+    assert detail == {"max_residual": 0.0, "worst_segment": None}
+    # the same circle at 151 nodes passes, its worst segment named
+    frame.write_text(json.dumps(circle_frame(np.linspace(0.0, 1.5, 151))))
+    assert main(["verify", POLAR, str(frame), "--out", str(report)]) == EXIT_OK
+    assert isinstance(json.loads(report.read_text())["detail"]["worst_segment"], int)

@@ -538,6 +538,17 @@ def test_differentiate_walks_each_distinct_node_once(monkeypatch):
     assert np.array_equal(got[0], z) and np.array_equal(got[1], dz)
 
 
+def test_evaluate_walks_each_distinct_node_once(monkeypatch):
+    dag = _doubling_dag(Sym(R))
+    calls = _count_calls(monkeypatch, "_eval")
+    value = evaluate(dag, {R: 0.2})
+    assert len(calls) == WALK_CALLS
+    z = 0.2
+    for _ in range(DOUBLINGS):
+        z = z * z + 0.2
+    assert value == z
+
+
 def test_free_symbols_visits_each_distinct_node_once(monkeypatch):
     dag = _doubling_dag(Sym(R)) * Sym(THETA)
     expanded = _count_calls(monkeypatch, "_children")

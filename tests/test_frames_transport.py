@@ -15,6 +15,7 @@ from normframes import (
     WTemplate,
     transport_along_curve,
 )
+from normframes import frames
 from normframes.expr import Sym
 
 S = Symbol("s")
@@ -77,6 +78,28 @@ def test_polar_circle_transport_matches_rotation(polar_connection, polar_circle)
     assert worst <= 1e-10
     # directional residual is the O(h^2) centered-difference defect
     assert result.max_directional_residual <= 10.0 * curve.step**2
+
+
+def one_job_curve_matrices(deriv, x, curve, b0):
+    """Reference: every segment of the curve in one kernel job, forward from
+    s_i at and after the node nearest s0 and backward from s_{i+1} before it."""
+    s_values = curve.node_values()
+    m_fn = frames.curve_direction_function(deriv, x, curve.exprs, curve.parameter)
+    base = int(np.argmin(np.abs(s_values - curve.s0)))
+    ahead = np.arange(len(s_values) - 1) >= base
+    starts = np.where(ahead, s_values[:-1], s_values[1:])[:, None]
+    signed = np.where(ahead, 1.0, -1.0) * np.diff(s_values)
+    props = frames._rk4_kernel([(m_fn, starts, 1.0, signed, 1)])[0]
+    return frames._fill_lattice((len(s_values),), (base,), b0, [props], [props])
+
+
+@pytest.mark.parametrize("s0", [0.0, 0.75, np.pi / 2], ids=["first", "interior", "last"])
+def test_curve_lattice_equals_one_job_transport_bit_for_bit(polar_connection, polar_circle, s0):
+    curve, x = polar_circle
+    curve = CurveSpec(curve.exprs, curve.interval, s0, curve.step)
+    b0 = np.array([[1.0, 0.5], [-0.25, 2.0]])
+    result = transport_along_curve(polar_connection, x, curve, b0)
+    assert np.array_equal(result.matrices, one_job_curve_matrices(polar_connection, x, curve, b0))
 
 
 def test_polar_circle_components_vanish_along_tangent(polar_connection, polar_circle):

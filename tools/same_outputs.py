@@ -4,8 +4,8 @@
 
 Runs every op of ``benchmarks/workloads.build_ops`` at seeds 3, 5 and 7,
 plus ``analyze``, ``frame ... point`` (the connection form and each spec
-field), ``frame ... flat`` and a ``verify`` of each frame file on every
-demo spec.  Each op runs as a fresh ``python -m normframes.cli``, once with
+field), ``frame ... flat``, ``frame ... curve`` (each spec field along each
+spec curve) and a ``verify`` of each frame file on every demo spec.  Each op runs as a fresh ``python -m normframes.cli``, once with
 ``PARENT_SRC`` and once with this checkout's ``src/`` on ``PYTHONPATH``.
 The ops of one group share a new empty directory per side, so ``verify``
 reads the frame file its group wrote.  Exit code, stdout, stderr and the
@@ -41,13 +41,16 @@ def benchmark_groups() -> list:
 
 
 def demo_runs(spec: Path) -> list:
-    """analyze, point and flat frames, and their verify, at the centre of the domain box."""
+    """analyze, point frames at the centre of the domain box, flat and curve
+    frames, and their verify."""
     doc = json.loads(spec.read_text())
     coords, path = doc["coordinates"], str(spec)
     centre = ",".join(f"{c}={(lo + hi) / 2.0!r}" for c, (lo, hi) in zip(coords, doc["domain"]))
+    fields, curves = doc.get("fields", {}), doc.get("curves", {})
     modes = ([("point", "--at", centre)]
-             + [("point", "--at", centre, "--field", name) for name in doc.get("fields", {})]
-             + [("flat", "--grid", "x".join(["5"] * len(coords)))])
+             + [("point", "--at", centre, "--field", name) for name in fields]
+             + [("flat", "--grid", "x".join(["5"] * len(coords)))]
+             + [("curve", "--field", f, "--curve", c) for f in fields for c in curves])
     runs = [("analyze", path, "--at", centre, "--out", "analysis.json")]
     for k, mode in enumerate(modes):
         runs.append(("frame", path, *mode, "--out", f"frame{k}.json"))
