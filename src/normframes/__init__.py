@@ -68,8 +68,8 @@ from .derivation import (
 )
 from .curvature import (
     IntegrabilityReport,
+    ProbeForms,
     Verdict,
-    curvature_forms,
     curvature_matrix,
     curvature_operator_oracle,
     curvature_tensor,
@@ -77,7 +77,6 @@ from .curvature import (
     is_flat,
     is_torsion_free,
     sampled_verdict,
-    torsion_forms,
     torsion_operator_oracle,
     torsion_tensor,
     torsion_vector,

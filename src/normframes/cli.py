@@ -42,7 +42,7 @@ from .derivation import (
     linearity_probe,
     template_symbols,
 )
-from .curvature import curvature_forms, sampled_verdict, torsion_forms
+from .curvature import ProbeForms, sampled_verdict
 from .frames import (
     DEFAULT_STEP,
     ZERO_FIELD_TOL,
@@ -154,7 +154,10 @@ def write_report(obj: dict, path: Optional[str]):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as err:
+            raise InputError(f"cannot write {path!r}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +344,9 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
     anhol = frame.anholonomy()
     tables: dict = {"anholonomy": anhol.evaluate_at(at)}
     # built once: the tables read the frame-pair forms, the verdicts sample all of them
-    curvature = list(curvature_forms(deriv, seed))
-    torsion = list(torsion_forms(deriv, seed))
+    forms = ProbeForms(deriv, seed)
+    curvature = list(forms.curvature())
+    torsion = list(forms.torsion())
     if isinstance(deriv, Connection):
         tables["curvature_tensor"] = curvature[0].evaluate_at(at)
         tables["torsion_tensor"] = torsion[0].evaluate_at(at)

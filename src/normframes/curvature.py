@@ -10,6 +10,7 @@ verbatim; recorded signs on the fixtures are outputs, never inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,25 +37,32 @@ IDENTITY_TOL = 1e-10
 VERDICT_SEED = 42
 
 
-def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
+def curvature_matrix(
+    deriv: Derivation, x: VectorField, y: VectorField, shared: Optional[ProbeForms] = None
+) -> TensorField:
     """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
-    (1,1) tensor field for the fixed pair of fields."""
-    w_x = w_of(deriv, x).components
-    w_y = w_of(deriv, y).components
-    x_wy = x.apply_to(w_y)
-    y_wx = y.apply_to(w_x)
+    (1,1) tensor field for the fixed pair of fields.  W_X, W_Y and their
+    frame derivatives come from ``shared`` (a new :class:`ProbeForms` of
+    ``deriv`` when None), which computes each once."""
+    shared = ProbeForms(deriv) if shared is None else shared
+    w_x, w_y = shared.w(x), shared.w(y)
+    x_wy = x.contract(shared.dw(y))
+    y_wx = y.contract(shared.dw(x))
     w_brk = w_of(deriv, commutator(x, y)).components
     # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
     total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
     return TensorField(deriv.frame, 1, 1, simplify(total))
 
 
-def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
-    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l."""
+def torsion_vector(
+    deriv: Derivation, x: VectorField, y: VectorField, shared: Optional[ProbeForms] = None
+) -> VectorField:
+    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l, with W_X and W_Y
+    from ``shared`` as in :func:`curvature_matrix`."""
+    shared = ProbeForms(deriv) if shared is None else shared
     frame = deriv.frame
     n = frame.dimension
-    w_x = w_of(deriv, x).components
-    w_y = w_of(deriv, y).components
+    w_x, w_y = shared.w(x), shared.w(y)
     C = frame.anholonomy()
     comps = []
     for i in range(n):
@@ -212,26 +220,55 @@ def _probe_pairs(frame: FrameField, seed: int) -> list[tuple[VectorField, Vector
     return pairs
 
 
-def curvature_forms(deriv: Derivation, seed: int = VERDICT_SEED):
-    """The curvature forms :func:`is_flat` tests, built one at a time: the
-    curvature tensor of a connection; otherwise the curvature matrix of each
-    probe pair, the frame pairs (E_i, E_j), i < j, first."""
-    if isinstance(deriv, Connection):
-        yield curvature_tensor(deriv)
-        return
-    for x, y in _probe_pairs(deriv.frame, seed):
-        yield curvature_matrix(deriv, x, y)
+class ProbeForms:
+    """The forms :func:`is_flat` and :func:`is_torsion_free` test, for one
+    derivation and probe seed, built one at a time by :meth:`curvature` and
+    :meth:`torsion`.  A connection has one of each, its curvature and
+    torsion tensors.  Any other variant has one per probe pair (the frame
+    pairs (E_i, E_j), i < j, first), and each probe field's W_X and
+    E_k(W_X) are computed once, on first use, and shared read-only by every
+    form built from this object."""
+
+    def __init__(self, deriv: Derivation, seed: int = VERDICT_SEED):
+        self.deriv = deriv
+        self.seed = seed
+        self._w: dict[VectorField, np.ndarray] = {}  # keyed by field identity
+        self._dw: dict[VectorField, np.ndarray] = {}
+
+    @cached_property
+    def pairs(self) -> list[tuple[VectorField, VectorField]]:
+        return _probe_pairs(self.deriv.frame, self.seed)
+
+    def w(self, x: VectorField) -> np.ndarray:
+        """W_X's components, read-only."""
+        if x not in self._w:
+            self._w[x] = _read_only(w_of(self.deriv, x).components)
+        return self._w[x]
+
+    def dw(self, x: VectorField) -> np.ndarray:
+        """E_k(W_X) stacked along k, read-only."""
+        if x not in self._dw:
+            self._dw[x] = _read_only(self.deriv.frame.frame_derivatives(self.w(x)))
+        return self._dw[x]
+
+    def curvature(self):
+        if isinstance(self.deriv, Connection):
+            yield curvature_tensor(self.deriv)
+            return
+        for x, y in self.pairs:
+            yield curvature_matrix(self.deriv, x, y, self)
+
+    def torsion(self):
+        if isinstance(self.deriv, Connection):
+            yield torsion_tensor(self.deriv)
+            return
+        for x, y in self.pairs:
+            yield torsion_vector(self.deriv, x, y, self)
 
 
-def torsion_forms(deriv: Derivation, seed: int = VERDICT_SEED):
-    """The torsion forms :func:`is_torsion_free` tests, in the order of
-    :func:`curvature_forms`: the torsion tensor of a connection, otherwise
-    the torsion vector of each probe pair."""
-    if isinstance(deriv, Connection):
-        yield torsion_tensor(deriv)
-        return
-    for x, y in _probe_pairs(deriv.frame, seed):
-        yield torsion_vector(deriv, x, y)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def sampled_verdict(forms, chart, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
@@ -249,10 +286,10 @@ def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_T
     Connections test the full tensor; other variants probe the matrix form
     over a deterministic family of field pairs.
     """
-    return sampled_verdict(curvature_forms(deriv, seed), deriv.chart, seed, tol)
+    return sampled_verdict(ProbeForms(deriv, seed).curvature(), deriv.chart, seed, tol)
 
 
 def is_torsion_free(
     deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL
 ) -> Verdict:
-    return sampled_verdict(torsion_forms(deriv, seed), deriv.chart, seed, tol)
+    return sampled_verdict(ProbeForms(deriv, seed).torsion(), deriv.chart, seed, tol)

@@ -3,12 +3,14 @@
 Every component function in this library (frame matrices, connection
 coefficients, templates) is an :class:`Expr` over a declared set of
 :class:`Symbol` objects.  Expressions are immutable trees that may share
-subtrees: one node object can be a child of many parents.  Folding,
-differentiation, free symbols and compilation visit each distinct node once;
-the first two through a memo keyed by node identity that lives for one public
-call.  Compilation lays the nodes out as one tape of numpy operations and
-generates no Python source.  All operations here are pure functions, so
-concurrent read access is safe.
+subtrees: one node object can be a child of many parents.  Nodes are
+``__slots__`` records without a per-instance ``__dict__``; two nodes are
+``==`` when they have the same class and equal fields, as frozen dataclasses
+would be.  Folding, differentiation, free symbols and compilation visit each
+distinct node once; the first two through a memo keyed by node identity that
+lives for one public call.  Compilation lays the nodes out as one tape of
+numpy operations and generates no Python source.  All operations here are
+pure functions, so concurrent read access is safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -78,8 +80,44 @@ class DomainError(EvaluationError):
     """Evaluation left the operation's domain (pole, log of non-positive, ...)."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class _Record:
+    """An immutable record of the fields named in ``_fields``, held in
+    ``__slots__`` (no per-instance ``__dict__``) and set once by
+    ``__init__``; assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError`, an ``AttributeError``.
+    ``==``, ``hash`` and ``repr`` are a frozen dataclass's: the same class
+    and equal field tuples (so ``Const(-0.0) == Const(0.0)``), the hash of
+    the field tuple, and ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Symbol(_Record):
     """A named leaf with a kind.
 
     Coordinate symbols come from a chart's declared coordinate list.
@@ -88,8 +126,16 @@ class Symbol:
     applied to the i-th component of a vector field.
     """
 
-    name: str
-    kind: str = COORDINATE
+    __slots__ = _fields = ("name", "kind")
+
+    def __init__(self, name: str, kind: str = COORDINATE):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+
+    def _values(self) -> tuple:
+        # spelled out: symbols are hashed and compared in the hot walks
+        # (binding lookups in _fold, _diff's leaf test), nodes are not
+        return (self.name, self.kind)
 
     def __str__(self) -> str:
         return self.name
@@ -110,7 +156,7 @@ def frame_derivative_symbol(i: int, j: int) -> Symbol:
 NumberLike = Union[int, float, "Expr"]
 
 
-class Expr:
+class Expr(_Record):
     """Base class of the expression tree.  Instances are immutable."""
 
     __slots__ = ()
@@ -165,70 +211,76 @@ class Expr:
         return to_source(self)
 
 
-@dataclass(frozen=True, eq=True)
 class Const(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
+    def __init__(self, value: float):
+        value = float(value)
+        if not math.isfinite(value):
             raise ValueError("expression constants must be finite")
+        _set(self, "value", value)
 
     def __repr__(self):
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True, eq=True)
 class Sym(Expr):
-    symbol: Symbol
+    __slots__ = _fields = ("symbol",)
+
+    def __init__(self, symbol: Symbol):
+        _set(self, "symbol", symbol)
 
     def __repr__(self):
         return f"Sym({self.symbol.name})"
 
 
-@dataclass(frozen=True, eq=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, eq=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = _fields = ("func", "arg")
 
-    def __post_init__(self):
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.func!r}")
+    def __init__(self, func: str, arg: Expr):
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}")
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 ZERO = Const(0.0)
@@ -712,10 +764,10 @@ def _is_const(e: Expr, value: float) -> bool:
 
 
 def _same(a: Expr, b: Expr) -> bool:
-    """``a == b``, the dataclass equality, compared without recursing: the
-    same node classes with ``Const`` values equal as floats (so -0.0 equals
-    0.0), the same symbols and function names, and identical subtrees
-    skipped."""
+    """``a == b``, the nodes' field-by-field equality, compared without
+    recursing: the same node classes with ``Const`` values equal as floats
+    (so -0.0 equals 0.0), the same symbols and function names, and
+    identical subtrees skipped."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()

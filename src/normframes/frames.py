@@ -563,8 +563,11 @@ class CurveSpec:
         return float(math.floor(below) + math.floor(above) + 1)
 
     def node_values(self) -> np.ndarray:
+        """s0 + k step for every node in the interval; the end nodes, which
+        rounding can put just outside it, are clipped to it."""
         below, above = self._steps_each_side()
-        return self.s0 + self.step * np.arange(-math.floor(below), math.floor(above) + 1)
+        values = self.s0 + self.step * np.arange(-math.floor(below), math.floor(above) + 1)
+        return np.clip(values, *self.interval, out=values)
 
     def point_at(self, s: float) -> np.ndarray:
         assignment = {self.parameter.name: s}

@@ -250,7 +250,11 @@ class VectorField:
 
     def apply_to(self, f):
         """X(f) = X^k E_k(f); ``f`` is an Expr or an object array of them."""
-        derivatives = self.frame.frame_derivatives(f)
+        return self.contract(self.frame.frame_derivatives(f))
+
+    def contract(self, derivatives):
+        """X^k D_k, simplified, for the stack D_k = E_k(f) that
+        :meth:`FrameField.frame_derivatives` returns: X(f) from E_k(f)."""
         return simplify(sum(c * d for c, d in zip(self.components, derivatives)))
 
     def __add__(self, other: "VectorField") -> "VectorField":

@@ -253,6 +253,39 @@ def test_frame_curve_and_verify(tmp_path):
     assert run("verify", POLAR, str(frame), "--tol", "1e-6") == EXIT_OK
 
 
+def test_curve_end_nodes_round_into_the_interval(tmp_path, capsys):
+    # from s0 = 0.7, 0.7 - 700 * 0.001 rounds to -1.1e-16, just below theta's domain
+    doc = json.loads(Path(POLAR).read_text())
+    doc["curves"]["unit_circle"]["s0"] = 0.7
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    frame = tmp_path / "frame.json"
+    argv = ("frame", str(spec), "curve", "--field", "angular", "--curve", "unit_circle",
+            "--out", str(frame))
+    assert run(*argv) == EXIT_OK
+    s_values = json.loads(frame.read_text())["locus"]["curve"]["s"]
+    assert s_values[0] == 0.0 and s_values[-1] <= doc["curves"]["unit_circle"]["interval"][1]
+    assert run("verify", str(spec), str(frame), "--tol", "1e-6") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["frame", "analyze", "verify"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
+    frame = tmp_path / "frame.json"
+    assert run("frame", POLAR, "flat", "--grid", "5x5", "--out", str(frame)) == EXIT_OK
+    argv = {
+        "frame": ("frame", POLAR, "flat", "--grid", "5x5"),
+        "analyze": ("analyze", POLAR, "--at", "r=1.5,theta=0.5"),
+        "verify": ("verify", POLAR, str(frame)),
+    }[command]
+    out = tmp_path / "missing" / "out.json"
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {str(out)!r}")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 def test_corrupted_curve_frame_localized(tmp_path):
     frame = tmp_path / "frame.json"
     out = tmp_path / "verdict.json"

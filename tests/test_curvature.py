@@ -9,6 +9,7 @@ from normframes import (
     Connection,
     Const,
     LieType,
+    ProbeForms,
     SymbolicTransform,
     TensorField,
     VectorField,
@@ -427,3 +428,40 @@ def test_torsion_vector_antisymmetric_under_swap(torsion_plane):
         pt = rng.uniform(-0.4, 0.4, 2)
         assert np.max(np.abs(fwd.at(pt) + rev.at(pt))) <= 1e-10
         assert np.max(np.abs(op.at(pt))) <= 1e-12  # oracle with X = Y
+
+
+@pytest.mark.parametrize("name", ["s4_template", "lie_plane"])
+def test_analysis_builds_one_w_per_probe_field(monkeypatch, name):
+    import normframes.curvature as curvature_module
+    from normframes.cli import build_analysis_report
+
+    setup = load_manifold_spec(str(ROOT / "benchmarks" / "specs" / f"{name}.json"))
+    fields = []
+    real_w_of = curvature_module.w_of
+
+    def recording_w_of(deriv, x):
+        fields.append(x)
+        return real_w_of(deriv, x)
+
+    monkeypatch.setattr(curvature_module, "w_of", recording_w_of)
+    at = np.array([(lo + hi) / 2.0 for lo, hi in setup.chart.domain])
+    build_analysis_report(setup, at, 42)
+    # every probe field once, plus one commutator field per pair
+    n = setup.chart.dimension
+    assert len(fields) == n + 4 + n * (n - 1) // 2 + 4
+    assert len({id(x) for x in fields}) == len(fields)
+
+
+def test_probe_forms_share_read_only_arrays(lie_plane):
+    forms = ProbeForms(lie_plane)
+    x, y = forms.pairs[-1]
+    for shared in (forms.w(x), forms.dw(x)):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = Const(1.0)
+    assert forms.w(x) is forms.w(x) and forms.dw(x) is forms.dw(x)
+    # sharing changes no tree: each form matches the one built on its own
+    for (x, y), form in zip(forms.pairs, forms.curvature()):
+        assert repr(form.components) == repr(curvature_matrix(lie_plane, x, y).components)
+    for (x, y), form in zip(forms.pairs, forms.torsion()):
+        assert repr(form.components) == repr(torsion_vector(lie_plane, x, y).components)

@@ -28,6 +28,7 @@ from normframes.expr import (
     Pow,
     Sub,
     Sym,
+    Symbol,
     UnknownSymbolError,
     compile_exprs,
     component_symbols,
@@ -668,3 +669,72 @@ def test_compiled_doubling_dag_equals_its_unshared_reparse():
     unshared = parse_expr(to_source(dag), POLAR_SYMS)
     x = np.linspace(-1.0, 0.25, 11)
     assert np.array_equal(compile_exprs([dag], [R])(x), compile_exprs([unshared], [R])(x))
+
+
+# ---------------------------------------------------------------------------
+# node semantics: slot records that behave as the frozen dataclasses they replaced
+
+
+FIELDS = {Symbol: ("name", "kind"), Const: ("value",), Sym: ("symbol",), Neg: ("arg",),
+          Call: ("func", "arg"), Pow: ("base", "exponent"), Add: ("left", "right"),
+          Sub: ("left", "right"), Mul: ("left", "right"), Div: ("left", "right")}
+
+
+def _sample_nodes():
+    tree = parse_expr("sin(r)^2 - -theta/r + -(2*r)", POLAR_SYMS)
+    return [tree, R, Const(-0.0), Sym(THETA), Neg(Sym(R)), Call("exp", Const(1.5)),
+            Pow(Sym(R), Const(3.0)), Add(Sym(R), Sym(THETA)), Sub(Sym(R), Sym(THETA)),
+            Mul(Sym(R), Sym(THETA)), Div(Sym(R), Sym(THETA))]
+
+
+def test_nodes_and_symbols_carry_no_dict_and_reject_writes():
+    for node in _sample_nodes():
+        assert not hasattr(node, "__dict__")
+        field = FIELDS[type(node)][0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, Const(1.0))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+
+def test_node_repr_eq_and_hash_match_the_dataclass_forms():
+    tree = parse_expr("sin(r)^2 - -theta/r + -(2*r)", POLAR_SYMS)
+    assert repr(tree) == (
+        "Add(left=Sub(left=Pow(base=Call(func='sin', arg=Sym(r)), exponent=Const(2.0)), "
+        "right=Div(left=Neg(arg=Sym(theta)), right=Sym(r))), "
+        "right=Neg(arg=Mul(left=Const(2.0), right=Sym(r))))"
+    )
+    assert repr(R) == "Symbol(name='r', kind='coordinate')"
+    # equal class and equal fields: a second parse is equal, with the same hash
+    again = parse_expr("sin(r)^2 - -theta/r + -(2*r)", POLAR_SYMS)
+    assert again is not tree and again == tree and hash(again) == hash(tree)
+    for node in _sample_nodes():
+        assert hash(node) == hash(tuple(getattr(node, f) for f in FIELDS[type(node)]))
+    assert Const(-0.0) == Const(0.0) and hash(Const(-0.0)) == hash(Const(0.0))
+    # the hash ignores the class, equality does not
+    add, sub = Add(Sym(R), Sym(THETA)), Sub(Sym(R), Sym(THETA))
+    assert hash(add) == hash(sub) and add != sub
+    assert Const(1.0) != 1.0 and Symbol("r") == R and Symbol("r", "other") != R
+
+
+def test_const_coerces_to_a_finite_float_and_call_checks_its_name():
+    assert type(Const(2).value) is float and Const("1.5").value == 1.5
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Const(bad)
+    with pytest.raises(ValueError, match="unknown function 'asin'"):
+        Call("asin", Sym(R))
+
+
+def test_symbol_repr_in_a_frame_error():
+    from normframes.geometry import Chart, FrameField
+
+    x1 = component_symbols(1)[0]
+    chart = Chart(("r",), ((1.0, 2.0),))
+    with pytest.raises(ValueError) as err:
+        FrameField(chart, [[Sym(x1)]])
+    assert str(err.value) == (
+        "frame entries must be coordinate-only, found [Symbol(name='X1', kind='vector-component')]"
+    )
