@@ -27,7 +27,6 @@ from .expr import (
     DomainError,
     ExprError,
     Symbol,
-    evaluate,
     parse_expr,
     to_source,
 )
@@ -352,15 +351,11 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
         tables["torsion_tensor"] = torsion[0].evaluate_at(at)
         tables["connection"] = deriv.gamma_at(at)
     else:
-        assignment = chart.assignment(at)
         labels = [f"E{i + 1},E{j + 1}" for i in range(n) for j in range(i + 1, n)]
         tables["curvature_matrix"] = {
             label: form.evaluate_at(at) for label, form in zip(labels, curvature)
         }
-        tables["torsion_vector"] = {
-            label: [evaluate(c, assignment) for c in form.components]
-            for label, form in zip(labels, torsion)
-        }
+        tables["torsion_vector"] = {label: form.at(at) for label, form in zip(labels, torsion)}
 
     flat = sampled_verdict(curvature, chart, seed)
     tfree = sampled_verdict(torsion, chart, seed)

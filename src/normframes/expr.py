@@ -9,8 +9,9 @@ subtrees: one node object can be a child of many parents.  Nodes are
 would be.  Folding, differentiation, free symbols and compilation visit each
 distinct node once; the first two through a memo keyed by node identity that
 lives for one public call.  Compilation lays the nodes out as one tape of
-numpy operations and generates no Python source.  All operations here are
-pure functions, so concurrent read access is safe.
+numpy operations and generates no Python source; it is the one numeric
+evaluator, at a single point (:func:`evaluate`) as on a point set.  All
+operations here are pure functions, so concurrent read access is safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -515,15 +516,15 @@ class _Parser:
 
 
 # Longest root-to-leaf path, in nodes, that parse_expr accepts.  Folding,
-# differentiation, evaluation and printing recurse with one stack frame per
-# level (the folding rules compare trees with the iterative _same), and
-# derived trees (W templates, frame derivatives, curvature) are a few levels
-# deeper than their inputs.  Under the CLI, at Python's default recursion
-# limit, a sum of terms first overflows at depth 983 in a template entry, 985
-# in a connection entry and 984 in a frame entry under `analyze` (979, 981 and
-# 978 under `frame ... flat`).  Quotients are the exception: each derivative
-# roughly doubles their depth, so a connection entry of 328 terms `(2+x1)`
-# joined by `/` overflows under `analyze` (327 under `frame ... flat`).
+# differentiation and printing recurse with one stack frame per level (the
+# folding rules compare trees with the iterative _same), and derived trees
+# (W templates, frame derivatives, curvature) are a few levels deeper than
+# their inputs.  Under the CLI, at Python's default recursion limit, a sum of
+# terms first overflows at depth 983 in a template entry, 985 in a connection
+# entry and 984 in a frame entry under `analyze` (979, 981 and 978 under
+# `frame ... flat`).  Quotients are the exception: each derivative roughly
+# doubles their depth, so a connection entry of 328 terms `(2+x1)` joined by
+# `/` overflows under `analyze` (327 under `frame ... flat`).
 MAX_DEPTH = 400
 
 
@@ -608,7 +609,7 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# calculus and evaluation
+# calculus
 
 
 def differentiate(e, s: Symbol):
@@ -678,74 +679,6 @@ def _derivative(e: Expr, da: Expr, db) -> Expr:
         "cosh": lambda: Call("sinh", u),
     }[e.func]()
     return Mul(outer, da)
-
-
-def _normalize_assignment(assignment: Mapping) -> dict[str, float]:
-    values = {}
-    for key, val in assignment.items():
-        name = key.name if isinstance(key, Symbol) else str(key)
-        values[name] = float(val)
-    return values
-
-
-def evaluate(e: Expr, assignment: Mapping) -> float:
-    """Evaluate ``e`` at a point, given values for every symbol it uses.
-
-    Raises :class:`MissingSymbolError` when a symbol has no value and
-    :class:`DomainError` on poles, logs of non-positive numbers, negative
-    square roots, ``0^negative`` and overflow.  Never returns NaN or inf.
-    """
-    values = _normalize_assignment(assignment)
-    result = _eval(e, values, {})
-    if not math.isfinite(result):
-        raise DomainError(f"evaluation produced a non-finite value for {to_source(e)}")
-    return result
-
-
-def _eval(e: Expr, values: dict[str, float], memo: dict) -> float:
-    """The value of ``e``, recorded in ``memo`` (node id -> value) so a
-    subtree that occurs many times is evaluated once."""
-    kind = type(e)
-    if kind is Const:
-        return e.value
-    if kind is Sym:
-        try:
-            return values[e.symbol.name]
-        except KeyError:
-            raise MissingSymbolError(f"no value supplied for symbol {e.symbol.name!r}") from None
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    if kind is Add:
-        out = _eval(e.left, values, memo) + _eval(e.right, values, memo)
-    elif kind is Mul:
-        out = _eval(e.left, values, memo) * _eval(e.right, values, memo)
-    elif kind is Sub:
-        out = _eval(e.left, values, memo) - _eval(e.right, values, memo)
-    elif kind is Neg:
-        out = -_eval(e.arg, values, memo)
-    elif kind is Div:
-        denom = _eval(e.right, values, memo)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        out = _eval(e.left, values, memo) / denom
-    elif kind is Pow:
-        base = _eval(e.base, values, memo)
-        expo = _eval(e.exponent, values, memo)
-        try:
-            out = math.pow(base, expo)
-        except (ValueError, OverflowError) as err:
-            raise DomainError(f"{base!r}^{expo!r} is undefined: {err}") from None
-    elif kind is Call:
-        arg = _eval(e.arg, values, memo)
-        try:
-            out = _MATH_FUNCS[e.func](arg)
-        except (ValueError, OverflowError) as err:
-            raise DomainError(f"{e.func}({arg!r}) is undefined: {err}") from None
-    else:
-        raise TypeError(f"not an Expr: {e!r}")
-    memo[id(e)] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -955,19 +888,20 @@ def substitute_unchecked(e, bindings: Mapping[Symbol, Expr]):
 
 
 # ---------------------------------------------------------------------------
-# compilation (hot numeric loops: ODE right-hand sides, grid sweeps)
+# compilation: the one numeric evaluator, at one point or at many
 
 
 def compile_exprs(exprs, symbols: Iterable[Symbol]):
-    """Compile a flat sequence of coordinate-only Exprs to one numpy callable.
+    """Compile a flat sequence of Exprs to one numpy callable.
 
-    The callable takes the coordinate values in the order of ``symbols``,
+    The callable takes the symbol values in the order of ``symbols``,
     as scalars or arrays that broadcast together, and returns an ndarray
     of shape ``(len(exprs),) + broadcast shape``.  Arithmetic runs under
     ``np.errstate`` raising on division by zero, invalid operations and
-    overflow; those failures and any non-finite result surface as
-    :class:`DomainError` naming the expression, the same policy as
-    :func:`evaluate`.
+    overflow, of the results and of every intermediate value; those
+    failures and any non-finite result surface as :class:`DomainError`
+    naming the expression, so no NaN or inf is ever returned.  A symbol
+    missing from ``symbols`` raises :class:`MissingSymbolError`.
 
     The expressions become one tape over a list of registers: the symbol
     values, then the constants (Python floats), then one result per entry.
@@ -1043,3 +977,25 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
         return out
 
     return compiled
+
+
+def _normalize_assignment(assignment: Mapping) -> dict[str, float]:
+    values = {}
+    for key, val in assignment.items():
+        name = key.name if isinstance(key, Symbol) else str(key)
+        values[name] = float(val)
+    return values
+
+
+def evaluate(e: Expr, assignment: Mapping) -> float:
+    """Evaluate ``e`` at a point, given values for every symbol it uses: the
+    tape of :func:`compile_exprs` run at that one point.
+
+    Raises :class:`MissingSymbolError` when a symbol has no value and
+    :class:`DomainError` on poles, logs of non-positive numbers, negative
+    square roots, ``0^negative`` and overflow, of the result or of any
+    intermediate value.  Never returns NaN or inf.
+    """
+    values = _normalize_assignment(assignment)
+    compiled = compile_exprs([e], [Symbol(name) for name in values])
+    return float(compiled(*([v] for v in values.values())).flat[0])

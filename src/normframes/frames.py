@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matops
-from .expr import Const, Expr, Sym, Symbol, compile_exprs, differentiate, evaluate, simplify
+from .expr import Const, Expr, Sym, Symbol, compile_exprs, differentiate, simplify
 from .geometry import (
     Chart,
     DEGENERACY_TOL,
@@ -49,7 +49,6 @@ GRID_TOL = 1e-6
 DEFAULT_STEP = 1e-3
 ZERO_FIELD_TOL = 1e-12
 INTEGRAL_CURVE_TOL = 1e-6  # max |curve velocity - field| at a curve node
-REFINE_DELTA = 1e-5  # coordinate step of the refreshed transports behind grid holonomicity
 SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
 # Transport budget of one grid or curve frame, checked before anything is
 # allocated: grid nodes times the RK4 sub-steps of one edge along each axis
@@ -569,10 +568,6 @@ class CurveSpec:
         values = self.s0 + self.step * np.arange(-math.floor(below), math.floor(above) + 1)
         return np.clip(values, *self.interval, out=values)
 
-    def point_at(self, s: float) -> np.ndarray:
-        assignment = {self.parameter.name: s}
-        return np.array([evaluate(e, assignment) for e in self.exprs])
-
 
 @dataclass
 class CurveFrame:
@@ -721,25 +716,6 @@ class GridFrame:
 
     def matrix_at(self, index: tuple[int, ...]) -> np.ndarray:
         return self.matrices[tuple(index)]
-
-    def partial_derivatives_at(self, index: tuple[int, ...]) -> np.ndarray:
-        """d A / d x^alpha at a node by short refreshed transports.
-
-        Re-integrates the construction ODE one step of +REFINE_DELTA and one
-        of -REFINE_DELTA along each axis from the stored node matrix; centered
-        difference of the two fresh values.  Returns an array [alpha, i, j].
-        """
-        pt = self.point_at(index)
-        a = self.matrix_at(index)
-        n = a.shape[0]
-        starts = np.stack([pt, pt])
-        out = np.empty((self.dimension, n, n))
-        for alpha, m_fn in enumerate(self.m_functions):
-            direction = np.eye(self.dimension)[alpha]
-            job = (m_fn, starts, direction, [REFINE_DELTA, -REFINE_DELTA], 1)
-            plus, minus = _rk4_kernel([job])[0] @ a
-            out[alpha] = (plus - minus) / (2.0 * REFINE_DELTA)
-        return out
 
 
 def direction_functions(deriv: Derivation) -> list:
@@ -1026,19 +1002,20 @@ def holonomicity_check(
     at=None,
     tol: Optional[float] = None,
     deriv: Optional[Derivation] = None,
-    seed: int = 42,
     method: str = "refined",
 ) -> HolonomicityVerdict:
     """Do the transformed frame vectors commute?
 
     Symbolic transforms are answered through the anholonomy of the
     composed frame (identity test over the chart sample cloud, or at a
-    point).  Grid frames get two estimates: lattice-spacing centered
-    differences (method "fd", tolerance scaled as 10 h^2 to match the
-    truncation order) and short refreshed transports of the construction
-    ODE (method "refined", the default, which is what tight tolerances
-    need).  When the locus has vanishing components the commutator is also
-    cross-checked against minus the torsion pairing.
+    point).  Grid frames get two estimates at the lattice nodes.  Method
+    "fd" takes centered differences of the stored matrices at the lattice
+    spacing (tolerance scaled as 10 h^2 to match the truncation order); it
+    is the only one that checks the stored matrices.  Method "refined", the
+    default and what tight tolerances need, reads the derivatives off the
+    construction's equations, dA/dx^alpha = -M_alpha A, at the stored
+    matrices.  When the locus has vanishing components the commutator is
+    also cross-checked against minus the torsion pairing.
     """
     if isinstance(transform, SymbolicTransform):
         sym_tol = 1e-10 if tol is None else tol
@@ -1061,7 +1038,7 @@ def holonomicity_check(
         return result
 
     if isinstance(transform, GridFrame):
-        return _holonomicity_grid(transform, tol=tol, seed=seed, method=method)
+        return _holonomicity_grid(transform, tol=tol, method=method)
     raise TypeError("expected a SymbolicTransform or a GridFrame")
 
 
@@ -1098,7 +1075,6 @@ def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, a
 def _holonomicity_grid(
     grid_frame: GridFrame,
     tol: Optional[float],
-    seed: int,
     method: str = "refined",
 ) -> HolonomicityVerdict:
     deriv = grid_frame.deriv
@@ -1106,7 +1082,6 @@ def _holonomicity_grid(
     chart = grid_frame.chart
     n = frame.dimension
     axes = grid_frame.axes
-    shape = tuple(len(ax) for ax in axes)
     spacing = max(grid_frame.spacings)
     fd_tol = 10.0 * spacing * spacing
     if method == "fd":
@@ -1117,8 +1092,9 @@ def _holonomicity_grid(
                 f"differences floor at about {spacing * spacing:.1e}"
             )
 
+    mesh = np.meshgrid(*axes, indexing="ij")
     frame_fn = compile_exprs(list(frame.matrix.flat), chart.symbols)
-    frame_vals = _matrices(frame_fn(*np.meshgrid(*axes, indexing="ij")), n)
+    frame_vals = _matrices(frame_fn(*mesh), n)
     composed = np.einsum("...ab,...bc->...ac", frame_vals, grid_frame.matrices)
 
     # centered differences at interior nodes, lattice spacing
@@ -1139,23 +1115,18 @@ def _holonomicity_grid(
     comm = np.einsum("...ka,...aij->...kij", np.linalg.inv(bc), half - np.swapaxes(half, -1, -2))
     fd_worst = float(np.max(np.abs(comm))) if comm.size else 0.0
 
-    # sharper estimate: short refreshed transports at seeded nodes + base
-    rng = np.random.default_rng(seed)
-    nodes = [grid_frame.base_index] + [
-        tuple(int(rng.integers(0, s)) for s in shape) for _ in range(10)
-    ]
-    index = tuple(np.array(nodes).T)
-    a_val = grid_frame.matrices[index]
+    # sharper estimate at every node: dA/dx^alpha = -M_alpha A, the frame equations
+    a_val = grid_frame.matrices
+    da = np.stack([-_matrices(m_fn(*mesh), n) @ a_val for m_fn in grid_frame.m_functions], axis=-3)
     anhol_torsion = matops.evaluate_points(
         np.stack([frame.anholonomy().components, torsion_tensor(deriv).components]),
         chart.symbols,
-        [grid_frame.point_at(node) for node in nodes],
-    )
-    da = np.stack([grid_frame.partial_derivatives_at(node) for node in nodes])
+        np.stack([m.ravel() for m in mesh], axis=-1),
+    ).reshape(a_val.shape[:-2] + (2, n, n, n))
     # E_a(A)_{ij} = B^alpha_a dA_{ij}/dx^alpha
-    ea_a = np.einsum("NAa,NAij->Naij", frame_vals[index], da)
-    comm = _commutators(a_val, ea_a, anhol_torsion[:, 0])
-    twisted = comm + _pairing(anhol_torsion[:, 1], a_val)
+    ea_a = np.einsum("...Aa,...Aij->...aij", frame_vals, da)
+    comm = _commutators(a_val, ea_a, anhol_torsion[..., 0, :, :, :])
+    twisted = comm + _pairing(anhol_torsion[..., 1, :, :, :], a_val)
     upper = np.triu_indices(n, 1)
     refined_worst = float(np.max(np.abs(comm[..., upper[0], upper[1]]), initial=0.0))
     torsion_resid = float(np.max(np.abs(twisted[..., upper[0], upper[1]]), initial=0.0))

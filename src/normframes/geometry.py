@@ -21,7 +21,6 @@ from .expr import (
     Symbol,
     coordinate_symbols,
     differentiate,
-    evaluate,
     free_symbols,
     simplify,
 )
@@ -241,8 +240,7 @@ class VectorField:
         return self.frame.chart
 
     def at(self, point) -> np.ndarray:
-        assignment = self.chart.assignment(point)
-        return np.array([evaluate(c, assignment) for c in self.components])
+        return matops.evaluate_array(self.components, self.chart.assignment(point))
 
     def coordinate_components_at(self, point) -> np.ndarray:
         """Components against d/dx^a, i.e. B X; frame-independent data."""

@@ -10,16 +10,17 @@ Symbolic inversion uses the adjugate/determinant form and is
 restricted to n <= 4 to keep expression growth bounded; every consumer
 that needs larger frames evaluates numerically per point instead.
 
-Numeric evaluation has two entry points: :func:`evaluate_array` walks the
-trees at one point, :func:`evaluate_points` compiles an array once and
-evaluates it on a whole point set (sample cloud, shell, lattice nodes).
+Numeric evaluation compiles an array once with
+:func:`~normframes.expr.compile_exprs` and runs the tape on a point set
+(:func:`evaluate_points`: sample cloud, shell, lattice nodes) or at one point
+(:func:`evaluate_array`, the same call with a single point).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import Const, Div, Expr, compile_exprs, evaluate, simplify
+from .expr import Const, Div, Expr, Symbol, compile_exprs, simplify
 
 MAX_SYMBOLIC_INVERSE = 4
 
@@ -77,12 +78,11 @@ def inverse(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_array(matrix: np.ndarray, assignment) -> np.ndarray:
-    """Evaluate every entry of an object ndarray of Exprs at one point."""
-    out = np.empty(matrix.shape, dtype=float)
-    for idx in np.ndindex(matrix.shape):
-        out[idx] = evaluate(matrix[idx], assignment)
-    return out
+def evaluate_array(matrix, assignment) -> np.ndarray:
+    """Evaluate every entry of an Expr array at one point: :func:`evaluate_points`
+    at the point that ``assignment`` (symbol or name -> value) gives."""
+    symbols = [key if isinstance(key, Symbol) else Symbol(str(key)) for key in assignment]
+    return evaluate_points(matrix, symbols, [list(assignment.values())])[0, ...]
 
 
 def evaluate_points(matrix, symbols, points) -> np.ndarray:
@@ -91,7 +91,7 @@ def evaluate_points(matrix, symbols, points) -> np.ndarray:
     ``points`` holds one row of coordinate values per point, in the order
     of ``symbols``; the result has shape ``(len(points),) + matrix.shape``.
     The array is compiled once; non-finite values and domain failures raise
-    :class:`~normframes.expr.DomainError`, as in :func:`evaluate_array`.
+    :class:`~normframes.expr.DomainError`.
     """
     matrix = np.asarray(matrix, dtype=object)
     symbols = list(symbols)

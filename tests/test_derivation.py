@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from normframes import (
+    Chart,
     Connection,
     Const,
     Derivation,
+    FrameField,
     LieType,
     STemplate,
     SymbolicTransform,
@@ -26,9 +28,10 @@ from normframes import (
     vanishes_on_chart,
     w_of,
 )
-from normframes import expr
+from normframes import expr, matops
 from normframes.derivation import VariantError, vanishing_fields
 from normframes.expr import (
+    DomainError,
     Symbol,
     UnknownSymbolError,
     Sym,
@@ -41,6 +44,7 @@ from normframes.expr import (
 )
 
 from conftest import affine_fields, christoffel_from_metric, polar_metric, sphere_metric
+from reference import evaluate_tree
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +582,44 @@ def test_symmetrization_preserves_nothing_spurious(torsion_plane):
     tensor = torsion_tensor(torsion_plane)
     ok, _ = vanishes_on_chart(tensor.components.flat, torsion_plane.chart)
     assert not ok
+
+
+# ---------------------------------------------------------------------------
+# one-point evaluation is the many-point tape at a single point
+
+
+@pytest.mark.parametrize(
+    "bad, at",
+    [("1/r", 0.0), ("1/(exp(r)*exp(r))", 400.0)],
+    ids=["pole", "intermediate-overflow"],
+)
+def test_one_point_and_many_point_evaluation_agree(bad, at):
+    chart = Chart(("r", "theta"), ((0.0, 500.0), (0.0, 1.0)))
+    frame = FrameField.coordinate(chart)
+    good = ["r*sin(theta)", "exp(theta)/(1+r)", "sqrt(r+theta)^3", "cosh(theta)-log(2+r)"]
+    entries = [parse_expr(text, chart.symbols) for text in good + [bad] + good[:3]]
+    gamma = np.array(entries, dtype=object).reshape(2, 2, 2)
+    pair = [entries[0], entries[4]]
+
+    def each_entry(pt):
+        return np.array([evaluate(e, chart.assignment(pt)) for e in entries])
+
+    cases = [  # name, the one-point path, the array it evaluates
+        ("evaluate", each_entry, entries),
+        ("evaluate_array", lambda pt: matops.evaluate_array(gamma, chart.assignment(pt)), gamma),
+        ("TensorField.evaluate_at", TensorField(frame, 1, 2, gamma).evaluate_at, gamma),
+        ("gamma_at", Connection(frame, gamma).gamma_at, gamma),
+        ("VectorField.at", VectorField(frame, pair).at, pair),
+    ]
+    regular, singular = np.array([1.5, 0.3]), np.array([at, 0.3])
+    for name, one_point, array in cases:
+        expected = matops.evaluate_points(array, chart.symbols, [regular])[0]
+        got = one_point(regular)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+        # only the bad entry fails there, and every path raises
+        with pytest.raises(DomainError):
+            matops.evaluate_points(array, chart.symbols, [singular])
+        with pytest.raises(DomainError):
+            one_point(singular)
+    if at:  # the reference walk absorbs the overflow of exp(r)*exp(r); the tape does not
+        assert evaluate_tree(entries[4], {"r": at}) == 0.0

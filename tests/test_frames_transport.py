@@ -116,7 +116,8 @@ def test_polar_circle_components_vanish_along_tangent(polar_connection, polar_ci
     for i in range(len(result.s_values) - 1):
         a = result.matrices[i]
         def m_at(s):
-            return np.array(w_fn(*curve.point_at(s)), dtype=float).reshape(2, 2)
+            point = frames.curve_points(result.field.chart, curve.exprs, curve.parameter, [s])
+            return np.array(w_fn(*point[0]), dtype=float).reshape(2, 2)
         s0 = float(result.s_values[i])
         m0, mm, m1 = m_at(s0), m_at(s0 + 0.5 * h), m_at(s0 + h)
         k1 = -(m0 @ a)

@@ -42,3 +42,22 @@ def test_no_module_runs_generated_source():
         and node.func.id in ("exec", "eval", "compile")
     ]
     assert SOURCES and not offenders, offenders
+
+
+def test_no_module_calls_expr_evaluate():
+    # one-point work compiles each array once through matops.evaluate_array or
+    # evaluate_points; expr.evaluate, one expression per call, is for callers
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {"evaluate"} | {
+            alias.asname for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "expr"
+            for alias in node.names if alias.name == "evaluate" and alias.asname
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        ]
+    assert SOURCES and not offenders, offenders
