@@ -64,6 +64,7 @@ from .derivation import (
     template_symbols,
     transform_connection,
     transform_w,
+    w_derivatives,
     w_of,
 )
 from .curvature import (
@@ -89,7 +90,6 @@ from .frames import (
     CurveSpec,
     GridFrame,
     GridSpec,
-    GridTooCoarseError,
     HolonomicityVerdict,
     NoFrameExistsError,
     NotFlatError,

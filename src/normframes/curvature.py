@@ -30,6 +30,7 @@ from .derivation import (
     VariantError,
     apply_derivation,
     seeded_affine_fields,
+    w_derivatives,
     w_of,
 )
 
@@ -37,32 +38,24 @@ IDENTITY_TOL = 1e-10
 VERDICT_SEED = 42
 
 
-def curvature_matrix(
-    deriv: Derivation, x: VectorField, y: VectorField, shared: Optional[ProbeForms] = None
-) -> TensorField:
+def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
     """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
     (1,1) tensor field for the fixed pair of fields.  W_X, W_Y and their
-    frame derivatives come from ``shared`` (a new :class:`ProbeForms` of
-    ``deriv`` when None), which computes each once."""
-    shared = ProbeForms(deriv) if shared is None else shared
-    w_x, w_y = shared.w(x), shared.w(y)
-    x_wy = x.contract(shared.dw(y))
-    y_wx = y.contract(shared.dw(x))
+    frame derivatives are the ones ``deriv`` keeps per field."""
+    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
+    x_wy = x.contract(w_derivatives(deriv, y))
+    y_wx = y.contract(w_derivatives(deriv, x))
     w_brk = w_of(deriv, commutator(x, y)).components
     # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
     total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
     return TensorField(deriv.frame, 1, 1, simplify(total))
 
 
-def torsion_vector(
-    deriv: Derivation, x: VectorField, y: VectorField, shared: Optional[ProbeForms] = None
-) -> VectorField:
-    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l, with W_X and W_Y
-    from ``shared`` as in :func:`curvature_matrix`."""
-    shared = ProbeForms(deriv) if shared is None else shared
+def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
+    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l."""
     frame = deriv.frame
     n = frame.dimension
-    w_x, w_y = shared.w(x), shared.w(y)
+    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
     C = frame.anholonomy()
     comps = []
     for i in range(n):
@@ -225,50 +218,31 @@ class ProbeForms:
     derivation and probe seed, built one at a time by :meth:`curvature` and
     :meth:`torsion`.  A connection has one of each, its curvature and
     torsion tensors.  Any other variant has one per probe pair (the frame
-    pairs (E_i, E_j), i < j, first), and each probe field's W_X and
-    E_k(W_X) are computed once, on first use, and shared read-only by every
-    form built from this object."""
+    pairs (E_i, E_j), i < j, first); while the pairs live, the derivation
+    keeps each probe field's W_X and E_k(W_X), so the curvature and torsion
+    forms build them once between them."""
 
     def __init__(self, deriv: Derivation, seed: int = VERDICT_SEED):
         self.deriv = deriv
         self.seed = seed
-        self._w: dict[VectorField, np.ndarray] = {}  # keyed by field identity
-        self._dw: dict[VectorField, np.ndarray] = {}
 
     @cached_property
     def pairs(self) -> list[tuple[VectorField, VectorField]]:
         return _probe_pairs(self.deriv.frame, self.seed)
-
-    def w(self, x: VectorField) -> np.ndarray:
-        """W_X's components, read-only."""
-        if x not in self._w:
-            self._w[x] = _read_only(w_of(self.deriv, x).components)
-        return self._w[x]
-
-    def dw(self, x: VectorField) -> np.ndarray:
-        """E_k(W_X) stacked along k, read-only."""
-        if x not in self._dw:
-            self._dw[x] = _read_only(self.deriv.frame.frame_derivatives(self.w(x)))
-        return self._dw[x]
 
     def curvature(self):
         if isinstance(self.deriv, Connection):
             yield curvature_tensor(self.deriv)
             return
         for x, y in self.pairs:
-            yield curvature_matrix(self.deriv, x, y, self)
+            yield curvature_matrix(self.deriv, x, y)
 
     def torsion(self):
         if isinstance(self.deriv, Connection):
             yield torsion_tensor(self.deriv)
             return
         for x, y in self.pairs:
-            yield torsion_vector(self.deriv, x, y, self)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+            yield torsion_vector(self.deriv, x, y)
 
 
 def sampled_verdict(forms, chart, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:

@@ -6,7 +6,9 @@ D_X E_j = (W_X)^i_j E_i.  Every variant is a case of one formula,
 (W_X)^i_j = (S_X)^i_j - E_j(X^i) + C^i_{kj} X^k, so each is held as its W
 template: W_X as expressions in the coordinates, the component symbols
 X1..Xn and the frame derivatives dX[i,j] = E_j(X^i); :func:`w_of` is one
-substitution into it.  Four variants are supported:
+substitution into it.  A derivation keeps W_X and E_k(W_X) for each live
+field X, read-only, so each is built once however many verdicts read it.
+Four variants are supported:
 
 * :class:`Connection` -- coefficients Gamma^i_{jk} (k is the direction leg),
   template Gamma_k X^k,
@@ -17,6 +19,7 @@ substitution into it.  Four variants are supported:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -111,6 +114,9 @@ class Derivation:
 
     def __init__(self, frame: FrameField):
         self.frame = frame
+        # W_X and E_k(W_X) keyed by field identity: an entry dies with its field
+        self._w = weakref.WeakKeyDictionary()
+        self._dw = weakref.WeakKeyDictionary()
 
     @property
     def chart(self) -> Chart:
@@ -218,17 +224,31 @@ def template_symbols(chart: Chart, n: int) -> dict[str, Symbol]:
 def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     """Component matrix W_X of the derivation for the field X, in D's frame:
     its W template with X1..Xn bound to X's components and each dX[i,j] it
-    uses bound to E_j(X^i); a (1,1) tensor field."""
+    uses bound to E_j(X^i); a (1,1) tensor field.  The components are built
+    once per field and derivation, and are read-only."""
     frame = deriv.frame
     if x.frame is not frame:
         raise ValueError("vector field must be given in the derivation's frame")
-    bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
-    slots = deriv._template_derivatives
-    if slots:
-        dx = frame.frame_derivatives(np.array(x.components, dtype=object))  # dx[j, i] = E_j(X^i)
-        bindings.update((s, dx[j, i]) for s, i, j in slots)
-    # VectorField holds coordinate-only components, and E_j of one is coordinate-only
-    return TensorField(frame, 1, 1, substitute_unchecked(deriv.w_template, bindings))
+    w = deriv._w.get(x)
+    if w is None:
+        bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
+        slots = deriv._template_derivatives
+        if slots:
+            dx = x.component_derivatives  # dx[j, i] = E_j(X^i)
+            bindings.update((s, dx[j, i]) for s, i, j in slots)
+        # VectorField holds coordinate-only components, and E_j of one is coordinate-only
+        w = deriv._w[x] = matops.read_only(substitute_unchecked(deriv.w_template, bindings))
+    return TensorField(frame, 1, 1, w)
+
+
+def w_derivatives(deriv: Derivation, x: VectorField) -> np.ndarray:
+    """E_k(W_X) stacked along k, as [k, i, j]; built once per field and
+    derivation, and read-only."""
+    dw = deriv._dw.get(x)
+    if dw is None:
+        w = w_of(deriv, x).components
+        dw = deriv._dw[x] = matops.read_only(deriv.frame.frame_derivatives(w))
+    return dw
 
 
 def transform_w(w: TensorField, x: VectorField, transform: SymbolicTransform) -> TensorField:
@@ -284,9 +304,10 @@ def covariant_derivative(deriv: Connection, x: VectorField, y: VectorField) -> V
         raise VariantError("covariant derivative requires the connection variant")
     frame = deriv.frame
     n = frame.dimension
+    x_y = x.contract(y.component_derivatives)  # X(Y^i)
     comps = []
     for i in range(n):
-        acc: Expr = x.apply_to(y.components[i])
+        acc: Expr = x_y[i]
         for j in range(n):
             for k in range(n):
                 acc = acc + deriv.gamma[i, j, k] * y.components[j] * x.components[k]
@@ -392,6 +413,25 @@ def vanishing_fields(frame: FrameField, anchor, mixes) -> list[VectorField]:
     return fields + [VectorField(frame, simplify(mix @ offsets)) for mix in mixes]
 
 
+def _probe_residuals(deriv: Derivation, x0: np.ndarray, rng):
+    """(kind, field, residual) for each sampled condition of
+    :func:`linearity_probe`, in order: |W_X(x0)| for the fields vanishing at
+    x0, then |W_{aX+bY} - a W_X - b W_Y|(x0) for seeded pairs (field X)."""
+    frame = deriv.frame
+    n = frame.dimension
+    anchor = [Const(float(v)) for v in x0]
+    mixes = matops.constant_exprs(np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6))
+    for probe in vanishing_fields(frame, anchor, mixes):
+        yield "vanishing-field", probe, float(np.max(np.abs(w_of(deriv, probe).evaluate_at(x0))))
+    pairs = seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
+    for xf, yf in zip(pairs[::2], pairs[1::2]):
+        a_val = round(rng.uniform(-2.0, 2.0), 6)
+        b_val = round(rng.uniform(-2.0, 2.0), 6)
+        combined = xf.scaled(a_val) + yf.scaled(b_val)
+        w_comb, w_x, w_y = (w_of(deriv, f).evaluate_at(x0) for f in (combined, xf, yf))
+        yield "superposition", xf, float(np.max(np.abs(w_comb - a_val * w_x - b_val * w_y)))
+
+
 def linearity_probe(
     deriv: Derivation,
     x0,
@@ -401,54 +441,27 @@ def linearity_probe(
     """Decide whether the derivation acts as a linear connection at x0.
 
     Two sampled conditions: (i) W_X(x0) = 0 for probe fields vanishing at
-    x0, and (ii) W is additive and homogeneous in X at x0.  On success the
-    matrices Gamma_k := W_{E_k}(x0) are extracted.
+    x0, and (ii) W is additive and homogeneous in X at x0.  The witness of
+    a failure is the first condition over ``tol``.  On success the matrices
+    Gamma_k := W_{E_k}(x0) are extracted.
     """
     frame = deriv.frame
     n = frame.dimension
     x0 = frame.chart.point(x0)
-    rng = np.random.default_rng(seed)
     max_residual = 0.0
     witness = None
-
-    anchor = [Const(float(v)) for v in x0]
-    mixes = matops.constant_exprs(np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6))
-    for probe in vanishing_fields(frame, anchor, mixes):
-        w0 = w_of(deriv, probe).evaluate_at(x0)
-        residual = float(np.max(np.abs(w0)))
-        if residual > max_residual:
-            max_residual = residual
-            if residual > tol and witness is None:
-                witness = {
-                    "kind": "vanishing-field",
-                    "components": [str(c) for c in probe.components],
-                    "residual": residual,
-                }
-
-    pairs = seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
-    for idx in range(PROBE_PAIRS):
-        xf, yf = pairs[2 * idx], pairs[2 * idx + 1]
-        a_val = round(rng.uniform(-2.0, 2.0), 6)
-        b_val = round(rng.uniform(-2.0, 2.0), 6)
-        combined = xf.scaled(a_val) + yf.scaled(b_val)
-        w_comb = w_of(deriv, combined).evaluate_at(x0)
-        w_x = w_of(deriv, xf).evaluate_at(x0)
-        w_y = w_of(deriv, yf).evaluate_at(x0)
-        residual = float(np.max(np.abs(w_comb - a_val * w_x - b_val * w_y)))
-        if residual > max_residual:
-            max_residual = residual
-            if residual > tol and witness is None:
-                witness = {
-                    "kind": "superposition",
-                    "components": [str(c) for c in xf.components],
-                    "residual": residual,
-                }
-
-    if max_residual > tol:
+    for kind, probe, residual in _probe_residuals(deriv, x0, np.random.default_rng(seed)):
+        max_residual = max(max_residual, residual)
+        if witness is None and residual > tol:
+            witness = {
+                "kind": kind,
+                "components": [str(c) for c in probe.components],
+                "residual": residual,
+            }
+    if witness is not None:
         return LinearityVerdict(False, max_residual, x0, witness=witness)
 
     gammas = np.empty((n, n, n), dtype=float)
     for k in range(n):
-        w_k = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
-        gammas[:, :, k] = w_k
+        gammas[:, :, k] = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
     return LinearityVerdict(True, max_residual, x0, gammas=gammas)

@@ -86,10 +86,6 @@ class CurveError(ConstructionError):
     pass
 
 
-class GridTooCoarseError(ConstructionError):
-    """Requested tolerance sits below the centered-difference floor."""
-
-
 class VerificationError(ConstructionError):
     pass
 
@@ -1002,20 +998,19 @@ def holonomicity_check(
     at=None,
     tol: Optional[float] = None,
     deriv: Optional[Derivation] = None,
-    method: str = "refined",
 ) -> HolonomicityVerdict:
     """Do the transformed frame vectors commute?
 
     Symbolic transforms are answered through the anholonomy of the
     composed frame (identity test over the chart sample cloud, or at a
-    point).  Grid frames get two estimates at the lattice nodes.  Method
-    "fd" takes centered differences of the stored matrices at the lattice
-    spacing (tolerance scaled as 10 h^2 to match the truncation order); it
-    is the only one that checks the stored matrices.  Method "refined", the
-    default and what tight tolerances need, reads the derivatives off the
-    construction's equations, dA/dx^alpha = -M_alpha A, at the stored
-    matrices.  When the locus has vanishing components the commutator is
-    also cross-checked against minus the torsion pairing.
+    point).  Grid frames are decided by the "refined" estimate, which
+    reads the derivatives off the construction's equations, dA/dx^alpha =
+    -M_alpha A, at the stored matrices.  Centered differences of the stored
+    matrices at the lattice spacing, the only estimate that checks them,
+    are reported beside it as ``fd_max_commutator`` with the tolerance
+    ``fd_tol`` = 10 h^2 that matches their truncation order.  When the
+    locus has vanishing components the commutator is also cross-checked
+    against minus the torsion pairing.
     """
     if isinstance(transform, SymbolicTransform):
         sym_tol = 1e-10 if tol is None else tol
@@ -1038,7 +1033,7 @@ def holonomicity_check(
         return result
 
     if isinstance(transform, GridFrame):
-        return _holonomicity_grid(transform, tol=tol, method=method)
+        return _holonomicity_grid(transform, tol=tol)
     raise TypeError("expected a SymbolicTransform or a GridFrame")
 
 
@@ -1072,25 +1067,13 @@ def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, a
     return float(np.max(np.abs(comm + _pairing(t_val, a_val))))
 
 
-def _holonomicity_grid(
-    grid_frame: GridFrame,
-    tol: Optional[float],
-    method: str = "refined",
-) -> HolonomicityVerdict:
+def _holonomicity_grid(grid_frame: GridFrame, tol: Optional[float]) -> HolonomicityVerdict:
     deriv = grid_frame.deriv
     frame = deriv.frame
     chart = grid_frame.chart
     n = frame.dimension
     axes = grid_frame.axes
     spacing = max(grid_frame.spacings)
-    fd_tol = 10.0 * spacing * spacing
-    if method == "fd":
-        requested = fd_tol if tol is None else tol
-        if requested < spacing * spacing:
-            raise GridTooCoarseError(
-                f"grid too coarse for tolerance {requested:.1e}: centered "
-                f"differences floor at about {spacing * spacing:.1e}"
-            )
 
     mesh = np.meshgrid(*axes, indexing="ij")
     frame_fn = compile_exprs(list(frame.matrix.flat), chart.symbols)
@@ -1131,17 +1114,15 @@ def _holonomicity_grid(
     refined_worst = float(np.max(np.abs(comm[..., upper[0], upper[1]]), initial=0.0))
     torsion_resid = float(np.max(np.abs(twisted[..., upper[0], upper[1]]), initial=0.0))
 
-    method = "fd" if method == "fd" else "refined"
-    worst = fd_worst if method == "fd" else refined_worst
-    requested = tol if tol is not None else (fd_tol if method == "fd" else GRID_TOL)
+    requested = GRID_TOL if tol is None else tol
     return HolonomicityVerdict(
-        holonomic=worst <= requested,
-        max_commutator=worst,
+        holonomic=refined_worst <= requested,
+        max_commutator=refined_worst,
         tol=requested,
-        method=method,
+        method="refined",
         torsion_match_residual=torsion_resid,
         fd_max_commutator=fd_worst,
-        fd_tol=fd_tol,
+        fd_tol=10.0 * spacing * spacing,
     )
 
 

@@ -9,6 +9,7 @@ drawn from that box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -207,9 +208,15 @@ class FrameField:
         return sum(self.matrix[a, i] * p for a, p in enumerate(partials))
 
     def coordinate_vector(self, i: int) -> "VectorField":
-        """The i-th frame field E_i, as a vector field in this frame."""
-        comps = [Const(1.0 if j == i else 0.0) for j in range(self.dimension)]
-        return VectorField(self, comps)
+        """The i-th frame field E_i, as a vector field in this frame; the
+        same object on every call, so what is cached per field is shared."""
+        return self._basis[i]
+
+    @cached_property
+    def _basis(self) -> tuple["VectorField", ...]:
+        n = self.dimension
+        return tuple(VectorField(self, [Const(1.0 if j == i else 0.0) for j in range(n)])
+                     for i in range(n))
 
     def anholonomy(self) -> "TensorField":
         """The anholonomy C^i_{jk} as a (1,2) tensor field."""
@@ -241,6 +248,12 @@ class VectorField:
 
     def at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.components, self.chart.assignment(point))
+
+    @cached_property
+    def component_derivatives(self) -> np.ndarray:
+        """E_k(X^i) as [k, i], derived once and read-only."""
+        comps = np.array(self.components, dtype=object)
+        return matops.read_only(self.frame.frame_derivatives(comps))
 
     def coordinate_components_at(self, point) -> np.ndarray:
         """Components against d/dx^a, i.e. B X; frame-independent data."""
@@ -349,10 +362,10 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y]^i = X(Y^i) - Y(X^i) + C^i_{jk} X^j Y^k."""
     _require_same_frame(x, y)
     C = x.frame.anholonomy()
-    xs, ys = np.array(x.components, dtype=object), np.array(y.components, dtype=object)
-    acc = x.apply_to(ys) - y.apply_to(xs)
+    acc = x.contract(y.component_derivatives) - y.contract(x.component_derivatives)
     if not C.is_zero:
         n = x.frame.dimension
+        xs, ys = x.components, y.components
         acc = sum((C.components[:, j, k] * xs[j] * ys[k] for j, k in np.ndindex(n, n)), acc)
     return VectorField(x.frame, simplify(acc))
 

@@ -40,6 +40,12 @@ def constant_exprs(values) -> np.ndarray:
     return np.vectorize(Const, otypes=[object])(np.asarray(values, dtype=float))
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place: a cache hands it to every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 def determinant(matrix: np.ndarray) -> Expr:
     """Cofactor-expansion determinant (symbolic, small n only)."""
     n = matrix.shape[0]

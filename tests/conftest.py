@@ -17,6 +17,7 @@ from normframes import (
     VectorField,
     flat_frame_neighborhood,
 )
+from normframes import derivation
 from normframes.expr import Sym, cos, sin
 
 
@@ -212,3 +213,18 @@ def affine_fields(frame, seed, count):
             comps.append(e)
         fields.append(VectorField(frame, comps))
     return fields
+
+
+@pytest.fixture
+def w_builds(monkeypatch):
+    """One entry per W_X built while the test runs (a cache miss of w_of,
+    which instantiates the W template once per field)."""
+    builds = []
+    real = derivation.substitute_unchecked
+
+    def recording(template, bindings):
+        builds.append(template)
+        return real(template, bindings)
+
+    monkeypatch.setattr(derivation, "substitute_unchecked", recording)
+    return builds

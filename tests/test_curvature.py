@@ -1,5 +1,7 @@
 """Curvature/torsion forms, tensors, operator oracles, and verdicts."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from normframes import (
     Connection,
     Const,
+    FrameField,
     LieType,
     ProbeForms,
     SymbolicTransform,
@@ -24,8 +27,11 @@ from normframes import (
     torsion_vector,
     transform_connection,
     vanishes_on_chart,
+    w_derivatives,
+    w_of,
 )
-from normframes.cli import load_manifold_spec
+from normframes.cli import build_analysis_report, load_manifold_spec
+from normframes.derivation import PROBE_PAIRS
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields, riemann_classical
@@ -430,38 +436,71 @@ def test_torsion_vector_antisymmetric_under_swap(torsion_plane):
         assert np.max(np.abs(op.at(pt))) <= 1e-12  # oracle with X = Y
 
 
-@pytest.mark.parametrize("name", ["s4_template", "lie_plane"])
-def test_analysis_builds_one_w_per_probe_field(monkeypatch, name):
-    import normframes.curvature as curvature_module
-    from normframes.cli import build_analysis_report
-
+def _analyze_spec(name: str):
+    """Load a benchmark spec and build its analysis report; the setup."""
     setup = load_manifold_spec(str(ROOT / "benchmarks" / "specs" / f"{name}.json"))
-    fields = []
-    real_w_of = curvature_module.w_of
+    build_analysis_report(setup, np.array([(lo + hi) / 2.0 for lo, hi in setup.chart.domain]), 42)
+    return setup
 
-    def recording_w_of(deriv, x):
-        fields.append(x)
-        return real_w_of(deriv, x)
 
-    monkeypatch.setattr(curvature_module, "w_of", recording_w_of)
-    at = np.array([(lo + hi) / 2.0 for lo, hi in setup.chart.domain])
-    build_analysis_report(setup, at, 42)
-    # every probe field once, plus one commutator field per pair
+@pytest.mark.parametrize("name", ["s4_template", "lie_plane", "sph3_orthonormal"])
+def test_analysis_builds_one_w_per_field(w_builds, name):
+    setup = _analyze_spec(name)
     n = setup.chart.dimension
-    assert len(fields) == n + 4 + n * (n - 1) // 2 + 4
-    assert len({id(x) for x in fields}) == len(fields)
+    # a connection's forms read W_{E_k} (torsion tensor); any other variant's
+    # read every probe field once, plus one commutator field per pair
+    forms = n if isinstance(setup.deriv, Connection) else n + 4 + n * (n - 1) // 2 + 4
+    # the linearity probe: vanishing fields, then (aX + bY, X, Y) per pair;
+    # the W_{E_k} it reads on success are the forms'
+    probe = n * n + 2 + 3 * PROBE_PAIRS
+    assert len(w_builds) == forms + probe
 
 
-def test_probe_forms_share_read_only_arrays(lie_plane):
+def test_warm_analysis_derives_each_field_once(monkeypatch):
+    _analyze_spec("s4_template")
+    calls = []
+    real = FrameField.frame_derivatives
+
+    def recording(frame, f):
+        calls.append(f)
+        return real(frame, f)
+
+    monkeypatch.setattr(FrameField, "frame_derivatives", recording)
+    _analyze_spec("s4_template")
+    # the anholonomy, E_k(X^i) of each of the 60 fields whose W is built
+    # (commutators read them too) and E_k(W_X) of the 8 probe fields
+    assert len(calls) == 1 + 60 + 8
+
+
+def test_field_caches_are_read_only_shared_and_change_no_tree(lie_plane):
     forms = ProbeForms(lie_plane)
     x, y = forms.pairs[-1]
-    for shared in (forms.w(x), forms.dw(x)):
-        assert not shared.flags.writeable
+    cached = (w_of(lie_plane, x).components, w_derivatives(lie_plane, x), x.component_derivatives)
+    for arr in cached:
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            shared[0, 0] = Const(1.0)
-    assert forms.w(x) is forms.w(x) and forms.dw(x) is forms.dw(x)
-    # sharing changes no tree: each form matches the one built on its own
+            arr[0, 0] = Const(1.0)
+    again = (w_of(lie_plane, x).components, w_derivatives(lie_plane, x), x.component_derivatives)
+    assert all(a is b for a, b in zip(cached, again))
+    frame = lie_plane.frame
+    assert all(frame.coordinate_vector(k) is frame.coordinate_vector(k) for k in range(2))
+    # caching changes no tree: each form matches one built from new objects,
+    # whose caches are empty
+
+    def uncached(build, x, y):
+        fresh = LieType(frame)
+        return build(fresh, VectorField(frame, x.components), VectorField(frame, y.components))
+
     for (x, y), form in zip(forms.pairs, forms.curvature()):
-        assert repr(form.components) == repr(curvature_matrix(lie_plane, x, y).components)
+        assert repr(form.components) == repr(uncached(curvature_matrix, x, y).components)
     for (x, y), form in zip(forms.pairs, forms.torsion()):
-        assert repr(form.components) == repr(torsion_vector(lie_plane, x, y).components)
+        assert repr(form.components) == repr(uncached(torsion_vector, x, y).components)
+
+
+def test_cached_w_dies_with_its_field(lie_plane):
+    (x,) = affine_fields(lie_plane.frame, 251, 1)
+    refs = [weakref.ref(w_of(lie_plane, x).components), weakref.ref(w_derivatives(lie_plane, x))]
+    assert all(ref() is not None for ref in refs)
+    del x
+    gc.collect()
+    assert all(ref() is None for ref in refs)

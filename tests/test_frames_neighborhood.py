@@ -13,7 +13,6 @@ from normframes import (
     Connection,
     Const,
     GridSpec,
-    GridTooCoarseError,
     NotFlatError,
     NotLinearConnectionError,
     PointFrameSpec,
@@ -389,12 +388,12 @@ def test_polar_flat_frame_is_holonomic(polar_flat_frame):
     assert verdict.fd_max_commutator <= verdict.fd_tol
 
 
-def test_fd_method_respects_its_tolerance(polar_flat_frame):
-    verdict = holonomicity_check(polar_flat_frame, method="fd")
-    assert verdict.method == "fd"
-    assert verdict.holonomic
-    with pytest.raises(GridTooCoarseError):
-        holonomicity_check(polar_flat_frame, tol=1e-8, method="fd")
+def test_grid_verdict_is_refined_with_fd_reported_beside_it(polar_flat_frame):
+    # a tolerance far below the centred-difference floor still decides on the refined estimate
+    verdict = holonomicity_check(polar_flat_frame, tol=1e-8)
+    assert verdict.method == "refined" and verdict.holonomic
+    assert verdict.max_commutator <= 1e-8 < verdict.fd_tol
+    assert 1e-8 < verdict.fd_max_commutator <= verdict.fd_tol
 
 
 def test_torsion_frame_is_anholonomic_with_matching_commutator(torsion_flat_frame, torsion_plane):

@@ -152,6 +152,13 @@ def test_factorized_seed_certificate_symmetric(lie_plane, lie_field):
     assert abs(result.anchor_determinant) <= 1e-12
 
 
+def test_holonomic_point_frame_builds_w_once(lie_plane, lie_field, w_builds):
+    # the construction, its anchor check and its certificate all read W_X
+    spec = PointFrameSpec(anchor=ANCHOR, a_factors=(np.array([1.0, 1.0]), np.eye(2)))
+    frame_at_point_holonomic(lie_plane, lie_field, spec)
+    assert len(w_builds) == 1
+
+
 def test_factorized_seed_requires_factors(lie_plane, lie_field):
     with pytest.raises(ValueError, match="factorized"):
         frame_at_point_holonomic(

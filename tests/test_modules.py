@@ -61,3 +61,17 @@ def test_no_module_calls_expr_evaluate():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
         ]
     assert SOURCES and not offenders, offenders
+
+
+def test_only_geometry_derives_vector_field_components():
+    # E_k(X^i) is VectorField.component_derivatives, derived once per field;
+    # elsewhere a frame_derivatives call on `.components` would derive it again
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "geometry.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "frame_derivatives"
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "components"
+                for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert SOURCES and not offenders, offenders
