@@ -19,9 +19,7 @@ from normframes import (
     VectorField,
     frame_at_point_connection,
     frame_at_point_general,
-    frame_at_point_holonomic,
     identity_seed,
-    point_frame_certificate,
     shell_component_growth,
     symmetrize_connection,
 )
@@ -54,15 +52,15 @@ except NoFrameExistsError as err:
 
 # factorized seeds make the second-derivative certificate symmetric, the
 # witness that a coordinate realization exists; generic seeds break it
-holo = frame_at_point_holonomic(
+holo = frame_at_point_general(
     lie, field, PointFrameSpec(anchor=anchor, a_factors=(np.ones(2), np.eye(2)))
 )
 print("factorized-seed certificate asymmetry:", holo.certificate_symmetry_residual)
 rng = np.random.default_rng(1)
 a = rng.uniform(-1, 1, (2, 2, 2))
 a[:, :, 0] += 2 * np.eye(2)
-_, asym = point_frame_certificate(lie, field, PointFrameSpec(anchor=anchor, a=a))
-print("generic-seed certificate asymmetry:   ", asym)
+generic = frame_at_point_general(lie, field, PointFrameSpec(anchor=anchor, a=a))
+print("generic-seed certificate asymmetry:   ", generic.certificate_symmetry_residual)
 
 # linear connections: every component vanishes at the anchor; growth away
 # from it is first order (the curvature's doing)

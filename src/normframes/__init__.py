@@ -101,10 +101,8 @@ from .frames import (
     flat_frame_neighborhood,
     frame_at_point_connection,
     frame_at_point_general,
-    frame_at_point_holonomic,
     holonomicity_check,
     identity_seed,
-    point_frame_certificate,
     shell_component_growth,
     transport_along_curve,
     transformed_components_max,

@@ -61,7 +61,6 @@ from .frames import (
     flat_frame_neighborhood,
     frame_at_point_connection,
     frame_at_point_general,
-    frame_at_point_holonomic,
     grid_edge_residual,
     identity_seed,
     lattice_propagators,
@@ -366,8 +365,8 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
         "linear_at_point": {
             "value": linear.is_linear,
             "residual": linear.max_residual,
-            "tol": 1e-9,
-            "gammas": linear.gammas if linear.gammas is not None else None,
+            "tol": linear.tol,
+            "gammas": linear.gammas,
             "witness": linear.witness,
         },
     }
@@ -402,7 +401,21 @@ def _frame_header(setup: ManifoldSetup, kind: str) -> dict:
     }
 
 
+def _refuse_unread_flags(args) -> None:
+    """A frame flag that the mode would ignore is an input error."""
+    if args.holonomic and not (args.mode == "point" and args.field):
+        raise InputError("--holonomic applies only to frame point with --field")
+    for flag, value, modes in (
+        ("--grid", args.grid, ("flat",)),
+        ("--curve", args.curve, ("curve",)),
+        ("--step", args.step, ("curve", "flat")),
+    ):
+        if value is not None and args.mode not in modes:
+            raise InputError(f"{flag} applies only to frame {' and '.join(modes)}")
+
+
 def cmd_frame(args) -> int:
+    _refuse_unread_flags(args)
     setup = load_manifold_spec(args.spec)
     chart = setup.chart
     deriv = setup.deriv
@@ -423,21 +436,19 @@ def cmd_frame(args) -> int:
             if args.holonomic:
                 a_mat = np.eye(n) if vanishing else _holonomic_matrix_seed(x_val)
                 spec = PointFrameSpec(anchor=at, a_factors=(np.ones(n), a_mat))
-                result = frame_at_point_holonomic(deriv, x, spec)
             else:
                 # the existence check for a vanishing field never reads the seed
                 seed = None if vanishing else identity_seed(x_val)
                 spec = PointFrameSpec(anchor=at, a=seed)
-                result = frame_at_point_general(deriv, x, spec)
-            verifier = {"anchor_residual": result.residual}
-            if result.certificate_symmetry_residual is not None:
-                verifier["certificate_symmetry_residual"] = result.certificate_symmetry_residual
-                verifier["certificate"] = result.certificate
+            result = frame_at_point_general(deriv, x, spec)
         else:
             result = frame_at_point_connection(
                 deriv, PointFrameSpec(anchor=at), seed=args.probe_seed
             )
-            verifier = {"anchor_residual": result.residual}
+        verifier = {"anchor_residual": result.residual}
+        if args.holonomic:
+            verifier["certificate_symmetry_residual"] = result.certificate_symmetry_residual
+            verifier["certificate"] = result.certificate
         doc = _frame_header(setup, "symbolic")
         doc["field"] = (
             [to_source(c) for c in setup.fields[args.field].components] if args.field else None
@@ -661,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--at", help="anchor point for mode=point")
     p_fr.add_argument("--field", help="spec field name (fixed-field constructions)")
     p_fr.add_argument("--curve", help="spec curve name (mode=curve)")
-    p_fr.add_argument("--holonomic", action="store_true", help="factorized-seed construction")
+    p_fr.add_argument("--holonomic", action="store_true", help="factorized seed (point, --field)")
     p_fr.add_argument("--grid", help="node counts for mode=flat, e.g. 21x21")
-    p_fr.add_argument("--step", type=float, default=None, help="integration step")
+    p_fr.add_argument("--step", type=float, default=None, help="integration step (curve, flat)")
     p_fr.add_argument("--probe-seed", type=int, default=42)
     p_fr.add_argument("--out", default=None)
     p_fr.set_defaults(func=cmd_frame)

@@ -376,6 +376,7 @@ class LinearityVerdict:
     is_linear: bool
     max_residual: float
     point: np.ndarray
+    tol: float
     gammas: Optional[np.ndarray] = None  # (n, n, n) values, [i, j, k]
     witness: Optional[dict] = field(default=None, repr=False)
 
@@ -459,9 +460,9 @@ def linearity_probe(
                 "residual": residual,
             }
     if witness is not None:
-        return LinearityVerdict(False, max_residual, x0, witness=witness)
+        return LinearityVerdict(False, max_residual, x0, tol, witness=witness)
 
     gammas = np.empty((n, n, n), dtype=float)
     for k in range(n):
         gammas[:, :, k] = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
-    return LinearityVerdict(True, max_residual, x0, gammas=gammas)
+    return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)

@@ -33,6 +33,7 @@ from .geometry import (
     vanishes_on_chart,
 )
 from .derivation import (
+    PROBE_TOL,
     Derivation,
     LinearityVerdict,
     SymbolicTransform,
@@ -41,7 +42,7 @@ from .derivation import (
     vanishing_fields,
     w_of,
 )
-from .curvature import integrability_residual, is_flat, torsion_tensor
+from .curvature import curvature_matrix, is_flat, sampled_verdict, torsion_tensor
 
 POINT_TOL = 1e-10
 CERT_TOL = 1e-12
@@ -100,12 +101,15 @@ class PointFrameSpec:
 
     ``a`` is the first-order seed array a[j, j', k] contracted against the
     field value at the anchor; ``a_factors = (a_vec, a_mat)`` is the
-    rank-factorized form a[j, j', k] = a_vec[j'] * a_mat[j, k] used by the
-    holonomic construction.  ``quadratic`` optionally supplies b[j, j', alpha,
-    beta] expressions multiplying second-order offsets; the default zero is
-    the minimal representative of the solution family.  For the
-    linear-connection construction ``b_matrix`` seeds A(x0) = B and
-    ``b_quadratic`` plays the same second-order role.
+    rank-factorized form a[j, j', k] = a_vec[j'] * a_mat[j, k], the
+    holonomic seed: :func:`frame_at_point_general` requires its certificate
+    to be symmetric.  Its anchor matrix is rank one for n >= 2, so the
+    result's ``anchor_determinant`` is reported but not required nonzero.
+    ``quadratic`` optionally supplies b[j, j', alpha, beta] expressions
+    multiplying second-order offsets; the default zero is the minimal
+    representative of the solution family.  For the linear-connection
+    construction ``b_matrix`` seeds A(x0) = B and ``b_quadratic`` plays the
+    same second-order role.
     """
 
     anchor: Sequence
@@ -201,13 +205,19 @@ def frame_at_point_general(
     Existence: always when X(x0) != 0; when X(x0) = 0 a frame exists only
     if W_X(x0) = 0 already, in which case every frame qualifies and the
     identity is returned.
+
+    Whenever the spec carries a seed, the result also holds the
+    second-derivative certificate cert[j, k', j'] = -A^k_{k'}(x0) a[l, j', k]
+    W[j, l] and its largest asymmetry in (k', j').  Symmetry is the witness
+    for realizing the frame as a coordinate (holonomic) basis at the anchor.
+    A factorized seed is the holonomic construction: its certificate must be
+    symmetric to within CERT_TOL, or VerificationError is raised.
     """
     frame = deriv.frame
     chart = frame.chart
     n = frame.dimension
     x0 = chart.point(spec.anchor)
-    w_x = w_of(deriv, x)
-    w0 = w_x.evaluate_at(x0)
+    w0 = w_of(deriv, x).evaluate_at(x0)
     x_val = x.at(x0)
 
     if float(np.max(np.abs(x_val))) <= ZERO_FIELD_TOL:
@@ -217,30 +227,43 @@ def frame_at_point_general(
                 "the field vanishes at the anchor but its component matrix "
                 f"does not (max |W| = {w_norm:.3e}); no frame can cancel it there"
             )
-        transform = SymbolicTransform.identity(frame)
-        return PointFrameResult(transform, x0, w_norm, field=x, anchor_determinant=1.0)
-
-    a = spec.seed_array(n)
-    a0 = a @ x_val  # A(x0)[j, j'] = a[j, j', k] X^k(x0)
-    det0 = float(np.linalg.det(a0))
-    # a factorized seed is rank one by design, so only a full seed must be invertible here
-    if spec.a_factors is None and abs(det0) <= DEGENERACY_TOL:
-        raise ValueError(
-            f"seed produces a degenerate anchor matrix (det = {det0!r}); "
-            "choose a seed with a[., ., k] X^k(x0) invertible"
+        result = PointFrameResult(
+            SymbolicTransform.identity(frame), x0, w_norm, field=x, anchor_determinant=1.0
         )
-    b_inv0 = frame.inverse_at(x0)  # B^k_alpha(x0)
-    # linear coefficient of (x^alpha - x0^alpha): -a[l, j', k] W0[j, l] B^k_alpha(x0)
-    linear = -np.einsum("jl,lqk,ka->jqa", w0, a, b_inv0)
-    entries = _first_order_transform(frame, x0, a0, linear, spec.quadratic)
-    transform = SymbolicTransform(frame, entries, _validate=False)
+        if spec.a is None and spec.a_factors is None:
+            return result
+        a = spec.seed_array(n)
+    else:
+        a = spec.seed_array(n)
+        a0 = a @ x_val  # A(x0)[j, j'] = a[j, j', k] X^k(x0)
+        det0 = float(np.linalg.det(a0))
+        # a factorized seed is rank one by design, so only a full seed must be invertible here
+        if spec.a_factors is None and abs(det0) <= DEGENERACY_TOL:
+            raise ValueError(
+                f"seed produces a degenerate anchor matrix (det = {det0!r}); "
+                "choose a seed with a[., ., k] X^k(x0) invertible"
+            )
+        b_inv0 = frame.inverse_at(x0)  # B^k_alpha(x0)
+        # linear coefficient of (x^alpha - x0^alpha): -a[l, j', k] W0[j, l] B^k_alpha(x0)
+        linear = -np.einsum("jl,lqk,ka->jqa", w0, a, b_inv0)
+        entries = _first_order_transform(frame, x0, a0, linear, spec.quadratic)
+        transform = SymbolicTransform(frame, entries, _validate=False)
 
-    residual = anchor_residual(deriv, x, transform, x0)
-    if residual > POINT_TOL:
-        raise VerificationError(
-            f"constructed frame fails its own check at the anchor (residual {residual:.3e})"
-        )
-    return PointFrameResult(transform, x0, residual, field=x, anchor_determinant=det0)
+        residual = anchor_residual(deriv, x, transform, x0)
+        if residual > POINT_TOL:
+            raise VerificationError(
+                f"constructed frame fails its own check at the anchor (residual {residual:.3e})"
+            )
+        result = PointFrameResult(transform, x0, residual, field=x, anchor_determinant=det0)
+
+    # cert[j, k', j'] = - (a[k, k', m] X^m(x0)) (a[l, j', k]) W[j, l]
+    cert = -np.einsum("kq,lpk,jl->jqp", a @ x_val, a, w0)
+    asym = float(np.max(np.abs(cert - np.transpose(cert, (0, 2, 1)))))
+    if spec.a_factors is not None and asym > CERT_TOL:
+        raise VerificationError(f"factorized seed produced an asymmetric certificate ({asym:.3e})")
+    result.certificate = cert
+    result.certificate_symmetry_residual = asym
+    return result
 
 
 def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransform, x0) -> float:
@@ -256,52 +279,6 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
         return float(np.max(np.abs(transform_w(w_x, x, transform).evaluate_at(x0))))
     xa0 = matops.evaluate_array(x.apply_to(transform.entries), deriv.chart.assignment(x0))
     return float(np.max(np.abs(w_x.evaluate_at(x0) @ a0 + xa0)))
-
-
-def point_frame_certificate(
-    deriv: Derivation, x: VectorField, spec: PointFrameSpec
-) -> tuple[np.ndarray, float]:
-    """Second-derivative data cert[j, k', j'] = -A^k_{k'}(x0) a[l, j', k] W[j, l].
-
-    Symmetry of cert[j] in (k', j') is the obstruction-free witness for
-    realizing the frame as a coordinate (holonomic) basis at the anchor.
-    Returns (certificate, max asymmetry).
-    """
-    frame = deriv.frame
-    n = frame.dimension
-    x0 = frame.chart.point(spec.anchor)
-    w0 = w_of(deriv, x).evaluate_at(x0)
-    x_val = x.at(x0)
-    a = spec.seed_array(n)
-    a0 = a @ x_val
-    # cert[j, k', j'] = - (a[k, k', m] X^m(x0)) (a[l, j', k]) W[j, l]
-    cert = -np.einsum("kq,lpk,jl->jqp", a0, a, w0)
-    asym = float(np.max(np.abs(cert - np.transpose(cert, (0, 2, 1)))))
-    return cert, asym
-
-
-def frame_at_point_holonomic(
-    deriv: Derivation, x: VectorField, spec: PointFrameSpec
-) -> PointFrameResult:
-    """Point construction from a factorized seed, with its symmetry certificate.
-
-    The factorized seed makes the second-derivative certificate symmetric,
-    which is what permits holonomic (coordinate) realizations; the
-    first-order transform itself is returned verbatim.  Note the factorized
-    zeroth-order matrix is rank one for n >= 2, so ``anchor_determinant``
-    is reported and downstream use should rely on the certificate.
-    """
-    if spec.a_factors is None:
-        raise ValueError("holonomic construction requires the factorized seed")
-    result = frame_at_point_general(deriv, x, spec)
-    cert, asym = point_frame_certificate(deriv, x, spec)
-    if asym > CERT_TOL:
-        raise VerificationError(
-            f"factorized seed produced an asymmetric certificate ({asym:.3e})"
-        )
-    result.certificate = cert
-    result.certificate_symmetry_residual = asym
-    return result
 
 
 def frame_at_point_connection(
@@ -816,7 +793,7 @@ def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dic
     return worst, worst_at
 
 
-def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
+def _pointwise_linearity_gate(deriv: Derivation, seed: int):
     """Vanishing fields must have vanishing components at every sample point.
 
     The fields vanishing at a point p are built once, with p and the mix
@@ -837,7 +814,7 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, tol: float = 1e-9):
         w_probes, chart.symbols + anchor + coeffs, np.hstack([points, points, draws])
     )
     residuals = np.max(np.abs(values), axis=(-2, -1))  # [point, probe]
-    failing = np.argwhere(residuals > tol)
+    failing = np.argwhere(residuals > PROBE_TOL)
     if failing.size:
         row, probe = failing[0]
         raise NotLinearConnectionError(
@@ -903,17 +880,9 @@ def flat_frame_neighborhood(
 
     flat = is_flat(deriv)
     if not flat:
-        frame = deriv.frame
-        obstruction = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                report = integrability_residual(
-                    deriv,
-                    frame.coordinate_vector(i),
-                    frame.coordinate_vector(j),
-                    SymbolicTransform.identity(frame),
-                )
-                obstruction = max(obstruction, report.obstruction_norm)
+        e = deriv.frame.coordinate_vector
+        forms = (curvature_matrix(deriv, e(i), e(j)) for i in range(n) for j in range(i + 1, n))
+        obstruction = sampled_verdict(forms, chart).max_residual
         raise NotFlatError(
             f"derivation is not flat (max curvature entry {obstruction:.6g}); "
             "no neighborhood-wide vanishing-component frame exists",
@@ -1019,17 +988,17 @@ def holonomicity_check(
             ok, worst = vanishes_on_chart(
                 composed.anholonomy().components.flat, composed.chart, tol=sym_tol
             )
-            result = HolonomicityVerdict(ok, worst, sym_tol, "symbolic")
-        else:
-            a_val, comm = _symbolic_commutator_values(transform.frame, transform.entries, at)
-            upper = np.triu_indices(transform.frame.dimension, 1)
-            in_frame = np.linalg.inv(a_val) @ comm[:, upper[0], upper[1]]
-            worst = float(np.max(np.abs(in_frame), initial=0.0))
-            result = HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic")
-        if deriv is not None and at is not None:
-            result.torsion_match_residual = _torsion_commutator_residual_symbolic(
-                deriv, transform, at
-            )
+            return HolonomicityVerdict(ok, worst, sym_tol, "symbolic")
+        a_val, comm = _symbolic_commutator_values(transform.frame, transform.entries, at)
+        upper = np.triu_indices(transform.frame.dimension, 1)
+        in_frame = np.linalg.inv(a_val) @ comm[:, upper[0], upper[1]]
+        worst = float(np.max(np.abs(in_frame), initial=0.0))
+        result = HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic")
+        if deriv is not None:
+            # at a vanishing-component point [E_i', E_j'] = -T(E_i', E_j')
+            assignment = deriv.chart.assignment(at)
+            t_val = matops.evaluate_array(torsion_tensor(deriv).components, assignment)
+            result.torsion_match_residual = float(np.max(np.abs(comm + _pairing(t_val, a_val))))
         return result
 
     if isinstance(transform, GridFrame):
@@ -1057,14 +1026,6 @@ def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
     derivatives = frame.frame_derivatives(entries)
     ea = matops.evaluate_array(derivatives, assignment)
     return a_val, _commutators(a_val, ea, frame.anholonomy().evaluate_at(at))
-
-
-def _torsion_commutator_residual_symbolic(deriv, transform: SymbolicTransform, at) -> float:
-    """|[E_i', E_j'] + T(E_i', E_j')| at a vanishing-component point."""
-    frame = deriv.frame
-    t_val = matops.evaluate_array(torsion_tensor(deriv).components, frame.chart.assignment(at))
-    a_val, comm = _symbolic_commutator_values(frame, transform.entries, at)
-    return float(np.max(np.abs(comm + _pairing(t_val, a_val))))
 
 
 def _holonomicity_grid(grid_frame: GridFrame, tol: Optional[float]) -> HolonomicityVerdict:

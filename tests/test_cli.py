@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from normframes.expr import MAX_DEPTH, Symbol, _depth, parse_expr
+from normframes.expr import MAX_DEPTH, Symbol, _depth, compile_exprs, parse_expr
 from normframes.cli import (
     EXIT_DOMAIN,
     EXIT_EXISTENCE,
@@ -158,6 +158,8 @@ def test_frame_point_with_field_and_verify(tmp_path):
     )
     doc = json.loads(frame.read_text())
     assert doc["field"] is not None
+    # the construction also holds the seed's certificate; only --holonomic files carry it
+    assert list(doc["verifier"]) == ["anchor_residual"]
     assert run("verify", LIE, str(frame), "--tol", "1e-8") == EXIT_OK
 
 
@@ -185,6 +187,23 @@ def test_holonomic_point_frame_verifies(tmp_path):
     verdict = json.loads(out.read_text())
     assert verdict["pass"] is True
     assert verdict["detail"]["anchor_residual"] <= 1e-10
+
+
+def test_holonomic_point_frame_compiles_seven_arrays(tmp_path, monkeypatch):
+    # X(x0) for the seed, then W_X(x0), X(x0) and B^-1(x0) for the construction and three
+    # arrays for its anchor check; the certificate reuses the construction's W_X(x0) and X(x0)
+    compiles = []
+
+    def counting(exprs, symbols):
+        compiles.append(1)
+        return compile_exprs(exprs, symbols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normframes") and vars(module).get("compile_exprs") is compile_exprs:
+            monkeypatch.setattr(module, "compile_exprs", counting)
+    argv = ("frame", SPHERE, "point", "--at", "theta=1.0,phi=0.5", "--field", "meridian")
+    assert run(*argv, "--holonomic", "--out", str(tmp_path / "frame.json")) == EXIT_OK
+    assert len(compiles) == 7
 
 
 def test_degenerate_spec_frame_exits_2_without_traceback(tmp_path, capsys):
@@ -654,6 +673,27 @@ def test_step_must_be_finite_and_positive(tmp_path, capsys, mode, step):
     assert run("frame", POLAR, mode, *extra[mode], "--step", step, "--out", str(out)) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: step must be finite and positive")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("mode, extra, flag", [
+    ("point", ("--at", "r=1,theta=0.5"), "--holonomic"),
+    ("curve", ("--field", "angular", "--curve", "unit_circle"), "--holonomic"),
+    ("flat", (), "--holonomic"),
+    ("point", ("--at", "r=1,theta=0.5"), ("--grid", "3x3")),
+    ("curve", ("--field", "angular", "--curve", "unit_circle"), ("--grid", "3x3")),
+    ("point", ("--at", "r=1,theta=0.5"), ("--curve", "unit_circle")),
+    ("flat", (), ("--curve", "unit_circle")),
+    ("point", ("--at", "r=1,theta=0.5", "--field", "angular"), ("--step", "0.1")),
+], ids=["holonomic-point-no-field", "holonomic-curve", "holonomic-flat", "grid-point", "grid-curve",
+        "curve-point", "curve-flat", "step-point"])
+def test_frame_flag_the_mode_does_not_read_exits_2(tmp_path, capsys, mode, extra, flag):
+    out = tmp_path / "frame.json"
+    flag = (flag,) if isinstance(flag, str) else flag
+    capsys.readouterr()
+    assert run("frame", POLAR, mode, *extra, *flag, "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag[0]} applies only to frame ")
     assert len(err.strip().splitlines()) == 1 and not out.exists()
 
 

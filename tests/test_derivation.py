@@ -29,7 +29,7 @@ from normframes import (
     w_of,
 )
 from normframes import expr, matops
-from normframes.derivation import VariantError, vanishing_fields
+from normframes.derivation import PROBE_TOL, VariantError, vanishing_fields
 from normframes.expr import (
     DomainError,
     Symbol,
@@ -527,15 +527,15 @@ def test_connection_components_linear_in_field(polar, polar_connection):
 def test_linearity_probe_connection_yes(polar, polar_connection):
     verdict = linearity_probe(polar_connection, [1.3, 0.7])
     assert verdict.is_linear
-    assert verdict.max_residual <= 1e-9
+    assert verdict.max_residual <= verdict.tol == PROBE_TOL
     expected = polar_connection.gamma_at([1.3, 0.7])
     assert np.max(np.abs(verdict.gammas - expected)) <= 1e-12
 
 
 def test_linearity_probe_lie_no_with_witness(lie_plane):
-    verdict = linearity_probe(lie_plane, [1.0, 0.0])
+    verdict = linearity_probe(lie_plane, [1.0, 0.0], tol=1e-6)
     assert not verdict.is_linear
-    assert verdict.max_residual > 1e-9
+    assert verdict.max_residual > verdict.tol == 1e-6
     assert verdict.witness is not None
     assert verdict.witness["kind"] == "vanishing-field"
 

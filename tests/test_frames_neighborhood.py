@@ -21,6 +21,7 @@ from normframes import (
     flat_frame_neighborhood,
     frame_at_point_connection,
     holonomicity_check,
+    integrability_residual,
     torsion_tensor,
 )
 from normframes import frames, matops
@@ -361,6 +362,29 @@ def test_sphere_rejected_with_obstruction(sphere_connection):
     assert err.value.obstruction_norm >= 0.1
 
 
+@pytest.mark.parametrize(
+    "spec, builds", [("unit_sphere", 3), ("s4_template", 24)], ids=["connection", "template"]
+)
+def test_flat_refusal_reports_the_frame_pair_curvature(spec, builds, w_builds):
+    # the refusal reads |R(E_i, E_j)| off the curvature matrices, not the integrability
+    # report, which would build each bracket and its W once more
+    deriv = load_manifold_spec(str(BENCH_SPECS / f"{spec}.json")).deriv
+    frame = deriv.frame
+    n = frame.dimension
+    with pytest.raises(NotFlatError) as err:
+        flat_frame_neighborhood(deriv, GridSpec((3,) * n), h=1e-2)
+    assert len(w_builds) == builds
+    identity = SymbolicTransform.identity(frame)
+    expected = max(
+        integrability_residual(
+            deriv, frame.coordinate_vector(i), frame.coordinate_vector(j), identity
+        ).obstruction_norm
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    assert err.value.obstruction_norm == expected
+
+
 def test_lie_type_rejected_as_nonlinear(lie_plane):
     with pytest.raises(NotLinearConnectionError):
         flat_frame_neighborhood(lie_plane, GridSpec((5, 5)), h=1e-2)
@@ -435,13 +459,23 @@ def test_symbolic_anholonomic_frame_detected(polar, polar_connection):
     assert not verdict.holonomic
 
 
-def test_point_frame_commutator_equals_minus_torsion(torsion_plane):
+def test_point_frame_commutator_equals_minus_torsion(torsion_plane, monkeypatch):
     # torsion-commutator identity at a vanishing-component point, symbolic route
     at = np.array([0.1, -0.1])
     result = frame_at_point_connection(torsion_plane, PointFrameSpec(anchor=at))
+    evaluations = []
+    commutator_values = frames._symbolic_commutator_values
+
+    def counting(*args):
+        evaluations.append(1)
+        return commutator_values(*args)
+
+    monkeypatch.setattr(frames, "_symbolic_commutator_values", counting)
     verdict = holonomicity_check(result.transform, at=at, deriv=torsion_plane)
     assert not verdict.holonomic
     assert verdict.torsion_match_residual <= 1e-8
+    # the verdict and the torsion cross-check read one evaluation of the commutators
+    assert len(evaluations) == 1
 
 
 def test_point_frame_of_torsion_free_connection_holonomic_at_anchor(polar_connection):

@@ -11,16 +11,16 @@ from normframes import (
     NotLinearConnectionError,
     PointFrameSpec,
     VectorField,
+    VerificationError,
     frame_at_point_connection,
     frame_at_point_general,
-    frame_at_point_holonomic,
     identity_seed,
-    point_frame_certificate,
     shell_component_growth,
     symmetrize_connection,
     transform_w,
     w_of,
 )
+from normframes import frames
 from normframes.expr import Sym, evaluate
 
 
@@ -139,14 +139,14 @@ def test_quadratic_seed_terms_do_not_disturb_anchor(lie_plane, lie_field, plane)
 def test_zero_connection_certificate_vanishes(zero_connection):
     x = VectorField(zero_connection.frame, [Const(1.0), Const(0.0)])
     spec = PointFrameSpec(anchor=np.zeros(2), a_factors=(np.ones(2), np.eye(2)))
-    result = frame_at_point_holonomic(zero_connection, x, spec)
+    result = frame_at_point_general(zero_connection, x, spec)
     assert np.max(np.abs(result.certificate)) == 0.0
     assert result.certificate_symmetry_residual == 0.0
 
 
 def test_factorized_seed_certificate_symmetric(lie_plane, lie_field):
     spec = PointFrameSpec(anchor=ANCHOR, a_factors=(np.array([1.0, 1.0]), np.eye(2)))
-    result = frame_at_point_holonomic(lie_plane, lie_field, spec)
+    result = frame_at_point_general(lie_plane, lie_field, spec)
     assert result.certificate_symmetry_residual <= 1e-14
     # the rank-one anchor matrix is a property of the factorized family
     assert abs(result.anchor_determinant) <= 1e-12
@@ -155,15 +155,26 @@ def test_factorized_seed_certificate_symmetric(lie_plane, lie_field):
 def test_holonomic_point_frame_builds_w_once(lie_plane, lie_field, w_builds):
     # the construction, its anchor check and its certificate all read W_X
     spec = PointFrameSpec(anchor=ANCHOR, a_factors=(np.array([1.0, 1.0]), np.eye(2)))
-    frame_at_point_holonomic(lie_plane, lie_field, spec)
+    frame_at_point_general(lie_plane, lie_field, spec)
     assert len(w_builds) == 1
 
 
-def test_factorized_seed_requires_factors(lie_plane, lie_field):
-    with pytest.raises(ValueError, match="factorized"):
-        frame_at_point_holonomic(
-            lie_plane, lie_field, PointFrameSpec(anchor=ANCHOR, a=identity_seed(np.array([1.0, 0.0])))
-        )
+def test_factorized_seed_refuses_an_asymmetric_certificate(lie_plane, lie_field, monkeypatch):
+    # no tolerance admits even the exactly symmetric certificate
+    monkeypatch.setattr(frames, "CERT_TOL", -1.0)
+    spec = PointFrameSpec(anchor=ANCHOR, a_factors=(np.array([1.0, 1.0]), np.eye(2)))
+    with pytest.raises(VerificationError, match="asymmetric certificate"):
+        frame_at_point_general(lie_plane, lie_field, spec)
+
+
+def test_full_seed_returns_an_asymmetric_certificate(lie_plane, lie_field):
+    a = identity_seed(lie_field.at(ANCHOR))
+    a[0, 0, 1] = 1.0  # A(x0) stays the identity, since X^2(x0) = 0
+    result = frame_at_point_general(lie_plane, lie_field, PointFrameSpec(anchor=ANCHOR, a=a))
+    assert result.residual <= 1e-12
+    assert result.certificate_symmetry_residual > frames.CERT_TOL
+    cert = result.certificate
+    assert result.certificate_symmetry_residual == np.max(np.abs(cert - cert.transpose(0, 2, 1)))
 
 
 def test_nonfactorized_seeds_break_symmetry(lie_plane, lie_field):
@@ -172,10 +183,8 @@ def test_nonfactorized_seeds_break_symmetry(lie_plane, lie_field):
     for _ in range(5):
         a = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
         a[:, :, 0] += 2.0 * np.eye(2)  # keep the anchor matrix invertible
-        _, asym = point_frame_certificate(
-            lie_plane, lie_field, PointFrameSpec(anchor=ANCHOR, a=a)
-        )
-        asymmetries.append(asym)
+        result = frame_at_point_general(lie_plane, lie_field, PointFrameSpec(anchor=ANCHOR, a=a))
+        asymmetries.append(result.certificate_symmetry_residual)
     assert max(asymmetries) > 1e-3
     assert all(a >= 0.0 for a in asymmetries)
 
