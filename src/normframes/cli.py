@@ -26,7 +26,6 @@ from .expr import (
     Const,
     DomainError,
     ExprError,
-    Symbol,
     parse_expr,
     to_source,
 )
@@ -43,6 +42,7 @@ from .derivation import (
 )
 from .curvature import ProbeForms, sampled_verdict
 from .frames import (
+    CURVE_PARAMETER,
     DEFAULT_STEP,
     ZERO_FIELD_TOL,
     ConstructionError,
@@ -74,10 +74,6 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_EXISTENCE = 4
 EXIT_FLATNESS = 5
-
-
-class InputError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ def write_report(obj: dict, path: Optional[str]):
         try:
             Path(path).write_text(text)
         except OSError as err:
-            raise InputError(f"cannot write {path!r}: {err.strerror or err}") from None
+            raise ValueError(f"cannot write {path!r}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ class ManifoldSetup:
 
 def _require(cond: bool, message: str):
     if not cond:
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _numbers(value, what: str, array: bool = False):
@@ -183,7 +179,7 @@ def _numbers(value, what: str, array: bool = False):
     try:
         return np.asarray(value, dtype=float) if array else float(value)
     except (TypeError, ValueError):
-        raise InputError(f"{what} must be numbers") from None
+        raise ValueError(f"{what} must be numbers") from None
 
 
 def _expressions(value, shape: tuple, symbols, what: str):
@@ -195,7 +191,7 @@ def _expressions(value, shape: tuple, symbols, what: str):
         try:
             return parse_expr(value, symbols)
         except ExprError as err:
-            raise InputError(f"{what}: {err}") from None
+            raise ValueError(f"{what}: {err}") from None
     _require(isinstance(value, list) and len(value) == shape[0],
              f"{what}: expected a list of {shape[0]} entries")
     return [_expressions(v, shape[1:], symbols, f"{what}[{i}]") for i, v in enumerate(value)]
@@ -212,12 +208,12 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
-        raise InputError(f"cannot read spec file {path!r}: {err}") from None
+        raise ValueError(f"cannot read spec file {path!r}: {err}") from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as err:
-        raise InputError(f"spec file is not valid JSON: {err}") from None
+        raise ValueError(f"spec file is not valid JSON: {err}") from None
     _require(isinstance(doc, dict), "spec root must be an object")
 
     n = doc.get("dimension")
@@ -234,10 +230,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         "'domain' must list one [lo, hi] interval per coordinate",
     )
     bounds = tuple(tuple(_numbers(v, "'domain' bounds") for v in iv) for iv in domain)
-    try:
-        chart = Chart(tuple(coords), bounds)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    chart = Chart(tuple(coords), bounds)
 
     frame_entries = doc.get("frame")
     if frame_entries is None:
@@ -262,7 +255,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
             try:
                 i, j, k = (int(p) for p in parts)
             except ValueError:
-                raise InputError(f"connection key {key!r} must hold integers") from None
+                raise ValueError(f"connection key {key!r} must hold integers") from None
             _require(
                 all(1 <= v <= n for v in (i, j, k)),
                 f"connection key {key!r} out of range 1..{n}",
@@ -283,10 +276,10 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
                                                        f"fields[{name}]"))
 
     curves = {}
-    s_symbol = Symbol("s")
     for name, block in _named_blocks(doc, "curves"):
         _require(isinstance(block, dict), f"curve {name!r} must be an object")
-        exprs = _expressions(block.get("exprs"), (n,), [s_symbol], f"curves[{name}][exprs]")
+        exprs = _expressions(block.get("exprs"), (n,), [CURVE_PARAMETER],
+                             f"curves[{name}][exprs]")
         interval = block.get("interval")
         _require(
             isinstance(interval, list) and len(interval) == 2,
@@ -297,8 +290,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
             exprs=tuple(exprs),
             interval=(a, b),
             s0=_numbers(block.get("s0", a), f"curve {name!r} s0"),
-            step=_numbers(block.get("step", 1e-3), f"curve {name!r} step"),
-            parameter=s_symbol,
+            step=_numbers(block.get("step", DEFAULT_STEP), f"curve {name!r} step"),
         )
 
     return ManifoldSetup(chart, frame, deriv, fields, curves, digest, variant)
@@ -308,18 +300,18 @@ def parse_point(text: str, chart: Chart) -> np.ndarray:
     values = {}
     for item in text.split(","):
         if "=" not in item:
-            raise InputError(f"--at expects name=value pairs, got {item!r}")
+            raise ValueError(f"--at expects name=value pairs, got {item!r}")
         name, _, val = item.partition("=")
         name = name.strip()
         if name not in chart.coordinates:
-            raise InputError(f"unknown coordinate {name!r} in --at")
+            raise ValueError(f"unknown coordinate {name!r} in --at")
         try:
             values[name] = float(val)
         except ValueError:
-            raise InputError(f"bad number {val!r} in --at") from None
+            raise ValueError(f"bad number {val!r} in --at") from None
     missing = [c for c in chart.coordinates if c not in values]
     if missing:
-        raise InputError(f"--at is missing coordinates {missing}")
+        raise ValueError(f"--at is missing coordinates {missing}")
     return chart.point(values)
 
 
@@ -404,14 +396,16 @@ def _frame_header(setup: ManifoldSetup, kind: str) -> dict:
 def _refuse_unread_flags(args) -> None:
     """A frame flag that the mode would ignore is an input error."""
     if args.holonomic and not (args.mode == "point" and args.field):
-        raise InputError("--holonomic applies only to frame point with --field")
+        raise ValueError("--holonomic applies only to frame point with --field")
     for flag, value, modes in (
+        ("--at", args.at, ("point",)),
+        ("--field", args.field, ("point", "curve")),
         ("--grid", args.grid, ("flat",)),
         ("--curve", args.curve, ("curve",)),
         ("--step", args.step, ("curve", "flat")),
     ):
         if value is not None and args.mode not in modes:
-            raise InputError(f"{flag} applies only to frame {' and '.join(modes)}")
+            raise ValueError(f"{flag} applies only to frame {' and '.join(modes)}")
 
 
 def cmd_frame(args) -> int:
@@ -423,13 +417,13 @@ def cmd_frame(args) -> int:
 
     if args.mode == "point":
         if not args.at:
-            raise InputError("frame point needs --at")
+            raise ValueError("frame point needs --at")
         at = parse_point(args.at, chart)
         if not chart.contains(at):
             raise DomainError(f"point {at.tolist()} lies outside the chart domain")
         if args.field:
             if args.field not in setup.fields:
-                raise InputError(f"spec declares no field named {args.field!r}")
+                raise ValueError(f"spec declares no field named {args.field!r}")
             x = setup.fields[args.field]
             x_val = x.at(at)
             vanishing = float(np.max(np.abs(x_val))) <= ZERO_FIELD_TOL
@@ -463,13 +457,13 @@ def cmd_frame(args) -> int:
 
     if args.mode == "curve":
         if not args.field or args.field not in setup.fields:
-            raise InputError("curve transport needs --field naming a spec field")
+            raise ValueError("curve transport needs --field naming a spec field")
         if not args.curve or args.curve not in setup.curves:
-            raise InputError("curve transport needs --curve naming a spec curve")
+            raise ValueError("curve transport needs --curve naming a spec curve")
         x = setup.fields[args.field]
         curve = setup.curves[args.curve]
         if args.step is not None:
-            curve = CurveSpec(curve.exprs, curve.interval, curve.s0, args.step, curve.parameter)
+            curve = CurveSpec(curve.exprs, curve.interval, curve.s0, args.step)
         frame_result = transport_along_curve(deriv, x, curve, np.eye(n))
         doc = _frame_header(setup, "curve")
         doc["field"] = [to_source(c) for c in x.components]
@@ -510,7 +504,7 @@ def cmd_frame(args) -> int:
         write_report(doc, args.out)
         return EXIT_OK
 
-    raise InputError(f"unknown frame mode {args.mode!r}")
+    raise ValueError(f"unknown frame mode {args.mode!r}")
 
 
 def _holonomic_matrix_seed(x_value: np.ndarray) -> np.ndarray:
@@ -531,9 +525,9 @@ def _parse_grid(text: Optional[str], n: int) -> tuple[int, ...]:
     try:
         counts = tuple(int(p) for p in parts)
     except ValueError:
-        raise InputError(f"bad --grid {text!r}; expected like 21x21") from None
+        raise ValueError(f"bad --grid {text!r}; expected like 21x21") from None
     if len(counts) != n:
-        raise InputError(f"--grid needs {n} axis counts")
+        raise ValueError(f"--grid needs {n} axis counts")
     return counts
 
 
@@ -551,9 +545,9 @@ def _load_frame_document(path: str, n: int) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as err:
-        raise InputError(f"cannot read frame file: {err}") from None
+        raise ValueError(f"cannot read frame file: {err}") from None
     except json.JSONDecodeError as err:
-        raise InputError(f"frame file is not valid JSON: {err}") from None
+        raise ValueError(f"frame file is not valid JSON: {err}") from None
     _require(isinstance(doc, dict), "frame file root must be an object")
     _require(
         doc.get("dimension") == n,
@@ -599,12 +593,11 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
         x = VectorField(setup.frame, _expressions(doc.get("field"), (n,), chart.symbols, "field"))
         s_vals = _numbers(block.get("s"), "curve parameters", array=True)
         _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
-        param = Symbol("s")
-        exprs = _expressions(block.get("exprs"), (n,), [param], "locus[curve][exprs]")
+        exprs = _expressions(block.get("exprs"), (n,), [CURVE_PARAMETER], "locus[curve][exprs]")
         axes, h = [s_vals], None  # one RK4 step per segment
         check_lattice_axes(axes, h)
-        curve_points(chart, exprs, param, s_vals)
-        m_fns = [curve_direction_function(setup.deriv, x, exprs, param)]
+        curve_points(chart, exprs, s_vals)
+        m_fns = [curve_direction_function(setup.deriv, x, exprs)]
     else:
         axes = block.get("axes")
         _require(isinstance(axes, list) and len(axes) == n,
@@ -693,7 +686,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GeometryError, CurveError) as err:
+    except (GeometryError, CurveError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -28,9 +28,9 @@ from .expr import Const, Expr, Sym, Symbol, compile_exprs, differentiate, simpli
 from .geometry import (
     Chart,
     DEGENERACY_TOL,
+    DegenerateFrameError,
     FrameField,
     VectorField,
-    vanishes_on_chart,
 )
 from .derivation import (
     PROBE_TOL,
@@ -48,6 +48,7 @@ POINT_TOL = 1e-10
 CERT_TOL = 1e-12
 GRID_TOL = 1e-6
 DEFAULT_STEP = 1e-3
+CURVE_PARAMETER = Symbol("s")  # the one parameter of every curve's coordinate expressions
 ZERO_FIELD_TOL = 1e-12
 INTEGRAL_CURVE_TOL = 1e-6  # max |curve velocity - field| at a curve node
 SHELL_DISTANCES = (1e-2, 1e-3)  # shell radii of shell_component_growth
@@ -479,18 +480,18 @@ def _rk4_kernel(jobs) -> list:
     return [scratch[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def curve_direction_function(deriv: Derivation, x: VectorField, exprs, parameter: Symbol):
+def curve_direction_function(deriv: Derivation, x: VectorField, exprs):
     """The direction function of a curve frame's 1-D lattice: M(s) =
     W_X(curve(s)), compiled over the curve parameter."""
     w_fn = compile_exprs(list(w_of(deriv, x).components.flat), deriv.chart.symbols)
-    curve_fn = compile_exprs(exprs, [parameter])
+    curve_fn = compile_exprs(exprs, [CURVE_PARAMETER])
     return lambda s: w_fn(*curve_fn(s))
 
 
-def curve_points(chart: Chart, exprs, parameter: Symbol, s_values) -> np.ndarray:
+def curve_points(chart: Chart, exprs, s_values) -> np.ndarray:
     """The curve's points at the parameters ``s_values``, one row each.
     Raises CurveError when one leaves the chart's domain box."""
-    points = compile_exprs(exprs, [parameter])(s_values).T
+    points = compile_exprs(exprs, [CURVE_PARAMETER])(s_values).T
     lo, hi = np.array(chart.domain).T
     outside = ~np.all((lo <= points) & (points <= hi), axis=1)
     if outside.any():
@@ -507,13 +508,13 @@ def curve_points(chart: Chart, exprs, parameter: Symbol, s_values) -> np.ndarray
 
 @dataclass
 class CurveSpec:
-    """A parametrized curve given by coordinate expressions of one parameter."""
+    """A parametrized curve given by coordinate expressions of
+    ``CURVE_PARAMETER``, the symbol s."""
 
     exprs: tuple
     interval: tuple[float, float]
     s0: float
     step: float = DEFAULT_STEP
-    parameter: Symbol = Symbol("s")
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -575,11 +576,11 @@ def transport_along_curve(
 
     _require_budget(curve.node_count(), f"a curve at step {curve.step!r}")
     s_values = curve.node_values()
-    points = curve_points(chart, curve.exprs, curve.parameter, s_values)
+    points = curve_points(chart, curve.exprs, s_values)
 
     # the curve must follow the field: dcurve/ds = (coordinate components of X)
-    velocity = compile_exprs([differentiate(e, curve.parameter) for e in curve.exprs],
-                             [curve.parameter])(s_values).T
+    velocity = compile_exprs([differentiate(e, CURVE_PARAMETER) for e in curve.exprs],
+                             [CURVE_PARAMETER])(s_values).T
     b_nodes = matops.evaluate_points(frame.matrix, chart.symbols, points)
     x_nodes = matops.evaluate_points(x.components, chart.symbols, points)
     v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
@@ -591,7 +592,7 @@ def transport_along_curve(
             f"velocity {velocity[i].tolist()} vs field {v_field[i].tolist()}"
         )
 
-    m_fn = curve_direction_function(deriv, x, curve.exprs, curve.parameter)
+    m_fn = curve_direction_function(deriv, x, curve.exprs)
     base = (int(np.argmin(np.abs(s_values - curve.s0))),)
     forward, backward = lattice_propagators([m_fn], [s_values], None, base)
     matrices = _fill_lattice((len(s_values),), base, b0, forward, backward)
@@ -968,38 +969,34 @@ def holonomicity_check(
     tol: Optional[float] = None,
     deriv: Optional[Derivation] = None,
 ) -> HolonomicityVerdict:
-    """Do the transformed frame vectors commute?
+    """Do the transformed frame vectors E_i' = A^a_{i'} E_a commute?
 
-    Symbolic transforms are answered through the anholonomy of the
-    composed frame (identity test over the chart sample cloud, or at a
-    point).  Grid frames are decided by the "refined" estimate, which
-    reads the derivatives off the construction's equations, dA/dx^alpha =
-    -M_alpha A, at the stored matrices.  Centered differences of the stored
-    matrices at the lattice spacing, the only estimate that checks them,
-    are reported beside it as ``fd_max_commutator`` with the tolerance
-    ``fd_tol`` = 10 h^2 that matches their truncation order.  When the
-    locus has vanishing components the commutator is also cross-checked
-    against minus the torsion pairing.
+    Every estimate is one formula on a point set, ``_commutators``, read in
+    the transformed frame: A^{-1} [E_i', E_j'].  Only the source of E_a(A)
+    differs.  A symbolic transform differentiates its entries and evaluates
+    them on the chart's sample cloud, or at ``at``.  A grid frame is decided
+    by the "refined" estimate, dA/dx^alpha = -M_alpha A from the
+    construction's equations at every node.  Centered differences of the
+    stored matrices at the interior nodes, the only estimate that checks
+    them, are reported beside it as ``fd_max_commutator`` with the tolerance
+    ``fd_tol`` = 10 h^2 that matches their truncation order.  Whenever a
+    derivation is given (a grid frame carries its own), the commutator is
+    cross-checked against minus the torsion pairing, which it equals where
+    the components vanish.  A singular A raises DegenerateFrameError.
     """
     if isinstance(transform, SymbolicTransform):
-        sym_tol = 1e-10 if tol is None else tol
-        if at is None:
-            composed = transform.composed_frame()
-            ok, worst = vanishes_on_chart(
-                composed.anholonomy().components.flat, composed.chart, tol=sym_tol
-            )
-            return HolonomicityVerdict(ok, worst, sym_tol, "symbolic")
-        a_val, comm = _symbolic_commutator_values(transform.frame, transform.entries, at)
-        upper = np.triu_indices(transform.frame.dimension, 1)
-        in_frame = np.linalg.inv(a_val) @ comm[:, upper[0], upper[1]]
-        worst = float(np.max(np.abs(in_frame), initial=0.0))
-        result = HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic")
+        frame = transform.frame
+        chart = frame.chart
+        points = chart.sample_points() if at is None else chart.point(at)[None]
+        arrays = [transform.entries, frame.frame_derivatives(transform.entries),
+                  frame.anholonomy().components]
         if deriv is not None:
-            # at a vanishing-component point [E_i', E_j'] = -T(E_i', E_j')
-            assignment = deriv.chart.assignment(at)
-            t_val = matops.evaluate_array(torsion_tensor(deriv).components, assignment)
-            result.torsion_match_residual = float(np.max(np.abs(comm + _pairing(t_val, a_val))))
-        return result
+            arrays.append(torsion_tensor(deriv).components)
+        worst, twisted = _commutator_maxima(
+            points, *(matops.evaluate_points(arr, chart.symbols, points) for arr in arrays))
+        sym_tol = 1e-10 if tol is None else tol
+        return HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic",
+                                   torsion_match_residual=twisted)
 
     if isinstance(transform, GridFrame):
         return _holonomicity_grid(transform, tol=tol)
@@ -1014,71 +1011,61 @@ def _pairing(t: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _commutators(a: np.ndarray, ea: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Source-frame components of [E_i', E_j'] as [..., k, i', j']:
     A^a_{i'} E_a(A^k_{j'}) - A^a_{j'} E_a(A^k_{i'}) + C^k_{ab} A^a_{i'} A^b_{j'},
-    given ea[..., a, k, j'] = E_a(A^k_{j'})."""
+    given ea[..., a, k, j'] = E_a(A^k_{j'}) and the anholonomy C of the source frame."""
     half = np.einsum("...ai,...akj->...kij", a, ea)
     return half - np.swapaxes(half, -1, -2) + _pairing(c, a)
 
 
-def _symbolic_commutator_values(frame: FrameField, entries: np.ndarray, at):
-    """A(at) and the commutators of the transformed frame of a symbolic transform at a point."""
-    assignment = frame.chart.assignment(at)
-    a_val = matops.evaluate_array(entries, assignment)
-    derivatives = frame.frame_derivatives(entries)
-    ea = matops.evaluate_array(derivatives, assignment)
-    return a_val, _commutators(a_val, ea, frame.anholonomy().evaluate_at(at))
+def _commutator_maxima(points, a, ea, c, t=None) -> tuple[float, Optional[float]]:
+    """Over the points [..., n] of A, E_a(A), C (and T): the largest i' < j'
+    component of A^{-1} [E_i', E_j'], and the largest |[E_i', E_j'] +
+    T(E_i', E_j')| (None without T)."""
+    dets = np.linalg.det(a)
+    singular = np.argwhere(np.abs(dets) <= DEGENERACY_TOL)
+    if singular.size:
+        first = tuple(singular[0])
+        raise DegenerateFrameError(
+            f"transform is singular at {points[first].tolist()} (det={float(dets[first])!r})")
+    comm = _commutators(a, ea, c)
+    upper = np.triu_indices(a.shape[-1], 1)
+    worst = float(np.max(np.abs(np.linalg.solve(a, comm[..., upper[0], upper[1]])), initial=0.0))
+    if t is None:
+        return worst, None
+    twisted = (comm + _pairing(t, a))[..., upper[0], upper[1]]
+    return worst, float(np.max(np.abs(twisted), initial=0.0))
 
 
 def _holonomicity_grid(grid_frame: GridFrame, tol: Optional[float]) -> HolonomicityVerdict:
     deriv = grid_frame.deriv
     frame = deriv.frame
-    chart = grid_frame.chart
     n = frame.dimension
-    axes = grid_frame.axes
-    spacing = max(grid_frame.spacings)
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    frame_fn = compile_exprs(list(frame.matrix.flat), chart.symbols)
-    frame_vals = _matrices(frame_fn(*mesh), n)
-    composed = np.einsum("...ab,...bc->...ac", frame_vals, grid_frame.matrices)
-
-    # centered differences at interior nodes, lattice spacing
-    def interior(beta=None, part=slice(1, -1)):
-        return tuple(part if d == beta else slice(1, -1) for d in range(n))
-
-    db = np.stack(  # [..., beta, alpha, j'] of the composed frame
-        [
-            (composed[interior(b, slice(2, None))] - composed[interior(b, slice(None, -2))])
-            / (axes[b][2:] - axes[b][:-2]).reshape([-1 if d == b else 1 for d in range(n)] + [1, 1])
-            for b in range(n)
-        ],
-        axis=-3,
+    a = grid_frame.matrices
+    mesh = np.meshgrid(*grid_frame.axes, indexing="ij")
+    nodes = np.stack(mesh, axis=-1)
+    b, c, t = (
+        matops.evaluate_points(arr, frame.chart.symbols, nodes.reshape(-1, n)).reshape(
+            a.shape[:-2] + arr.shape)
+        for arr in (frame.matrix, frame.anholonomy().components, torsion_tensor(deriv).components)
     )
-    bc = composed[interior()]
-    # [E_i', E_j'] in source-frame components, then in the composed frame
-    half = np.einsum("...bi,...baj->...aij", bc, db)
-    comm = np.einsum("...ka,...aij->...kij", np.linalg.inv(bc), half - np.swapaxes(half, -1, -2))
-    fd_worst = float(np.max(np.abs(comm))) if comm.size else 0.0
 
-    # sharper estimate at every node: dA/dx^alpha = -M_alpha A, the frame equations
-    a_val = grid_frame.matrices
-    da = np.stack([-_matrices(m_fn(*mesh), n) @ a_val for m_fn in grid_frame.m_functions], axis=-3)
-    anhol_torsion = matops.evaluate_points(
-        np.stack([frame.anholonomy().components, torsion_tensor(deriv).components]),
-        chart.symbols,
-        np.stack([m.ravel() for m in mesh], axis=-1),
-    ).reshape(a_val.shape[:-2] + (2, n, n, n))
-    # E_a(A)_{ij} = B^alpha_a dA_{ij}/dx^alpha
-    ea_a = np.einsum("...Aa,...Aij->...aij", frame_vals, da)
-    comm = _commutators(a_val, ea_a, anhol_torsion[..., 0, :, :, :])
-    twisted = comm + _pairing(anhol_torsion[..., 1, :, :, :], a_val)
-    upper = np.triu_indices(n, 1)
-    refined_worst = float(np.max(np.abs(comm[..., upper[0], upper[1]]), initial=0.0))
-    torsion_resid = float(np.max(np.abs(twisted[..., upper[0], upper[1]]), initial=0.0))
+    def maxima(part, da, *torsion):
+        ea = np.einsum("...Aa,...Aij->...aij", b[part], da)  # E_a(A) = B^alpha_a dA/dx^alpha
+        return _commutator_maxima(nodes[part], a[part], ea, c[part], *torsion)
+
+    # refined: the frame equations dA/dx^alpha = -M_alpha A at every node
+    da = np.stack([-_matrices(m_fn(*mesh), n) @ a for m_fn in grid_frame.m_functions], axis=-3)
+    refined, torsion_resid = maxima(..., da, t)
+    # centered differences of the stored matrices at the interior nodes
+    inner = (slice(1, -1),) * n
+    fd_da = np.stack([np.gradient(a, ax, axis=alpha) for alpha, ax in enumerate(grid_frame.axes)],
+                     axis=-3)
+    fd_worst, _ = maxima(inner, fd_da[inner])
 
     requested = GRID_TOL if tol is None else tol
+    spacing = max(grid_frame.spacings)
     return HolonomicityVerdict(
-        holonomic=refined_worst <= requested,
-        max_commutator=refined_worst,
+        holonomic=refined <= requested,
+        max_commutator=refined,
         tol=requested,
         method="refined",
         torsion_match_residual=torsion_resid,

@@ -30,7 +30,7 @@ def test_grid_budget_counts_the_kernel_sub_steps(counts, h):
 @pytest.mark.parametrize("step", [1e-3, 2e-4, 0.37, 2.0])
 def test_curve_budget_counts_the_nodes(step):
     curve = load_manifold_spec(POLAR).curves["unit_circle"]
-    curve = CurveSpec(curve.exprs, curve.interval, curve.s0, step, curve.parameter)
+    curve = CurveSpec(curve.exprs, curve.interval, curve.s0, step)
     assert curve.node_count() == len(curve.node_values())
 
 

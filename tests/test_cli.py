@@ -685,8 +685,11 @@ def test_step_must_be_finite_and_positive(tmp_path, capsys, mode, step):
     ("point", ("--at", "r=1,theta=0.5"), ("--curve", "unit_circle")),
     ("flat", (), ("--curve", "unit_circle")),
     ("point", ("--at", "r=1,theta=0.5", "--field", "angular"), ("--step", "0.1")),
+    ("flat", ("--grid", "5x5"), ("--at", "r=9,theta=9")),
+    ("curve", ("--field", "angular", "--curve", "unit_circle"), ("--at", "r=9,theta=9")),
+    ("flat", ("--grid", "5x5"), ("--field", "angular")),
 ], ids=["holonomic-point-no-field", "holonomic-curve", "holonomic-flat", "grid-point", "grid-curve",
-        "curve-point", "curve-flat", "step-point"])
+        "curve-point", "curve-flat", "step-point", "at-flat", "at-curve", "field-flat"])
 def test_frame_flag_the_mode_does_not_read_exits_2(tmp_path, capsys, mode, extra, flag):
     out = tmp_path / "frame.json"
     flag = (flag,) if isinstance(flag, str) else flag

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from normframes import (
+    Chart,
     Connection,
     Const,
+    DegenerateFrameError,
+    FrameField,
     GridSpec,
     NotFlatError,
     NotLinearConnectionError,
@@ -25,8 +28,9 @@ from normframes import (
     torsion_tensor,
 )
 from normframes import frames, matops
+from normframes.geometry import compose_frame
 from normframes.cli import EXIT_OK, load_manifold_spec, main
-from normframes.expr import DomainError, Symbol, compile_exprs, parse_expr
+from normframes.expr import DomainError, Sym, Symbol, compile_exprs, parse_expr
 from normframes.frames import (
     _pointwise_linearity_gate,
     _rk4_kernel,
@@ -449,8 +453,6 @@ def test_symbolic_holonomicity_constant_transform(polar_connection):
 
 
 def test_symbolic_anholonomic_frame_detected(polar, polar_connection):
-    from normframes.expr import Sym
-
     r, _ = polar.symbols
     transform = SymbolicTransform(
         polar_connection.frame, [[Const(1.0), Const(0.0)], [Const(0.0), 1 / Sym(r)]]
@@ -464,13 +466,13 @@ def test_point_frame_commutator_equals_minus_torsion(torsion_plane, monkeypatch)
     at = np.array([0.1, -0.1])
     result = frame_at_point_connection(torsion_plane, PointFrameSpec(anchor=at))
     evaluations = []
-    commutator_values = frames._symbolic_commutator_values
+    commutators = frames._commutators
 
     def counting(*args):
         evaluations.append(1)
-        return commutator_values(*args)
+        return commutators(*args)
 
-    monkeypatch.setattr(frames, "_symbolic_commutator_values", counting)
+    monkeypatch.setattr(frames, "_commutators", counting)
     verdict = holonomicity_check(result.transform, at=at, deriv=torsion_plane)
     assert not verdict.holonomic
     assert verdict.torsion_match_residual <= 1e-8
@@ -484,6 +486,83 @@ def test_point_frame_of_torsion_free_connection_holonomic_at_anchor(polar_connec
     verdict = holonomicity_check(result.transform, at=at, deriv=polar_connection)
     assert verdict.holonomic
     assert verdict.torsion_match_residual <= 1e-8
+
+
+SYMBOLIC_TRANSFORMS = {
+    "identity": lambda polar, connection, torsion: SymbolicTransform.identity(connection.frame),
+    "constant": lambda polar, connection, torsion: SymbolicTransform.constant(
+        connection.frame, np.array([[2.0, 1.0], [0.0, 1.0]])),
+    "inverse_r": lambda polar, connection, torsion: SymbolicTransform(
+        connection.frame, [[Const(1.0), Const(0.0)], [Const(0.0), 1 / Sym(polar.symbols[0])]]),
+    "polar_point": lambda polar, connection, torsion: frame_at_point_connection(
+        connection, PointFrameSpec(anchor=np.array([1.4, 0.6]))).transform,
+    "torsion_point": lambda polar, connection, torsion: frame_at_point_connection(
+        torsion, PointFrameSpec(anchor=np.array([0.1, -0.1]))).transform,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_TRANSFORMS))
+def test_symbolic_holonomicity_equals_the_composed_frame_anholonomy(
+    polar, polar_connection, torsion_plane, name
+):
+    # oracle: the anholonomy of the composed frame B A, built symbolically
+    transform = SYMBOLIC_TRANSFORMS[name](polar, polar_connection, torsion_plane)
+    chart = transform.frame.chart
+    composed = compose_frame(transform.frame, transform.entries).anholonomy().components
+    values = matops.evaluate_points(composed, chart.symbols, chart.sample_points())
+    verdict = holonomicity_check(transform)
+    assert verdict.method == "symbolic"
+    assert abs(verdict.max_commutator - float(np.max(np.abs(values)))) <= 1e-12
+
+
+def test_symbolic_holonomicity_needs_no_symbolic_inverse(polar, polar_connection, monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("symbolic inverse taken")
+
+    monkeypatch.setattr(matops, "inverse", refuse)
+    r, _ = polar.symbols
+    transform = SymbolicTransform(
+        polar_connection.frame, [[Const(1.0), Const(0.0)], [Const(0.0), 1 / Sym(r)]]
+    )
+    verdict = holonomicity_check(transform)
+    # [d_r, d_theta / r] = -(1/r) (d_theta / r): the largest |C'| is 1/r at the smallest sample r
+    assert not verdict.holonomic
+    assert verdict.max_commutator == pytest.approx(1.0 / polar.sample_points()[:, 0].min(), abs=1e-12)
+
+
+def test_symbolic_holonomicity_in_five_dimensions():
+    # beyond the symbolic inverse's n <= 4: E_2' = x1 d_2, so [E_1', E_2'] = E_2' / x1
+    chart = Chart(tuple(f"x{i}" for i in range(1, 6)), ((1.0, 2.0),) * 5)
+    frame = FrameField.coordinate(chart)
+    entries = matops.constant_exprs(np.eye(5))
+    entries[1, 1] = Sym(chart.symbols[0])
+    verdict = holonomicity_check(SymbolicTransform(frame, entries))
+    assert not verdict.holonomic
+    assert verdict.max_commutator == pytest.approx(1.0 / chart.sample_points()[:, 0].min(), abs=1e-12)
+    assert holonomicity_check(SymbolicTransform.constant(frame, np.eye(5) + 0.5)).holonomic
+
+
+def test_singular_transform_raises_degenerate_frame_error(plane):
+    x1, _ = plane.symbols
+    frame = FrameField.coordinate(plane)
+    zero_row = SymbolicTransform(frame, [[Const(1.0), Const(0.0)], [Const(0.0), Const(0.0)]],
+                                 _validate=False)
+    first = plane.sample_points()[0].tolist()
+    with pytest.raises(DegenerateFrameError, match=re.escape(f"singular at {first}")):
+        holonomicity_check(zero_row)
+    scaled = SymbolicTransform(frame, [[Const(1.0), Const(0.0)], [Const(0.0), Sym(x1)]])
+    with pytest.raises(DegenerateFrameError, match=re.escape("singular at [0.0, 0.5]")):
+        holonomicity_check(scaled, at=[0.0, 0.5])
+
+
+def test_torsion_cross_check_runs_whenever_a_derivation_is_given(polar_connection):
+    at = np.array([1.4, 0.6])
+    transform = frame_at_point_connection(polar_connection, PointFrameSpec(anchor=at)).transform
+    assert holonomicity_check(transform).torsion_match_residual is None
+    # torsion-free: the cross-check is |[E_i', E_j']|, zero at the anchor only
+    on_cloud = holonomicity_check(transform, deriv=polar_connection)
+    at_anchor = holonomicity_check(transform, at=at, deriv=polar_connection)
+    assert at_anchor.torsion_match_residual <= 1e-12 < on_cloud.torsion_match_residual
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +699,5 @@ def test_grid_frame_over_anholonomic_source_frame(polar, polar_orthonormal_frame
     assert not verdict.holonomic
     assert verdict.max_commutator >= 0.4  # |C^2_{12}| = 1/r on r in [1, 2]
     assert verdict.torsion_match_residual <= 1e-8
+    # A is constant, so the centered differences see only C: 1/r at the first interior r = 7/6
+    assert verdict.fd_max_commutator == pytest.approx(6.0 / 7.0, abs=1e-9)

@@ -84,7 +84,7 @@ def one_job_curve_matrices(deriv, x, curve, b0):
     """Reference: every segment of the curve in one kernel job, forward from
     s_i at and after the node nearest s0 and backward from s_{i+1} before it."""
     s_values = curve.node_values()
-    m_fn = frames.curve_direction_function(deriv, x, curve.exprs, curve.parameter)
+    m_fn = frames.curve_direction_function(deriv, x, curve.exprs)
     base = int(np.argmin(np.abs(s_values - curve.s0)))
     ahead = np.arange(len(s_values) - 1) >= base
     starts = np.where(ahead, s_values[:-1], s_values[1:])[:, None]
@@ -116,7 +116,7 @@ def test_polar_circle_components_vanish_along_tangent(polar_connection, polar_ci
     for i in range(len(result.s_values) - 1):
         a = result.matrices[i]
         def m_at(s):
-            point = frames.curve_points(result.field.chart, curve.exprs, curve.parameter, [s])
+            point = frames.curve_points(result.field.chart, curve.exprs, [s])
             return np.array(w_fn(*point[0]), dtype=float).reshape(2, 2)
         s0 = float(result.s_values[i])
         m0, mm, m1 = m_at(s0), m_at(s0 + 0.5 * h), m_at(s0 + h)

@@ -75,3 +75,17 @@ def test_only_geometry_derives_vector_field_components():
                 for arg in node.args for sub in ast.walk(arg))
     ]
     assert SOURCES and not offenders, offenders
+
+
+def test_frames_builds_no_composed_frame():
+    # holonomicity reads [E_i', E_j'] numerically from A and E_a(A); a composed
+    # frame B A would bring back the symbolic inverse and its n <= 4 limit
+    path = SOURCES[0].parent / "frames.py"
+    offenders = [
+        f"frames.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("composed_frame",
+                                                                           "compose_frame")
+    ]
+    assert not offenders, offenders
