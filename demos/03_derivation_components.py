@@ -16,7 +16,7 @@ from normframes import (
     SymbolicTransform,
     VectorField,
     linearity_probe,
-    transform_w,
+    transformed_components,
     w_of,
 )
 from normframes.expr import Sym
@@ -46,11 +46,13 @@ x_lin = VectorField(frame, [Sym(r), Const(0.0)])
 print("Lie-type W for X = r d_r:")
 print(w_of(lie, x_lin).evaluate_at([1.5, 0.3]))
 
-# The transformation law W' = A^{-1}(W A + X(A)) under a frame change:
+# The transformation law W' = A^{-1}(W_X A + X(A)) under the frame change
+# E_k' = A^a_k' E_a, evaluated at points along every new direction E_k':
+# entry [p, k'] is W' at point p for X = E_k'.  Here E_2' = d_theta = X.
 transform = SymbolicTransform(frame, [[Sym(r), Const(0.0)], [Const(0.0), Const(1.0)]])
-w_prime = transform_w(w, x, transform)
-print("transformed W at (1.5, 0.3):")
-print(w_prime.evaluate_at([1.5, 0.3]))
+w_prime = transformed_components(euclid, transform, [[1.5, 0.3]])
+print("transformed W along E_2' at (1.5, 0.3):")
+print(w_prime[0, 1])
 
 # Probing tells connections apart from everything else: components must
 # vanish with the field and superpose linearly.

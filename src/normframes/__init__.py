@@ -4,11 +4,11 @@ integral curve, or across a neighborhood.
 
 The expression layer (:mod:`normframes.expr`) supplies the symbolic
 substrate; :mod:`normframes.geometry` the charts and frames;
-:mod:`normframes.derivation` the component calculus and its transformation
-law; :mod:`normframes.curvature` the curvature/torsion forms together with
-brute-force operator oracles; :mod:`normframes.frames` the constructive
-results with their verifiers; :mod:`normframes.cli` a file-driven front
-end producing reproducible reports.
+:mod:`normframes.derivation` the component calculus;
+:mod:`normframes.curvature` the curvature/torsion forms and verdicts;
+:mod:`normframes.frames` the constructive results with their verifiers and
+the numeric transformation law at points; :mod:`normframes.cli` a
+file-driven front end producing reproducible reports.
 """
 
 __version__ = "0.1.0"
@@ -43,9 +43,7 @@ from .geometry import (
     TensorField,
     VectorField,
     anholonomy_coefficients,
-    change_vector_frame,
     commutator,
-    compose_frame,
     vanishes_on_chart,
 )
 from .derivation import (
@@ -62,8 +60,6 @@ from .derivation import (
     linearity_probe,
     symmetrize_connection,
     template_symbols,
-    transform_connection,
-    transform_w,
     w_derivatives,
     w_of,
 )
@@ -72,13 +68,11 @@ from .curvature import (
     ProbeForms,
     Verdict,
     curvature_matrix,
-    curvature_operator_oracle,
     curvature_tensor,
     integrability_residual,
     is_flat,
     is_torsion_free,
     sampled_verdict,
-    torsion_operator_oracle,
     torsion_tensor,
     torsion_vector,
 )
@@ -105,5 +99,6 @@ from .frames import (
     identity_seed,
     shell_component_growth,
     transport_along_curve,
+    transformed_components,
     transformed_components_max,
 )

@@ -1,9 +1,9 @@
-"""Curvature and torsion: component forms, tensors, and operator oracles.
+"""Curvature and torsion: component forms, tensors and verdicts.
 
-Two independent routes exist for each quantity and the test suite keeps
-them in agreement: the closed component expressions (used by verdicts and
-the CLI) and brute-force operator evaluation through the derivation action
-(used as ground truth).  Sign conventions follow the component formulas
+The closed component expressions here are what verdicts and the CLI use.
+The test suite keeps them in agreement with brute-force operator
+evaluation through the derivation action, D_X D_Y - D_Y D_X - D_[X,Y] and
+D_X Y - D_Y X - [X,Y], its ground truth.  Sign conventions follow the component formulas
 verbatim; recorded signs on the fixtures are outputs, never inputs.
 """
 
@@ -28,7 +28,6 @@ from .derivation import (
     Connection,
     Derivation,
     VariantError,
-    apply_derivation,
     seeded_affine_fields,
     w_derivatives,
     w_of,
@@ -115,31 +114,6 @@ def torsion_tensor(deriv: Derivation) -> TensorField:
             acc = acc - C.components[i, k, l]
         out[i, k, l] = simplify(acc)
     return TensorField(frame, 1, 2, out)
-
-
-def curvature_operator_oracle(
-    deriv: Derivation, x: VectorField, y: VectorField, z: TensorField
-) -> TensorField:
-    """Brute-force D_X D_Y - D_Y D_X - D_{[X,Y]} applied to a tensor field."""
-    dxy = apply_derivation(deriv, x, apply_derivation(deriv, y, z))
-    dyx = apply_derivation(deriv, y, apply_derivation(deriv, x, z))
-    dbrk = apply_derivation(deriv, commutator(x, y), z)
-    out = simplify(dxy.components - dyx.components - dbrk.components)
-    return TensorField(deriv.frame, z.p, z.q, out)
-
-
-def torsion_operator_oracle(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
-    """Brute-force D_X Y - D_Y X - [X,Y]."""
-    dxy = apply_derivation(deriv, x, TensorField.from_vector(y)).to_vector()
-    dyx = apply_derivation(deriv, y, TensorField.from_vector(x)).to_vector()
-    brk = commutator(x, y)
-    return VectorField(
-        deriv.frame,
-        [
-            simplify(a - b - c)
-            for a, b, c in zip(dxy.components, dyx.components, brk.components)
-        ],
-    )
 
 
 @dataclass

@@ -45,7 +45,6 @@ from .geometry import (
     TensorField,
     VectorField,
     commutator,
-    compose_frame,
     require_nondegenerate,
 )
 
@@ -75,8 +74,6 @@ class SymbolicTransform:
         n = frame.dimension
         if self.entries.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix")
-        self._inverse = None
-        self._composed = None
         if _validate:
             require_nondegenerate(self.entries, frame.chart, lambda pt, det: (
                 f"transform is singular at {pt} (det={det!r})"))
@@ -91,16 +88,6 @@ class SymbolicTransform:
 
     def evaluate_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.entries, self.frame.chart.assignment(point))
-
-    def inverse_entries(self) -> np.ndarray:
-        if self._inverse is None:
-            self._inverse = matops.inverse(self.entries)
-        return self._inverse
-
-    def composed_frame(self) -> FrameField:
-        if self._composed is None:
-            self._composed = compose_frame(self.frame, self.entries)
-        return self._composed
 
 
 def _frame_derivative_slots(n: int) -> list[tuple[Symbol, int, int]]:
@@ -251,23 +238,6 @@ def w_derivatives(deriv: Derivation, x: VectorField) -> np.ndarray:
     return dw
 
 
-def transform_w(w: TensorField, x: VectorField, transform: SymbolicTransform) -> TensorField:
-    """Push W through a frame change: W' = A^{-1}(W A + X(A)).
-
-    ``x`` and ``w`` are given in the source frame of ``transform``; the
-    result lives in the composed frame.
-    """
-    if w.frame is not transform.frame:
-        raise ValueError("W matrix and transform must share a frame")
-    if x.frame is not transform.frame:
-        raise ValueError("vector field and transform must share a frame")
-    a = transform.entries
-    # the inner simplify stays: each of its entries feeds n entries of the product
-    inner = simplify(w.components @ a + x.apply_to(a))
-    outer = simplify(transform.inverse_entries() @ inner)
-    return TensorField(transform.composed_frame(), 1, 1, outer)
-
-
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:
     """Componentwise action of D_X on a (p,q) tensor field.
 
@@ -331,38 +301,6 @@ def symmetrize_connection(deriv: Connection) -> Connection:
         raise VariantError("symmetrization requires the connection variant")
     g = deriv.gamma
     return Connection(deriv.frame, simplify(Const(0.5) * (g + g.transpose(0, 2, 1))))
-
-
-def transform_connection(deriv: Connection, transform: SymbolicTransform) -> Connection:
-    """Connection coefficients in the composed frame.
-
-    Gamma'^{i'}_{j'k'} = A^{i'}_i A^j_{j'} A^k_{k'} Gamma^i_{jk}
-                       + A^{i'}_i A^k_{k'} E_k(A^i_{j'}).
-    """
-    if not isinstance(deriv, Connection):
-        raise VariantError("connection transform requires the connection variant")
-    if transform.frame is not deriv.frame:
-        raise ValueError("transform must start from the derivation's frame")
-    frame = deriv.frame
-    n = frame.dimension
-    a = transform.entries
-    ainv = transform.inverse_entries()
-    # E_k(A^i_{j'}) precomputed, as [k][i][j']
-    ek_a = frame.frame_derivatives(a)
-    gamma = np.empty((n, n, n), dtype=object)
-    for ip in range(n):
-        for jp in range(n):
-            for kp in range(n):
-                acc: Expr = Const(0.0)
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc = acc + ainv[ip, i] * a[j, jp] * a[k, kp] * deriv.gamma[i, j, k]
-                for i in range(n):
-                    for k in range(n):
-                        acc = acc + ainv[ip, i] * a[k, kp] * ek_a[k, i, jp]
-                gamma[ip, jp, kp] = simplify(acc)
-    return Connection(transform.composed_frame(), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .derivation import (
     LinearityVerdict,
     SymbolicTransform,
     linearity_probe,
-    transform_w,
     vanishing_fields,
     w_of,
 )
@@ -272,14 +271,13 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
 
     A singular anchor matrix (the rank-one factorized seed) spans no
     transformed frame, so the uninverted form W(x0) A(x0) + X(A)(x0) = 0
-    is checked instead.
+    is checked instead.  Both read one evaluation of the law's terms.
     """
-    w_x = w_of(deriv, x)
-    a0 = transform.evaluate_at(x0)
-    if abs(float(np.linalg.det(a0))) > DEGENERACY_TOL:
-        return float(np.max(np.abs(transform_w(w_x, x, transform).evaluate_at(x0))))
-    xa0 = matops.evaluate_array(x.apply_to(transform.entries), deriv.chart.assignment(x0))
-    return float(np.max(np.abs(w_x.evaluate_at(x0) @ a0 + xa0)))
+    points = deriv.chart.point(x0)[None]
+    a, inner = _law_terms(deriv, transform, [x], points)
+    if abs(float(np.linalg.det(a[0]))) > DEGENERACY_TOL:
+        inner = np.linalg.solve(a[:, None], inner)
+    return float(np.max(np.abs(inner)))
 
 
 def frame_at_point_connection(
@@ -325,22 +323,57 @@ def frame_at_point_connection(
     )
 
 
-def _transformed_components(deriv: Derivation, transform: SymbolicTransform) -> np.ndarray:
-    """W' along every transformed frame direction E_k', through the
-    transformation law, stacked as [k', i, j]."""
+def _evaluate_arrays(arrays, chart: Chart, points) -> list[np.ndarray]:
+    """Each Expr array at every point [P, n], as [P, *shape]: one compiled tape for all."""
+    values = matops.evaluate_points(
+        np.concatenate([np.ravel(arr) for arr in arrays]), chart.symbols, points)
+    cuts = np.cumsum([np.size(arr) for arr in arrays])[:-1]
+    return [part.reshape((len(points),) + np.shape(arr))
+            for part, arr in zip(np.split(values, cuts, axis=1), arrays)]
+
+
+def _require_invertible(points, a) -> None:
+    """Raise DegenerateFrameError at the first of the points [..., n] where
+    the matrix a [..., n, n] has |det| at most DEGENERACY_TOL."""
+    dets = np.linalg.det(a)
+    singular = np.argwhere(np.abs(dets) <= DEGENERACY_TOL)
+    if singular.size:
+        first = tuple(singular[0])
+        raise DegenerateFrameError(
+            f"transform is singular at {points[first].tolist()} (det={float(dets[first])!r})")
+
+
+def _law_terms(deriv: Derivation, transform: SymbolicTransform, fields, points):
+    """A and W_X A + X(A) for each of the fields X at the points [P, n], as
+    [P, i, j] and [P, X, i, j], with X(A) = X^k E_k(A).  A, the E_k(A), each
+    W_X and each X^k are evaluated from one compiled tape."""
     frame = deriv.frame
-    out = []
-    for kp in range(frame.dimension):
-        x_kp = VectorField(frame, list(transform.entries[:, kp]))
-        out.append(transform_w(w_of(deriv, x_kp), x_kp, transform).components)
-    return np.stack(out)
+    entries = transform.entries
+    a, ea, w, xs = _evaluate_arrays(
+        [entries, frame.frame_derivatives(entries),
+         np.stack([w_of(deriv, x).components for x in fields]),
+         np.array([x.components for x in fields], dtype=object)],
+        frame.chart, points)
+    return a, w @ a[:, None] + np.einsum("pxk,pkij->pxij", xs, ea)
+
+
+def transformed_components(deriv: Derivation, transform: SymbolicTransform, points) -> np.ndarray:
+    """The transformation law W' = A^{-1}(W_X A + X(A)) along every
+    transformed frame direction E_k' = A^a_k' E_a, at the points [P, n], as
+    [P, k', i, j].  A singular A raises DegenerateFrameError naming the point."""
+    frame = deriv.frame
+    points = np.asarray(points, dtype=float)
+    fields = [VectorField(frame, list(transform.entries[:, k])) for k in range(frame.dimension)]
+    a, inner = _law_terms(deriv, transform, fields, points)
+    _require_invertible(points, a)
+    return np.linalg.solve(a[:, None], inner)
 
 
 def transformed_components_max(deriv: Derivation, transform: SymbolicTransform, point) -> float:
     """max |Gamma'| at a point: components of the derivation along every
     transformed frame direction, computed through the transformation law."""
-    comps = _transformed_components(deriv, transform)
-    return float(np.max(np.abs(matops.evaluate_array(comps, deriv.chart.assignment(point)))))
+    point = deriv.chart.point(point)
+    return float(np.max(np.abs(transformed_components(deriv, transform, point[None]))))
 
 
 def shell_component_growth(
@@ -354,9 +387,7 @@ def shell_component_growth(
     n = chart.dimension
     unit_steps = np.concatenate([np.eye(n), -np.eye(n)])  # +e_alpha, then -e_alpha
     steps = np.multiply.outer(np.asarray(SHELL_DISTANCES), unit_steps)
-    values = matops.evaluate_points(
-        _transformed_components(deriv, transform), chart.symbols, (x0 + steps).reshape(-1, n)
-    )
+    values = transformed_components(deriv, transform, (x0 + steps).reshape(-1, n))
     worst = np.max(np.abs(values), axis=(1, 2, 3)).reshape(len(steps), 2 * n).max(axis=1)
     return {d: float(w) for d, w in zip(SHELL_DISTANCES, worst)}
 
@@ -992,8 +1023,7 @@ def holonomicity_check(
                   frame.anholonomy().components]
         if deriv is not None:
             arrays.append(torsion_tensor(deriv).components)
-        worst, twisted = _commutator_maxima(
-            points, *(matops.evaluate_points(arr, chart.symbols, points) for arr in arrays))
+        worst, twisted = _commutator_maxima(points, *_evaluate_arrays(arrays, chart, points))
         sym_tol = 1e-10 if tol is None else tol
         return HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic",
                                    torsion_match_residual=twisted)
@@ -1020,12 +1050,7 @@ def _commutator_maxima(points, a, ea, c, t=None) -> tuple[float, Optional[float]
     """Over the points [..., n] of A, E_a(A), C (and T): the largest i' < j'
     component of A^{-1} [E_i', E_j'], and the largest |[E_i', E_j'] +
     T(E_i', E_j')| (None without T)."""
-    dets = np.linalg.det(a)
-    singular = np.argwhere(np.abs(dets) <= DEGENERACY_TOL)
-    if singular.size:
-        first = tuple(singular[0])
-        raise DegenerateFrameError(
-            f"transform is singular at {points[first].tolist()} (det={float(dets[first])!r})")
+    _require_invertible(points, a)
     comm = _commutators(a, ea, c)
     upper = np.triu_indices(a.shape[-1], 1)
     worst = float(np.max(np.abs(np.linalg.solve(a, comm[..., upper[0], upper[1]])), initial=0.0))
@@ -1109,16 +1134,19 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
             if result.residual > POINT_TOL:
                 raise ValueError("point frames must be verified before comparison")
         frame = first.transform.frame
-        chart = frame.chart
         x0 = first.anchor
         n = frame.dimension
-        a12 = simplify(first.transform.inverse_entries() @ second.transform.entries)
-        derivatives = frame.frame_derivatives(a12)
-        worst = float(np.max(np.abs(matops.evaluate_array(derivatives, chart.assignment(x0)))))
-        ref = matops.evaluate_array(a12, chart.assignment(x0))
-        shell_points = x0 + 1e-2 * np.concatenate([np.eye(n), -np.eye(n)])
-        shell_values = matops.evaluate_points(a12, chart.symbols, shell_points)
-        shell = float(np.max(np.abs(shell_values - ref)))
+        points = x0 + np.concatenate([np.zeros((1, n)), 1e-2 * np.eye(n), -1e-2 * np.eye(n)])
+        a1, a2 = first.transform.entries, second.transform.entries
+        a1, a2, ea1, ea2 = _evaluate_arrays(
+            [a1, a2, frame.frame_derivatives(a1), frame.frame_derivatives(a2)], frame.chart, points)
+        _require_invertible(points, a1)
+        a12 = np.linalg.solve(a1, a2)
+        ref = a12[0]
+        # E_k(A12) = A1^{-1} (E_k(A2) - E_k(A1) A12) at the anchor
+        derivatives = np.linalg.solve(a1[:1], ea2[0] - ea1[0] @ ref)
+        worst = float(np.max(np.abs(derivatives)))
+        shell = float(np.max(np.abs(a12[1:] - ref)))
         return ConstancyVerdict(
             worst <= tol, ref, worst, tol, derivative_residual=worst, shell_deviation=shell
         )

@@ -368,14 +368,3 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
         xs, ys = x.components, y.components
         acc = sum((C.components[:, j, k] * xs[j] * ys[k] for j, k in np.ndindex(n, n)), acc)
     return VectorField(x.frame, simplify(acc))
-
-
-def compose_frame(frame: FrameField, transform_entries: np.ndarray) -> FrameField:
-    """New frame E_i' = A^i_{i'} E_i, i.e. B' = B A as coordinate matrices."""
-    return FrameField(frame.chart, simplify(frame.matrix @ transform_entries))
-
-
-def change_vector_frame(x: VectorField, transform) -> VectorField:
-    """Push components through a symbolic frame change: X^{i'} = (A^{-1})^{i'}_i X^i."""
-    comps = np.array(x.components, dtype=object)
-    return VectorField(transform.composed_frame(), simplify(transform.inverse_entries() @ comps))

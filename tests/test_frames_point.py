@@ -17,11 +17,12 @@ from normframes import (
     identity_seed,
     shell_component_growth,
     symmetrize_connection,
-    transform_w,
     w_of,
 )
 from normframes import frames
 from normframes.expr import Sym, evaluate
+
+from reference import transform_w
 
 
 @pytest.fixture

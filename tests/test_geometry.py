@@ -12,7 +12,6 @@ from normframes import (
     SymbolicTransform,
     VectorField,
     anholonomy_coefficients,
-    change_vector_frame,
     commutator,
     curvature_tensor,
     torsion_tensor,
@@ -22,6 +21,7 @@ from normframes import matops
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields
+from reference import change_vector_frame
 
 
 def test_chart_rejects_duplicate_names():

@@ -8,7 +8,8 @@ simplified sum, and entry-wise negation; the ``ref_*`` loops further down
 are the former index loops of frame derivatives, field actions, the
 anholonomy, commutators, the connection template and the vanishing probe
 fields.  Every result must be the very same tree, entry by entry, on every
-demo and benchmark spec.
+demo and benchmark spec.  The numeric transformation law has no tree; it is
+compared with the symbolic push-forward of ``reference.py`` at sample points.
 """
 
 from pathlib import Path
@@ -23,7 +24,6 @@ from normframes.derivation import (
     Connection,
     SymbolicTransform,
     seeded_affine_fields,
-    transform_w,
     vanishing_fields,
     w_of,
 )
@@ -38,7 +38,9 @@ from normframes.expr import (
     substitute,
 )
 from normframes.frames import PointFrameResult, constancy_check, direction_functions
-from normframes.geometry import commutator, compose_frame
+from normframes.geometry import VectorField, commutator
+
+from reference import composed_frame, inverse_entries, transform_w
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(
@@ -112,28 +114,30 @@ def test_curvature_matrix_trees(setup):
         assert_same_trees(curvature_matrix(deriv, x, y).components, simplify(total))
 
 
-def test_transform_trees(setup, monkeypatch):
+def test_transform_law_matches_the_symbolic_push_forward(setup):
+    # differential: the numeric law at points against the symbolic
+    # push-forward of tests/reference.py, evaluated at the same points
     deriv = setup.deriv
     frame = deriv.frame
+    chart = frame.chart
     first, second = affine_transform(frame, 1), affine_transform(frame, 2)
-    x = _probe_pairs(frame, 42)[-1][0]
-    w = w_of(deriv, x)
-    a = first.entries
-    inner = ref_matadd(ref_matmul(w.components, a), x.apply_to(a))
-    assert_same_trees(transform_w(w, x, first).components, ref_matmul(first.inverse_entries(), inner))
-    assert_same_trees(compose_frame(frame, a).matrix, ref_matmul(frame.matrix, a))
+    points = chart.sample_points(8, 11)
+    want = np.stack([
+        matops.evaluate_points(transform_w(w_of(deriv, x), x, first).components, chart.symbols, points)
+        for x in (VectorField(frame, list(first.entries[:, k])) for k in range(frame.dimension))
+    ], axis=1)
+    np.testing.assert_allclose(frames.transformed_components(deriv, first, points), want,
+                               rtol=1e-10, atol=1e-10)
 
-    shells = []
-    evaluate_points = matops.evaluate_points
-
-    def capture(matrix, symbols, points):
-        shells.append(matrix)
-        return evaluate_points(matrix, symbols, points)
-
-    monkeypatch.setattr(matops, "evaluate_points", capture)
-    anchor = np.array([(lo + hi) / 2.0 for lo, hi in frame.chart.domain])
-    constancy_check(PointFrameResult(first, anchor, 0.0), PointFrameResult(second, anchor, 0.0))
-    assert_same_trees(shells[-1], ref_matmul(first.inverse_entries(), second.entries))
+    # constancy at a shared anchor: A12 = A1^{-1} A2 and its frame derivatives there
+    anchor = np.array([(lo + hi) / 2.0 for lo, hi in chart.domain])
+    a12 = simplify(inverse_entries(first) @ second.entries)
+    verdict = constancy_check(PointFrameResult(first, anchor, 0.0),
+                              PointFrameResult(second, anchor, 0.0))
+    at = chart.assignment(anchor)
+    np.testing.assert_allclose(verdict.matrix, matops.evaluate_array(a12, at), rtol=1e-10, atol=1e-10)
+    derivatives = matops.evaluate_array(frame.frame_derivatives(a12), at)
+    assert abs(verdict.derivative_residual - float(np.max(np.abs(derivatives)))) <= 1e-10
 
 
 def test_direction_function_trees(setup, monkeypatch):
@@ -264,7 +268,7 @@ def test_anholonomy_and_commutator_trees(setup, composed):
     if composed:
         # a full lower triangle, as the spec frames are diagonal; one seeded
         # pair keeps the 4-D case short
-        frame = affine_transform(frame, 1).composed_frame()
+        frame = composed_frame(affine_transform(frame, 1))
         pairs = _probe_pairs(frame, 42)[-1:]
     C = ref_anholonomy(frame)
     assert_same_trees(frame.anholonomy().components, C)

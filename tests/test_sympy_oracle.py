@@ -8,6 +8,11 @@ anholonomy formula nor any normframes tree enters the derivation.  The
 sympy forms are then evaluated in floating point and compared with the
 ``analyze`` report: its ``--at`` tables and its sampled flat and
 torsion-free verdicts, which sample the same forms on the same 64 points.
+
+The same oracle checks the numeric transformation law: from a point frame
+file's entries A, sympy derives W_{E_k'} A + E_k'(A) along every E_k' =
+A^a_k' E_a exactly; evaluated on the shell points and divided through by A
+(``numpy.linalg.solve``), it must match ``frames.transformed_components``.
 """
 
 import json
@@ -24,7 +29,11 @@ from sympy.parsing.sympy_parser import rationalize, standard_transformations  # 
 
 from normframes.cli import load_manifold_spec, main  # noqa: E402
 from normframes.curvature import _probe_pairs  # noqa: E402
-from normframes.expr import to_source  # noqa: E402
+from normframes.derivation import SymbolicTransform  # noqa: E402
+from normframes.expr import parse_expr, to_source  # noqa: E402
+from normframes.frames import SHELL_DISTANCES, transformed_components  # noqa: E402
+
+from conftest import coordinate_spec  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(
@@ -215,3 +224,39 @@ def test_sympy_oracle_matches_analyze_tables_and_verdicts(tmp_path, path):
         verdict = verdicts[key]
         assert verdict["value"] == (worst <= TOL), key
         assert abs(verdict["residual"] - worst) <= 1e-9 * max(1.0, worst), key
+
+
+@pytest.mark.parametrize("source", sorted((ROOT / "demos" / "specs").glob("*.json")) + [5],
+                         ids=lambda s: f"{s}-D" if isinstance(s, int) else s.stem)
+def test_sympy_oracle_matches_the_transformation_law_on_the_shells(tmp_path, source):
+    if isinstance(source, int):
+        doc = coordinate_spec(source)
+        source = tmp_path / "spec.json"
+        source.write_text(json.dumps(doc))
+    doc = json.loads(source.read_text())
+    centre = [(lo + hi) / 2.0 for lo, hi in doc["domain"]]
+    at = ",".join(f"{c}={v!r}" for c, v in zip(doc["coordinates"], centre))
+    setup = load_manifold_spec(str(source))
+    oracle = Oracle(doc)
+    n = oracle.n
+    steps = np.concatenate([np.eye(n), -np.eye(n)])
+    points = (np.array(centre) + np.multiply.outer(np.asarray(SHELL_DISTANCES), steps)).reshape(-1, n)
+    frame_file = tmp_path / "frame.json"
+    built = 0
+    # every point frame that builds at the centre: the connection form and each field's
+    for extra in [[]] + [["--field", name] for name in doc.get("fields", {})]:
+        if main(["frame", str(source), "point", "--at", at, *extra, "--out", str(frame_file)]) != 0:
+            continue
+        built += 1
+        data = json.loads(frame_file.read_text())["data"]
+        a = oracle.array([[oracle.parse(e) for e in row] for row in data])
+        inner = [oracle.w(a[:, k]) @ a
+                 + np.array([[oracle.apply(a[:, k], e) for e in row] for row in a], dtype=object)
+                 for k in range(n)]
+        a_at = oracle.numeric(a.flat, points).reshape(-1, n, n)
+        inner_at = oracle.numeric([e for m in inner for e in m.flat], points).reshape(-1, n, n, n)
+        symbols = setup.chart.symbol_table()
+        transform = SymbolicTransform(setup.frame, [[parse_expr(e, symbols) for e in row] for row in data])
+        _close(transformed_components(setup.deriv, transform, points),
+               np.linalg.solve(a_at[:, None], inner_at))
+    assert built
