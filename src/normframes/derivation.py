@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import islice
 from functools import cached_property
 from typing import Optional
 
@@ -30,6 +31,7 @@ from . import matops
 from .expr import (
     COORDINATE,
     Const,
+    DomainError,
     Expr,
     Sym,
     Symbol,
@@ -319,56 +321,105 @@ class LinearityVerdict:
     witness: Optional[dict] = field(default=None, repr=False)
 
 
+def _affine_field(frame: FrameField, coeffs) -> VectorField:
+    """The field with components c[i, 0] + c[i, a+1] x^a, for an (n, n+1)
+    array of Exprs: constants, or placeholder symbols."""
+    syms = frame.chart.symbols
+    comps = []
+    for row in coeffs:
+        e: Expr = row[0]
+        for c, s in zip(row[1:], syms):
+            e = e + c * Sym(s)
+        comps.append(simplify(e))
+    return VectorField(frame, comps)
+
+
 def seeded_affine_fields(frame: FrameField, rng, count: int) -> list[VectorField]:
     """``count`` fields with affine components c_0 + c_a x^a, coefficients
     drawn from ``rng`` and rounded to 6 decimals."""
     n = frame.dimension
-    syms = frame.chart.symbols
-    fields = []
-    for _ in range(count):
-        comps = []
-        for _i in range(n):
-            coeffs = rng.uniform(-1.0, 1.0, size=n + 1)
-            e: Expr = Const(round(coeffs[0], 6))
-            for a in range(n):
-                e = e + Const(round(coeffs[a + 1], 6)) * Sym(syms[a])
-            comps.append(simplify(e))
-        fields.append(VectorField(frame, comps))
-    return fields
+    coeffs = np.round(rng.uniform(-1.0, 1.0, size=(count, n, n + 1)), 6)
+    return [_affine_field(frame, matops.constant_exprs(c)) for c in coeffs]
 
 
 def vanishing_fields(frame: FrameField, anchor, mixes) -> list[VectorField]:
     """Fields vanishing where x = ``anchor``: with d^a = x^a - anchor^a, d^a E_l
     for every (a, l), then sum_a mix[i, a] d^a E_i for each (n, n) ``mixes``
-    entry.  Anchor and mixes hold Exprs: constants, or placeholder symbols."""
+    entry.  Anchor and mixes hold Exprs: constants, or placeholder symbols.
+    The d^a E_l fields read their E_k(X^i) off the E_k(d^a), derived once."""
     n = frame.dimension
     offsets = np.array([Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)], dtype=object)
     zero = Const(0.0)
-    fields = [
-        VectorField(frame, [offsets[a] if i == l else zero for i in range(n)])
-        for a in range(n)
-        for l in range(n)
-    ]
+    slopes = frame.frame_derivatives(offsets)  # E_k(d^a) as [k, a]
+    fields = []
+    for a, l in np.ndindex(n, n):
+        derivatives = np.full((n, n), zero, dtype=object)  # E_k of a zero component is zero
+        derivatives[:, l] = slopes[:, a]
+        comps = [offsets[a] if i == l else zero for i in range(n)]
+        fields.append(VectorField(frame, comps, _derivatives=derivatives))
     return fields + [VectorField(frame, simplify(mix @ offsets)) for mix in mixes]
 
 
-def _probe_residuals(deriv: Derivation, x0: np.ndarray, rng):
-    """(kind, field, residual) for each sampled condition of
-    :func:`linearity_probe`, in order: |W_X(x0)| for the fields vanishing at
-    x0, then |W_{aX+bY} - a W_X - b W_Y|(x0) for seeded pairs (field X)."""
+def _placeholders(name: str, shape) -> np.ndarray:
+    """Sym nodes @name<index> in an object array of ``shape``: placeholder
+    coordinates, whose '@' names no chart coordinate or template can use."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = Sym(Symbol(f"@{name}{','.join(map(str, idx))}"))
+    return out
+
+
+class PlaceholderW:
+    """W of probe fields built once over placeholder symbols, stacked as
+    [field, i, j].  Evaluating it at rows of chart coordinates and
+    placeholder values gives W of the concrete fields of the family, from
+    one compiled tape: a placeholder keeps every tree shape, and the folds
+    a constant would trigger are the same IEEE operations on the tape.
+    A row's values follow the ``placeholders`` arrays, each in row-major order."""
+
+    def __init__(self, deriv: Derivation, fields, *placeholders: np.ndarray):
+        self.chart = deriv.chart
+        names = tuple(e.symbol for arr in placeholders for e in arr.flat)
+        self.symbols = self.chart.symbols + names
+        self.w = np.stack([w_of(deriv, x).components for x in fields])
+
+    def at(self, points, values) -> np.ndarray:
+        """W at the points [P, n] and placeholder values [P, m], as [P, field, i, j]."""
+        rows = np.hstack([points, np.reshape(values, (len(points), -1))])
+        return matops.evaluate_points(self.w, self.symbols, rows)
+
+
+def vanishing_family(deriv: Derivation) -> PlaceholderW:
+    """:func:`vanishing_fields` at a placeholder anchor p with one placeholder
+    mix c: n*n fields d^a E_l, then the mixed one; its values are p, then c."""
+    n = deriv.frame.dimension
+    anchor, mix = _placeholders("p", (n,)), _placeholders("c", (n, n))
+    return PlaceholderW(deriv, vanishing_fields(deriv.frame, anchor, mix[None]), anchor, mix)
+
+
+def _superposition_families(deriv: Derivation) -> tuple[PlaceholderW, PlaceholderW]:
+    """W_X and W_{aX+bY} for affine X and Y with placeholder coefficients
+    and scales, in the shapes :func:`seeded_affine_fields` and
+    :meth:`VectorField.scaled` build.  W_Y is W_X at Y's coefficients.  The
+    values of W_X are X's coefficients; those of W_{aX+bY} are X's, Y's,
+    then a and b."""
     frame = deriv.frame
     n = frame.dimension
-    anchor = [Const(float(v)) for v in x0]
-    mixes = matops.constant_exprs(np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6))
-    for probe in vanishing_fields(frame, anchor, mixes):
-        yield "vanishing-field", probe, float(np.max(np.abs(w_of(deriv, probe).evaluate_at(x0))))
-    pairs = seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
-    for xf, yf in zip(pairs[::2], pairs[1::2]):
-        a_val = round(rng.uniform(-2.0, 2.0), 6)
-        b_val = round(rng.uniform(-2.0, 2.0), 6)
-        combined = xf.scaled(a_val) + yf.scaled(b_val)
-        w_comb, w_x, w_y = (w_of(deriv, f).evaluate_at(x0) for f in (combined, xf, yf))
-        yield "superposition", xf, float(np.max(np.abs(w_comb - a_val * w_x - b_val * w_y)))
+    cx, cy = _placeholders("x", (n, n + 1)), _placeholders("y", (n, n + 1))
+    ab = _placeholders("s", (2,))
+    x, y = _affine_field(frame, cx), _affine_field(frame, cy)
+    return (PlaceholderW(deriv, [x], cx),
+            PlaceholderW(deriv, [x.scaled(ab[0]) + y.scaled(ab[1])], cx, cy, ab))
+
+
+def _concrete_probe_fields(frame: FrameField, x0, mixes, coeffs, scales):
+    """The probe's fields with constant coefficients, built one at a time in
+    the order of its conditions: the vanishing fields, then aX + bY, X and
+    Y of each pair."""
+    yield from vanishing_fields(frame, matops.constant_exprs(x0), matops.constant_exprs(mixes))
+    for (a, b), pair in zip(scales.tolist(), coeffs.reshape((-1, 2) + coeffs.shape[1:])):
+        x, y = (_affine_field(frame, matops.constant_exprs(c)) for c in pair)
+        yield from (x.scaled(a) + y.scaled(b), x, y)
 
 
 def linearity_probe(
@@ -376,31 +427,63 @@ def linearity_probe(
     x0,
     seed: int = PROBE_SEED,
     tol: float = PROBE_TOL,
+    family: Optional[PlaceholderW] = None,
 ) -> LinearityVerdict:
     """Decide whether the derivation acts as a linear connection at x0.
 
     Two sampled conditions: (i) W_X(x0) = 0 for probe fields vanishing at
-    x0, and (ii) W is additive and homogeneous in X at x0.  The witness of
-    a failure is the first condition over ``tol``.  On success the matrices
-    Gamma_k := W_{E_k}(x0) are extracted.
+    x0 (the n*n fields d^a E_l and two seeded mixes), and (ii) W is
+    additive and homogeneous in X at x0, |W_{aX+bY} - a W_X - b W_Y|(x0)
+    for PROBE_PAIRS seeded affine pairs.  Each family of probe fields is
+    built once over placeholders and evaluated at every seeded draw; a
+    caller that also needs :func:`vanishing_family` passes it as
+    ``family``.  The witness of a failure is the first condition over
+    ``tol``, in that order; its field (X of a pair) is the one concrete
+    field the probe builds.  On success the matrices Gamma_k := W_{E_k}(x0)
+    are extracted.
     """
     frame = deriv.frame
     n = frame.dimension
     x0 = frame.chart.point(x0)
-    max_residual = 0.0
-    witness = None
-    for kind, probe, residual in _probe_residuals(deriv, x0, np.random.default_rng(seed)):
-        max_residual = max(max_residual, residual)
-        if witness is None and residual > tol:
-            witness = {
-                "kind": kind,
-                "components": [str(c) for c in probe.components],
-                "residual": residual,
-            }
-    if witness is not None:
+    rng = np.random.default_rng(seed)
+    mixes = np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6)
+    coeffs = np.round(rng.uniform(-1.0, 1.0, size=(2 * PROBE_PAIRS, n, n + 1)), 6)
+    # a and b of each pair, rounded as Python floats
+    scales = np.reshape([round(v, 6) for v in rng.uniform(-2.0, 2.0, 2 * PROBE_PAIRS).tolist()],
+                        (PROBE_PAIRS, 2))
+
+    try:
+        family = vanishing_family(deriv) if family is None else family
+        w = family.at(np.tile(x0, (2, 1)), np.hstack([np.tile(x0, (2, 1)), mixes.reshape(2, -1)]))
+        single, combined = _superposition_families(deriv)
+        wx = single.at(np.tile(x0, (2 * PROBE_PAIRS, 1)), coeffs)[:, 0]  # X, then Y, of each pair
+        wc = combined.at(np.tile(x0, (PROBE_PAIRS, 1)),
+                         np.hstack([coeffs.reshape(PROBE_PAIRS, -1), scales]))[:, 0]
+    except DomainError:
+        # name the W that fails in the concrete field's terms, not the placeholders'
+        for probe in _concrete_probe_fields(frame, x0, mixes, coeffs, scales):
+            w_of(deriv, probe).evaluate_at(x0)
+        raise
+    vanishing = np.max(np.abs(w), axis=(-2, -1))  # [mix, field]
+    a, b = scales[:, 0, None, None], scales[:, 1, None, None]
+    superposition = np.max(np.abs(wc - a * wx[::2] - b * wx[1::2]), axis=(-2, -1))
+    residuals = np.concatenate([vanishing[0], vanishing[1, -1:], superposition]).tolist()
+
+    max_residual = max(residuals)
+    first = next((k for k, r in enumerate(residuals) if r > tol), None)
+    if first is not None:
+        probes = len(residuals) - PROBE_PAIRS
+        # a pair's witness is its X, the second of (aX + bY, X, Y)
+        at = first if first < probes else probes + 3 * (first - probes) + 1
+        probe = next(islice(_concrete_probe_fields(frame, x0, mixes, coeffs, scales), at, None))
+        witness = {
+            "kind": "vanishing-field" if first < probes else "superposition",
+            "components": [str(c) for c in probe.components],
+            "residual": residuals[first],
+        }
         return LinearityVerdict(False, max_residual, x0, tol, witness=witness)
 
-    gammas = np.empty((n, n, n), dtype=float)
-    for k in range(n):
-        gammas[:, :, k] = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
+    basis = np.stack([w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)])
+    values = matops.evaluate_points(basis, frame.chart.symbols, x0[None])[0]
+    gammas = np.moveaxis(values, 0, -1).copy()  # [k, i, j] -> [i, j, k], C-ordered
     return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)

@@ -914,7 +914,8 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
     as in the unshared tree, so the values are bit-identical to it.  The
     segments run in order and each root's row is written as its segment
     ends, so a :class:`DomainError` names the first expression whose
-    evaluation fails.
+    evaluation fails.  A result register is emptied after its last read,
+    so a run holds the live values only, not one array per node.
     """
     exprs = list(exprs)
     order = list(symbols)
@@ -956,6 +957,7 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
                 raise TypeError(f"not an Expr: {node!r}")
             stack.pop()
         segments.append((entries, slot_of[id(root)]))
+    segments = _release_dead_results(segments, registers, len(order))
 
     def compiled(*vals):
         if len(vals) != len(order):
@@ -964,19 +966,51 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
         out = np.empty((len(segments),) + np.broadcast_shapes(*(a.shape for a in r)))
         r += registers[len(r):]
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            for i, (entries, root) in enumerate(segments):
+            for i, (entries, root, dead) in enumerate(segments):
                 try:
-                    for fn, dst, a, b in entries:
+                    for fn, dst, a, b, free in entries:
                         r[dst] = fn(r[a]) if b < 0 else fn(r[a], r[b])
+                        for k in free:
+                            r[k] = None
                 except FloatingPointError as err:
                     raise DomainError(f"{to_source(exprs[i])} is undefined: {err}") from None
                 out[i] = r[root]
+                for k in dead:
+                    r[k] = None
         if not np.isfinite(out).all():
             bad = next(e for e, row in zip(exprs, out) if not np.isfinite(row).all())
             raise DomainError(f"evaluation produced a non-finite value for {to_source(bad)}")
         return out
 
     return compiled
+
+
+def _release_dead_results(segments, registers, inputs: int) -> list:
+    """The tape with each result register dropped after its last read:
+    ``(entries, root, dead)`` per segment, an entry ``(ufunc, out, a, b,
+    free)`` emptying the registers in ``free`` once it has run and ``dead``
+    those emptied once the root's row is written.  One backward pass: a
+    result register first met there is at its last read.  A run then holds
+    only the live values, not one per node of the whole tape."""
+    # the symbol values, the constants and b = -1 (no operand) are never dropped
+    read = {k for k, value in enumerate(registers) if k < inputs or value is not None}
+    read.add(-1)
+    out = []
+    for entries, root in reversed(segments):
+        dead = () if root in read else (root,)
+        read.add(root)
+        tape = []
+        for fn, dst, a, b in reversed(entries):
+            free_a = a not in read
+            read.add(a)
+            free_b = b not in read
+            read.add(b)
+            tape.append((fn, dst, a, b, (a, b) if free_a and free_b else (a,) if free_a
+                         else (b,) if free_b else ()))
+        tape.reverse()
+        out.append((tape, root, dead))
+    out.reverse()
+    return out
 
 
 def _normalize_assignment(assignment: Mapping) -> dict[str, float]:

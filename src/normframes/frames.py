@@ -36,9 +36,10 @@ from .derivation import (
     PROBE_TOL,
     Derivation,
     LinearityVerdict,
+    PlaceholderW,
     SymbolicTransform,
     linearity_probe,
-    vanishing_fields,
+    vanishing_family,
     w_of,
 )
 from .curvature import curvature_matrix, is_flat, sampled_verdict, torsion_tensor
@@ -274,7 +275,8 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
     is checked instead.  Both read one evaluation of the law's terms.
     """
     points = deriv.chart.point(x0)[None]
-    a, inner = _law_terms(deriv, transform, [x], points)
+    ea = deriv.frame.frame_derivatives(transform.entries)
+    a, inner = _law_terms(deriv, transform, ea, [x], points)
     if abs(float(np.linalg.det(a[0]))) > DEGENERACY_TOL:
         inner = np.linalg.solve(a[:, None], inner)
     return float(np.max(np.abs(inner)))
@@ -343,28 +345,30 @@ def _require_invertible(points, a) -> None:
             f"transform is singular at {points[first].tolist()} (det={float(dets[first])!r})")
 
 
-def _law_terms(deriv: Derivation, transform: SymbolicTransform, fields, points):
+def _law_terms(deriv: Derivation, transform: SymbolicTransform, ea, fields, points):
     """A and W_X A + X(A) for each of the fields X at the points [P, n], as
-    [P, i, j] and [P, X, i, j], with X(A) = X^k E_k(A).  A, the E_k(A), each
-    W_X and each X^k are evaluated from one compiled tape."""
-    frame = deriv.frame
-    entries = transform.entries
+    [P, i, j] and [P, X, i, j], with X(A) = X^k E_k(A) from the E_k(A) ``ea``.
+    A, the E_k(A), each W_X and each X^k are evaluated from one compiled tape."""
     a, ea, w, xs = _evaluate_arrays(
-        [entries, frame.frame_derivatives(entries),
+        [transform.entries, ea,
          np.stack([w_of(deriv, x).components for x in fields]),
          np.array([x.components for x in fields], dtype=object)],
-        frame.chart, points)
+        deriv.frame.chart, points)
     return a, w @ a[:, None] + np.einsum("pxk,pkij->pxij", xs, ea)
 
 
 def transformed_components(deriv: Derivation, transform: SymbolicTransform, points) -> np.ndarray:
     """The transformation law W' = A^{-1}(W_X A + X(A)) along every
     transformed frame direction E_k' = A^a_k' E_a, at the points [P, n], as
-    [P, k', i, j].  A singular A raises DegenerateFrameError naming the point."""
+    [P, k', i, j].  A singular A raises DegenerateFrameError naming the point.
+    E_k(A) is derived once; the column fields read their E_k(A^i_k') from it."""
     frame = deriv.frame
     points = np.asarray(points, dtype=float)
-    fields = [VectorField(frame, list(transform.entries[:, k])) for k in range(frame.dimension)]
-    a, inner = _law_terms(deriv, transform, fields, points)
+    entries = transform.entries
+    ea = frame.frame_derivatives(entries)  # [k, i, j]
+    fields = [VectorField(frame, list(entries[:, k]), _derivatives=ea[:, :, k])
+              for k in range(frame.dimension)]
+    a, inner = _law_terms(deriv, transform, ea, fields, points)
     _require_invertible(points, a)
     return np.linalg.solve(a[:, None], inner)
 
@@ -825,26 +829,20 @@ def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dic
     return worst, worst_at
 
 
-def _pointwise_linearity_gate(deriv: Derivation, seed: int):
+def _pointwise_linearity_gate(deriv: Derivation, seed: int, family: Optional[PlaceholderW] = None):
     """Vanishing fields must have vanishing components at every sample point.
 
-    The fields vanishing at a point p are built once, with p and the mix
-    coefficients as placeholder coordinates ('@' names no expression can
-    reference); their W matrices are then evaluated at x = p over the cloud.
+    The fields vanishing at a point p are :func:`vanishing_family`, built
+    once over placeholder p and mix coefficients (``family``, when the
+    caller has it); their W matrices are evaluated at x = p over the cloud.
     """
+    family = vanishing_family(deriv) if family is None else family
     chart = deriv.chart
     n = chart.dimension
-    anchor = tuple(Symbol(f"@p{a}") for a in range(n))
-    coeffs = tuple(Symbol(f"@c{i},{a}") for i in range(n) for a in range(n))
-    mix = np.array([Sym(c) for c in coeffs], dtype=object).reshape(1, n, n)
-    probes = vanishing_fields(deriv.frame, [Sym(p) for p in anchor], mix)
-    w_probes = np.stack([w_of(deriv, probe).components for probe in probes])
     points = chart.sample_points()
     # one mix per point, drawn point by point from the seeded stream
     draws = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
-    values = matops.evaluate_points(
-        w_probes, chart.symbols + anchor + coeffs, np.hstack([points, points, draws])
-    )
+    values = family.at(points, np.hstack([points, draws]))
     residuals = np.max(np.abs(values), axis=(-2, -1))  # [point, probe]
     failing = np.argwhere(residuals > PROBE_TOL)
     if failing.size:
@@ -923,14 +921,16 @@ def flat_frame_neighborhood(
     axes = grid.axes(chart)
     base_index = grid.base()
     base_point = np.array([axes[a][i] for a, i in enumerate(base_index)])
-    verdict = linearity_probe(deriv, base_point, seed=seed)
+    family = vanishing_family(deriv)  # the probe and the gate evaluate one build
+    verdict = linearity_probe(deriv, base_point, seed=seed, family=family)
     if not verdict.is_linear:
         raise NotLinearConnectionError(
             "derivation is not a linear connection at the base node "
             f"(probe residual {verdict.max_residual:.3e})",
             verdict,
         )
-    _pointwise_linearity_gate(deriv, seed)
+    _pointwise_linearity_gate(deriv, seed, family)
+    del family  # its W trees die before the transport allocates
 
     b0 = np.eye(n) if b0 is None else np.asarray(b0, dtype=float)
     if abs(np.linalg.det(b0)) <= DEGENERACY_TOL:

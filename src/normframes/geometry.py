@@ -226,9 +226,10 @@ class FrameField:
 
 
 class VectorField:
-    """X = X^i E_i with coordinate-only component Exprs."""
+    """X = X^i E_i with coordinate-only component Exprs.  ``_derivatives``,
+    when given, is E_k(X^i) as [k, i], already derived by the caller."""
 
-    def __init__(self, frame: FrameField, components):
+    def __init__(self, frame: FrameField, components, _derivatives=None):
         self.frame = frame
         n = frame.dimension
         comps = []
@@ -241,6 +242,8 @@ class VectorField:
         if len(comps) != n:
             raise ValueError(f"expected {n} components")
         self.components = tuple(comps)
+        if _derivatives is not None:
+            self.component_derivatives = matops.read_only(_derivatives)
 
     @property
     def chart(self) -> Chart:

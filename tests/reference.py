@@ -24,6 +24,10 @@ or closed-form routes are compared against:
   ``torsion_operator_oracle``, which apply D_X D_Y - D_Y D_X - D_[X,Y] and
   D_X Y - D_Y X - [X,Y] through the derivation action, against which the
   closed curvature and torsion forms are checked.
+* the linearity probe over concrete fields, ``linearity_probe_oracle``:
+  one W build and one evaluation per seeded probe field, against which
+  ``derivation.linearity_probe`` (placeholder families, one tape each) is
+  checked bit for bit.
 """
 
 import math
@@ -48,7 +52,16 @@ from normframes.expr import (
     to_source,
 )
 from normframes import matops
-from normframes.derivation import Connection, apply_derivation
+from normframes.derivation import (
+    PROBE_PAIRS,
+    PROBE_SEED,
+    PROBE_TOL,
+    Connection,
+    LinearityVerdict,
+    apply_derivation,
+    vanishing_fields,
+    w_of,
+)
 from normframes.expr import simplify
 from normframes.geometry import FrameField, TensorField, VectorField, commutator
 
@@ -196,3 +209,68 @@ def torsion_operator_oracle(deriv, x: VectorField, y: VectorField) -> VectorFiel
     brk = commutator(x, y)
     return VectorField(deriv.frame, [simplify(a - b - c) for a, b, c in
                                      zip(dxy.components, dyx.components, brk.components)])
+
+
+# ---------------------------------------------------------------------------
+# the linearity probe over concrete fields
+
+
+def seeded_affine_fields(frame: FrameField, rng, count: int) -> list:
+    """``count`` fields with affine components c_0 + c_a x^a, drawn one
+    component at a time from ``rng`` and rounded to 6 decimals."""
+    n = frame.dimension
+    syms = frame.chart.symbols
+    fields = []
+    for _ in range(count):
+        comps = []
+        for _i in range(n):
+            coeffs = rng.uniform(-1.0, 1.0, size=n + 1)
+            e = Const(round(coeffs[0], 6))
+            for a in range(n):
+                e = e + Const(round(coeffs[a + 1], 6)) * Sym(syms[a])
+            comps.append(simplify(e))
+        fields.append(VectorField(frame, comps))
+    return fields
+
+
+def probe_residuals(deriv, x0: np.ndarray, rng):
+    """(kind, field, residual) for each sampled condition of the linearity
+    probe, in order: |W_X(x0)| for the fields vanishing at x0, then
+    |W_{aX+bY} - a W_X - b W_Y|(x0) for seeded pairs (field X)."""
+    frame = deriv.frame
+    n = frame.dimension
+    anchor = [Const(float(v)) for v in x0]
+    mixes = matops.constant_exprs(np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6))
+    for probe in vanishing_fields(frame, anchor, mixes):
+        yield "vanishing-field", probe, float(np.max(np.abs(w_of(deriv, probe).evaluate_at(x0))))
+    pairs = seeded_affine_fields(frame, rng, 2 * PROBE_PAIRS)
+    for xf, yf in zip(pairs[::2], pairs[1::2]):
+        a_val = round(rng.uniform(-2.0, 2.0), 6)
+        b_val = round(rng.uniform(-2.0, 2.0), 6)
+        combined = xf.scaled(a_val) + yf.scaled(b_val)
+        w_comb, w_x, w_y = (w_of(deriv, f).evaluate_at(x0) for f in (combined, xf, yf))
+        yield "superposition", xf, float(np.max(np.abs(w_comb - a_val * w_x - b_val * w_y)))
+
+
+def linearity_probe_oracle(deriv, x0, seed: int = PROBE_SEED, tol: float = PROBE_TOL):
+    """The linearity probe with one concrete field per condition: the
+    verdict ``derivation.linearity_probe`` must give bit for bit."""
+    frame = deriv.frame
+    n = frame.dimension
+    x0 = frame.chart.point(x0)
+    max_residual = 0.0
+    witness = None
+    for kind, probe, residual in probe_residuals(deriv, x0, np.random.default_rng(seed)):
+        max_residual = max(max_residual, residual)
+        if witness is None and residual > tol:
+            witness = {
+                "kind": kind,
+                "components": [str(c) for c in probe.components],
+                "residual": residual,
+            }
+    if witness is not None:
+        return LinearityVerdict(False, max_residual, x0, tol, witness=witness)
+    gammas = np.empty((n, n, n), dtype=float)
+    for k in range(n):
+        gammas[:, :, k] = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
+    return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)

@@ -28,7 +28,6 @@ from normframes import (
     w_of,
 )
 from normframes.cli import build_analysis_report, load_manifold_spec
-from normframes.derivation import PROBE_PAIRS
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields, riemann_classical
@@ -453,9 +452,10 @@ def test_analysis_builds_one_w_per_field(w_builds, name):
     # a connection's forms read W_{E_k} (torsion tensor); any other variant's
     # read every probe field once, plus one commutator field per pair
     forms = n if isinstance(setup.deriv, Connection) else n + 4 + n * (n - 1) // 2 + 4
-    # the linearity probe: vanishing fields, then (aX + bY, X, Y) per pair;
+    # the linearity probe, over placeholders: the n*n fields d^a E_l and one
+    # mixed field vanishing at p, then X and aX + bY, whatever PROBE_PAIRS is;
     # the W_{E_k} it reads on success are the forms'
-    probe = n * n + 2 + 3 * PROBE_PAIRS
+    probe = n * n + 1 + 2
     assert len(w_builds) == forms + probe
 
 
@@ -470,9 +470,12 @@ def test_warm_analysis_derives_each_field_once(monkeypatch):
 
     monkeypatch.setattr(FrameField, "frame_derivatives", recording)
     _analyze_spec("s4_template")
-    # the anholonomy, E_k(X^i) of each of the 60 fields whose W is built
-    # (commutators read them too) and E_k(W_X) of the 8 probe fields
-    assert len(calls) == 1 + 60 + 8
+    # the anholonomy; E_k(X^i) of the 18 form fields (commutators read them
+    # too), of the probe's X, aX + bY and mixed vanishing field, and of the
+    # offsets x^a - p^a that its n*n fields d^a E_l share; the offsets again
+    # for the concrete field of the probe's witness; E_k(W_X) of the 8 probe
+    # fields
+    assert len(calls) == 1 + 18 + 3 + 1 + 1 + 8
 
 
 def test_field_caches_are_read_only_shared_and_change_no_tree(lie_plane):

@@ -1,5 +1,8 @@
 """Component matrices, the transformation law, tensor action, linearity."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,8 @@ from normframes import (
     vanishes_on_chart,
     w_of,
 )
-from normframes import expr, matops
+from normframes import derivation, expr, frames, matops
+from normframes.cli import load_manifold_spec
 from normframes.derivation import PROBE_TOL, VariantError, vanishing_fields
 from normframes.expr import (
     DomainError,
@@ -41,8 +45,26 @@ from normframes.expr import (
     substitute,
 )
 
-from conftest import affine_fields, christoffel_from_metric, polar_metric, sphere_metric
-from reference import change_vector_frame, composed_frame, evaluate_tree, inverse_entries, transform_w
+from conftest import (
+    affine_fields,
+    christoffel_from_metric,
+    coordinate_spec,
+    polar_metric,
+    sphere_metric,
+)
+from reference import (
+    change_vector_frame,
+    composed_frame,
+    evaluate_tree,
+    inverse_entries,
+    linearity_probe_oracle,
+    seeded_affine_fields as reference_affine_fields,
+    transform_w,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_FILES = sorted((ROOT / "benchmarks" / "specs").glob("*.json")) + sorted(
+    (ROOT / "demos" / "specs").glob("*.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +572,133 @@ def test_linearity_probe_template_depends_on_point(polar, polar_connection):
     )
     assert linearity_probe(deriv, [1.0, 0.5]).is_linear
     assert not linearity_probe(deriv, [1.4, 0.5]).is_linear
+
+
+def _assert_same_verdict(got, want):
+    assert got.is_linear == want.is_linear
+    assert got.max_residual.hex() == want.max_residual.hex()
+    assert got.witness == want.witness
+    if want.gammas is None:
+        assert got.gammas is None
+    else:
+        assert got.gammas.tobytes() == want.gammas.tobytes()
+
+
+def _seeded_points(chart, seed, count=2):
+    """The centre of the domain box, then ``count`` seeded points in its inner half."""
+    lo, hi = np.array(chart.domain).T
+    rng = np.random.default_rng(seed)
+    return [(lo + hi) / 2.0] + list(lo + (hi - lo) * rng.uniform(0.25, 0.75, (count, len(lo))))
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
+def test_linearity_probe_matches_the_concrete_field_oracle(path):
+    deriv = load_manifold_spec(str(path)).deriv
+    for at in _seeded_points(deriv.chart, 5):
+        for seed in (42, 7):
+            _assert_same_verdict(linearity_probe(deriv, at, seed=seed),
+                                 linearity_probe_oracle(deriv, at, seed=seed))
+
+
+def test_linearity_probe_matches_the_oracle_in_five_dimensions(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(coordinate_spec(5)))
+    deriv = load_manifold_spec(str(spec)).deriv
+    for at in _seeded_points(deriv.chart, 11):
+        verdict = linearity_probe(deriv, at)
+        assert verdict.is_linear
+        _assert_same_verdict(verdict, linearity_probe_oracle(deriv, at))
+
+
+def test_linearity_probe_matches_the_oracle_on_a_quadratic_template(polar):
+    # W quadratic in X and free of dX: zero for every field vanishing at the
+    # point, not additive, so the witness is a superposition pair's X
+    syms = template_symbols(polar, 2)
+    entries = [["X1*X2", "r*X1^2"], ["0", "X2*X2/r"]]
+    deriv = WTemplate(FrameField.coordinate(polar),
+                      [[parse_expr(e, syms) for e in row] for row in entries])
+    for at in _seeded_points(polar, 13):
+        verdict = linearity_probe(deriv, at)
+        assert verdict.witness["kind"] == "superposition"
+        assert all("r" in c and "theta" in c for c in verdict.witness["components"])
+        _assert_same_verdict(verdict, linearity_probe_oracle(deriv, at))
+
+
+def test_seeded_affine_fields_draw_as_the_reference_loop():
+    # one draw for all coefficients: the same stream, rounding and trees
+    for path in SPEC_FILES:
+        frame = load_manifold_spec(str(path)).frame
+        got = derivation.seeded_affine_fields(frame, np.random.default_rng(3), 5)
+        want = reference_affine_fields(frame, np.random.default_rng(3), 5)
+        assert [repr(x.components) for x in got] == [repr(x.components) for x in want]
+
+
+@pytest.mark.parametrize("entry, at", [("X1/(r-1)", [1.0, 0.2]), ("log(X1+1)", [1.5, 0.5])],
+                         ids=["vanishing-field", "superposition"])
+def test_linearity_probe_domain_error_names_the_concrete_field(polar, entry, at):
+    # W undefined at x0 for a field vanishing there, or for a seeded aX + bY:
+    # the error names the W of that concrete field, as the oracle's does
+    deriv = WTemplate(FrameField.coordinate(polar),
+                      [[parse_expr(e, template_symbols(polar, 2)) for e in row]
+                       for row in [[entry, "0"], ["0", "X2"]]])
+    with pytest.raises(DomainError) as want:
+        linearity_probe_oracle(deriv, at)
+    with pytest.raises(DomainError) as got:
+        linearity_probe(deriv, at)
+    assert "@" not in str(got.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["s4_template", "polar_euclidean"])
+def test_linearity_probe_compiles_a_fixed_number_of_tapes(monkeypatch, name):
+    # one tape per probe family and one for the Gammas, however many pairs
+    calls = []
+    real = matops.compile_exprs
+
+    def recording(exprs, symbols):
+        calls.append(1)
+        return real(exprs, symbols)
+
+    monkeypatch.setattr(matops, "compile_exprs", recording)
+    path = str(ROOT / "benchmarks" / "specs" / f"{name}.json")
+    counts = []
+    for pairs in (8, 16):
+        monkeypatch.setattr(derivation, "PROBE_PAIRS", pairs)
+        setup = load_manifold_spec(path)
+        at = _seeded_points(setup.chart, 17, 0)[0]
+        calls.clear()
+        linearity_probe(setup.deriv, at)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
+
+
+def test_transformed_components_derives_the_transform_once(monkeypatch):
+    # the column fields read their E_k(X^i) off the one E_k(A)
+    setup = load_manifold_spec(str(ROOT / "benchmarks" / "specs" / "s4_template.json"))
+    frame = setup.frame
+    n = frame.dimension
+    at = _seeded_points(setup.chart, 19, 0)[0]
+    entries = matops.constant_exprs(np.eye(n)) + np.array(
+        [[Const(0.1 * (i + 1)) * Sym(frame.chart.symbols[j]) for j in range(n)] for i in range(n)],
+        dtype=object)
+    transform = SymbolicTransform(frame, simplify(entries))
+    calls = []
+    real = FrameField.frame_derivatives
+
+    def recording(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    frames.transformed_components(setup.deriv, transform, at[None])  # builds the W template
+    monkeypatch.setattr(FrameField, "frame_derivatives", recording)
+    got = frames.transformed_components(setup.deriv, transform, at[None])[0]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the symbolic push-forward of each column field, which derives its own E_k(X^i)
+    for k in range(n):
+        column = VectorField(frame, list(transform.entries[:, k]))
+        want = transform_w(w_of(setup.deriv, column), column, transform).evaluate_at(at)
+        np.testing.assert_allclose(got[k], want, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

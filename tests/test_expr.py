@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -638,6 +639,25 @@ def test_compiled_deep_chain_runs_within_a_few_stack_frames():
     for _ in range(links):
         z = 0.5 * z + th_vals
     assert np.array_equal(got[0], z)
+
+
+def test_compiled_run_holds_only_live_values():
+    # 400 terms on 4,096 points: an array kept for each of the 1,200 nodes
+    # would hold about 40 MB; each one is dropped after its last read
+    total = Const(0.0)
+    for k in range(400):
+        total = total + Call("sin", Sym(R) * Const(1.0 + k * 1e-3))
+    compiled = compile_exprs([total, total * Sym(R)], [R])
+    x = np.linspace(0.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        got = compiled(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    want = sum(np.sin(x * (1.0 + k * 1e-3)) for k in range(400))
+    assert np.array_equal(got, np.stack([want, want * x]))
 
 
 @st.composite
