@@ -7,7 +7,8 @@ substrate; :mod:`normframes.geometry` the charts and frames;
 :mod:`normframes.derivation` the component calculus;
 :mod:`normframes.curvature` the curvature/torsion forms and verdicts;
 :mod:`normframes.frames` the constructive results with their verifiers and
-the numeric transformation law at points; :mod:`normframes.cli` a
+the numeric transformation law at points; :mod:`normframes.rng` the
+seeded stream behind every sampled verdict; :mod:`normframes.cli` a
 file-driven front end producing reproducible reports.
 """
 

@@ -12,7 +12,6 @@ its own checks), 2 input error (also exhausted memory), 3 domain error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -20,6 +19,14 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+try:  # the interpreter's builtin SHA-256; hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .expr import (
@@ -209,7 +216,7 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
         raw = Path(path).read_bytes()
     except OSError as err:
         raise ValueError(f"cannot read spec file {path!r}: {err}") from None
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as err:

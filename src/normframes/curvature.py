@@ -32,19 +32,23 @@ from .derivation import (
     w_derivatives,
     w_of,
 )
+from .rng import Generator
 
 IDENTITY_TOL = 1e-10
 VERDICT_SEED = 42
 
 
-def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
+def curvature_matrix(
+    deriv: Derivation, x: VectorField, y: VectorField, bracket: Optional[VectorField] = None
+) -> TensorField:
     """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
-    (1,1) tensor field for the fixed pair of fields.  W_X, W_Y and their
-    frame derivatives are the ones ``deriv`` keeps per field."""
+    (1,1) tensor field for the fixed pair of fields.  W_X, W_Y, W_{[X,Y]}
+    and the frame derivatives are the ones ``deriv`` keeps per field; a
+    caller that holds [X,Y] passes it as ``bracket``."""
     w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
     x_wy = x.contract(w_derivatives(deriv, y))
     y_wx = y.contract(w_derivatives(deriv, x))
-    w_brk = w_of(deriv, commutator(x, y)).components
+    w_brk = w_of(deriv, commutator(x, y) if bracket is None else bracket).components
     # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
     total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
     return TensorField(deriv.frame, 1, 1, simplify(total))
@@ -145,7 +149,7 @@ def integrability_residual(
         pts = np.array([chart.point(p) for p in points])
     brk = commutator(x, y)
     parts = np.stack([
-        curvature_matrix(deriv, x, y).components,
+        curvature_matrix(deriv, x, y, brk).components,
         w_of(deriv, brk).components,
         transform.entries,
         brk.apply_to(transform.entries),
@@ -179,8 +183,7 @@ def _probe_pairs(frame: FrameField, seed: int) -> list[tuple[VectorField, Vector
     n = frame.dimension
     base = [frame.coordinate_vector(i) for i in range(n)]
     pairs = [(base[i], base[j]) for i in range(n) for j in range(i + 1, n)]
-    rng = np.random.default_rng(seed)
-    rand = seeded_affine_fields(frame, rng, 4)
+    rand = seeded_affine_fields(frame, Generator(seed), 4)
     pairs.extend(
         [(rand[0], rand[1]), (rand[1], rand[2]), (rand[2], rand[3]), (rand[3], rand[0])]
     )

@@ -49,6 +49,7 @@ from .geometry import (
     commutator,
     require_nondegenerate,
 )
+from .rng import Generator
 
 PROBE_SEED = 42
 PROBE_TOL = 1e-9
@@ -445,7 +446,7 @@ def linearity_probe(
     frame = deriv.frame
     n = frame.dimension
     x0 = frame.chart.point(x0)
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     mixes = np.round(rng.uniform(-1.0, 1.0, size=(2, n, n)), 6)
     coeffs = np.round(rng.uniform(-1.0, 1.0, size=(2 * PROBE_PAIRS, n, n + 1)), 6)
     # a and b of each pair, rounded as Python floats

@@ -43,6 +43,7 @@ from .derivation import (
     w_of,
 )
 from .curvature import curvature_matrix, is_flat, sampled_verdict, torsion_tensor
+from .rng import Generator
 
 POINT_TOL = 1e-10
 CERT_TOL = 1e-12
@@ -841,7 +842,7 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, family: Optional[Pla
     n = chart.dimension
     points = chart.sample_points()
     # one mix per point, drawn point by point from the seeded stream
-    draws = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
+    draws = np.round(Generator(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
     values = family.at(points, np.hstack([points, draws]))
     residuals = np.max(np.abs(values), axis=(-2, -1))  # [point, probe]
     failing = np.argwhere(residuals > PROBE_TOL)
@@ -942,10 +943,10 @@ def flat_frame_neighborhood(
     values = _fill_lattice(shape, base_index, b0, forward, backward)
 
     # path-independence audit: reverse axis order at seeded nodes
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     audit_dev = 0.0
     for _ in range(10):
-        target = tuple(int(rng.integers(0, s)) for s in shape)
+        target = tuple(rng.integers(0, s) for s in shape)
         alt = _polyline_product(forward, backward, base_index, target, reversed(range(n)), b0)
         audit_dev = max(audit_dev, float(np.max(np.abs(alt - values[target]))))
     if audit_dev > GRID_TOL:

@@ -25,6 +25,7 @@ from .expr import (
     free_symbols,
     simplify,
 )
+from .rng import Generator
 
 IDENTITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
@@ -46,6 +47,7 @@ class Chart:
 
     coordinates: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
+    _clouds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.coordinates)) != len(self.coordinates):
@@ -94,10 +96,15 @@ class Chart:
         return all(lo <= v <= hi for v, (lo, hi) in zip(pt, self.domain))
 
     def sample_points(self, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        lo = np.array([a for a, _ in self.domain])
-        hi = np.array([b for _, b in self.domain])
-        return lo + rng.random((count, self.dimension)) * (hi - lo)
+        """``count`` seeded points of the box, as [count, dimension]; drawn
+        once per chart, count and seed, and read-only."""
+        points = self._clouds.get((count, seed))
+        if points is None:
+            lo = np.array([a for a, _ in self.domain])
+            hi = np.array([b for _, b in self.domain])
+            cloud = lo + Generator(seed).random((count, self.dimension)) * (hi - lo)
+            points = self._clouds[count, seed] = matops.read_only(cloud)
+        return points
 
 
 def vanishes_on_chart(

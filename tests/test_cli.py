@@ -1,6 +1,9 @@
 """CLI pipeline: spec loading, analyze/frame/verify, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,8 +30,9 @@ from normframes.cli import (
 
 from conftest import coordinate_spec
 
-SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
-BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "demos" / "specs"
+BENCH_SPECS = ROOT / "benchmarks" / "specs"
 
 POLAR = str(SPECS / "polar_euclidean.json")
 SPHERE = str(SPECS / "unit_sphere.json")
@@ -920,3 +924,67 @@ def test_template_spec_through_cli_pipeline(tmp_path):
     frame = tmp_path / "frame.json"
     assert run("frame", spec, "flat", "--grid", "7x7", "--out", str(frame)) == EXIT_OK
     assert run("verify", spec, str(frame), "--tol", "1e-6") == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# start-up footprint: every op is a fresh interpreter
+
+
+def run_fresh(tmp_path, *argv):
+    """``python`` with ``argv`` in a fresh interpreter that imports this checkout's src/."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_ops_load_neither_numpy_random_nor_openssl(tmp_path):
+    # seeded draws come from normframes.rng and the spec digest from the
+    # interpreter's builtin SHA-256, so no op pays for numpy.random's
+    # extensions or for OpenSSL (hashlib's _hashlib, which secrets imports)
+    s4 = str(BENCH_SPECS / "s4_template.json")
+    ops = [
+        ("analyze", POLAR, "--at", "r=1.5,theta=0.8", "--out", "analysis.json"),
+        ("analyze", s4, "--at", "x1=0.5,x2=0.5,x3=0.5,x4=0.5", "--out", "s4.json"),
+        ("frame", POLAR, "point", "--at", "r=1.5,theta=0.8", "--out", "point.json"),
+        ("frame", POLAR, "point", "--at", "r=1.5,theta=0.8", "--field", "radial",
+         "--out", "field.json"),
+        ("frame", POLAR, "flat", "--grid", "5x5", "--out", "flat.json"),
+        ("frame", POLAR, "curve", "--field", "angular", "--curve", "unit_circle",
+         "--out", "curve.json"),
+    ] + [("verify", POLAR, f"{name}.json", "--out", f"verify_{name}.json")
+         for name in ("point", "field", "flat", "curve")]
+    script = (
+        "import json, sys\n"
+        "from normframes.cli import main\n"
+        f"codes = [main(list(op)) for op in {ops!r}]\n"
+        "loaded = [m for m in ('numpy.random', '_hashlib', 'secrets') if m in sys.modules]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    proc = run_fresh(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(ops) and loaded == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sorted(SPECS.glob("*.json")) + sorted(BENCH_SPECS.glob("*.json"))
+    + [ROOT / "tools" / "specs" / "w_pole.json"],
+    ids=lambda p: f"{p.parent.parent.name}/{p.stem}",
+)
+def test_input_digest_is_the_sha256_of_the_spec_bytes(spec):
+    assert load_manifold_spec(str(spec)).digest == hashlib.sha256(spec.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", [
+    ("analyze", POLAR, "--at", "r=1.5,theta=0.8"),
+    ("frame", POLAR, "point", "--at", "r=1.5,theta=0.8"),
+    ("frame", POLAR, "flat", "--grid", "5x5"),
+], ids=lambda mode: "-".join(mode[:1] + mode[2:3]))
+def test_negative_probe_seed_exits_2_with_numpys_message(tmp_path, mode):
+    # a fresh process, so that a seed split which never ends fails by timeout
+    proc = run_fresh(tmp_path, "-m", "normframes.cli", *mode, "--probe-seed", "-3")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == "input error: expected non-negative integer\n"
+    assert proc.stdout == ""

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normframes import curvature, matops
 from normframes import (
     Connection,
     Const,
@@ -16,6 +17,7 @@ from normframes import (
     SymbolicTransform,
     TensorField,
     VectorField,
+    commutator,
     curvature_matrix,
     curvature_tensor,
     integrability_residual,
@@ -423,6 +425,30 @@ def test_integrability_residual_on_transported_closed_form(polar, polar_connecti
     report = integrability_residual(polar_connection, x, y, transform)
     assert report.max_residual <= 1e-6
     assert report.obstruction_norm <= 1e-10
+
+
+def test_integrability_residual_builds_the_bracket_once(polar, polar_connection, monkeypatch):
+    from normframes.expr import parse_expr
+
+    entries = [[parse_expr(e, polar.symbols) for e in row]
+               for row in (("cos(theta)", "sin(theta)"), ("-r*sin(theta)", "r*cos(theta)"))]
+    transform = SymbolicTransform(polar_connection.frame, entries)
+    x, y = affine_fields(polar_connection.frame, 241, 2)
+    calls = []
+    monkeypatch.setattr(curvature, "commutator", lambda a, b: calls.append(1) or commutator(a, b))
+    report = integrability_residual(polar_connection, x, y, transform)
+    assert len(calls) == 1
+    # the oracle builds [X,Y] and its W twice, once inside curvature_matrix
+    brk = commutator(x, y)
+    parts = np.stack([
+        curvature_matrix(polar_connection, x, y).components,
+        w_of(polar_connection, commutator(x, y)).components,
+        transform.entries,
+        brk.apply_to(transform.entries),
+    ])
+    r, w, a, brk_a = np.moveaxis(matops.evaluate_points(parts, polar.symbols, report.points), 1, 0)
+    assert np.array_equal(report.residuals, brk_a + (r + w) @ a)
+    assert report.max_residual > 1e-3  # a transform that is not transported leaves a residual
 
 
 def test_torsion_vector_antisymmetric_under_swap(torsion_plane):

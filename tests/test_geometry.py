@@ -17,7 +17,7 @@ from normframes import (
     torsion_tensor,
     vanishes_on_chart,
 )
-from normframes import matops
+from normframes import geometry, matops
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields
@@ -46,6 +46,23 @@ def test_sample_points_deterministic(polar):
     assert np.array_equal(a, b)
     for pt in a:
         assert polar.contains(pt)
+
+
+def test_sample_cloud_is_drawn_once_per_chart_count_and_seed(monkeypatch):
+    chart = Chart(("r", "theta"), ((1.0, 2.0), (0.0, 1.6)))
+    draws, stream = [], geometry.Generator
+    monkeypatch.setattr(geometry, "Generator", lambda seed: draws.append(seed) or stream(seed))
+    cloud = chart.sample_points()
+    assert chart.sample_points() is cloud and chart.sample_points(64, 42) is cloud
+    small = chart.sample_points(16, seed=9)
+    assert chart.sample_points(16, seed=9) is small and draws == [42, 9]
+    with pytest.raises(ValueError, match="read-only"):
+        cloud[0, 0] = 0.0
+    # numpy's default_rng cloud, bit for bit; the cache is no part of a chart's identity
+    lo, hi = np.array([1.0, 0.0]), np.array([2.0, 1.6])
+    assert cloud.tobytes() == (lo + np.random.default_rng(42).random((64, 2)) * (hi - lo)).tobytes()
+    twin = Chart(chart.coordinates, chart.domain)
+    assert twin == chart and hash(twin) == hash(chart)
 
 
 # ---------------------------------------------------------------------------

@@ -30,3 +30,16 @@ def test_every_differing_part_is_reported():
     assert tool.mismatches(group, same, changed) == [
         f"analyze spec.json --out a.json: {part} differs" for part in tool.PARTS
     ]
+
+
+def test_failing_ops_are_compared_with_their_messages():
+    tool = load_tool()
+    pole = tool.run_group(tool.SRC, tool.pole_runs())
+    # analyze and both point frames at the pole, then away from it, then the flat frame
+    assert [code for code, *_ in pole] == [3, 3, 3, 0, 0, 0, 3]
+    assert all(err.startswith(b"domain error: ") for code, _, err, _ in pole if code == 3)
+    refused = tool.run_group(tool.SRC, tool.probe_seed_runs(-3))
+    assert [code for code, *_ in refused] == [2, 2, 2, 2]
+    assert refused[0][2] == b"input error: expected non-negative integer\n"
+    wide = tool.run_group(tool.SRC, tool.probe_seed_runs(2**70))
+    assert [code for code, *_ in wide] == [0, 0, 0, 0]

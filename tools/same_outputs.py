@@ -5,8 +5,15 @@
 Runs every op of ``benchmarks/workloads.build_ops`` at seeds 3, 5 and 7,
 plus ``analyze``, ``frame ... point`` (the connection form and each spec
 field), ``frame ... flat``, ``frame ... curve`` (each spec field along each
-spec curve) and a ``verify`` of each frame file on every demo spec.  Each op runs as a fresh ``python -m normframes.cli``, once with
-``PARENT_SRC`` and once with this checkout's ``src/`` on ``PYTHONPATH``.
+spec curve) and a ``verify`` of each frame file on every demo spec.  Ops
+that fail inside an evaluation run on the tool's own spec
+``tools/specs/w_pole.json``, whose W template has a pole at r = 1 inside
+its domain box: ``analyze`` and ``frame ... point`` at the pole and away
+from it, and ``frame ... flat`` over the box.  ``analyze``, a point frame and a flat frame with its ``verify``
+also run on the polar demo spec at ``--probe-seed`` -3 (refused as input)
+and 2**70 (three 32-bit seed words).  Each op runs as a fresh
+``python -m normframes.cli``, once with ``PARENT_SRC`` and once with this
+checkout's ``src/`` on ``PYTHONPATH``.
 The ops of one group share a new empty directory per side, so ``verify``
 reads the frame file its group wrote.  Exit code, stdout, stderr and the
 bytes of the ``--out`` file must match.  Prints each mismatch and exits 1
@@ -26,6 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMO_SPECS = ROOT / "demos" / "specs"
+POLE_SPEC = ROOT / "tools" / "specs" / "w_pole.json"
+POLE, AWAY = "r=1.0,theta=0.5", "r=1.5,theta=0.5"
+PROBE_SEEDS = (-3, 2**70)
 SEEDS = (3, 5, 7)
 PARTS = ("exit code", "stdout", "stderr", "output file")
 
@@ -56,6 +66,31 @@ def demo_runs(spec: Path) -> list:
         runs.append(("frame", path, *mode, "--out", f"frame{k}.json"))
         runs.append(("verify", path, f"frame{k}.json", "--out", f"verify{k}.json"))
     return runs
+
+
+def pole_runs() -> list:
+    """analyze and point frames (connection form and field) at the W
+    template's pole, where they fail with a domain error, and away from it;
+    then a flat frame over the box, which holds the pole."""
+    path = str(POLE_SPEC)
+    runs = []
+    for k, at in enumerate((POLE, AWAY)):
+        runs += [("analyze", path, "--at", at, "--out", f"analysis{k}.json"),
+                 ("frame", path, "point", "--at", at, "--out", f"point{k}.json"),
+                 ("frame", path, "point", "--at", at, "--field", "radial",
+                  "--out", f"field{k}.json")]
+    return runs + [("frame", path, "flat", "--grid", "5x5", "--out", "flat.json")]
+
+
+def probe_seed_runs(seed: int) -> list:
+    """analyze, a point frame and a flat frame with its verify on the polar
+    demo spec, at probe seed ``seed``."""
+    path, at = str(DEMO_SPECS / "polar_euclidean.json"), "r=1.5,theta=0.8"
+    flag = ("--probe-seed", str(seed))
+    return [("analyze", path, "--at", at, *flag, "--out", "analysis.json"),
+            ("frame", path, "point", "--at", at, *flag, "--out", "point.json"),
+            ("frame", path, "flat", "--grid", "5x5", *flag, "--out", "flat.json"),
+            ("verify", path, "flat.json", "--out", "verify.json")]
 
 
 def run_group(src: Path, group: list) -> list:
@@ -91,7 +126,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.parent_src / "normframes" / "cli.py").is_file():
         parser.error(f"{args.parent_src} holds no normframes package")
-    groups = benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
+    groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
+              + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
         print(line)
