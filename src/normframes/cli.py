@@ -36,7 +36,7 @@ from .expr import (
     parse_expr,
     to_source,
 )
-from .geometry import Chart, FrameField, GeometryError, VectorField
+from .geometry import DEFAULT_SEED, Chart, FrameField, GeometryError, VectorField
 from .derivation import (
     Connection,
     Derivation,
@@ -303,7 +303,17 @@ def load_manifold_spec(path: str) -> ManifoldSetup:
     return ManifoldSetup(chart, frame, deriv, fields, curves, digest, variant)
 
 
+def _domain_point(value, chart: Chart) -> np.ndarray:
+    """``value`` as a point of the chart; a point outside its domain box, or
+    with a NaN coordinate, is a domain error."""
+    at = chart.point(value)
+    if not chart.contains(at):
+        raise DomainError(f"point {at.tolist()} lies outside the chart domain")
+    return at
+
+
 def parse_point(text: str, chart: Chart) -> np.ndarray:
+    """The ``--at`` text ``name=value,...`` as a point of the chart's domain."""
     values = {}
     for item in text.split(","):
         if "=" not in item:
@@ -319,7 +329,7 @@ def parse_point(text: str, chart: Chart) -> np.ndarray:
     missing = [c for c in chart.coordinates if c not in values]
     if missing:
         raise ValueError(f"--at is missing coordinates {missing}")
-    return chart.point(values)
+    return _domain_point(values, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,6 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
     deriv = setup.deriv
     frame = setup.frame
     n = chart.dimension
-    if not chart.contains(at):
-        raise DomainError(f"point {at.tolist()} lies outside the chart domain")
-
     anhol = frame.anholonomy()
     tables: dict = {"anholonomy": anhol.evaluate_at(at)}
     # built once: the tables read the frame-pair forms, the verdicts sample all of them
@@ -426,8 +433,6 @@ def cmd_frame(args) -> int:
         if not args.at:
             raise ValueError("frame point needs --at")
         at = parse_point(args.at, chart)
-        if not chart.contains(at):
-            raise DomainError(f"point {at.tolist()} lies outside the chart domain")
         if args.field:
             if args.field not in setup.fields:
                 raise ValueError(f"spec declares no field named {args.field!r}")
@@ -561,7 +566,7 @@ def _load_frame_document(path: str, n: int) -> dict:
         f"frame dimension {doc.get('dimension')} does not match spec dimension {n}",
     )
     kind = doc.get("kind")
-    _require(kind in _FRAME_LAYOUT, f"unknown frame kind {kind!r}")
+    _require(isinstance(kind, str) and kind in _FRAME_LAYOUT, f"unknown frame kind {kind!r}")
     data_type, locus_key, locus_type = _FRAME_LAYOUT[kind]
     _require(isinstance(doc.get("data"), data_type),
              f"{kind} frame 'data' must be a JSON {data_type.__name__}")
@@ -576,7 +581,7 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
     n = chart.dimension
     parsed = _expressions(doc["data"], (n, n), chart.symbols, "data")
     transform = SymbolicTransform(setup.frame, parsed, _validate=False)
-    at = chart.point(doc["locus"]["point"])
+    at = _domain_point(doc["locus"]["point"], chart)
     if doc.get("field") is not None:
         x = VectorField(setup.frame, _expressions(doc["field"], (n,), chart.symbols, "field"))
         residual = anchor_residual(setup.deriv, x, transform, at)
@@ -662,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="component tables and verdicts at a point")
     p_an.add_argument("spec", help="manifold spec file (JSON)")
     p_an.add_argument("--at", required=True, help="evaluation point, e.g. r=1,theta=0.5")
-    p_an.add_argument("--probe-seed", type=int, default=42)
+    p_an.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p_an.add_argument("--out", default=None, help="report path (default stdout)")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -675,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--holonomic", action="store_true", help="factorized seed (point, --field)")
     p_fr.add_argument("--grid", help="node counts for mode=flat, e.g. 21x21")
     p_fr.add_argument("--step", type=float, default=None, help="integration step (curve, flat)")
-    p_fr.add_argument("--probe-seed", type=int, default=42)
+    p_fr.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p_fr.add_argument("--out", default=None)
     p_fr.set_defaults(func=cmd_frame)
 

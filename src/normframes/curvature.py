@@ -18,6 +18,8 @@ import numpy as np
 from . import matops
 from .expr import Const, Expr, simplify
 from .geometry import (
+    DEFAULT_SEED,
+    IDENTITY_TOL,
     FrameField,
     TensorField,
     VectorField,
@@ -33,9 +35,6 @@ from .derivation import (
     w_of,
 )
 from .rng import Generator
-
-IDENTITY_TOL = 1e-10
-VERDICT_SEED = 42
 
 
 def curvature_matrix(
@@ -148,15 +147,12 @@ def integrability_residual(
     else:
         pts = np.array([chart.point(p) for p in points])
     brk = commutator(x, y)
-    parts = np.stack([
+    r_val, w_val, a_val, brk_a_val = matops.evaluate_arrays([
         curvature_matrix(deriv, x, y, brk).components,
         w_of(deriv, brk).components,
         transform.entries,
         brk.apply_to(transform.entries),
-    ])
-    r_val, w_val, a_val, brk_a_val = np.moveaxis(
-        matops.evaluate_points(parts, chart.symbols, pts), 1, 0
-    )
+    ], chart.symbols, pts)
     residuals = brk_a_val + (r_val + w_val) @ a_val
     return IntegrabilityReport(
         points=pts,
@@ -199,7 +195,7 @@ class ProbeForms:
     keeps each probe field's W_X and E_k(W_X), so the curvature and torsion
     forms build them once between them."""
 
-    def __init__(self, deriv: Derivation, seed: int = VERDICT_SEED):
+    def __init__(self, deriv: Derivation, seed: int = DEFAULT_SEED):
         self.deriv = deriv
         self.seed = seed
 
@@ -222,7 +218,7 @@ class ProbeForms:
             yield torsion_vector(self.deriv, x, y)
 
 
-def sampled_verdict(forms, chart, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
+def sampled_verdict(forms, chart, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
     """Largest |component| of the forms (tensor or vector fields) over the
     chart's sample cloud.  Each form gets one compiled evaluation; given one
     at a time, only one form's trees and code stay alive."""
@@ -231,7 +227,7 @@ def sampled_verdict(forms, chart, seed: int = VERDICT_SEED, tol: float = IDENTIT
     return Verdict(worst <= tol, worst, tol)
 
 
-def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
+def is_flat(deriv: Derivation, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
     """Identity-test the curvature over the chart's sample cloud.
 
     Connections test the full tensor; other variants probe the matrix form
@@ -241,6 +237,6 @@ def is_flat(deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_T
 
 
 def is_torsion_free(
-    deriv: Derivation, seed: int = VERDICT_SEED, tol: float = IDENTITY_TOL
+    deriv: Derivation, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL
 ) -> Verdict:
     return sampled_verdict(ProbeForms(deriv, seed).torsion(), deriv.chart, seed, tol)

@@ -26,11 +26,13 @@ import numpy as np
 from . import matops
 from .expr import Const, Expr, Sym, Symbol, compile_exprs, differentiate, simplify
 from .geometry import (
-    Chart,
+    DEFAULT_SEED,
     DEGENERACY_TOL,
-    DegenerateFrameError,
+    IDENTITY_TOL,
+    Chart,
     FrameField,
     VectorField,
+    require_invertible,
 )
 from .derivation import (
     PROBE_TOL,
@@ -286,7 +288,7 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
 def frame_at_point_connection(
     deriv: Derivation,
     spec: PointFrameSpec,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> PointFrameResult:
     """Frame with vanishing connection components at the anchor.
 
@@ -326,35 +328,15 @@ def frame_at_point_connection(
     )
 
 
-def _evaluate_arrays(arrays, chart: Chart, points) -> list[np.ndarray]:
-    """Each Expr array at every point [P, n], as [P, *shape]: one compiled tape for all."""
-    values = matops.evaluate_points(
-        np.concatenate([np.ravel(arr) for arr in arrays]), chart.symbols, points)
-    cuts = np.cumsum([np.size(arr) for arr in arrays])[:-1]
-    return [part.reshape((len(points),) + np.shape(arr))
-            for part, arr in zip(np.split(values, cuts, axis=1), arrays)]
-
-
-def _require_invertible(points, a) -> None:
-    """Raise DegenerateFrameError at the first of the points [..., n] where
-    the matrix a [..., n, n] has |det| at most DEGENERACY_TOL."""
-    dets = np.linalg.det(a)
-    singular = np.argwhere(np.abs(dets) <= DEGENERACY_TOL)
-    if singular.size:
-        first = tuple(singular[0])
-        raise DegenerateFrameError(
-            f"transform is singular at {points[first].tolist()} (det={float(dets[first])!r})")
-
-
 def _law_terms(deriv: Derivation, transform: SymbolicTransform, ea, fields, points):
     """A and W_X A + X(A) for each of the fields X at the points [P, n], as
     [P, i, j] and [P, X, i, j], with X(A) = X^k E_k(A) from the E_k(A) ``ea``.
     A, the E_k(A), each W_X and each X^k are evaluated from one compiled tape."""
-    a, ea, w, xs = _evaluate_arrays(
+    a, ea, w, xs = matops.evaluate_arrays(
         [transform.entries, ea,
          np.stack([w_of(deriv, x).components for x in fields]),
-         np.array([x.components for x in fields], dtype=object)],
-        deriv.frame.chart, points)
+         [x.components for x in fields]],
+        deriv.chart.symbols, points)
     return a, w @ a[:, None] + np.einsum("pxk,pkij->pxij", xs, ea)
 
 
@@ -370,7 +352,7 @@ def transformed_components(deriv: Derivation, transform: SymbolicTransform, poin
     fields = [VectorField(frame, list(entries[:, k]), _derivatives=ea[:, :, k])
               for k in range(frame.dimension)]
     a, inner = _law_terms(deriv, transform, ea, fields, points)
-    _require_invertible(points, a)
+    require_invertible(points, a)
     return np.linalg.solve(a[:, None], inner)
 
 
@@ -617,8 +599,7 @@ def transport_along_curve(
     # the curve must follow the field: dcurve/ds = (coordinate components of X)
     velocity = compile_exprs([differentiate(e, CURVE_PARAMETER) for e in curve.exprs],
                              [CURVE_PARAMETER])(s_values).T
-    b_nodes = matops.evaluate_points(frame.matrix, chart.symbols, points)
-    x_nodes = matops.evaluate_points(x.components, chart.symbols, points)
+    b_nodes, x_nodes = matops.evaluate_arrays([frame.matrix, x.components], chart.symbols, points)
     v_field = np.einsum("kab,kb->ka", b_nodes, x_nodes)
     off = np.max(np.abs(velocity - v_field), axis=1) > INTEGRAL_CURVE_TOL
     if off.any():
@@ -840,7 +821,7 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, family: Optional[Pla
     family = vanishing_family(deriv) if family is None else family
     chart = deriv.chart
     n = chart.dimension
-    points = chart.sample_points()
+    points = chart.sample_points(seed=seed)
     # one mix per point, drawn point by point from the seeded stream
     draws = np.round(Generator(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
     values = family.at(points, np.hstack([points, draws]))
@@ -874,18 +855,13 @@ def _fill_lattice(shape, base, b0, forward, backward) -> np.ndarray:
     return values
 
 
-def _polyline_product(forward, backward, base, target, order, b0) -> np.ndarray:
-    """Carry b0 from the base node to the target node along the given axis order."""
-    a = b0
-    current = list(base)
-    for axis in order:
-        while current[axis] < target[axis]:
-            a = forward[axis][tuple(current)] @ a
-            current[axis] += 1
-        while current[axis] > target[axis]:
-            current[axis] -= 1
-            a = backward[axis][tuple(current)] @ a
-    return a
+def _fill_lattice_reversed(shape, base, b0, forward, backward) -> np.ndarray:
+    """:func:`_fill_lattice` in reverse axis order, the last axis first: the
+    same fill on the axis-reversed lattice, transposed back."""
+    flip = tuple(reversed(range(len(shape)))) + (len(shape), len(shape) + 1)
+    forward, backward = ([None if p is None else p.transpose(flip) for p in props[::-1]]
+                         for props in (forward, backward))
+    return _fill_lattice(shape[::-1], base[::-1], b0, forward, backward).transpose(flip)
 
 
 def flat_frame_neighborhood(
@@ -893,14 +869,17 @@ def flat_frame_neighborhood(
     grid: GridSpec,
     b0=None,
     h: float = DEFAULT_STEP,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> GridFrame:
     """Frame with vanishing components on a whole grid; flat connections only.
 
     Integrates the frame equations along axis-ordered polylines from the
-    base node, audits path independence by re-integrating seeded nodes in
-    reverse axis order, and verifies the transformed components at every
-    node in integrated (edge-transport) form.
+    base node.  Path independence is audited with the same fill in reverse
+    axis order, from the same edge propagators, compared at 10 seeded
+    nodes.  The transformed components are verified at every node in
+    integrated (edge-transport) form.  ``seed`` drives the flatness test,
+    the obstruction reported when it fails, the linearity probe, the
+    pointwise gate's cloud and mixes, and the audit nodes.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step must be finite and positive, got {h!r}")
@@ -909,11 +888,11 @@ def flat_frame_neighborhood(
     counts = "x".join(str(c) for c in grid.counts)
     _require_budget(grid.rk4_steps(chart, h), f"a {counts} grid at step {h!r}")
 
-    flat = is_flat(deriv)
+    flat = is_flat(deriv, seed)
     if not flat:
         e = deriv.frame.coordinate_vector
         forms = (curvature_matrix(deriv, e(i), e(j)) for i in range(n) for j in range(i + 1, n))
-        obstruction = sampled_verdict(forms, chart).max_residual
+        obstruction = sampled_verdict(forms, chart, seed).max_residual
         raise NotFlatError(
             f"derivation is not flat (max curvature entry {obstruction:.6g}); "
             "no neighborhood-wide vanishing-component frame exists",
@@ -942,13 +921,13 @@ def flat_frame_neighborhood(
     shape = tuple(len(ax) for ax in axes)
     values = _fill_lattice(shape, base_index, b0, forward, backward)
 
-    # path-independence audit: reverse axis order at seeded nodes
+    # path-independence audit: the same fill in reverse axis order, at seeded nodes
+    alt = _fill_lattice_reversed(shape, base_index, b0, forward, backward)
     rng = Generator(seed)
     audit_dev = 0.0
     for _ in range(10):
         target = tuple(rng.integers(0, s) for s in shape)
-        alt = _polyline_product(forward, backward, base_index, target, reversed(range(n)), b0)
-        audit_dev = max(audit_dev, float(np.max(np.abs(alt - values[target]))))
+        audit_dev = max(audit_dev, float(np.max(np.abs(alt[target] - values[target]))))
     if audit_dev > GRID_TOL:
         raise VerificationError(
             f"path-independence audit failed (deviation {audit_dev:.3e} > {GRID_TOL:.1e})"
@@ -1024,8 +1003,9 @@ def holonomicity_check(
                   frame.anholonomy().components]
         if deriv is not None:
             arrays.append(torsion_tensor(deriv).components)
-        worst, twisted = _commutator_maxima(points, *_evaluate_arrays(arrays, chart, points))
-        sym_tol = 1e-10 if tol is None else tol
+        worst, twisted = _commutator_maxima(
+            points, *matops.evaluate_arrays(arrays, chart.symbols, points))
+        sym_tol = IDENTITY_TOL if tol is None else tol
         return HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic",
                                    torsion_match_residual=twisted)
 
@@ -1051,7 +1031,7 @@ def _commutator_maxima(points, a, ea, c, t=None) -> tuple[float, Optional[float]
     """Over the points [..., n] of A, E_a(A), C (and T): the largest i' < j'
     component of A^{-1} [E_i', E_j'], and the largest |[E_i', E_j'] +
     T(E_i', E_j')| (None without T)."""
-    _require_invertible(points, a)
+    require_invertible(points, a)
     comm = _commutators(a, ea, c)
     upper = np.triu_indices(a.shape[-1], 1)
     worst = float(np.max(np.abs(np.linalg.solve(a, comm[..., upper[0], upper[1]])), initial=0.0))
@@ -1068,11 +1048,9 @@ def _holonomicity_grid(grid_frame: GridFrame, tol: Optional[float]) -> Holonomic
     a = grid_frame.matrices
     mesh = np.meshgrid(*grid_frame.axes, indexing="ij")
     nodes = np.stack(mesh, axis=-1)
-    b, c, t = (
-        matops.evaluate_points(arr, frame.chart.symbols, nodes.reshape(-1, n)).reshape(
-            a.shape[:-2] + arr.shape)
-        for arr in (frame.matrix, frame.anholonomy().components, torsion_tensor(deriv).components)
-    )
+    b, c, t = (v.reshape(a.shape[:-2] + v.shape[1:]) for v in matops.evaluate_arrays(
+        [frame.matrix, frame.anholonomy().components, torsion_tensor(deriv).components],
+        frame.chart.symbols, nodes.reshape(-1, n)))
 
     def maxima(part, da, *torsion):
         ea = np.einsum("...Aa,...Aij->...aij", b[part], da)  # E_a(A) = B^alpha_a dA/dx^alpha
@@ -1139,9 +1117,10 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
         n = frame.dimension
         points = x0 + np.concatenate([np.zeros((1, n)), 1e-2 * np.eye(n), -1e-2 * np.eye(n)])
         a1, a2 = first.transform.entries, second.transform.entries
-        a1, a2, ea1, ea2 = _evaluate_arrays(
-            [a1, a2, frame.frame_derivatives(a1), frame.frame_derivatives(a2)], frame.chart, points)
-        _require_invertible(points, a1)
+        a1, a2, ea1, ea2 = matops.evaluate_arrays(
+            [a1, a2, frame.frame_derivatives(a1), frame.frame_derivatives(a2)],
+            frame.chart.symbols, points)
+        require_invertible(points, a1)
         a12 = np.linalg.solve(a1, a2)
         ref = a12[0]
         # E_k(A12) = A1^{-1} (E_k(A2) - E_k(A1) A12) at the anchor

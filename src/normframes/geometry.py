@@ -122,16 +122,24 @@ def vanishes_on_chart(
     return worst <= tol, worst
 
 
-def require_nondegenerate(matrix: np.ndarray, chart: Chart, describe) -> None:
-    """Raise DegenerateFrameError at the first sample point where the
-    matrix's |det| is at most DEGENERACY_TOL; ``describe(point, det)``
-    words the message."""
-    points = chart.sample_points()
-    dets = np.linalg.det(matops.evaluate_points(matrix, chart.symbols, points))
-    singular = np.flatnonzero(np.abs(dets) <= DEGENERACY_TOL)
+def require_invertible(points, matrices, describe=None) -> None:
+    """Raise DegenerateFrameError at the first of the points [..., n] where
+    the matrix [..., n, n] has |det| at most DEGENERACY_TOL;
+    ``describe(point, det)`` words the message (default: the transform is
+    singular there)."""
+    dets = np.linalg.det(matrices)
+    singular = np.argwhere(np.abs(dets) <= DEGENERACY_TOL)
     if singular.size:
-        first = singular[0]
-        raise DegenerateFrameError(describe(points[first].tolist(), float(dets[first])))
+        first = tuple(singular[0])
+        point, det = points[first].tolist(), float(dets[first])
+        raise DegenerateFrameError(describe(point, det) if describe else
+                                   f"transform is singular at {point} (det={det!r})")
+
+
+def require_nondegenerate(matrix: np.ndarray, chart: Chart, describe=None) -> None:
+    """:func:`require_invertible` for an Expr matrix on the chart's sample cloud."""
+    points = chart.sample_points()
+    require_invertible(points, matops.evaluate_points(matrix, chart.symbols, points), describe)
 
 
 class FrameField:
@@ -183,10 +191,10 @@ class FrameField:
         return matops.evaluate_array(self.matrix, self.chart.assignment(point))
 
     def inverse_at(self, point) -> np.ndarray:
-        mat = self.evaluate_at(point)
-        det = np.linalg.det(mat)
-        if abs(det) <= DEGENERACY_TOL:
-            raise DegenerateFrameError(f"singular frame at {np.asarray(point).tolist()}")
+        x = self.chart.point(point)
+        mat = self.evaluate_at(x)
+        require_invertible(x[None], mat[None], lambda *_: (
+            f"singular frame at {np.asarray(point).tolist()}"))
         return np.linalg.inv(mat)
 
     def inverse_exprs(self) -> np.ndarray:

@@ -14,8 +14,9 @@ direction functions; a frame change is inverted numerically per point
 
 Numeric evaluation compiles an array once with
 :func:`~normframes.expr.compile_exprs` and runs the tape on a point set
-(:func:`evaluate_points`: sample cloud, shell, lattice nodes) or at one point
-(:func:`evaluate_array`, the same call with a single point).
+(:func:`evaluate_points`: sample cloud, shell, lattice nodes), several
+arrays on one point set from one tape (:func:`evaluate_arrays`), or at one
+point (:func:`evaluate_array`, the same call with a single point).
 """
 
 from __future__ import annotations
@@ -106,3 +107,13 @@ def evaluate_points(matrix, symbols, points) -> np.ndarray:
     points = np.asarray(points, dtype=float).reshape(len(points), len(symbols))
     values = compile_exprs(matrix.flat, symbols)(*points.T)
     return values.T.reshape((len(points),) + matrix.shape)
+
+
+def evaluate_arrays(arrays, symbols, points) -> list[np.ndarray]:
+    """Each Expr array at every point, as [P, *shape]: :func:`evaluate_points`
+    of all their entries, so one compiled tape serves them all."""
+    arrays = [np.asarray(arr, dtype=object) for arr in arrays]
+    values = evaluate_points(np.concatenate([arr.ravel() for arr in arrays]), symbols, points)
+    cuts = np.cumsum([arr.size for arr in arrays])[:-1]
+    return [part.reshape((len(values),) + arr.shape)
+            for part, arr in zip(np.split(values, cuts, axis=1), arrays)]

@@ -28,6 +28,10 @@ or closed-form routes are compared against:
   one W build and one evaluation per seeded probe field, against which
   ``derivation.linearity_probe`` (placeholder families, one tape each) is
   checked bit for bit.
+* the lattice fill node by node, ``polyline_product``: a matrix carried
+  from the base node to one target node along the given axis order, one
+  edge at a time, against which ``frames._fill_lattice`` and the path
+  audit's reversed fill are checked bit for bit.
 """
 
 import math
@@ -54,7 +58,6 @@ from normframes.expr import (
 from normframes import matops
 from normframes.derivation import (
     PROBE_PAIRS,
-    PROBE_SEED,
     PROBE_TOL,
     Connection,
     LinearityVerdict,
@@ -63,7 +66,7 @@ from normframes.derivation import (
     w_of,
 )
 from normframes.expr import simplify
-from normframes.geometry import FrameField, TensorField, VectorField, commutator
+from normframes.geometry import DEFAULT_SEED, FrameField, TensorField, VectorField, commutator
 
 MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
 
@@ -252,7 +255,7 @@ def probe_residuals(deriv, x0: np.ndarray, rng):
         yield "superposition", xf, float(np.max(np.abs(w_comb - a_val * w_x - b_val * w_y)))
 
 
-def linearity_probe_oracle(deriv, x0, seed: int = PROBE_SEED, tol: float = PROBE_TOL):
+def linearity_probe_oracle(deriv, x0, seed: int = DEFAULT_SEED, tol: float = PROBE_TOL):
     """The linearity probe with one concrete field per condition: the
     verdict ``derivation.linearity_probe`` must give bit for bit."""
     frame = deriv.frame
@@ -274,3 +277,18 @@ def linearity_probe_oracle(deriv, x0, seed: int = PROBE_SEED, tol: float = PROBE
     for k in range(n):
         gammas[:, :, k] = w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
     return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)
+
+
+def polyline_product(forward, backward, base, target, order, b0) -> np.ndarray:
+    """Carry b0 from the base node to the target node along the given axis
+    order, one edge propagator at a time."""
+    a = b0
+    current = list(base)
+    for axis in order:
+        while current[axis] < target[axis]:
+            a = forward[axis][tuple(current)] @ a
+            current[axis] += 1
+        while current[axis] > target[axis]:
+            current[axis] -= 1
+            a = backward[axis][tuple(current)] @ a
+    return a

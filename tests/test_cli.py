@@ -439,6 +439,22 @@ def test_frame_flat_torsion_fixture_and_verify(tmp_path):
     assert run("verify", TORSION, str(frame), "--tol", "1e-6") == EXIT_OK
 
 
+@pytest.mark.parametrize("point", [[-5.0, 0.5], [1.0, float("nan")], [1.0, 99.0]],
+                         ids=["below", "nan", "above"])
+def test_point_outside_domain_is_one_domain_error_for_every_command(tmp_path, capsys, point):
+    # a symbolic frame file's locus is checked like the --at of analyze and frame point
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"dimension": 2, "kind": "symbolic",
+                                 "data": [["1", "0"], ["0", "1"]], "locus": {"point": point}}))
+    at = ",".join(f"{c}={v!r}" for c, v in zip(("r", "theta"), point))
+    message = f"domain error: point {point} lies outside the chart domain\n"
+    for argv in (("analyze", POLAR, "--at", at), ("frame", POLAR, "point", "--at", at),
+                 ("verify", POLAR, str(frame))):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == message
+
+
 def test_verify_dimension_mismatch_exits_2(tmp_path):
     frame = tmp_path / "frame.json"
     assert run("frame", POLAR, "point", "--at", "r=1,theta=0", "--out", str(frame)) == EXIT_OK
@@ -486,10 +502,13 @@ def _set(doc, path, value):
         (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "s"), {"a": 1})),
         (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs", 0), 1)),
         (_curve_frame, lambda doc: _set(doc, ("field",), 1)),
+        (_grid_frame, lambda doc: dict(doc, kind=["grid"])),
+        (_grid_frame, lambda doc: dict(doc, kind={"grid": 1})),
     ],
     ids=["root-list", "data-list", "locus-list", "grid-matrices-object", "grid-axis-object",
          "grid-axes-object", "grid-axis-number", "curve-points-object", "curve-points-number",
-         "curve-s-object", "curve-expr-number", "curve-field-number"],
+         "curve-s-object", "curve-expr-number", "curve-field-number", "kind-list",
+         "kind-object"],
 )
 def test_malformed_frame_document_exits_2(tmp_path, capsys, make, corrupt):
     spec, frame = make(tmp_path)

@@ -1,6 +1,7 @@
 """Neighborhood-wide frames on grids: construction, audits, holonomicity,
 constancy of the relating transforms."""
 
+import json
 import math
 import re
 import warnings
@@ -30,6 +31,7 @@ from normframes import (
 from normframes import frames, matops
 from normframes.cli import EXIT_OK, load_manifold_spec, main
 from normframes.expr import DomainError, Sym, Symbol, compile_exprs, parse_expr
+from normframes.geometry import DEFAULT_SAMPLES, DEFAULT_SEED
 from normframes.frames import (
     _pointwise_linearity_gate,
     _rk4_kernel,
@@ -37,7 +39,7 @@ from normframes.frames import (
     direction_functions,
 )
 
-from reference import compose_frame
+from reference import compose_frame, polyline_product
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
 SPH3 = str(BENCH_SPECS / "sph3_orthonormal.json")
@@ -322,17 +324,39 @@ def fill_lattice_by_node(shape, base, b0, forward, backward):
     return values
 
 
-@pytest.mark.parametrize("shape, base", [((9,), (4,)), ((5, 4), (2, 1)), ((4, 3, 5), (1, 1, 2))])
-def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape, base):
+def random_edges(shape):
+    """Seeded forward and backward propagators of every lattice edge, and a
+    base matrix: 3 x 3 on every lattice, so that no two products commute."""
     rng = np.random.default_rng(11)
-    n = 3  # 3 x 3 matrices on every lattice, so that no two products commute
+    n = 3
     edges = [shape[:a] + (shape[a] - 1,) + shape[a + 1 :] + (n, n) for a in range(len(shape))]
     forward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
     backward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
-    b0 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    return forward, backward, np.eye(n) + 0.1 * rng.standard_normal((n, n))
+
+
+LATTICES = [((9,), (4,)), ((5, 4), (2, 1)), ((4, 3, 5), (1, 1, 2))]  # interior bases
+
+
+@pytest.mark.parametrize("shape, base", LATTICES)
+def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape, base):
+    forward, backward, b0 = random_edges(shape)
     values = frames._fill_lattice(shape, base, b0, forward, backward)
     assert not np.isnan(values).any()
     assert np.array_equal(values, fill_lattice_by_node(shape, base, b0, forward, backward))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["axis-order", "reverse-axis-order"])
+@pytest.mark.parametrize("shape, base", LATTICES)
+def test_fill_equals_polyline_product_at_every_node_bit_for_bit(shape, base, reverse):
+    # the path audit compares the two fills: each must be its polyline product, edge by edge
+    forward, backward, b0 = random_edges(shape)
+    fill = frames._fill_lattice_reversed if reverse else frames._fill_lattice
+    values = fill(shape, base, b0, forward, backward)
+    order = list(range(len(shape)))[::-1 if reverse else 1]
+    for node in np.ndindex(shape):
+        assert np.array_equal(values[node],
+                              polyline_product(forward, backward, base, node, order, b0))
 
 
 @pytest.fixture
@@ -365,6 +389,33 @@ def test_sphere_rejected_with_obstruction(sphere_connection):
     with pytest.raises(NotFlatError) as err:
         flat_frame_neighborhood(sphere_connection, GridSpec((5, 5)), h=1e-2)
     assert err.value.obstruction_norm >= 0.1
+
+
+def test_flat_refusal_at_seed_7_reads_the_seed_7_cloud(tmp_path):
+    # at seed 42 the obstruction is 0x1.0000000000002p+0; seed 7 draws another cloud
+    sphere = str(Path(__file__).resolve().parent.parent / "demos" / "specs" / "unit_sphere.json")
+    with pytest.raises(NotFlatError) as err:
+        flat_frame_neighborhood(load_manifold_spec(sphere).deriv, GridSpec((5, 5)), seed=7)
+    assert err.value.obstruction_norm.hex() == "0x1.0000000000004p+0"
+    report = tmp_path / "analysis.json"
+    assert main(["analyze", sphere, "--at", "theta=1.0,phi=0.5", "--probe-seed", "7",
+                 "--out", str(report)]) == EXIT_OK
+    flat = json.loads(report.read_text())["verdicts"]["flat"]
+    assert flat["residual"] == err.value.obstruction_norm and not flat["value"]
+
+
+def test_flat_frame_samples_only_the_clouds_of_its_seed(polar_connection, monkeypatch):
+    seeds = []
+    sample_points = Chart.sample_points
+
+    def recording(chart, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+        seeds.append(seed)
+        return sample_points(chart, count, seed)
+
+    monkeypatch.setattr(Chart, "sample_points", recording)
+    flat_frame_neighborhood(polar_connection, GridSpec((5, 5)), h=1e-2, seed=7)
+    # the flatness test and the pointwise gate
+    assert len(seeds) >= 2 and set(seeds) == {7}
 
 
 @pytest.mark.parametrize(
@@ -437,6 +488,21 @@ def test_torsion_frame_is_anholonomic_with_matching_commutator(torsion_flat_fram
         torsion_flat_frame.point_at(torsion_flat_frame.base_index)
     )
     assert t_vals[0, 0, 1] == -1.0
+
+
+def test_grid_holonomicity_one_tape_equals_one_compile_per_array(
+        polar_flat_frame, torsion_flat_frame, monkeypatch):
+    # B, C and T of every node from one tape, and from one compile each
+    grids = [polar_flat_frame, torsion_flat_frame,
+             flat_frame_neighborhood(load_manifold_spec(SPH3).deriv,
+                                     GridSpec((4, 4, 4), base_index=(2, 1, 2)), h=1e-2)]
+    one_tape = [holonomicity_check(grid) for grid in grids]
+    monkeypatch.setattr(matops, "evaluate_arrays", lambda arrays, symbols, points: [
+        matops.evaluate_points(arr, symbols, points) for arr in arrays])
+    for grid, verdict in zip(grids, one_tape):
+        separate = holonomicity_check(grid)
+        for name in ("max_commutator", "fd_max_commutator", "torsion_match_residual"):
+            assert np.array_equal(getattr(verdict, name), getattr(separate, name))
 
 
 def test_symbolic_holonomicity_identity_transform(polar_connection):

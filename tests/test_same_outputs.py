@@ -43,3 +43,17 @@ def test_failing_ops_are_compared_with_their_messages():
     assert refused[0][2] == b"input error: expected non-negative integer\n"
     wide = tool.run_group(tool.SRC, tool.probe_seed_runs(2**70))
     assert [code for code, *_ in wide] == [0, 0, 0, 0]
+
+
+def test_malformed_frame_files_are_refused_with_one_line():
+    tool = load_tool()
+    group = tool.malformed_frame_runs()
+    assert [Path(argv[2]).name for argv in group] == [
+        "frame_kind_list.json", "frame_locus_nan.json", "frame_locus_outside.json"]
+    results = tool.run_group(tool.SRC, group)
+    assert [(code, out, err) for code, out, err, _ in results] == [
+        (2, b"", b"input error: unknown frame kind ['grid']\n"),
+        (3, b"", b"domain error: point [1.0, nan] lies outside the chart domain\n"),
+        (3, b"", b"domain error: point [-5.0, 0.5] lies outside the chart domain\n"),
+    ]
+    assert all(report is None for *_, report in results)

@@ -11,7 +11,10 @@ that fail inside an evaluation run on the tool's own spec
 its domain box: ``analyze`` and ``frame ... point`` at the pole and away
 from it, and ``frame ... flat`` over the box.  ``analyze``, a point frame and a flat frame with its ``verify``
 also run on the polar demo spec at ``--probe-seed`` -3 (refused as input)
-and 2**70 (three 32-bit seed words).  Each op runs as a fresh
+and 2**70 (three 32-bit seed words).  ``verify`` also reads the tool's own
+malformed frame files ``tools/specs/frame_*.json`` against the polar demo
+spec: a non-string ``kind``, and a symbolic locus outside the domain box and
+at NaN.  Each op runs as a fresh
 ``python -m normframes.cli``, once with ``PARENT_SRC`` and once with this
 checkout's ``src/`` on ``PYTHONPATH``.
 The ops of one group share a new empty directory per side, so ``verify``
@@ -34,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMO_SPECS = ROOT / "demos" / "specs"
 POLE_SPEC = ROOT / "tools" / "specs" / "w_pole.json"
+MALFORMED_FRAMES = sorted((ROOT / "tools" / "specs").glob("frame_*.json"))
 POLE, AWAY = "r=1.0,theta=0.5", "r=1.5,theta=0.5"
 PROBE_SEEDS = (-3, 2**70)
 SEEDS = (3, 5, 7)
@@ -93,6 +97,13 @@ def probe_seed_runs(seed: int) -> list:
             ("verify", path, "flat.json", "--out", "verify.json")]
 
 
+def malformed_frame_runs() -> list:
+    """verify of each malformed frame file against the polar demo spec."""
+    path = str(DEMO_SPECS / "polar_euclidean.json")
+    return [("verify", path, str(frame), "--out", f"verify{k}.json")
+            for k, frame in enumerate(MALFORMED_FRAMES)]
+
+
 def run_group(src: Path, group: list) -> list:
     """(exit code, stdout, stderr, output bytes or None) of each op, in order."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -127,7 +138,8 @@ def main(argv=None) -> int:
     if not (args.parent_src / "normframes" / "cli.py").is_file():
         parser.error(f"{args.parent_src} holds no normframes package")
     groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
-              + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS])
+              + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
+              + [malformed_frame_runs()])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
         print(line)
