@@ -87,78 +87,108 @@ EXIT_FLATNESS = 5
 # deterministic JSON emitter (floats at 17 significant digits)
 
 
-def _emit(obj, pieces: list, indent: int):
+# floats formatted per piece of a float array: the writer's working set
+_FLOATS_PER_PIECE = 1 << 12
+
+
+def _emit(obj, indent: int):
+    """The report text of ``obj`` at nesting level ``indent``, in pieces."""
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and not obj.ndim:
+        obj = obj.item()
     if isinstance(obj, dict):
         if not obj:
-            pieces.append("{}")
+            yield "{}"
             return
-        pieces.append("{\n")
+        yield "{\n"
         for i, (key, val) in enumerate(obj.items()):
-            pieces.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit(val, pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(obj) else "\n")
-        pieces.append(pad + "}")
+            yield pad + "  " + json.dumps(str(key)) + ": "
+            yield from _emit(val, indent + 1)
+            yield ",\n" if i + 1 < len(obj) else "\n"
+        yield pad + "}"
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size:
-        pieces.append(_float_array_text(obj, indent))
+        yield from _float_array_text(obj, indent)
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = list(obj.tolist() if isinstance(obj, np.ndarray) else obj)
         if not items:
-            pieces.append("[]")
+            yield "[]"
             return
-        pieces.append("[\n")
+        yield "[\n"
         for i, val in enumerate(items):
-            pieces.append(pad + "  ")
-            _emit(val, pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(items) else "\n")
-        pieces.append(pad + "]")
+            yield pad + "  "
+            yield from _emit(val, indent + 1)
+            yield ",\n" if i + 1 < len(items) else "\n"
+        yield pad + "]"
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
+        yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
         value = float(obj)
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("reports must not contain non-finite numbers")
-        pieces.append(format(value, ".17g"))
+        yield format(value, ".17g")
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        yield json.dumps(obj)
     elif obj is None:
-        pieces.append("null")
+        yield "null"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_array_text(arr: np.ndarray, indent: int) -> str:
-    """What :func:`_emit` writes for ``arr.tolist()``: one ``%`` over a
-    template built one nesting level at a time from "%.17g" placeholders
-    (``'%.17g' % v`` is ``format(v, '.17g')``)."""
+def _float_array_text(arr: np.ndarray, indent: int):
+    """What :func:`_emit` writes for ``arr.tolist()``, in pieces of whole
+    rows along the first axis, about _FLOATS_PER_PIECE floats each: one
+    ``%`` per piece over the rows' template, built one nesting level at a
+    time from "%.17g" placeholders (``'%.17g' % v`` is ``format(v, '.17g')``)."""
     if not np.isfinite(arr).all():
         raise ValueError("reports must not contain non-finite numbers")
-    template = "%.17g"
-    for level in reversed(range(arr.ndim)):
+    row = "%.17g"
+    for level in reversed(range(1, arr.ndim)):
         pad = "\n" + "  " * (indent + level)
-        items = ("," + pad + "  ").join([template] * arr.shape[level])
-        template = "[" + pad + "  " + items + pad + "]"
-    return template % tuple(arr.ravel().tolist())
+        row = "[" + pad + "  " + ("," + pad + "  ").join([row] * arr.shape[level]) + pad + "]"
+    pad = "\n" + "  " * indent
+    comma = "," + pad + "  "
+    rows = max(1, _FLOATS_PER_PIECE * len(arr) // arr.size)
+    yield "[" + pad + "  "
+    for first in range(0, len(arr), rows):
+        if first:
+            yield comma
+        block = arr[first : first + rows]
+        yield comma.join([row] * len(block)) % tuple(block.ravel().tolist())
+    yield pad + "]"
+
+
+def _report_text(obj: dict):
+    yield from _emit(obj, 0)
+    yield "\n"
 
 
 def dumps_report(obj: dict) -> str:
-    pieces: list[str] = []
-    _emit(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return "".join(_report_text(obj))
 
 
 def write_report(obj: dict, path: Optional[str]):
-    text = dumps_report(obj)
+    """Write the report to stdout (``path`` None or ``-``) or to the file
+    ``path`` piece by piece as it is emitted.  A report refused part way (a
+    non-finite number, an unserializable value) or a failed write removes
+    the file it began, so nothing is left at ``path``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text)
-        except OSError as err:
+        sys.stdout.write(dumps_report(obj))
+        return
+    try:
+        out = open(path, "w")
+    except OSError as err:
+        raise ValueError(f"cannot write {path!r}: {err.strerror or err}") from None
+    try:
+        with out:
+            out.writelines(_report_text(obj))
+    except BaseException as err:
+        if Path(path).is_file():  # never a device such as /dev/null
+            Path(path).unlink()
+        if isinstance(err, OSError):
             raise ValueError(f"cannot write {path!r}: {err.strerror or err}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +447,7 @@ def _refuse_unread_flags(args) -> None:
         ("--grid", args.grid, ("flat",)),
         ("--curve", args.curve, ("curve",)),
         ("--step", args.step, ("curve", "flat")),
+        ("--probe-seed", args.probe_seed, ("point", "flat")),
     ):
         if value is not None and args.mode not in modes:
             raise ValueError(f"{flag} applies only to frame {' and '.join(modes)}")
@@ -428,6 +459,7 @@ def cmd_frame(args) -> int:
     chart = setup.chart
     deriv = setup.deriv
     n = chart.dimension
+    probe_seed = DEFAULT_SEED if args.probe_seed is None else args.probe_seed
 
     if args.mode == "point":
         if not args.at:
@@ -449,7 +481,7 @@ def cmd_frame(args) -> int:
             result = frame_at_point_general(deriv, x, spec)
         else:
             result = frame_at_point_connection(
-                deriv, PointFrameSpec(anchor=at), seed=args.probe_seed
+                deriv, PointFrameSpec(anchor=at), seed=probe_seed
             )
         verifier = {"anchor_residual": result.residual}
         if args.holonomic:
@@ -499,7 +531,7 @@ def cmd_frame(args) -> int:
         counts = _parse_grid(args.grid, n)
         grid = GridSpec(counts)
         h = DEFAULT_STEP if args.step is None else args.step
-        result = flat_frame_neighborhood(deriv, grid, h=h, seed=args.probe_seed)
+        result = flat_frame_neighborhood(deriv, grid, h=h, seed=probe_seed)
         doc = _frame_header(setup, "grid")
         doc["field"] = None
         doc["data"] = {"matrices": result.matrices}
@@ -550,12 +582,30 @@ def _parse_grid(text: Optional[str], n: int) -> tuple[int, ...]:
 # JSON type of "data", key of the locus entry and that entry's type, per frame kind
 _FRAME_LAYOUT = {"symbolic": (list, "point", list), "curve": (dict, "curve", dict),
                 "grid": (dict, "grid", dict)}
+# largest |file point - curve(s)| per coordinate of a curve frame file, relative to
+# max(1, |curve(s)|); the files this program writes hold curve(s) to the last bit
+_CURVE_POINT_TOL = 1e-9
+# the keys of a curve or grid frame file that hold one number, or one array, per node
+_NODE_ARRAYS = frozenset({"matrices", "s", "points"})
+
+
+def _node_arrays(block: dict) -> dict:
+    """A JSON object of a frame file, its node arrays (the keys of
+    _NODE_ARRAYS) turned into float arrays as the object closes, so that
+    their lists are freed while the file is parsed.  A value that does not
+    convert is kept as parsed, for :func:`_numbers` to refuse."""
+    for key in _NODE_ARRAYS.intersection(block):
+        try:
+            block[key] = np.asarray(block[key], dtype=float)
+        except (TypeError, ValueError):
+            pass
+    return block
 
 
 def _load_frame_document(path: str, n: int) -> dict:
     """Read a frame file and check the layout every verifier relies on."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_hook=_node_arrays)
     except OSError as err:
         raise ValueError(f"cannot read frame file: {err}") from None
     except json.JSONDecodeError as err:
@@ -590,6 +640,19 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
     return residual, {"anchor_residual": residual}
 
 
+def _require_on_curve(points, expected, s_vals) -> None:
+    """A curve file's ``points`` must be the curve's, ``expected``, to within
+    _CURVE_POINT_TOL; otherwise an input error names the first node off it."""
+    scale = _CURVE_POINT_TOL * np.maximum(1.0, np.abs(expected))
+    off = ~np.all(np.abs(points - expected) <= scale, axis=1)  # a NaN coordinate is off too
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(
+            f"curve point at s={float(s_vals[i])!r} is {points[i].tolist()}, but the curve "
+            f"passes through {expected[i].tolist()} (tolerance {_CURVE_POINT_TOL:g})"
+        )
+
+
 def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     """Re-transport every edge of a grid, or of a curve's 1-D lattice of node parameters."""
     chart = setup.chart
@@ -601,14 +664,14 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     if kind == "curve":
         points = _numbers(block.get("points"), "curve points", array=True)
         _require(matrices.ndim == 3 and matrices.shape[1:] == (n, n), "bad curve matrices")
-        _require(points.shape[:1] == matrices.shape[:1], "curve points and matrices disagree")
+        _require(points.shape == (len(matrices), n), "curve points and matrices disagree")
         x = VectorField(setup.frame, _expressions(doc.get("field"), (n,), chart.symbols, "field"))
         s_vals = _numbers(block.get("s"), "curve parameters", array=True)
         _require(s_vals.shape == (len(matrices),), "curve parameters and matrices disagree")
         exprs = _expressions(block.get("exprs"), (n,), [CURVE_PARAMETER], "locus[curve][exprs]")
         axes, h = [s_vals], None  # one RK4 step per segment
         check_lattice_axes(axes, h)
-        curve_points(chart, exprs, s_vals)
+        _require_on_curve(points, curve_points(chart, exprs, s_vals), s_vals)
         m_fns = [curve_direction_function(setup.deriv, x, exprs)]
     else:
         axes = block.get("axes")
@@ -630,6 +693,8 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     setup = load_manifold_spec(args.spec)
     doc = _load_frame_document(args.frame, setup.chart.dimension)
     kind = doc["kind"]
@@ -680,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--holonomic", action="store_true", help="factorized seed (point, --field)")
     p_fr.add_argument("--grid", help="node counts for mode=flat, e.g. 21x21")
     p_fr.add_argument("--step", type=float, default=None, help="integration step (curve, flat)")
-    p_fr.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
+    p_fr.add_argument("--probe-seed", type=int, default=None,
+                      help=f"probe seed (point, flat; default {DEFAULT_SEED})")
     p_fr.add_argument("--out", default=None)
     p_fr.set_defaults(func=cmd_frame)
 

@@ -401,7 +401,8 @@ def _require_budget(steps: float, what: str) -> None:
 
 def _rk4_kernel(jobs) -> list:
     """Propagators of dP/dt = -M(start + t direction) P, P(0) = I, for the
-    straight segments of several jobs, advanced in one RK4 time loop.
+    straight segments of several jobs, advanced in one RK4 time loop per
+    chunk of rows.
 
     A job is ``(m_fn, starts, direction, lengths, steps)``: ``starts`` is
     (E, d) and ``direction`` broadcasts against it; segment e runs t from 0
@@ -411,25 +412,46 @@ def _rk4_kernel(jobs) -> list:
     (E, n, n) array per job, or (0, 0, 0) arrays when no job has a segment
     (M is never called).
 
-    One time loop advances every job: all rows are sorted by step count,
-    most first, so the rows still running at any step are a prefix of the
-    state.  The state P, three stage arrays (k2 + k3 and then k4 share one)
-    and one scratch array are allocated once and updated in place; each row
-    runs the same numpy operations as a loop over its own step count alone,
-    so every propagator is bit for bit the same.  The points where M is
-    sampled do not depend on the state, so M is evaluated once per block of
-    steps in which the running rows do not change, at the midpoints and
-    endpoints of every step of the block, with one call per job: at most
-    _M_CALL_POINTS points per block over all jobs, or one step's 2 x the
-    running rows when that is more.
+    The rows of all jobs are sorted by step count, most first, and advanced
+    in consecutive chunks of at most _M_CALL_POINTS // 2 rows, one chunk
+    after another (:func:`_rk4_chunk`).  Rows are independent, so the
+    chunks change no bit of any propagator; they bound the state and every
+    M call, and only the result is allocated for all rows.
     """
     lengths = [np.asarray(job[3], dtype=float) for job in jobs]
     steps = [np.broadcast_to(job[4], ln.shape) for job, ln in zip(jobs, lengths)]
     bounds = np.cumsum([0] + [len(ln) for ln in lengths])
-    order = np.argsort(-np.concatenate(steps), kind="stable")  # state row -> row of all jobs
-    ends = np.concatenate(steps)[order]
-    if not len(ends):
+    counts = np.concatenate(steps)
+    order = np.argsort(-counts, kind="stable")  # state row -> row of all jobs
+    if not len(order):
         return [np.empty((0, 0, 0)) for _ in jobs]
+    props = None
+    for start in range(0, len(order), _M_CALL_POINTS // 2):
+        rows = order[start : start + _M_CALL_POINTS // 2]
+        p = _rk4_chunk(jobs, lengths, steps, bounds, rows, counts[rows])
+        if props is None:
+            props = np.empty((len(order),) + p.shape[1:])
+        props[rows] = p  # back in the jobs' row order
+        del p  # freed before the next chunk allocates
+    return [props[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _rk4_chunk(jobs, lengths, steps, bounds, order, ends) -> np.ndarray:
+    """The propagators of the rows ``order`` of all jobs (as indexed by
+    ``bounds``), whose step counts ``ends`` run from most to fewest, in
+    that order: one RK4 time loop of :func:`_rk4_kernel`.
+
+    The rows still running at any step are a prefix of the state.  The
+    state P, three stage arrays (k2 + k3 and then k4 share one) and one
+    scratch array are allocated once and updated in place; each row runs
+    the same numpy operations as a loop over its own step count alone, so
+    every propagator is bit for bit the same.  The points where M is
+    sampled do not depend on the state, so M is evaluated once per block of
+    steps in which the running rows do not change, at the midpoints and
+    endpoints of every step of the block, with one call per job: at most
+    _M_CALL_POINTS points per block over all jobs, as the rows are at most
+    half as many.
+    """
     m_prev = None
     dt = np.empty(len(order))
     sampled = []  # per job with rows: its m_fn, and per row in state order its data and state row
@@ -470,6 +492,7 @@ def _rk4_kernel(jobs) -> list:
                 points = origins[:k] + np.stack([t0 + 0.5 * dt_k, t0 + dt_k]) * direction
                 rows = slice(at.start, at.start + k) if isinstance(at, slice) else at[:k]
                 m[:, :, rows] = np.moveaxis(m_fn(*np.moveaxis(points, -1, 0)), 0, -1)
+                del t0, points  # not kept alive through the time loop
         m = np.negative(m, out=m).reshape(m.shape[:3] + (n, n))
         if not first:  # after the first block's M calls, whose temporaries are freed by now
             p, k1, k23, k34, scratch = (np.empty_like(m_prev) for _ in range(5))
@@ -494,8 +517,7 @@ def _rk4_kernel(jobs) -> list:
             mp = m_next
         m_prev[:running] = mp
         first = last
-    scratch[order] = p  # back in the jobs' row order
-    return [scratch[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return p
 
 
 def curve_direction_function(deriv: Derivation, x: VectorField, exprs):
@@ -583,7 +605,8 @@ def transport_along_curve(
     """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes.
 
     The nodes are a 1-D lattice based at the node nearest s0: one classical
-    RK4 step per node interval, forward and backward from the base.
+    RK4 step per node interval, forward from the base above it and backward
+    below it.
     """
     frame = deriv.frame
     chart = frame.chart
@@ -608,11 +631,15 @@ def transport_along_curve(
             f"curve is not an integral curve of the field at s={float(s_values[i])!r}: "
             f"velocity {velocity[i].tolist()} vs field {v_field[i].tolist()}"
         )
+    del velocity, b_nodes, x_nodes, v_field  # they die before the transport allocates
 
     m_fn = curve_direction_function(deriv, x, curve.exprs)
-    base = (int(np.argmin(np.abs(s_values - curve.s0))),)
-    forward, backward = lattice_propagators([m_fn], [s_values], None, base)
-    matrices = _fill_lattice((len(s_values),), base, b0, forward, backward)
+    base = int(np.argmin(np.abs(s_values - curve.s0)))
+    # only the segments the fill reads: backward below the base, forward from it
+    jobs = [_edge_job(m_fn, [s_values], 0, None, s_values[1 : base + 1], s_values[:base])[0],
+            _edge_job(m_fn, [s_values], 0, None, s_values[base:-1], s_values[base + 1 :])[0]]
+    segments = np.concatenate(_rk4_kernel(jobs))  # segment i joins nodes i and i + 1
+    matrices = _fill_lattice((len(s_values),), (base,), b0, [segments], [segments])
 
     degenerate = np.abs(np.linalg.det(matrices)) <= DEGENERACY_TOL
     if degenerate.any():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,11 @@ from normframes.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    _load_frame_document,
     dumps_report,
     load_manifold_spec,
     main,
+    write_report,
 )
 
 from conftest import coordinate_spec
@@ -398,6 +401,80 @@ def test_corrupted_curve_frame_localized(tmp_path):
     verdict = json.loads(out.read_text())
     assert verdict["pass"] is False
     assert verdict["detail"]["worst_segment"] in (99, 100)
+
+
+def polar_curve_frame(tmp_path, capsys, step="0.01"):
+    """A written polar curve frame file along the unit circle, and its document."""
+    frame = tmp_path / "frame.json"
+    argv = ("frame", POLAR, "curve", "--field", "angular", "--curve", "unit_circle",
+            "--step", step, "--out", str(frame))
+    assert run(*argv) == EXIT_OK
+    capsys.readouterr()
+    return frame, json.loads(frame.read_text())
+
+
+@pytest.mark.parametrize("moved, node", [
+    ({100: [1.7, 0.3]}, 100),
+    ({k: [9e9, -1.0] for k in range(158)}, 0),
+    ({5: [1.0, float("nan")], 7: [1.0 + 1e-6, 0.07]}, 5),
+], ids=["one-node", "every-node", "nan-before-offset"])
+def test_curve_frame_points_off_the_curve_exit_2(tmp_path, capsys, moved, node):
+    frame, doc = polar_curve_frame(tmp_path, capsys)
+    curve = doc["locus"]["curve"]
+    assert len(curve["points"]) == 158
+    for k, point in moved.items():
+        curve["points"][k] = point
+    frame.write_text(json.dumps(doc))
+    out = tmp_path / "verdict.json"
+    assert run("verify", POLAR, str(frame), "--out", str(out)) == EXIT_INPUT
+    s = float(curve["s"][node])
+    assert capsys.readouterr().err == (
+        f"input error: curve point at s={s!r} is {curve['points'][node]}, but the curve passes "
+        f"through {[1.0, s]} (tolerance 1e-09)\n")
+    assert not out.exists()
+
+
+def test_curve_frame_points_within_tolerance_verify(tmp_path, capsys):
+    frame, doc = polar_curve_frame(tmp_path, capsys)
+    doc["locus"]["curve"]["points"][100][1] *= 1.0 + 5e-10
+    frame.write_text(json.dumps(doc))
+    assert run("verify", POLAR, str(frame), "--out", str(tmp_path / "verdict.json")) == EXIT_OK
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("matrices", [[[1.0, 0.0], [0.0, "x"]]], "frame matrices must be numbers"),
+    ("points", [[1.0, 0.0], [1.0]], "curve points must be numbers"),
+    ("points", [[1.0, 0.0]], "curve points and matrices disagree"),
+    ("s", {"first": 0.0}, "curve parameters must be numbers"),
+], ids=["matrices-string", "points-ragged", "points-count", "s-object"])
+def test_curve_frame_node_arrays_keep_their_messages(tmp_path, capsys, key, value, message):
+    # the node arrays turn into float arrays as the file is parsed; a value that cannot stays
+    # as it was, and the verifier refuses it with the message it always gave
+    frame, doc = polar_curve_frame(tmp_path, capsys)
+    loaded = _load_frame_document(str(frame), 2)
+    assert all(isinstance(v, np.ndarray) for v in (loaded["data"]["matrices"],
+                                                   loaded["locus"]["curve"]["s"],
+                                                   loaded["locus"]["curve"]["points"]))
+    block = doc["data"] if key == "matrices" else doc["locus"]["curve"]
+    block[key] = value
+    frame.write_text(json.dumps(doc))
+    assert run("verify", POLAR, str(frame)) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.0"])
+def test_verify_tol_must_be_finite_and_not_negative(tmp_path, capsys, tol):
+    frame, out = tmp_path / "frame.json", tmp_path / "verdict.json"
+    assert run("frame", ZERO, "flat", "--grid", "3x3", "--out", str(frame)) == EXIT_OK
+    capsys.readouterr()
+    code = run("verify", ZERO, str(frame), "--tol", tol, "--out", str(out))
+    if tol == "-0.0":  # zero, and the residual of the zero connection's frame is zero
+        assert code == EXIT_OK and json.loads(out.read_text())["max_residual"] == 0.0
+        return
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: --tol must be a finite number >= 0, got {float(tol)!r}\n")
+    assert not out.exists()
 
 
 def test_corrupted_grid_frame_localized(tmp_path):
@@ -783,8 +860,10 @@ def test_step_must_be_finite_and_positive(tmp_path, capsys, mode, step):
     ("flat", ("--grid", "5x5"), ("--at", "r=9,theta=9")),
     ("curve", ("--field", "angular", "--curve", "unit_circle"), ("--at", "r=9,theta=9")),
     ("flat", ("--grid", "5x5"), ("--field", "angular")),
+    ("curve", ("--field", "angular", "--curve", "unit_circle"), ("--probe-seed", "7")),
 ], ids=["holonomic-point-no-field", "holonomic-curve", "holonomic-flat", "grid-point", "grid-curve",
-        "curve-point", "curve-flat", "step-point", "at-flat", "at-curve", "field-flat"])
+        "curve-point", "curve-flat", "step-point", "at-flat", "at-curve", "field-flat",
+        "probe-seed-curve"])
 def test_frame_flag_the_mode_does_not_read_exits_2(tmp_path, capsys, mode, extra, flag):
     out = tmp_path / "frame.json"
     flag = (flag,) if isinstance(flag, str) else flag
@@ -793,6 +872,15 @@ def test_frame_flag_the_mode_does_not_read_exits_2(tmp_path, capsys, mode, extra
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {flag[0]} applies only to frame ")
     assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_probe_seed_is_accepted_by_point_frames_with_a_field(tmp_path):
+    # no construction of a field point frame reads the seed, but it stays accepted there
+    with_seed, without = tmp_path / "seeded.json", tmp_path / "default.json"
+    argv = ("frame", POLAR, "point", "--at", "r=1.5,theta=0.5", "--field", "angular")
+    assert run(*argv, "--probe-seed", "42", "--out", str(with_seed)) == EXIT_OK
+    assert run(*argv, "--out", str(without)) == EXIT_OK
+    assert with_seed.read_bytes() == without.read_bytes()
 
 
 def test_failed_self_check_exits_1_with_one_line(tmp_path, capsys):
@@ -898,6 +986,47 @@ def test_empty_and_non_finite_float_arrays():
         for value in (arr, arr.tolist()):
             with pytest.raises(ValueError, match="reports must not contain non-finite numbers"):
                 dumps_report({"a": value})
+
+
+@pytest.mark.parametrize("value", [
+    np.linspace(-1.0, 1.0, 10_001),
+    np.random.default_rng(3).standard_normal((1500, 2, 2)) * 1e3,
+    np.empty(0),
+    np.empty((3, 0)),
+    np.empty((0, 2, 2)),
+], ids=["1d-three-pieces", "3d-two-pieces", "empty", "empty-rows", "no-rows"])
+def test_written_report_equals_dumps_report(tmp_path, value):
+    # a float array is emitted in pieces of whole rows, about 4,096 floats each
+    doc = {"a": {"b": value, "c": [1.5, value]}, "d": None}
+    out = tmp_path / "report.json"
+    write_report(doc, str(out))
+    assert out.read_text() == dumps_report(doc)
+    assert dumps_report(doc) == dumps_report({"a": {"b": value.tolist(), "c": [1.5, value.tolist()]},
+                                              "d": None})
+
+
+@pytest.mark.parametrize("bad", [np.array([0.5, np.nan]), float("inf"), object()],
+                         ids=["nan-array", "inf", "unserializable"])
+def test_refused_report_leaves_no_file(tmp_path, bad):
+    # refused after the first pieces reached the file: the file goes, and nothing else is left
+    doc = {"first": np.ones(20_000), "bad": bad}
+    with pytest.raises((ValueError, TypeError)):
+        write_report(doc, str(tmp_path / "report.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_report_memory_is_bounded_by_its_pieces(tmp_path):
+    # the matrices of a 7,854-node curve frame: a 1.4 MB text, written one piece at a time
+    matrices = np.random.default_rng(1).standard_normal((7854, 2, 2))
+    out = tmp_path / "frame.json"
+    tracemalloc.start()
+    try:
+        write_report({"data": {"matrices": matrices}}, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 1_400_000
+    assert peak < 1_000_000
 
 
 def test_identity_frame_verifies_on_zero_spec(tmp_path):

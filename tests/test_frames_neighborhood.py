@@ -4,6 +4,7 @@ constancy of the relating transforms."""
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -217,6 +218,7 @@ def counted(m_fn, points):
 def kernel_cases():
     rng = np.random.default_rng(5)
     mixed = rng.uniform(-0.05, 0.05, 60)
+    wide = rng.uniform(-0.004, 0.004, 2500)
     return {
         # several step counts at h = 1e-3, negative lengths among them
         "mixed-counts": (M2, 2, rng.uniform(-0.5, 0.5, (60, 2)), np.array([1.0, 0.0]),
@@ -233,6 +235,9 @@ def kernel_cases():
         # a curve: one parameter, one step per segment, thousands of segments
         "curve": (M_CURVE, 2, np.linspace(0.0, 6.0, 5001)[:-1, None], 1.0,
                   np.where(np.arange(5000) < 2000, -1.0, 1.0) * 6.0 / 5000, 1),
+        # more rows than one chunk holds, with 1 to 4 steps: step groups straddle a chunk boundary
+        "chunk-boundary": (M2, 2, rng.uniform(-0.5, 0.5, (2500, 2)), np.array([0.0, 1.0]),
+                           wide, _step_counts(wide, 1e-3)),
     }
 
 
@@ -248,13 +253,40 @@ def test_kernel_evaluates_m_once_per_bounded_block(case):
     m_fn, n, starts, direction, lengths, steps = kernel_cases()[case]
     points = []
     _rk4_kernel([(counted(m_fn, points), starts, direction, lengths, steps)])
-    counts, sizes = np.unique(np.broadcast_to(steps, np.shape(lengths)), return_counts=True)
-    blocks = [max(1, frames._M_CALL_POINTS // (2 * int(size))) for size in sizes]
-    # within the bound, or one step (or the start points) of a group wider than it
-    wide = {k * int(size) for size in sizes for k in (1, 2)}
-    assert all(p <= frames._M_CALL_POINTS or p in wide for p in points)
-    # one call per block of each group, plus one at the group's start points
-    assert len(points) <= sum(-(-int(c) // b) + 1 for c, b in zip(counts, blocks))
+    assert max(points) <= frames._M_CALL_POINTS
+    # per chunk of step-sorted rows: one call at its start points, and one per block of
+    # steps; a block, cut at each step count, runs _M_CALL_POINTS // (2 x chunk rows) or more
+    rows = frames._M_CALL_POINTS // 2
+    ends = np.sort(np.broadcast_to(steps, np.shape(lengths)))[::-1]
+    bound = 0
+    for chunk in (ends[i : i + rows] for i in range(0, len(ends), rows)):
+        block = frames._M_CALL_POINTS // (2 * len(chunk))
+        bound += 1 + sum(-(-int(c) // block) for c in np.unique(chunk))
+    assert len(points) <= bound
+
+
+def test_jobs_sharing_chunks_equal_per_step_loop_bit_for_bit():
+    # 7,500 rows of two jobs in four chunks: the one-step rows of both jobs share chunks
+    cases = kernel_cases()
+    jobs = [cases["chunk-boundary"], cases["curve"]]
+    props = _rk4_kernel([(m_fn, *job) for m_fn, _, *job in jobs])
+    for got, (m_fn, n, *job) in zip(props, jobs):
+        assert np.array_equal(got, per_step_rk4_propagators(m_fn, n, *job))
+
+
+def test_kernel_memory_is_bounded_by_its_chunks():
+    # 7,853 one-step rows, as on a 7,854-node curve: the state and every M call are chunk
+    # sized, so the peak is the (7853, 2, 2) result (251 kB) and well under 1 MB more
+    s = np.linspace(0.0, 6.0, 7854)
+    job = (M_CURVE, s[:-1, None], 1.0, np.diff(s), 1)
+    tracemalloc.start()
+    try:
+        props = _rk4_kernel([job])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert props.shape == (7853, 2, 2)
+    assert peak - props.nbytes < 1_000_000
 
 
 def test_domain_failure_in_a_late_block_raises_domain_error():

@@ -49,11 +49,26 @@ def test_malformed_frame_files_are_refused_with_one_line():
     tool = load_tool()
     group = tool.malformed_frame_runs()
     assert [Path(argv[2]).name for argv in group] == [
-        "frame_kind_list.json", "frame_locus_nan.json", "frame_locus_outside.json"]
+        "frame_curve_point_off.json", "frame_kind_list.json", "frame_locus_nan.json",
+        "frame_locus_outside.json"]
     results = tool.run_group(tool.SRC, group)
     assert [(code, out, err) for code, out, err, _ in results] == [
+        (2, b"", b"input error: curve point at s=0.75 is [1.2, 0.75], but the curve passes "
+                 b"through [1.0, 0.75] (tolerance 1e-09)\n"),
         (2, b"", b"input error: unknown frame kind ['grid']\n"),
         (3, b"", b"domain error: point [1.0, nan] lies outside the chart domain\n"),
         (3, b"", b"domain error: point [-5.0, 0.5] lies outside the chart domain\n"),
     ]
     assert all(report is None for *_, report in results)
+
+
+def test_flags_no_construction_reads_are_refused_with_one_line():
+    tool = load_tool()
+    results = tool.run_group(tool.SRC, tool.flag_runs())
+    assert [(code, out, err) for code, out, err, _ in results] == [
+        (0, b"", b""),
+        (2, b"", b"input error: --tol must be a finite number >= 0, got -1.0\n"),
+        (2, b"", b"input error: --tol must be a finite number >= 0, got nan\n"),
+        (2, b"", b"input error: --probe-seed applies only to frame point and flat\n"),
+    ]
+    assert [report is None for *_, report in results] == [False, True, True, True]

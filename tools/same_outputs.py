@@ -13,8 +13,10 @@ from it, and ``frame ... flat`` over the box.  ``analyze``, a point frame and a 
 also run on the polar demo spec at ``--probe-seed`` -3 (refused as input)
 and 2**70 (three 32-bit seed words).  ``verify`` also reads the tool's own
 malformed frame files ``tools/specs/frame_*.json`` against the polar demo
-spec: a non-string ``kind``, and a symbolic locus outside the domain box and
-at NaN.  Each op runs as a fresh
+spec: a short curve frame with one point off the curve, a non-string
+``kind``, and a symbolic locus outside the domain box and at NaN.  Flags
+that no construction reads run on the polar demo spec: ``verify --tol`` -1
+and NaN, and ``--probe-seed`` on a curve frame.  Each op runs as a fresh
 ``python -m normframes.cli``, once with ``PARENT_SRC`` and once with this
 checkout's ``src/`` on ``PYTHONPATH``.
 The ops of one group share a new empty directory per side, so ``verify``
@@ -104,6 +106,17 @@ def malformed_frame_runs() -> list:
             for k, frame in enumerate(MALFORMED_FRAMES)]
 
 
+def flag_runs() -> list:
+    """A flat frame on the polar demo spec and its verify at ``--tol`` -1 and
+    NaN, then a curve frame given ``--probe-seed``."""
+    path = str(DEMO_SPECS / "polar_euclidean.json")
+    return [("frame", path, "flat", "--grid", "5x5", "--out", "flat.json"),
+            ("verify", path, "flat.json", "--tol", "-1", "--out", "verify0.json"),
+            ("verify", path, "flat.json", "--tol", "nan", "--out", "verify1.json"),
+            ("frame", path, "curve", "--field", "angular", "--curve", "unit_circle",
+             "--probe-seed", "7", "--out", "curve.json")]
+
+
 def run_group(src: Path, group: list) -> list:
     """(exit code, stdout, stderr, output bytes or None) of each op, in order."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent_src} holds no normframes package")
     groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
               + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
-              + [malformed_frame_runs()])
+              + [malformed_frame_runs(), flag_runs()])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
         print(line)
