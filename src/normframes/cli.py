@@ -12,7 +12,9 @@ its own checks), 2 input error (also exhausted memory), 3 domain error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -589,11 +591,21 @@ _CURVE_POINT_TOL = 1e-9
 _NODE_ARRAYS = frozenset({"matrices", "s", "points"})
 
 
+# bytes of a node array's text parsed at a time: about 250 numbers as this
+# program writes them; larger pieces measured a higher peak, smaller ones slower
+_PIECE_BYTES = 1 << 13
+_NODE_KEYS = frozenset(key.encode() for key in _NODE_ARRAYS)
+_NODE_KEY_BYTES = max(map(len, _NODE_KEYS)) + 1  # a key and its opening quote
+_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
+_JSON_DECODER = json.JSONDecoder()
+
+
 def _node_arrays(block: dict) -> dict:
     """A JSON object of a frame file, its node arrays (the keys of
-    _NODE_ARRAYS) turned into float arrays as the object closes, so that
-    their lists are freed while the file is parsed.  A value that does not
-    convert is kept as parsed, for :func:`_numbers` to refuse."""
+    _NODE_ARRAYS) turned into float arrays as the object closes.  A value
+    that :func:`_parse_frame_text` parsed in pieces arrives as a float array
+    already.  A value that does not convert is kept as parsed, for
+    :func:`_numbers` to refuse."""
     for key in _NODE_ARRAYS.intersection(block):
         try:
             block[key] = np.asarray(block[key], dtype=float)
@@ -602,10 +614,114 @@ def _node_arrays(block: dict) -> dict:
     return block
 
 
+def _decoded(data: bytes) -> str:
+    """``data`` decoded as ``Path.read_text`` decodes a file: the default
+    text encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+
+
+def _node_array_starts(data: bytes) -> list:
+    """The index of the '[' of each node array's value in ``data``, in order.
+    Every quote is taken as the start of a string up to the next quote; a
+    key of _NODE_ARRAYS counts when it is followed, past whitespace, by ':'
+    and '['.  In valid JSON that is an object key and its array, whatever
+    the quotes around it; in text that is not, the whole-document parse
+    refuses the rest along with it."""
+    starts = []
+    end = data.find(b'"')
+    while end >= 0:
+        at, end = end, data.find(b'"', end + 1)
+        if end < 0 or end - at > _NODE_KEY_BYTES or data[at + 1 : end] not in _NODE_KEYS:
+            continue
+        colon = _JSON_SPACE.match(data, end + 1).end()
+        bracket = _JSON_SPACE.match(data, colon + 1).end()
+        if data[colon : colon + 1] == b":" and data[bracket : bracket + 1] == b"[":
+            starts.append(bracket)
+    return starts
+
+
+def _parse_node_array(data: bytes, start: int):
+    """The JSON array whose '[' is ``data[start]`` as a float array, and the
+    index past its ']'; None when it is not one.
+
+    The array is cut at its top-level commas, found with ``find`` and bracket
+    ``count``s, into pieces of about _PIECE_BYTES; each piece is parsed as
+    a list (``raw_decode``, which also finds the ']' that closes the array)
+    and converted on its own.  Each piece must parse as a non-empty list and
+    convert to rows of the first piece's shape, so the array text is valid
+    JSON and its value is ``np.asarray`` of the whole list.  A byte outside
+    ASCII reads as U+FFFD, which JSON takes only inside a string and
+    ``float`` never, so an array taken is ASCII.  A string holding a bracket
+    or comma can misplace a cut, but then a piece does not parse."""
+    rows, cut, at, depth = [], start + 1, start + 1, 1
+    while True:
+        comma = data.find(b",", max(at, cut + _PIECE_BYTES))
+        stop = len(data) if comma < 0 else comma
+        depth += data.count(b"[", at, stop) - data.count(b"]", at, stop)
+        at = stop + 1
+        if depth > 1 and comma >= 0:
+            continue  # a comma inside a row
+        text = "[" + data[cut:stop].decode("ascii", "replace") + "]"
+        try:
+            values, end = _JSON_DECODER.raw_decode(text)
+            piece = np.asarray(values, dtype=float)
+        except (TypeError, ValueError, OverflowError, RecursionError):
+            return None
+        if not len(piece) or (rows and piece.shape[1:] != rows[0].shape[1:]):
+            return None
+        rows.append(piece)
+        if end < len(text):  # the array closed at text[end - 1]
+            return np.concatenate(rows), cut + end - 1
+        if comma < 0:
+            return None  # not closed before the end of the file
+        cut = at
+
+
+def _parse_frame_text(data: bytes):
+    """``json.loads`` of the text of ``data`` (read as ``Path.read_text``
+    reads it) with the :func:`_node_arrays` hook, without holding the text
+    together with the nested lists of every number.
+
+    Each node array that :func:`_parse_node_array` takes is parsed from the
+    bytes in pieces, then spliced back into the one whole-document parse as
+    a float literal that occurs nowhere in the text around the arrays, which
+    ``parse_float`` maps back to the array.  An array it refuses stays in
+    the text, so the hook and :func:`_numbers` see it as before.  When that
+    text is refused (not valid JSON, bytes the encoding refuses), the whole
+    of ``data`` is parsed at once, so the error and its position are those
+    of the file."""
+    values, kept, pos = [], [], 0  # the parsed arrays, and the text around them
+    for start in _node_array_starts(data):
+        parsed = _parse_node_array(data, start) if start >= pos else None
+        if parsed is not None:
+            kept.append(data[pos:start])
+            values.append(parsed[0])
+            pos = parsed[1]
+    if values:
+        kept.append(data[pos:])
+        stem = b"1e-999"
+        while any(stem in part for part in kept):
+            stem += b"9"
+        tokens = [stem + b"%d" % i for i in range(len(values))]
+        arrays = dict(zip((token.decode() for token in tokens), values))
+        text = kept[0] + b"".join(token + b" " + part  # the space ends the number
+                                  for token, part in zip(tokens, kept[1:]))
+        try:
+            return json.loads(_decoded(text), object_hook=_node_arrays,
+                              parse_float=lambda s: arrays[s] if s in arrays else float(s))
+        except ValueError:
+            pass
+    return json.loads(_decoded(data), object_hook=_node_arrays)
+
+
 def _load_frame_document(path: str, n: int) -> dict:
-    """Read a frame file and check the layout every verifier relies on."""
+    """Read a frame file and check the layout every verifier relies on.
+    The node arrays are parsed in pieces (:func:`_parse_frame_text`), so the
+    peak is the file's bytes plus the float arrays, not the decoded text
+    plus a Python list and float per number; what is accepted or refused,
+    and each message, is what ``json.loads(Path(path).read_text())`` gives."""
     try:
-        doc = json.loads(Path(path).read_text(), object_hook=_node_arrays)
+        doc = _parse_frame_text(Path(path).read_bytes())
     except OSError as err:
         raise ValueError(f"cannot read frame file: {err}") from None
     except json.JSONDecodeError as err:
@@ -642,15 +758,19 @@ def _verify_symbolic(setup: ManifoldSetup, doc: dict) -> tuple[float, dict]:
 
 def _require_on_curve(points, expected, s_vals) -> None:
     """A curve file's ``points`` must be the curve's, ``expected``, to within
-    _CURVE_POINT_TOL; otherwise an input error names the first node off it."""
-    scale = _CURVE_POINT_TOL * np.maximum(1.0, np.abs(expected))
-    off = ~np.all(np.abs(points - expected) <= scale, axis=1)  # a NaN coordinate is off too
-    if off.any():
-        i = int(np.argmax(off))
-        raise ValueError(
-            f"curve point at s={float(s_vals[i])!r} is {points[i].tolist()}, but the curve "
-            f"passes through {expected[i].tolist()} (tolerance {_CURVE_POINT_TOL:g})"
-        )
+    _CURVE_POINT_TOL; otherwise an input error names the first node off it.
+    Compared in blocks of about _FLOATS_PER_PIECE coordinates."""
+    rows = max(1, _FLOATS_PER_PIECE // points.shape[1])
+    for lo in range(0, len(points), rows):
+        got, want = points[lo : lo + rows], expected[lo : lo + rows]
+        scale = _CURVE_POINT_TOL * np.maximum(1.0, np.abs(want))
+        off = ~np.all(np.abs(got - want) <= scale, axis=1)  # a NaN coordinate is off too
+        if off.any():
+            i = lo + int(np.argmax(off))
+            raise ValueError(
+                f"curve point at s={float(s_vals[i])!r} is {points[i].tolist()}, but the curve "
+                f"passes through {expected[i].tolist()} (tolerance {_CURVE_POINT_TOL:g})"
+            )
 
 
 def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
@@ -662,7 +782,8 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
     block = doc["locus"][kind]
 
     if kind == "curve":
-        points = _numbers(block.get("points"), "curve points", array=True)
+        # taken out of the document, so the points are freed once checked
+        points = _numbers(block.pop("points", None), "curve points", array=True)
         _require(matrices.ndim == 3 and matrices.shape[1:] == (n, n), "bad curve matrices")
         _require(points.shape == (len(matrices), n), "curve points and matrices disagree")
         x = VectorField(setup.frame, _expressions(doc.get("field"), (n,), chart.symbols, "field"))
@@ -672,6 +793,7 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
         axes, h = [s_vals], None  # one RK4 step per segment
         check_lattice_axes(axes, h)
         _require_on_curve(points, curve_points(chart, exprs, s_vals), s_vals)
+        del points
         m_fns = [curve_direction_function(setup.deriv, x, exprs)]
     else:
         axes = block.get("axes")

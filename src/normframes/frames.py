@@ -646,12 +646,14 @@ def transport_along_curve(
         s = float(s_values[int(np.argmax(degenerate))])
         raise ConstructionError(f"transported frame degenerates at s={s!r}")
 
+    # the centred-difference defect at each interior node, in blocks of _M_CALL_POINTS nodes
     residuals = np.zeros(len(s_values))
-    if len(s_values) > 2:
-        defect = (matrices[2:] - matrices[:-2]) / (2.0 * curve.step) + (
-            _matrices(m_fn(s_values[1:-1]), n) @ matrices[1:-1]
+    for lo in range(1, len(s_values) - 1, _M_CALL_POINTS):
+        hi = min(lo + _M_CALL_POINTS, len(s_values) - 1)
+        defect = (matrices[lo + 1 : hi + 1] - matrices[lo - 1 : hi - 1]) / (2.0 * curve.step) + (
+            _matrices(m_fn(s_values[lo:hi]), n) @ matrices[lo:hi]
         )
-        residuals[1:-1] = np.max(np.abs(defect), axis=(1, 2))
+        residuals[lo:hi] = np.max(np.abs(defect), axis=(1, 2))
     return CurveFrame(
         curve=curve,
         field=x,
@@ -822,15 +824,25 @@ def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dic
     :func:`lattice_propagators`) and measures A_next^{-1} (carried - A_next)
     per unit length.  Returns the worst value and its edge as {"node": [...],
     "axis": a}, or None when every value is zero (or there is no edge).
+    The edges are measured in blocks of lattice rows along axis 0, at most
+    _M_CALL_POINTS // 2 edges each, as the kernel's chunks; each edge's value
+    is the same, bit for bit.
     """
     worst, worst_at = 0.0, None
     for axis, (ax, props) in enumerate(zip(axes, propagators)):
         if len(ax) < 2:
             continue
-        head = matrices[(slice(None),) * axis + (slice(None, -1),)]
-        tail = matrices[(slice(None),) * axis + (slice(1, None),)]
-        spacing = np.diff(ax).reshape([-1 if d == axis else 1 for d in range(len(axes))])
-        values = np.max(np.abs(np.linalg.solve(tail, props @ head - tail)), axis=(-2, -1)) / spacing
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        values = np.empty(props.shape[:-2])
+        rows = max(1, (_M_CALL_POINTS // 2) // values[0].size)
+        for lo in range(0, len(values), rows):
+            block = matrices[lo : lo + rows + (axis == 0)]  # axis 0 reaches one row further
+            a_next = block[tail]
+            values[lo : lo + rows] = np.max(
+                np.abs(np.linalg.solve(a_next, props[lo : lo + rows] @ block[head] - a_next)),
+                axis=(-2, -1))
+        values /= np.diff(ax).reshape([-1 if d == axis else 1 for d in range(len(axes))])
         k = int(np.argmax(values))
         if values.flat[k] > worst:
             worst = float(values.flat[k])

@@ -1,12 +1,18 @@
 """CLI pipeline: spec loading, analyze/frame/verify, exit codes, determinism."""
 
+import functools
 import hashlib
+import itertools
 import json
+import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from normframes import matops
+from normframes import cli, matops
 from normframes.expr import MAX_DEPTH, Symbol, _depth, compile_exprs, parse_expr
 from normframes.frames import POINT_TOL
 from normframes.cli import (
@@ -462,6 +468,109 @@ def test_curve_frame_node_arrays_keep_their_messages(tmp_path, capsys, key, valu
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+JSON_NUMBERS = st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?",
+                             fullmatch=True)
+NODE_ARRAY_PATHS = (("data", "matrices"), ("locus", "curve", "s"), ("locus", "curve", "points"))
+
+
+def _render(obj, indent, newline, depth=1) -> str:
+    """JSON text of ``obj``, whose leaves are number texts: one line (``indent`` None) or
+    indented."""
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_render(v, indent, newline, depth + 1)}"
+                 for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [_render(v, indent, newline, depth + 1) for v in obj]
+    else:
+        return obj
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if indent is None or not items:
+        return opening + ",".join(items) + closing
+    pad, end = newline + " " * (indent * depth), newline + " " * (indent * (depth - 1))
+    return opening + pad + ("," + pad).join(items) + end + closing
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    shapes=st.permutations([(), (2,), (3, 3)]),
+    numbers=st.lists(JSON_NUMBERS, min_size=1, max_size=9),
+    indent=st.sampled_from([None, 0, 2, 5]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    piece_bytes=st.sampled_from([1, 16, 64, 1 << 15]),
+)
+def test_node_arrays_in_pieces_equal_one_json_parse(rows, shapes, numbers, indent, newline,
+                                                     piece_bytes):
+    # every spelling of a JSON number, cut anywhere: the arrays equal json.loads and
+    # np.asarray bit for bit
+    spellings = itertools.cycle(numbers)
+
+    def array(shape):
+        return [np.reshape([next(spellings) for _ in range(math.prod(shape))], shape).tolist()
+                for _ in range(rows)]
+
+    doc = {"kind": '"curve"', "data": {"matrices": array(shapes[0])},
+           "locus": {"curve": {"s": array(shapes[1]), "points": array(shapes[2])}}}
+    data = _render(doc, indent, newline).encode()
+    expected = json.loads(data)
+    with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
+        loaded = cli._parse_frame_text(data)
+        pieces = [cli._parse_node_array(data, at) for at in cli._node_array_starts(data)]
+    assert len(pieces) == 3
+    for path, piece in zip(NODE_ARRAY_PATHS, pieces):
+        want = np.asarray(functools.reduce(operator.getitem, path, expected), dtype=float)
+        got = functools.reduce(operator.getitem, path, loaded)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if rows:  # taken in pieces, up to the ']' that closes it
+            assert piece[0].shape == want.shape and piece[0].tobytes() == want.tobytes()
+            assert data[piece[1] - 1] == ord("]")
+        else:  # an empty array stays in the text
+            assert piece is None
+
+
+def test_node_array_keys_count_only_as_object_keys():
+    data = (b'{"a": ["s", [1], "points"], "t": "matrices", "m": {"s" : [2], "matrices":\n [3]},'
+            b' "points": 4, "u": ["x", "s"], "\\u0073": [5]}')
+    assert [data[at : at + 3] for at in cli._node_array_starts(data)] == [b"[2]", b"[3]"]
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 1 << 15])
+@pytest.mark.parametrize("text", [
+    b"[]", b"[1, 2,]", b"[, 1]", b"[1,, 2]", b"[[1, 2], [3, 4, 5]]", b"[[1, 2], 3]", b"[1, 2",
+    b'["1,]", 2]', b'[1, "\xc3\xa9"]', b"[01]", b"[.5]", b"[+1]", b"[" + b"9" * 400 + b"]",
+])
+def test_node_array_pieces_refuse_what_is_not_rows_of_numbers(text, piece_bytes):
+    with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
+        assert cli._parse_node_array(text, 0) is None
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 1 << 15])
+@pytest.mark.parametrize("text, value, end", [
+    (b"[1] 2]", [1.0], 3),
+    (b"[[1, 2], [3, 4]]], [5", [[1.0, 2.0], [3.0, 4.0]], 16),
+    (b'[1e999, "2", true, null]', [np.inf, 2.0, 1.0, np.nan], 24),
+], ids=["text-after", "brackets-after", "json-and-numpy-conversions"])
+def test_node_array_pieces_end_at_the_closing_bracket(text, value, end, piece_bytes):
+    # what follows the array is the whole-document parse's to judge
+    with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
+        parsed, at = cli._parse_node_array(text, 0)
+    assert at == end and np.array_equal(parsed, value, equal_nan=True)
+
+
+def test_frame_file_load_memory_is_bounded_by_the_file(tmp_path, capsys):
+    # the benchmark's 7,854-node curve frame file: about 2.1 MB of indented text
+    frame, _ = polar_curve_frame(tmp_path, capsys, step="2e-4")
+    tracemalloc.start()
+    try:
+        doc = _load_frame_document(str(frame), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["data"]["matrices"].shape == (7854, 2, 2)
+    assert peak <= frame.stat().st_size + 1_000_000
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.0"])
 def test_verify_tol_must_be_finite_and_not_negative(tmp_path, capsys, tol):
     frame, out = tmp_path / "frame.json", tmp_path / "verdict.json"
@@ -565,35 +674,143 @@ def _set(doc, path, value):
 
 
 @pytest.mark.parametrize(
-    "make, corrupt",
+    "make, corrupt, message",
     [
-        (_grid_frame, lambda doc: [doc]),
-        (_grid_frame, lambda doc: dict(doc, data=[doc["data"]])),
-        (_grid_frame, lambda doc: dict(doc, locus=[doc["locus"]])),
-        (_grid_frame, lambda doc: _set(doc, ("data", "matrices"), {"a": 1})),
-        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), {"a": 1})),
-        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes"), {"a": 1})),
-        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), 0.5)),
-        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), {"a": 1})),
-        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), 0.5)),
-        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "s"), {"a": 1})),
-        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs", 0), 1)),
-        (_curve_frame, lambda doc: _set(doc, ("field",), 1)),
-        (_grid_frame, lambda doc: dict(doc, kind=["grid"])),
-        (_grid_frame, lambda doc: dict(doc, kind={"grid": 1})),
+        (_grid_frame, lambda doc: [doc], "frame file root must be an object"),
+        (_grid_frame, lambda doc: dict(doc, data=[doc["data"]]),
+         "grid frame 'data' must be a JSON dict"),
+        (_grid_frame, lambda doc: dict(doc, locus=[doc["locus"]]),
+         "grid frame 'locus' must be an object with a 'grid' entry"),
+        (_grid_frame, lambda doc: _set(doc, ("data", "matrices"), {"a": 1}),
+         "frame matrices must be numbers"),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), {"a": 1}),
+         "grid axis 0 must be numbers"),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes"), {"a": 1}),
+         "grid frame files carry per-axis node arrays"),
+        (_grid_frame, lambda doc: _set(doc, ("locus", "grid", "axes", 0), 0.5),
+         "grid axes must be node arrays"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), {"a": 1}),
+         "curve points must be numbers"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "points"), 0.5),
+         "curve points and matrices disagree"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "s"), {"a": 1}),
+         "curve parameters must be numbers"),
+        (_curve_frame, lambda doc: _set(doc, ("locus", "curve", "exprs", 0), 1),
+         "locus[curve][exprs][0]: expression must be a string, not int"),
+        (_curve_frame, lambda doc: _set(doc, ("field",), 1), "field: expected a list of 2 entries"),
+        (_grid_frame, lambda doc: dict(doc, kind=["grid"]), "unknown frame kind ['grid']"),
+        (_grid_frame, lambda doc: dict(doc, kind={"grid": 1}), "unknown frame kind {'grid': 1}"),
     ],
     ids=["root-list", "data-list", "locus-list", "grid-matrices-object", "grid-axis-object",
          "grid-axes-object", "grid-axis-number", "curve-points-object", "curve-points-number",
          "curve-s-object", "curve-expr-number", "curve-field-number", "kind-list",
          "kind-object"],
 )
-def test_malformed_frame_document_exits_2(tmp_path, capsys, make, corrupt):
+def test_malformed_frame_document_exits_2(tmp_path, capsys, make, corrupt, message):
     spec, frame = make(tmp_path)
     frame.write_text(json.dumps(corrupt(json.loads(frame.read_text()))))
     capsys.readouterr()
     assert run("verify", spec, str(frame)) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+_NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+def _with_number(data: bytes, k: int, text: bytes) -> bytes:
+    """``data`` with the k-th number after its "matrices" key replaced by ``text``."""
+    match = next(itertools.islice(_NUMBER.finditer(data, data.index(b'"matrices"')), k, None))
+    return data[: match.start()] + text + data[match.end() :]
+
+
+def _inserted(data: bytes, key: bytes, text: bytes) -> bytes:
+    """``data`` with ``text`` 2,000 bytes past its quoted ``key``."""
+    at = data.index(b'"%s"' % key) + 2_000
+    return data[:at] + text + data[at:]
+
+
+# The polar curve frame file at step 0.01 (158 nodes), its bytes corrupted: number 401 after
+# "matrices" is in node 100; "points" comes after "matrices" and "s", so a refusal there is
+# placed in the file's text as a whole.
+FRAME_BYTE_REFUSALS = {
+    "truncated-in-matrices": (
+        lambda d: d[: d.index(b'"matrices"') + 20_000],
+        "frame file is not valid JSON: Expecting value: line 1124 column 9 (char 20246)"),
+    "string-in-row": (lambda d: _with_number(d, 401, b'"x"'), "frame matrices must be numbers"),
+    "nan-in-row": (lambda d: _with_number(d, 401, b"NaN"), "frame matrices must be finite numbers"),
+    "ragged-row": (lambda d: _with_number(d, 401, b"0, 7"), "frame matrices must be numbers"),
+    "leading-zero": (lambda d: _with_number(d, 401, b"01"),
+                     "frame file is not valid JSON: Expecting ',' delimiter: line 1018 column 12 "
+                     "(char 18317)"),
+    "leading-dot": (lambda d: _with_number(d, 401, b".5"),
+                    "frame file is not valid JSON: Expecting value: line 1018 column 11 "
+                    "(char 18316)"),
+    "plus-sign": (lambda d: _with_number(d, 401, b"+1"),
+                  "frame file is not valid JSON: Expecting value: line 1018 column 11 "
+                  "(char 18316)"),
+    "trailing-comma-in-points": (
+        lambda d: d.replace(b']\n      ],\n      "s0"', b'],\n      ],\n      "s0"'),
+        "frame file is not valid JSON: Expecting value: line 2396 column 7 (char 42079)"),
+    "key-in-string": (
+        lambda d: d.replace(b'"verifier": {', b'"verifier": {"note": "a, "matrices": [1, 2]", '),
+        "frame file is not valid JSON: Expecting ',' delimiter: line 2401 column 29 (char 42154)"),
+    "crlf-trailing-comma-in-points": (
+        lambda d: d.replace(b']\n      ],\n      "s0"', b'],\n      ],\n      "s0"').replace(
+            b"\n", b"\r\n"),
+        "frame file is not valid JSON: Expecting value: line 2396 column 7 (char 42079)"),
+    # the float literal the spliced arrays stand in for must not be one the file holds
+    "placeholder-literal": (lambda d: d.replace(b'"dimension": 2', b'"dimension": 1e-9990'),
+                            "frame dimension 0.0 does not match spec dimension 2"),
+    "utf8-bom": (lambda d: b"\xef\xbb\xbf" + d,
+                 "frame file is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                 "line 1 column 1 (char 0)"),
+    "utf16": (lambda d: d.decode().encode("utf-16"),
+              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "invalid-utf8-in-points": (lambda d: _inserted(d, b"points", b"\xff"),
+                               "'utf-8' codec can't decode byte 0xff in position 34702: "
+                               "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("piece_bytes", [64, cli._PIECE_BYTES], ids=["small-pieces", "pieces"])
+@pytest.mark.parametrize("case", list(FRAME_BYTE_REFUSALS))
+def test_frame_file_bytes_keep_their_refusals(tmp_path, capsys, monkeypatch, case, piece_bytes):
+    # the node arrays are parsed from the bytes in pieces; every refusal keeps the exit code
+    # and message of one json.loads of the file's text
+    corrupt, message = FRAME_BYTE_REFUSALS[case]
+    frame, _ = polar_curve_frame(tmp_path, capsys)
+    data = frame.read_bytes()
+    frame.write_bytes(corrupt(data))
+    assert frame.read_bytes() != data
+    monkeypatch.setattr(cli, "_PIECE_BYTES", piece_bytes)
+    assert run("verify", POLAR, str(frame)) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+FRAME_BYTE_EQUIVALENTS = {
+    "compact": lambda d: json.dumps(json.loads(d), separators=(",", ":")).encode(),
+    "crlf": lambda d: d.replace(b"\n", b"\r\n"),
+    "escaped-key": lambda d: d.replace(b'"s": [', b'"\\u0073": ['),
+    "key-text-in-string": lambda d: d.replace(b'"name": "normframes"',
+                                              b'"name": "a, \\"matrices\\": [1, 2]"'),
+    # node 0 is the identity
+    "number-forms": lambda d: functools.reduce(
+        lambda t, kv: _with_number(t, *kv), enumerate([b"10E-1", b"-0", b"0.0e+7", b"1e0"]), d),
+}
+
+
+@pytest.mark.parametrize("piece_bytes", [64, cli._PIECE_BYTES], ids=["small-pieces", "pieces"])
+@pytest.mark.parametrize("case", list(FRAME_BYTE_EQUIVALENTS))
+def test_frame_file_layouts_verify_alike(tmp_path, capsys, monkeypatch, case, piece_bytes):
+    frame, _ = polar_curve_frame(tmp_path, capsys)
+    assert run("verify", POLAR, str(frame)) == EXIT_OK
+    report = capsys.readouterr().out
+    data = frame.read_bytes()
+    frame.write_bytes(FRAME_BYTE_EQUIVALENTS[case](data))
+    assert frame.read_bytes() != data
+    monkeypatch.setattr(cli, "_PIECE_BYTES", piece_bytes)
+    assert run("verify", POLAR, str(frame)) == EXIT_OK
+    assert capsys.readouterr() == (report, "")
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,28 @@ def random_edges(shape):
 LATTICES = [((9,), (4,)), ((5, 4), (2, 1)), ((4, 3, 5), (1, 1, 2))]  # interior bases
 
 
+@pytest.mark.parametrize("shape", [(70, 40), (30, 10, 10)], ids=["2d", "3d"])
+def test_edge_residual_in_blocks_equals_the_whole_array_form(shape):
+    # more than _M_CALL_POINTS // 2 edges along each axis: measured in several blocks
+    rng = np.random.default_rng(5)
+    matrices = rng.standard_normal(shape + (2, 2)) + 3.0 * np.eye(2)
+    axes = [np.cumsum(rng.uniform(0.5, 1.5, c)) for c in shape]
+    props = [rng.standard_normal(tuple(c - (d == a) for d, c in enumerate(shape)) + (2, 2))
+             for a in range(len(shape))]
+    expected = (0.0, None)
+    for axis, (ax, p) in enumerate(zip(axes, props)):
+        assert p.size // 4 > frames._M_CALL_POINTS // 2
+        head = matrices[(slice(None),) * axis + (slice(None, -1),)]
+        tail = matrices[(slice(None),) * axis + (slice(1, None),)]
+        spacing = np.diff(ax).reshape([-1 if d == axis else 1 for d in range(len(shape))])
+        values = np.max(np.abs(np.linalg.solve(tail, p @ head - tail)), axis=(-2, -1)) / spacing
+        k = int(np.argmax(values))
+        if values.flat[k] > expected[0]:
+            node = [int(i) for i in np.unravel_index(k, values.shape)]
+            expected = (float(values.flat[k]), {"node": node, "axis": axis})
+    assert frames.grid_edge_residual(axes, matrices, props) == expected
+
+
 @pytest.mark.parametrize("shape, base", LATTICES)
 def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape, base):
     forward, backward, b0 = random_edges(shape)

@@ -102,6 +102,19 @@ def test_curve_lattice_equals_one_job_transport_bit_for_bit(polar_connection, po
     assert np.array_equal(result.matrices, one_job_curve_matrices(polar_connection, x, curve, b0))
 
 
+def test_directional_residuals_in_blocks_equal_the_whole_array_defect(polar_connection,
+                                                                      polar_circle):
+    curve, x = polar_circle
+    curve = CurveSpec(curve.exprs, curve.interval, 0.75, 2e-4)  # 7,854 nodes: two blocks
+    result = transport_along_curve(polar_connection, x, curve, np.eye(2))
+    a, s = result.matrices, result.s_values
+    assert len(s) > frames._M_CALL_POINTS + 2
+    m_fn = frames.curve_direction_function(polar_connection, x, curve.exprs)
+    defect = (a[2:] - a[:-2]) / (2.0 * curve.step) + frames._matrices(m_fn(s[1:-1]), 2) @ a[1:-1]
+    assert np.array_equal(result.directional_residuals[1:-1], np.max(np.abs(defect), axis=(1, 2)))
+    assert result.directional_residuals[0] == result.directional_residuals[-1] == 0.0
+
+
 def test_polar_circle_components_vanish_along_tangent(polar_connection, polar_circle):
     # integrated form: re-transport every segment and normalize; this is the
     # transformed-component magnitude along the curve, free of FD error

@@ -45,21 +45,29 @@ def test_failing_ops_are_compared_with_their_messages():
     assert [code for code, *_ in wide] == [0, 0, 0, 0]
 
 
-def test_malformed_frame_files_are_refused_with_one_line():
+def test_tool_frame_files_verify_or_are_refused_with_one_line():
     tool = load_tool()
-    group = tool.malformed_frame_runs()
+    group = tool.frame_file_runs()
     assert [Path(argv[2]).name for argv in group] == [
-        "frame_curve_point_off.json", "frame_kind_list.json", "frame_locus_nan.json",
-        "frame_locus_outside.json"]
+        "frame_curve_compact.json", "frame_curve_crlf.json", "frame_curve_point_off.json",
+        "frame_curve_ragged.json", "frame_curve_truncated.json", "frame_kind_list.json",
+        "frame_locus_nan.json", "frame_locus_outside.json"]
     results = tool.run_group(tool.SRC, group)
     assert [(code, out, err) for code, out, err, _ in results] == [
+        (0, b"", b""),
+        (0, b"", b""),
         (2, b"", b"input error: curve point at s=0.75 is [1.2, 0.75], but the curve passes "
                  b"through [1.0, 0.75] (tolerance 1e-09)\n"),
+        (2, b"", b"input error: frame matrices must be numbers\n"),
+        (2, b"", b"input error: frame file is not valid JSON: Expecting value: line 40 column 8 "
+                 b"(char 646)\n"),
         (2, b"", b"input error: unknown frame kind ['grid']\n"),
         (3, b"", b"domain error: point [1.0, nan] lies outside the chart domain\n"),
         (3, b"", b"domain error: point [-5.0, 0.5] lies outside the chart domain\n"),
     ]
-    assert all(report is None for *_, report in results)
+    # the two layouts of one frame verify alike
+    assert results[0][3] == results[1][3] and b'"pass": true' in results[0][3]
+    assert all(report is None for *_, report in results[2:])
 
 
 def test_flags_no_construction_reads_are_refused_with_one_line():

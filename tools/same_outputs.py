@@ -12,9 +12,12 @@ its domain box: ``analyze`` and ``frame ... point`` at the pole and away
 from it, and ``frame ... flat`` over the box.  ``analyze``, a point frame and a flat frame with its ``verify``
 also run on the polar demo spec at ``--probe-seed`` -3 (refused as input)
 and 2**70 (three 32-bit seed words).  ``verify`` also reads the tool's own
-malformed frame files ``tools/specs/frame_*.json`` against the polar demo
-spec: a short curve frame with one point off the curve, a non-string
-``kind``, and a symbolic locus outside the domain box and at NaN.  Flags
+frame files ``tools/specs/frame_*.json`` against the polar demo spec, laid
+out or broken as this program never writes them: a short curve frame as
+one line of compact JSON, with CRLF line ends, with one ragged matrix row,
+cut off inside its matrices, and with one point off the curve; a
+non-string ``kind``; and a symbolic locus outside the domain box and at
+NaN.  Flags
 that no construction reads run on the polar demo spec: ``verify --tol`` -1
 and NaN, and ``--probe-seed`` on a curve frame.  Each op runs as a fresh
 ``python -m normframes.cli``, once with ``PARENT_SRC`` and once with this
@@ -39,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMO_SPECS = ROOT / "demos" / "specs"
 POLE_SPEC = ROOT / "tools" / "specs" / "w_pole.json"
-MALFORMED_FRAMES = sorted((ROOT / "tools" / "specs").glob("frame_*.json"))
+FRAME_FILES = sorted((ROOT / "tools" / "specs").glob("frame_*.json"))
 POLE, AWAY = "r=1.0,theta=0.5", "r=1.5,theta=0.5"
 PROBE_SEEDS = (-3, 2**70)
 SEEDS = (3, 5, 7)
@@ -99,11 +102,11 @@ def probe_seed_runs(seed: int) -> list:
             ("verify", path, "flat.json", "--out", "verify.json")]
 
 
-def malformed_frame_runs() -> list:
-    """verify of each malformed frame file against the polar demo spec."""
+def frame_file_runs() -> list:
+    """verify of each of the tool's frame files against the polar demo spec."""
     path = str(DEMO_SPECS / "polar_euclidean.json")
     return [("verify", path, str(frame), "--out", f"verify{k}.json")
-            for k, frame in enumerate(MALFORMED_FRAMES)]
+            for k, frame in enumerate(FRAME_FILES)]
 
 
 def flag_runs() -> list:
@@ -152,7 +155,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent_src} holds no normframes package")
     groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
               + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
-              + [malformed_frame_runs(), flag_runs()])
+              + [frame_file_runs(), flag_runs()])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
         print(line)
