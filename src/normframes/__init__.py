@@ -56,8 +56,6 @@ from .derivation import (
     SymbolicTransform,
     WTemplate,
     apply_derivation,
-    connection_sigma,
-    covariant_derivative,
     linearity_probe,
     symmetrize_connection,
     template_symbols,
@@ -65,12 +63,10 @@ from .derivation import (
     w_of,
 )
 from .curvature import (
-    IntegrabilityReport,
     ProbeForms,
     Verdict,
     curvature_matrix,
     curvature_tensor,
-    integrability_residual,
     is_flat,
     is_torsion_free,
     sampled_verdict,

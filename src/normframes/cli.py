@@ -214,10 +214,21 @@ def _require(cond: bool, message: str):
 
 
 def _numbers(value, what: str, array: bool = False):
-    """``value`` as a float, or as a float array; anything else is an input error."""
+    """``value``, a JSON number, as a float, or nested lists of them as a
+    float array; a node array parsed in pieces arrives as a float array
+    already.  Anything else, a string, a boolean or null among it, is an
+    input error."""
+    if isinstance(value, np.ndarray):
+        return value
+    items = [value]
+    for item in items:  # grows by the items of each list met
+        if array and isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must be numbers")
     try:
         return np.asarray(value, dtype=float) if array else float(value)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):
         raise ValueError(f"{what} must be numbers") from None
 
 
@@ -587,31 +598,18 @@ _FRAME_LAYOUT = {"symbolic": (list, "point", list), "curve": (dict, "curve", dic
 # largest |file point - curve(s)| per coordinate of a curve frame file, relative to
 # max(1, |curve(s)|); the files this program writes hold curve(s) to the last bit
 _CURVE_POINT_TOL = 1e-9
-# the keys of a curve or grid frame file that hold one number, or one array, per node
-_NODE_ARRAYS = frozenset({"matrices", "s", "points"})
 
 
 # bytes of a node array's text parsed at a time: about 250 numbers as this
 # program writes them; larger pieces measured a higher peak, smaller ones slower
 _PIECE_BYTES = 1 << 13
-_NODE_KEYS = frozenset(key.encode() for key in _NODE_ARRAYS)
+# the keys of a curve or grid frame file that hold one number, or one array, per node
+_NODE_KEYS = frozenset({b"matrices", b"s", b"points"})
 _NODE_KEY_BYTES = max(map(len, _NODE_KEYS)) + 1  # a key and its opening quote
 _JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 _JSON_DECODER = json.JSONDecoder()
-
-
-def _node_arrays(block: dict) -> dict:
-    """A JSON object of a frame file, its node arrays (the keys of
-    _NODE_ARRAYS) turned into float arrays as the object closes.  A value
-    that :func:`_parse_frame_text` parsed in pieces arrives as a float array
-    already.  A value that does not convert is kept as parsed, for
-    :func:`_numbers` to refuse."""
-    for key in _NODE_ARRAYS.intersection(block):
-        try:
-            block[key] = np.asarray(block[key], dtype=float)
-        except (TypeError, ValueError):
-            pass
-    return block
+# every byte of a JSON array of numbers: digits, signs, '.', exponents, brackets, commas, space
+_NUMBER_BYTES = b"0123456789+-.eE[], \t\n\r"
 
 
 def _decoded(data: bytes) -> str:
@@ -623,7 +621,7 @@ def _decoded(data: bytes) -> str:
 def _node_array_starts(data: bytes) -> list:
     """The index of the '[' of each node array's value in ``data``, in order.
     Every quote is taken as the start of a string up to the next quote; a
-    key of _NODE_ARRAYS counts when it is followed, past whitespace, by ':'
+    key of _NODE_KEYS counts when it is followed, past whitespace, by ':'
     and '['.  In valid JSON that is an object key and its array, whatever
     the quotes around it; in text that is not, the whole-document parse
     refuses the rest along with it."""
@@ -647,12 +645,12 @@ def _parse_node_array(data: bytes, start: int):
     The array is cut at its top-level commas, found with ``find`` and bracket
     ``count``s, into pieces of about _PIECE_BYTES; each piece is parsed as
     a list (``raw_decode``, which also finds the ']' that closes the array)
-    and converted on its own.  Each piece must parse as a non-empty list and
-    convert to rows of the first piece's shape, so the array text is valid
-    JSON and its value is ``np.asarray`` of the whole list.  A byte outside
-    ASCII reads as U+FFFD, which JSON takes only inside a string and
-    ``float`` never, so an array taken is ASCII.  A string holding a bracket
-    or comma can misplace a cut, but then a piece does not parse."""
+    and converted on its own.  Each piece must parse as a non-empty list,
+    hold only _NUMBER_BYTES up to the end of the array, and convert to rows
+    of the first piece's shape, so the array text is valid JSON, its
+    entries are numbers and its value is ``np.asarray`` of the whole list.
+    An array with a string, boolean or null in it is left to the
+    whole-document parse and :func:`_numbers`, which refuses it."""
     rows, cut, at, depth = [], start + 1, start + 1, 1
     while True:
         comma = data.find(b",", max(at, cut + _PIECE_BYTES))
@@ -664,8 +662,10 @@ def _parse_node_array(data: bytes, start: int):
         text = "[" + data[cut:stop].decode("ascii", "replace") + "]"
         try:
             values, end = _JSON_DECODER.raw_decode(text)
+            if data[cut : cut + end - 1].translate(None, _NUMBER_BYTES):
+                return None  # up to the ']' that closes the array, or the comma that ends the piece
             piece = np.asarray(values, dtype=float)
-        except (TypeError, ValueError, OverflowError, RecursionError):
+        except (ValueError, OverflowError, RecursionError):
             return None
         if not len(piece) or (rows and piece.shape[1:] != rows[0].shape[1:]):
             return None
@@ -679,14 +679,14 @@ def _parse_node_array(data: bytes, start: int):
 
 def _parse_frame_text(data: bytes):
     """``json.loads`` of the text of ``data`` (read as ``Path.read_text``
-    reads it) with the :func:`_node_arrays` hook, without holding the text
-    together with the nested lists of every number.
+    reads it), without holding the text together with the nested lists of
+    every number.
 
     Each node array that :func:`_parse_node_array` takes is parsed from the
     bytes in pieces, then spliced back into the one whole-document parse as
     a float literal that occurs nowhere in the text around the arrays, which
     ``parse_float`` maps back to the array.  An array it refuses stays in
-    the text, so the hook and :func:`_numbers` see it as before.  When that
+    the text and reaches :func:`_numbers` as nested lists.  When that
     text is refused (not valid JSON, bytes the encoding refuses), the whole
     of ``data`` is parsed at once, so the error and its position are those
     of the file."""
@@ -707,11 +707,11 @@ def _parse_frame_text(data: bytes):
         text = kept[0] + b"".join(token + b" " + part  # the space ends the number
                                   for token, part in zip(tokens, kept[1:]))
         try:
-            return json.loads(_decoded(text), object_hook=_node_arrays,
+            return json.loads(_decoded(text),
                               parse_float=lambda s: arrays[s] if s in arrays else float(s))
         except ValueError:
             pass
-    return json.loads(_decoded(data), object_hook=_node_arrays)
+    return json.loads(_decoded(data))
 
 
 def _load_frame_document(path: str, n: int) -> dict:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
 
 import numpy as np
 
-from . import matops
 from .expr import Const, Expr, simplify
 from .geometry import (
     DEFAULT_SEED,
@@ -37,17 +35,14 @@ from .derivation import (
 from .rng import Generator
 
 
-def curvature_matrix(
-    deriv: Derivation, x: VectorField, y: VectorField, bracket: Optional[VectorField] = None
-) -> TensorField:
+def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
     """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
     (1,1) tensor field for the fixed pair of fields.  W_X, W_Y, W_{[X,Y]}
-    and the frame derivatives are the ones ``deriv`` keeps per field; a
-    caller that holds [X,Y] passes it as ``bracket``."""
+    and the frame derivatives are the ones ``deriv`` keeps per field."""
     w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
     x_wy = x.contract(w_derivatives(deriv, y))
     y_wx = y.contract(w_derivatives(deriv, x))
-    w_brk = w_of(deriv, commutator(x, y) if bracket is None else bracket).components
+    w_brk = w_of(deriv, commutator(x, y)).components
     # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
     total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
     return TensorField(deriv.frame, 1, 1, simplify(total))
@@ -117,49 +112,6 @@ def torsion_tensor(deriv: Derivation) -> TensorField:
             acc = acc - C.components[i, k, l]
         out[i, k, l] = simplify(acc)
     return TensorField(frame, 1, 2, out)
-
-
-@dataclass
-class IntegrabilityReport:
-    """Residual of the transport compatibility identity at sample points.
-
-    residual(p) = [X,Y](A)(p) + (R(X,Y)(p) + W_{[X,Y]}(p)) A(p); the
-    obstruction norm is the largest |R(X,Y)| entry seen, which does not
-    depend on A.
-    """
-
-    points: np.ndarray
-    residuals: np.ndarray  # (count, n, n)
-    max_residual: float
-    obstruction_norm: float
-
-
-def integrability_residual(
-    deriv: Derivation,
-    x: VectorField,
-    y: VectorField,
-    transform,
-    points: Optional[Sequence] = None,
-) -> IntegrabilityReport:
-    chart = deriv.chart
-    if points is None:
-        pts = chart.sample_points()
-    else:
-        pts = np.array([chart.point(p) for p in points])
-    brk = commutator(x, y)
-    r_val, w_val, a_val, brk_a_val = matops.evaluate_arrays([
-        curvature_matrix(deriv, x, y, brk).components,
-        w_of(deriv, brk).components,
-        transform.entries,
-        brk.apply_to(transform.entries),
-    ], chart.symbols, pts)
-    residuals = brk_a_val + (r_val + w_val) @ a_val
-    return IntegrabilityReport(
-        points=pts,
-        residuals=residuals,
-        max_residual=float(np.max(np.abs(residuals), initial=0.0)),
-        obstruction_norm=float(np.max(np.abs(r_val), initial=0.0)),
-    )
 
 
 @dataclass

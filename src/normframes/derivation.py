@@ -47,7 +47,6 @@ from .geometry import (
     FrameField,
     TensorField,
     VectorField,
-    commutator,
     require_nondegenerate,
 )
 from .rng import Generator
@@ -83,13 +82,6 @@ class SymbolicTransform:
     @classmethod
     def identity(cls, frame: FrameField) -> "SymbolicTransform":
         return cls(frame, matops.constant_exprs(np.eye(frame.dimension)), _validate=False)
-
-    @classmethod
-    def constant(cls, frame: FrameField, values) -> "SymbolicTransform":
-        return cls(frame, matops.constant_exprs(values), _validate=False)
-
-    def evaluate_at(self, point) -> np.ndarray:
-        return matops.evaluate_array(self.entries, self.frame.chart.assignment(point))
 
 
 def _frame_derivative_slots(n: int) -> list[tuple[Symbol, int, int]]:
@@ -161,10 +153,6 @@ class Connection(Derivation):
     def _build_template(self) -> np.ndarray:
         xs = np.array([Sym(s) for s in component_symbols(self.frame.dimension)], dtype=object)
         return self.gamma @ xs
-
-    @classmethod
-    def zero(cls, frame: FrameField) -> "Connection":
-        return cls(frame, np.full((frame.dimension,) * 3, Const(0.0), dtype=object))
 
     def gamma_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.gamma, self.chart.assignment(point))
@@ -268,33 +256,6 @@ def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> Tenso
                 acc = acc - w[k, orig] * t.components[tuple(swapped)]
         out[idx] = simplify(acc)
     return TensorField(frame, p, q, out)
-
-
-def covariant_derivative(deriv: Connection, x: VectorField, y: VectorField) -> VectorField:
-    """(nabla_X Y)^i = X(Y^i) + Gamma^i_{jk} Y^j X^k."""
-    if not isinstance(deriv, Connection):
-        raise VariantError("covariant derivative requires the connection variant")
-    frame = deriv.frame
-    n = frame.dimension
-    x_y = x.contract(y.component_derivatives)  # X(Y^i)
-    comps = []
-    for i in range(n):
-        acc: Expr = x_y[i]
-        for j in range(n):
-            for k in range(n):
-                acc = acc + deriv.gamma[i, j, k] * y.components[j] * x.components[k]
-        comps.append(simplify(acc))
-    return VectorField(frame, comps)
-
-
-def connection_sigma(deriv: Connection, x: VectorField, y: VectorField) -> VectorField:
-    """Sigma_X(Y) = nabla_X(Y) - [X,Y]; the S-map that characterizes nabla."""
-    nab = covariant_derivative(deriv, x, y)
-    brk = commutator(x, y)
-    return VectorField(
-        deriv.frame,
-        [simplify(a - b) for a, b in zip(nab.components, brk.components)],
-    )
 
 
 def symmetrize_connection(deriv: Connection) -> Connection:

@@ -724,15 +724,8 @@ class GridFrame:
     m_functions: list = dataclass_field(repr=False)
 
     @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-    @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
-
-    def point_at(self, index: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.axes[a][i] for a, i in enumerate(index)])
 
     def matrix_at(self, index: tuple[int, ...]) -> np.ndarray:
         return self.matrices[tuple(index)]
@@ -914,11 +907,11 @@ def flat_frame_neighborhood(
 
     Integrates the frame equations along axis-ordered polylines from the
     base node.  Path independence is audited with the same fill in reverse
-    axis order, from the same edge propagators, compared at 10 seeded
-    nodes.  The transformed components are verified at every node in
-    integrated (edge-transport) form.  ``seed`` drives the flatness test,
-    the obstruction reported when it fails, the linearity probe, the
-    pointwise gate's cloud and mixes, and the audit nodes.
+    axis order, from the same edge propagators, compared at every node.
+    The transformed components are verified at every node in integrated
+    (edge-transport) form.  ``seed`` drives the flatness test, the
+    obstruction reported when it fails, the linearity probe, and the
+    pointwise gate's cloud and mixes.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step must be finite and positive, got {h!r}")
@@ -960,13 +953,9 @@ def flat_frame_neighborhood(
     shape = tuple(len(ax) for ax in axes)
     values = _fill_lattice(shape, base_index, b0, forward, backward)
 
-    # path-independence audit: the same fill in reverse axis order, at seeded nodes
+    # path-independence audit: the same fill in reverse axis order, at every node
     alt = _fill_lattice_reversed(shape, base_index, b0, forward, backward)
-    rng = Generator(seed)
-    audit_dev = 0.0
-    for _ in range(10):
-        target = tuple(rng.integers(0, s) for s in shape)
-        audit_dev = max(audit_dev, float(np.max(np.abs(alt[target] - values[target]))))
+    audit_dev = float(np.max(np.abs(alt - values)))
     if audit_dev > GRID_TOL:
         raise VerificationError(
             f"path-independence audit failed (deviation {audit_dev:.3e} > {GRID_TOL:.1e})"

@@ -321,34 +321,14 @@ class TensorField:
         n = self.frame.dimension
         rank = self.p + self.q
         comps = np.asarray(self.components, dtype=object)
-        if rank == 0:
-            comps = comps.reshape(())
         expected = (n,) * rank
         if comps.shape != expected:
             comps = comps.reshape(expected)
         self.components = comps
 
     @classmethod
-    def scalar(cls, frame: FrameField, f: Expr) -> "TensorField":
-        arr = np.empty((), dtype=object)
-        arr[()] = f
-        return cls(frame, 0, 0, arr)
-
-    @classmethod
     def from_vector(cls, x: VectorField) -> "TensorField":
         return cls(x.frame, 1, 0, np.array(x.components, dtype=object))
-
-    @classmethod
-    def covector(cls, frame: FrameField, components) -> "TensorField":
-        arr = np.empty(frame.dimension, dtype=object)
-        for i, c in enumerate(components):
-            arr[i] = c if isinstance(c, Expr) else Const(float(c))
-        return cls(frame, 0, 1, arr)
-
-    def to_vector(self) -> VectorField:
-        if (self.p, self.q) != (1, 0):
-            raise ValueError("only (1,0) tensors convert to vector fields")
-        return VectorField(self.frame, list(self.components))
 
     def evaluate_at(self, point) -> np.ndarray:
         return matops.evaluate_array(self.components, self.frame.chart.assignment(point))

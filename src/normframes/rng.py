@@ -1,19 +1,17 @@
 """numpy's ``default_rng(seed)`` stream for an int seed, without numpy.random.
 
-Every seeded draw of the package (sample clouds, linearity probes, probe
-fields and the grid audit) comes from here.  Importing ``numpy.random``
-would load nine extension modules and, through ``secrets``, OpenSSL; this
-module returns, bit for bit, what numpy's ``Generator`` returns for the
-three methods the package calls:
+Every seeded draw of the package (sample clouds, linearity probes and
+probe fields) comes from here.  Importing ``numpy.random`` would load nine
+extension modules and, through ``secrets``, OpenSSL; this module returns,
+bit for bit, what numpy's ``Generator`` returns for the two methods the
+package calls:
 
 * ``SeedSequence`` mixes the seed's 32-bit words into a pool of four and
   hashes the pool out to four 64-bit words;
 * PCG64 seeds its 128-bit LCG from them (``setseq``) and outputs XSL-RR
   128/64 (O'Neill, "PCG: A family of simple fast space-efficient
   statistically good algorithms for random number generation", 2014);
-* ``random`` is (u >> 11) 2^-53, ``uniform`` is low + (high - low) u, and
-  ``integers`` uses Lemire's method ("Fast random integer generation in an
-  interval", 2019) on the generator's buffered 32-bit halves.
+* ``random`` is (u >> 11) 2^-53, and ``uniform`` is low + (high - low) u.
 """
 
 from __future__ import annotations
@@ -73,20 +71,11 @@ class Generator:
         w0, w1, w2, w3 = seed_words(seed)
         self._inc = (w2 << 64 | w3) << 1 & MASK128 | 1
         self._state = ((self._inc + (w0 << 64 | w1)) * PCG_MULTIPLIER + self._inc) & MASK128
-        self._half = None  # the high half of the last 64-bit output that next32 split
 
     def _next64(self) -> int:
         self._state = state = (self._state * PCG_MULTIPLIER + self._inc) & MASK128
         x, rot = (state >> 64 ^ state) & MASK64, state >> 122
         return (x >> rot | x << (64 - rot)) & MASK64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        out = self._next64()
-        self._half = out >> 32
-        return out & MASK32
 
     def random(self, size=None):
         """Doubles in [0, 1): a float for ``size`` None, else an array of that shape."""
@@ -99,20 +88,3 @@ class Generator:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         low, high = float(low), float(high)
         return low + (high - low) * self.random(size)
-
-    def integers(self, low: int, high: int) -> int:
-        """One int in [low, high), a range of at most 2^32 values; none is
-        drawn when the range holds one value."""
-        span = high - low
-        if span < 1:
-            raise ValueError("low >= high")
-        if span > 1 << 32:
-            raise ValueError("the range exceeds 2**32 values")
-        if span == 1:
-            return low
-        m = self._next32() * span
-        if m & MASK32 < span:
-            threshold = (1 << 32) % span
-            while m & MASK32 < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)

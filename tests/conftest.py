@@ -39,7 +39,7 @@ def plane_frame(plane):
 
 @pytest.fixture(scope="session")
 def zero_connection(plane_frame):
-    return Connection.zero(plane_frame)
+    return Connection(plane_frame, np.zeros((2, 2, 2)))
 
 
 @pytest.fixture(scope="session")

@@ -32,10 +32,20 @@ or closed-form routes are compared against:
   from the base node to one target node along the given axis order, one
   edge at a time, against which ``frames._fill_lattice`` and the path
   audit's reversed fill are checked bit for bit.
+* the transport compatibility identity, ``integrability_residual``:
+  [X,Y](A) + (R(X,Y) + W_{[X,Y]}) A at sample points, which vanishes for a
+  transform of vanishing components and measures the curvature
+  obstruction otherwise.
+
+and three readers of library objects that only tests need: ``to_vector``
+(a (1,0) tensor field as a vector field), ``transform_at`` (a symbolic
+transform's matrix at a point) and ``node_point`` (the coordinates of a
+grid frame's node).
 """
 
 import math
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +66,7 @@ from normframes.expr import (
     to_source,
 )
 from normframes import matops
+from normframes.curvature import curvature_matrix
 from normframes.derivation import (
     PROBE_PAIRS,
     PROBE_TOL,
@@ -207,8 +218,8 @@ def curvature_operator_oracle(deriv, x: VectorField, y: VectorField, z: TensorFi
 
 def torsion_operator_oracle(deriv, x: VectorField, y: VectorField) -> VectorField:
     """Brute-force D_X Y - D_Y X - [X,Y]."""
-    dxy = apply_derivation(deriv, x, TensorField.from_vector(y)).to_vector()
-    dyx = apply_derivation(deriv, y, TensorField.from_vector(x)).to_vector()
+    dxy = to_vector(apply_derivation(deriv, x, TensorField.from_vector(y)))
+    dyx = to_vector(apply_derivation(deriv, y, TensorField.from_vector(x)))
     brk = commutator(x, y)
     return VectorField(deriv.frame, [simplify(a - b - c) for a, b, c in
                                      zip(dxy.components, dyx.components, brk.components)])
@@ -292,3 +303,68 @@ def polyline_product(forward, backward, base, target, order, b0) -> np.ndarray:
             current[axis] -= 1
             a = backward[axis][tuple(current)] @ a
     return a
+
+
+# ---------------------------------------------------------------------------
+# the transport compatibility identity
+
+
+@dataclass
+class IntegrabilityReport:
+    """Residual of the transport compatibility identity at sample points.
+
+    residual(p) = [X,Y](A)(p) + (R(X,Y)(p) + W_{[X,Y]}(p)) A(p); the
+    obstruction norm is the largest |R(X,Y)| entry seen, which does not
+    depend on A.
+    """
+
+    points: np.ndarray
+    residuals: np.ndarray  # (count, n, n)
+    max_residual: float
+    obstruction_norm: float
+
+
+def integrability_residual(deriv, x: VectorField, y: VectorField, transform,
+                           points=None) -> IntegrabilityReport:
+    """The identity for the transform A (a SymbolicTransform) and the pair
+    (X, Y), at ``points`` or on the chart's sample cloud."""
+    chart = deriv.chart
+    if points is None:
+        pts = chart.sample_points()
+    else:
+        pts = np.array([chart.point(p) for p in points])
+    brk = commutator(x, y)
+    r_val, w_val, a_val, brk_a_val = matops.evaluate_arrays([
+        curvature_matrix(deriv, x, y).components,
+        w_of(deriv, brk).components,
+        transform.entries,
+        brk.apply_to(transform.entries),
+    ], chart.symbols, pts)
+    residuals = brk_a_val + (r_val + w_val) @ a_val
+    return IntegrabilityReport(
+        points=pts,
+        residuals=residuals,
+        max_residual=float(np.max(np.abs(residuals), initial=0.0)),
+        obstruction_norm=float(np.max(np.abs(r_val), initial=0.0)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# readers of library objects
+
+
+def to_vector(t: TensorField) -> VectorField:
+    """A (1,0) tensor field as a vector field."""
+    if (t.p, t.q) != (1, 0):
+        raise ValueError("only (1,0) tensors convert to vector fields")
+    return VectorField(t.frame, list(t.components))
+
+
+def transform_at(transform, point) -> np.ndarray:
+    """The matrix A of a symbolic transform at ``point``."""
+    return matops.evaluate_array(transform.entries, transform.frame.chart.assignment(point))
+
+
+def node_point(grid_frame, index) -> np.ndarray:
+    """The coordinates of the grid frame's node at ``index``."""
+    return np.array([ax[i] for ax, i in zip(grid_frame.axes, index)])

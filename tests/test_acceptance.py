@@ -35,7 +35,6 @@ from normframes import (
     frame_at_point_general,
     holonomicity_check,
     identity_seed,
-    integrability_residual,
     linearity_probe,
     shell_component_growth,
     symmetrize_connection,
@@ -52,7 +51,13 @@ from normframes.cli import (
 from normframes.expr import Sym, differentiate, evaluate, parse_expr, to_source
 
 from conftest import affine_fields
-from reference import curvature_operator_oracle, torsion_operator_oracle
+from reference import (
+    curvature_operator_oracle,
+    integrability_residual,
+    node_point,
+    to_vector,
+    torsion_operator_oracle,
+)
 from test_expr import random_expr
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -79,9 +84,9 @@ def test_criterion_01_curvature_oracle_equivalence(all_fixture_derivations):
         for x, y in pairs:
             form = curvature_matrix(deriv, x, y)
             columns = [
-                curvature_operator_oracle(
+                to_vector(curvature_operator_oracle(
                     deriv, x, y, TensorField.from_vector(frame.coordinate_vector(j))
-                ).to_vector()
+                ))
                 for j in range(2)
             ]
             tensor = curvature_tensor(deriv) if isinstance(deriv, Connection) else None
@@ -133,11 +138,11 @@ def test_criterion_03_flat_frame_neighborhood_positive(polar_flat_frame):
             [[np.cos(theta), np.sin(theta)], [-np.sin(theta) / r, np.cos(theta) / r]]
         )
 
-    p0 = polar_flat_frame.point_at(polar_flat_frame.base_index)
+    p0 = node_point(polar_flat_frame, polar_flat_frame.base_index)
     correction = np.linalg.inv(cartesian(*p0))
     oracle_worst = 0.0
     for idx in np.ndindex(21, 21):
-        pt = polar_flat_frame.point_at(idx)
+        pt = node_point(polar_flat_frame, idx)
         oracle_worst = max(
             oracle_worst,
             float(np.max(np.abs(polar_flat_frame.matrices[idx] - cartesian(*pt) @ correction))),

@@ -452,10 +452,17 @@ def test_curve_frame_points_within_tolerance_verify(tmp_path, capsys):
     ("points", [[1.0, 0.0], [1.0]], "curve points must be numbers"),
     ("points", [[1.0, 0.0]], "curve points and matrices disagree"),
     ("s", {"first": 0.0}, "curve parameters must be numbers"),
-], ids=["matrices-string", "points-ragged", "points-count", "s-object"])
+    ("matrices", [[[True, "0"], ["0.0", True]]], "frame matrices must be numbers"),
+    ("matrices", [[[1.0, 0.0], [0.0, None]]], "frame matrices must be numbers"),
+    ("points", [[1.0, 0.0], [1.0, False]], "curve points must be numbers"),
+    ("points", None, "curve points must be numbers"),
+    ("s", ["0", 0.5], "curve parameters must be numbers"),
+    ("s", [0.0, None], "curve parameters must be numbers"),
+], ids=["matrices-string", "points-ragged", "points-count", "s-object", "matrices-bool-and-string",
+        "matrices-null", "points-bool", "points-null", "s-string", "s-null"])
 def test_curve_frame_node_arrays_keep_their_messages(tmp_path, capsys, key, value, message):
     # the node arrays turn into float arrays as the file is parsed; a value that cannot stays
-    # as it was, and the verifier refuses it with the message it always gave
+    # as it was, and the verifier refuses it: only JSON numbers count as numbers
     frame, doc = polar_curve_frame(tmp_path, capsys)
     loaded = _load_frame_document(str(frame), 2)
     assert all(isinstance(v, np.ndarray) for v in (loaded["data"]["matrices"],
@@ -520,7 +527,8 @@ def test_node_arrays_in_pieces_equal_one_json_parse(rows, shapes, numbers, inden
     for path, piece in zip(NODE_ARRAY_PATHS, pieces):
         want = np.asarray(functools.reduce(operator.getitem, path, expected), dtype=float)
         got = functools.reduce(operator.getitem, path, loaded)
-        assert isinstance(got, np.ndarray)
+        assert isinstance(got, np.ndarray) == bool(rows)  # an empty array stays a list
+        got = np.asarray(got, dtype=float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if rows:  # taken in pieces, up to the ']' that closes it
             assert piece[0].shape == want.shape and piece[0].tobytes() == want.tobytes()
@@ -539,6 +547,7 @@ def test_node_array_keys_count_only_as_object_keys():
 @pytest.mark.parametrize("text", [
     b"[]", b"[1, 2,]", b"[, 1]", b"[1,, 2]", b"[[1, 2], [3, 4, 5]]", b"[[1, 2], 3]", b"[1, 2",
     b'["1,]", 2]', b'[1, "\xc3\xa9"]', b"[01]", b"[.5]", b"[+1]", b"[" + b"9" * 400 + b"]",
+    b'[1e999, "2"]', b"[1e999, true]", b"[1e999, null]", b"[[1, 2], [3, false]]",
 ])
 def test_node_array_pieces_refuse_what_is_not_rows_of_numbers(text, piece_bytes):
     with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
@@ -549,8 +558,8 @@ def test_node_array_pieces_refuse_what_is_not_rows_of_numbers(text, piece_bytes)
 @pytest.mark.parametrize("text, value, end", [
     (b"[1] 2]", [1.0], 3),
     (b"[[1, 2], [3, 4]]], [5", [[1.0, 2.0], [3.0, 4.0]], 16),
-    (b'[1e999, "2", true, null]', [np.inf, 2.0, 1.0, np.nan], 24),
-], ids=["text-after", "brackets-after", "json-and-numpy-conversions"])
+    (b"[1e999, -0, 1E+2] 2]", [np.inf, -0.0, 100.0], 17),
+], ids=["text-after", "brackets-after", "json-conversions"])
 def test_node_array_pieces_end_at_the_closing_bracket(text, value, end, piece_bytes):
     # what follows the array is the whole-document parse's to judge
     with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
@@ -822,9 +831,13 @@ def test_frame_file_layouts_verify_alike(tmp_path, capsys, monkeypatch, case, pi
         lambda doc: _set(doc, ("curves", "unit_circle", "interval"), [None, 1]),
         lambda doc: _set(doc, ("curves", "unit_circle", "step"), "fine"),
         lambda doc: _set(doc, ("domain", 0), [None, 2.0]),
+        lambda doc: _set(doc, ("curves", "unit_circle", "step"), "0.5"),
+        lambda doc: _set(doc, ("curves", "unit_circle", "s0"), False),
+        lambda doc: _set(doc, ("domain", 0), ["1.0", 2.0]),
+        lambda doc: _set(doc, ("curves", "unit_circle", "step"), 10**400),
     ],
     ids=["fields-list", "curves-list", "curve-expr-number", "interval-null", "step-string",
-         "domain-null"],
+         "domain-null", "step-number-string", "s0-bool", "domain-number-string", "step-huge-int"],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, corrupt):
     spec = tmp_path / "spec.json"

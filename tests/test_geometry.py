@@ -234,7 +234,7 @@ def test_change_frame_identity(plane, plane_frame):
 def test_change_frame_scaling_halves_components(plane, plane_frame):
     x1, _ = plane.symbols
     x = VectorField(plane_frame, [Sym(x1), Const(1.0)])
-    doubled = SymbolicTransform.constant(plane_frame, 2.0 * np.eye(2))
+    doubled = SymbolicTransform(plane_frame, matops.constant_exprs(2.0 * np.eye(2)))
     out = change_vector_frame(x, doubled)
     for pt in plane.sample_points(6, 23):
         assert np.allclose(out.at(pt), 0.5 * x.at(pt))

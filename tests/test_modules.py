@@ -3,7 +3,28 @@
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "normframes").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "normframes").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_every_export_is_used_by_the_package_or_a_demo():
+    # a name the package exports serves a command or a demo; one that only tests
+    # reach is an oracle and belongs in tests/reference.py.  A reference is a name
+    # or an attribute anywhere in a module or demo, except inside the top-level
+    # definition of that same name.
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for path in SOURCES + DEMOS:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(stmt, "name", None)
+            used.update(ref for node in ast.walk(stmt)
+                        for ref in (getattr(node, "id", None), getattr(node, "attr", None))
+                        if ref is not None and ref != own)
+    unused = [name for name in exported if name not in used]
+    assert exported and DEMOS and not unused, unused
 
 
 def test_no_module_imports_a_private_name_of_another():

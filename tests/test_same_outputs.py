@@ -50,14 +50,15 @@ def test_tool_frame_files_verify_or_are_refused_with_one_line():
     group = tool.frame_file_runs()
     assert [Path(argv[2]).name for argv in group] == [
         "frame_curve_compact.json", "frame_curve_crlf.json", "frame_curve_point_off.json",
-        "frame_curve_ragged.json", "frame_curve_truncated.json", "frame_kind_list.json",
-        "frame_locus_nan.json", "frame_locus_outside.json"]
+        "frame_curve_ragged.json", "frame_curve_strings.json", "frame_curve_truncated.json",
+        "frame_kind_list.json", "frame_locus_nan.json", "frame_locus_outside.json"]
     results = tool.run_group(tool.SRC, group)
     assert [(code, out, err) for code, out, err, _ in results] == [
         (0, b"", b""),
         (0, b"", b""),
         (2, b"", b"input error: curve point at s=0.75 is [1.2, 0.75], but the curve passes "
                  b"through [1.0, 0.75] (tolerance 1e-09)\n"),
+        (2, b"", b"input error: frame matrices must be numbers\n"),
         (2, b"", b"input error: frame matrices must be numbers\n"),
         (2, b"", b"input error: frame file is not valid JSON: Expecting value: line 40 column 8 "
                  b"(char 646)\n"),

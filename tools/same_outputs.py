@@ -16,6 +16,7 @@ frame files ``tools/specs/frame_*.json`` against the polar demo spec, laid
 out or broken as this program never writes them: a short curve frame as
 one line of compact JSON, with CRLF line ends, with one ragged matrix row,
 cut off inside its matrices, and with one point off the curve; a
+four-node curve frame with JSON strings and booleans for numbers; a
 non-string ``kind``; and a symbolic locus outside the domain box and at
 NaN.  Flags
 that no construction reads run on the polar demo spec: ``verify --tol`` -1
