@@ -8,10 +8,11 @@ subtrees: one node object can be a child of many parents.  Nodes are
 ``==`` when they have the same class and equal fields, as frozen dataclasses
 would be.  Folding, differentiation, free symbols and compilation visit each
 distinct node once; the first two through a memo keyed by node identity that
-lives for one public call.  Compilation lays the nodes out as one tape of
-numpy operations and generates no Python source; it is the one numeric
-evaluator, at a single point (:func:`evaluate`) as on a point set.  All
-operations here are pure functions, so concurrent read access is safe.
+lives for one public call.  The fold applies one rule per node kind and skips
+the other factor of a zero product; frame derivatives are folded as built.
+Compilation lays the nodes out as one tape of numpy operations, generating no
+Python source: the one numeric evaluator, at one point (:func:`evaluate`) as
+on a point set.  All operations are pure, so concurrent reads are safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -32,6 +33,7 @@ constructors.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, Union
@@ -516,15 +518,15 @@ class _Parser:
 
 
 # Longest root-to-leaf path, in nodes, that parse_expr accepts.  Folding,
-# differentiation and printing recurse with one stack frame per level (the
-# folding rules compare trees with the iterative _same), and derived trees
+# differentiation and printing recurse with one stack frame per level of any
+# node kind (the fold's rules and its _same are leaf calls), and derived trees
 # (W templates, frame derivatives, curvature) are a few levels deeper than
 # their inputs.  Under the CLI, at Python's default recursion limit, a sum of
-# terms first overflows at depth 983 in a template entry, 985 in a connection
-# entry and 984 in a frame entry under `analyze` (979, 981 and 978 under
+# terms first overflows at depth 984 in a template entry, 980 in a connection
+# entry and 984 in a frame entry under `analyze` (982, 976 and 978 under
 # `frame ... flat`).  Quotients are the exception: each derivative roughly
-# doubles their depth, so a connection entry of 328 terms `(2+x1)` joined by
-# `/` overflows under `analyze` (327 under `frame ... flat`).
+# triples their depth, so a connection entry of 330 terms `(2+x1)` joined by
+# `/` overflows under `analyze` (328 under `frame ... flat`).
 MAX_DEPTH = 400
 
 
@@ -623,10 +625,12 @@ def differentiate(e, s: Symbol):
     return _entrywise(_diff, e, s)
 
 
-def _diff(e: Expr, s: Symbol, memo: dict) -> Expr:
+def _diff(e: Expr, s: Symbol, memo: dict, fold=None) -> Expr:
     """d e / d s, recorded in ``memo`` (node id -> derivative) so a subtree
     that occurs many times is differentiated once; its copies share the
-    result."""
+    result.  With ``fold`` = (a fold memo, a list that keeps what it maps
+    alive), each node's derivative is folded as soon as it is built, and is
+    its own fold in that memo, so no fold walks it again."""
     kind = type(e)
     if kind is Const:
         return ZERO
@@ -636,13 +640,25 @@ def _diff(e: Expr, s: Symbol, memo: dict) -> Expr:
     out = memo.get(key)
     if out is None:
         if kind in _BINARY_OPS:
-            out = _derivative(e, _diff(e.left, s, memo), _diff(e.right, s, memo))
+            da, db = _diff(e.left, s, memo, fold), _diff(e.right, s, memo, fold)
         elif kind is Neg or kind is Call:
-            out = _derivative(e, _diff(e.arg, s, memo), None)
+            da, db = _diff(e.arg, s, memo, fold), None
         elif kind is Pow:
-            out = _derivative(e, _diff(e.base, s, memo), _diff(e.exponent, s, memo))
+            da, db = _diff(e.base, s, memo, fold), _diff(e.exponent, s, memo, fold)
         else:
             raise TypeError(f"not an Expr: {e!r}")
+        if fold is None:
+            out = _derivative(e, da, db)
+        # below zero derivatives these kinds' derivatives fold to ZERO; Neg's
+        # folds to -0.0, and a quotient's or u^v's keeps a 0/0 where one occurs
+        elif (da is ZERO and (db is ZERO or db is None) and kind is not Neg and kind is not Div
+              and (kind is not Pow or type(e.exponent) is Const)):
+            out = ZERO
+        else:
+            raw = _derivative(e, da, db)
+            out = _fold(raw, {}, fold[0])
+            fold[0][id(out)] = out
+            fold[1].extend((raw, out))
         memo[key] = out
     return out
 
@@ -686,14 +702,11 @@ def _derivative(e: Expr, da: Expr, db) -> Expr:
 
 # Value-preserving rules only: constant folding plus the identity rules
 # x+0, 0+x, x-0, 0-x, x*1, 1*x, x*0, 0*x, x/1, 0/x, x^1, x^0, --x,
-# and structural cancellation x-x, x+(-x).
+# and structural cancellation x-x, x+(-x).  A constant fold whose IEEE
+# result is not finite keeps its node, so the tape raises DomainError on it.
 # No canonicalization and no trig rewriting: downstream verdicts are decided
 # numerically at sample points, so a canonical form buys nothing and risks
 # changing evaluation behavior.
-
-
-def _is_const(e: Expr, value: float) -> bool:
-    return type(e) is Const and e.value == value
 
 
 def _same(a: Expr, b: Expr) -> bool:
@@ -731,7 +744,13 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
     folding any of these again changes nothing.  Returns ``e`` itself when
     nothing changes anywhere in it, so such subtrees stay shared.  ``memo``
     (node id -> folded node) lives for one public call, so a subtree that
-    occurs many times is folded once and its copies share the result."""
+    occurs many times is folded once and its copies share the result.
+
+    Each composite node is expanded by the rule of its kind in ``_RULES``;
+    ``Const`` and ``Sym`` children are folded in place, without a call, so
+    the walk takes one stack frame per tree level.  A product whose raw
+    right factor is 0, or whose left factor folds to 0, is ``ZERO`` without
+    folding the other factor, as the product rule would give."""
     kind = type(e)
     if kind is Const:
         return e
@@ -739,91 +758,133 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
         return bindings.get(e.symbol, e) if bindings else e
     key = id(e)
     out = memo.get(key)
-    if out is None:
-        if kind in _BINARY_OPS:
-            out = _rewrite(e, _fold(e.left, bindings, memo), _fold(e.right, bindings, memo))
-        elif kind is Neg or kind is Call:
-            out = _rewrite(e, _fold(e.arg, bindings, memo), None)
-        elif kind is Pow:
-            out = _rewrite(e, _fold(e.base, bindings, memo), _fold(e.exponent, bindings, memo))
+    if out is not None:
+        return out
+    if kind in _BINARY_OPS:
+        a, b = e.left, e.right
+    elif kind is Neg or kind is Call:
+        a, b = e.arg, None
+    elif kind is Pow:
+        a, b = e.base, e.exponent
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if kind is Mul and type(b) is Const and b.value == 0.0:
+        out = ZERO
+    else:
+        child = type(a)
+        if child is Sym:
+            a = bindings.get(a.symbol, a) if bindings else a
+        elif child is not Const:
+            a = _fold(a, bindings, memo)
+        if kind is Mul and type(a) is Const and a.value == 0.0:
+            out = ZERO
         else:
-            raise TypeError(f"not an Expr: {e!r}")
-        memo[key] = out
+            child = type(b)
+            if child is Sym:
+                b = bindings.get(b.symbol, b) if bindings else b
+            elif child is not Const and b is not None:
+                b = _fold(b, bindings, memo)
+            out = _RULES[kind](e, a, b)
+    memo[key] = out
     return out
 
 
-def _rewrite(e: Expr, left: Expr, right) -> Expr:
-    """The rules at the composite node ``e`` whose children are already
-    folded to ``left`` and ``right`` (None for one child)."""
-    kind = type(e)
+# The rules at a composite node ``e`` whose children are already folded to
+# ``a`` and ``b`` (None for one child); each returns ``e`` itself when its
+# children did not change and no rule fires.
+
+
+def _const_fold(fn, *values):
+    """``Const(fn(*values))``, or None where the IEEE result is not finite."""
+    try:
+        value = fn(*values)
+    except (ValueError, OverflowError):
+        return None
+    return Const(value) if math.isfinite(value) else None
+
+
+def _fold_neg(e: Neg, a: Expr, _) -> Expr:
+    kind = type(a)
+    if kind is Const:
+        return Const(-a.value)
     if kind is Neg:
-        if isinstance(left, Const):
-            return Const(-left.value)
-        if isinstance(left, Neg):
-            return left.arg
-        return e if left is e.arg else Neg(left)
-    if kind is Add:
-        if _is_const(left, 0.0):
-            return right
-        if _is_const(right, 0.0):
-            return left
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value + right.value)
-        if isinstance(right, Neg) and _same(right.arg, left):
+        return a.arg
+    return e if a is e.arg else Neg(a)
+
+
+def _fold_add(e: Add, a: Expr, b: Expr) -> Expr:
+    ka, kb = type(a), type(b)
+    if ka is Const and a.value == 0.0:
+        return b
+    if kb is Const:
+        if b.value == 0.0:
+            return a
+        if ka is Const and (c := _const_fold(operator.add, a.value, b.value)):
+            return c
+    if (kb is Neg and _same(b.arg, a)) or (ka is Neg and _same(a.arg, b)):
+        return ZERO
+    return e if a is e.left and b is e.right else Add(a, b)
+
+
+def _fold_sub(e: Sub, a: Expr, b: Expr) -> Expr:
+    ka, kb = type(a), type(b)
+    if kb is Const and b.value == 0.0:
+        return a
+    if ka is Const:
+        if a.value == 0.0:
+            return b.arg if kb is Neg else neg(b)
+        if kb is Const and (c := _const_fold(operator.sub, a.value, b.value)):
+            return c
+    if _same(a, b):
+        return ZERO
+    return e if a is e.left and b is e.right else Sub(a, b)
+
+
+def _fold_mul(e: Mul, a: Expr, b: Expr) -> Expr:
+    ka, kb = type(a), type(b)
+    if (ka is Const and a.value == 0.0) or (kb is Const and b.value == 0.0):
+        return ZERO
+    if ka is Const and a.value == 1.0:
+        return b
+    if kb is Const:
+        if b.value == 1.0:
+            return a
+        if ka is Const and (c := _const_fold(operator.mul, a.value, b.value)):
+            return c
+    return e if a is e.left and b is e.right else Mul(a, b)
+
+
+def _fold_div(e: Div, a: Expr, b: Expr) -> Expr:
+    ka, kb = type(a), type(b)
+    if kb is Const and b.value == 1.0:
+        return a
+    if ka is Const and not (kb is Const and b.value == 0.0):
+        if a.value == 0.0:
             return ZERO
-        if isinstance(left, Neg) and _same(left.arg, right):
-            return ZERO
-        return e if left is e.left and right is e.right else Add(left, right)
-    if kind is Sub:
-        if _is_const(right, 0.0):
-            return left
-        if _is_const(left, 0.0):
-            return neg(right) if not isinstance(right, Neg) else right.arg
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value - right.value)
-        if _same(left, right):
-            return ZERO
-        return e if left is e.left and right is e.right else Sub(left, right)
-    if kind is Mul:
-        if _is_const(left, 0.0) or _is_const(right, 0.0):
-            return ZERO
-        if _is_const(left, 1.0):
-            return right
-        if _is_const(right, 1.0):
-            return left
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value * right.value)
-        return e if left is e.left and right is e.right else Mul(left, right)
-    if kind is Div:
-        if _is_const(right, 1.0):
-            return left
-        if _is_const(left, 0.0) and not _is_const(right, 0.0):
-            return ZERO
-        if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
-            return Const(left.value / right.value)
-        return e if left is e.left and right is e.right else Div(left, right)
-    if kind is Pow:
-        base, expo = left, right
-        if _is_const(expo, 1.0):
+        if kb is Const and (c := _const_fold(operator.truediv, a.value, b.value)):
+            return c
+    return e if a is e.left and b is e.right else Div(a, b)
+
+
+def _fold_pow(e: Pow, base: Expr, expo: Expr) -> Expr:
+    if type(expo) is Const:
+        if expo.value == 1.0:
             return base
-        if _is_const(expo, 0.0):
+        if expo.value == 0.0:
             return ONE
-        if isinstance(base, Const) and isinstance(expo, Const):
-            try:
-                value = math.pow(base.value, expo.value)
-            except (ValueError, OverflowError):
-                value = math.inf
-            if math.isfinite(value):
-                return Const(value)
-        return e if base is e.base and expo is e.exponent else Pow(base, expo)
-    if isinstance(left, Const):
-        try:
-            value = _MATH_FUNCS[e.func](left.value)
-        except (ValueError, OverflowError):
-            value = math.inf
-        if math.isfinite(value):
-            return Const(value)
-    return e if left is e.arg else Call(e.func, left)
+        if type(base) is Const and (c := _const_fold(math.pow, base.value, expo.value)):
+            return c
+    return e if base is e.base and expo is e.exponent else Pow(base, expo)
+
+
+def _fold_call(e: Call, a: Expr, _) -> Expr:
+    if type(a) is Const and (c := _const_fold(_MATH_FUNCS[e.func], a.value)):
+        return c
+    return e if a is e.arg else Call(e.func, a)
+
+
+_RULES = {Add: _fold_add, Sub: _fold_sub, Mul: _fold_mul, Div: _fold_div, Pow: _fold_pow,
+          Neg: _fold_neg, Call: _fold_call}
 
 
 def _entrywise(fn, e, arg, memo=None):
@@ -849,6 +910,34 @@ def simplify(e):
     entry by entry and keeps its shape.
     """
     return _entrywise(_fold, e, {})
+
+
+def linear_combination(coefficients, items):
+    """``0 + c1*x1 + c2*x2 + ...`` over the pairs whose coefficient is not a
+    zero constant, unsimplified: the terms left out fold away.  When every
+    coefficient is zero, ``0 * items[0]``, which folds to ZERO (an array of
+    ZERO shaped like one item)."""
+    terms = [c * x for c, x in zip(coefficients, items) if c != ZERO]
+    return sum(terms) if terms else 0 * items[0]
+
+
+def directional_derivatives(e, symbols, matrix) -> np.ndarray:
+    """``simplify`` of ``sum_a matrix[a, i] * d e/d symbols[a]`` for each
+    column i of ``matrix``, stacked along a new first axis: E_i(e) for the
+    frame E_i = matrix[a, i] d/dx^a.  ``e`` is an Expr or an object array.
+
+    The trees are those that simplifying the sums of :func:`differentiate`'s
+    partials gives, built without the raw partials: each node's derivative
+    is folded as soon as it is built, and a node whose children have the
+    derivative ZERO gets ZERO, without a node built, wherever its
+    derivative would fold to ZERO.  One fold memo serves the whole call."""
+    for s in symbols:
+        if s.kind != COORDINATE:
+            raise ValueError(f"can only differentiate along coordinate symbols, got {s.kind}")
+    fold = ({}, [])  # the fold memo, and what it maps by id, alive until the call returns
+    partials = [_entrywise(lambda f, s, memo: _diff(f, s, memo, fold), e, s) for s in symbols]
+    sums = [np.asarray(linear_combination(column, partials), dtype=object) for column in matrix.T]
+    return _entrywise(_fold, np.stack(sums), {}, fold[0])
 
 
 # ---------------------------------------------------------------------------
@@ -924,38 +1013,54 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
               Pow: np.power, Neg: np.negative}
     registers: list = [None] * len(order)  # a constant's value, else None until a call fills it
     slot_of: dict[int, int] = {}  # node id -> register
+
+    def leaf_slot(node):
+        """The register of a leaf, assigned now; None for a composite node."""
+        kind = type(node)
+        if kind is Sym:
+            name = node.symbol.name
+            if name not in slots:
+                raise MissingSymbolError(
+                    f"symbol {name!r} is not part of the compilation signature")
+            slot = slots[name]
+        elif kind is Const:
+            slot = len(registers)
+            registers.append(node.value)
+        elif kind is Call or kind in ufuncs:
+            return None
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        slot_of[id(node)] = slot
+        return slot
+
     segments = []  # (entries, root register) per expression
     for root in exprs:
         entries: list = []
-        stack = [root]
+        # the path from the root to the composite node being expanded; a node
+        # leaves it once both its children have registers
+        stack = [] if id(root) in slot_of or leaf_slot(root) is not None else [root]
         while stack:
             node = stack[-1]
             kind = type(node)
-            if id(node) in slot_of:
-                pass
-            elif kind is Sym:
-                if node.symbol.name not in slots:
-                    raise MissingSymbolError(
-                        f"symbol {node.symbol.name!r} is not part of the compilation signature"
-                    )
-                slot_of[id(node)] = slots[node.symbol.name]
-            elif kind is Const:
-                slot_of[id(node)] = len(registers)
-                registers.append(node.value)
-            elif kind is Call or kind in ufuncs:
-                children = _children(node)
-                pending = [c for c in children if id(c) not in slot_of]
-                if pending:
-                    stack.extend(reversed(pending))
-                    continue
-                fn = getattr(np, node.func) if kind is Call else ufuncs[kind]
-                b = slot_of[id(children[1])] if len(children) > 1 else -1
-                entries.append((fn, len(registers), slot_of[id(children[0])], b))
-                slot_of[id(node)] = len(registers)
-                registers.append(None)
+            if kind is Neg or kind is Call:
+                a, b = node.arg, None
+            elif kind is Pow:
+                a, b = node.base, node.exponent
             else:
-                raise TypeError(f"not an Expr: {node!r}")
+                a, b = node.left, node.right
+            ra = slot_of.get(id(a))
+            if ra is None and (ra := leaf_slot(a)) is None:
+                stack.append(a)
+                continue
+            rb = -1 if b is None else slot_of.get(id(b))
+            if rb is None and (rb := leaf_slot(b)) is None:
+                stack.append(b)
+                continue
             stack.pop()
+            fn = getattr(np, node.func) if kind is Call else ufuncs[kind]
+            slot_of[id(node)] = len(registers)
+            entries.append((fn, len(registers), ra, rb))
+            registers.append(None)
         segments.append((entries, slot_of[id(root)]))
     segments = _release_dead_results(segments, registers, len(order))
 

@@ -21,8 +21,9 @@ from .expr import (
     Expr,
     Symbol,
     coordinate_symbols,
-    differentiate,
+    directional_derivatives,
     free_symbols,
+    linear_combination,
     simplify,
 )
 from .rng import Generator
@@ -214,13 +215,7 @@ class FrameField:
     def frame_derivatives(self, f) -> np.ndarray:
         """Every E_i(f), stacked along a new first axis; each partial
         df/dx^a is taken once."""
-        partials = [differentiate(f, s) for s in self.chart.symbols]
-        return simplify(np.stack([np.asarray(self._along(i, partials), dtype=object)
-                                  for i in range(self.dimension)]))
-
-    def _along(self, i: int, partials):
-        """sum_a B^a_i partials[a], unsimplified."""
-        return sum(self.matrix[a, i] * p for a, p in enumerate(partials))
+        return directional_derivatives(f, self.chart.symbols, self.matrix)
 
     def coordinate_vector(self, i: int) -> "VectorField":
         """The i-th frame field E_i, as a vector field in this frame; the
@@ -284,7 +279,7 @@ class VectorField:
     def contract(self, derivatives):
         """X^k D_k, simplified, for the stack D_k = E_k(f) that
         :meth:`FrameField.frame_derivatives` returns: X(f) from E_k(f)."""
-        return simplify(sum(c * d for c, d in zip(self.components, derivatives)))
+        return simplify(linear_combination(self.components, derivatives))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_frame(self, other)

@@ -14,6 +14,12 @@ failure raises here.
 The module also keeps the symbolic references that the library's numeric
 or closed-form routes are compared against:
 
+* the fold walk in its former shape, ``fold_oracle`` and
+  ``rewrite_oracle``: every child folded, then one chain of rules at the
+  node, so a zero factor's other factor is folded too.  ``expr.simplify``
+  and ``expr.substitute`` (one rule per node kind, zero factors cut short)
+  must give the same trees.
+
 * the push-forward of components through a frame change,
   ``transform_w`` (W' = A^{-1}(W A + X(A)) as expressions in the composed
   frame B A), ``transform_connection``, ``change_vector_frame`` and
@@ -59,10 +65,13 @@ from normframes.expr import (
     MissingSymbolError,
     Mul,
     Neg,
+    ONE,
     Pow,
     Sub,
     Sym,
     Symbol,
+    ZERO,
+    neg,
     to_source,
 )
 from normframes import matops
@@ -138,6 +147,128 @@ def _walk(e, values: dict, memo: dict) -> float:
     memo[id(e)] = out
     return out
 
+
+
+# ---------------------------------------------------------------------------
+# the fold walk as it was before its per-kind rules and zero short-cut
+
+
+def _is_const(e, value: float) -> bool:
+    return type(e) is Const and e.value == value
+
+
+def _finite_const(value: float):
+    """A folded constant, or None when the IEEE result is not finite and the
+    node is kept."""
+    return Const(value) if math.isfinite(value) else None
+
+
+def fold_oracle(e, bindings, memo: dict):
+    """``expr._fold`` by its former walk: every child folded, then one rule
+    chain (:func:`rewrite_oracle`) at the node.  A product with a zero
+    factor folds both factors before giving ZERO."""
+    kind = type(e)
+    if kind is Const:
+        return e
+    if kind is Sym:
+        return bindings.get(e.symbol, e) if bindings else e
+    key = id(e)
+    out = memo.get(key)
+    if out is None:
+        if kind in (Add, Sub, Mul, Div):
+            left = fold_oracle(e.left, bindings, memo)
+            out = rewrite_oracle(e, left, fold_oracle(e.right, bindings, memo))
+        elif kind is Neg or kind is Call:
+            out = rewrite_oracle(e, fold_oracle(e.arg, bindings, memo), None)
+        elif kind is Pow:
+            base = fold_oracle(e.base, bindings, memo)
+            out = rewrite_oracle(e, base, fold_oracle(e.exponent, bindings, memo))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[key] = out
+    return out
+
+
+def rewrite_oracle(e, left, right):
+    """The rules at the composite node ``e`` whose children are already
+    folded to ``left`` and ``right`` (None for one child), as one chain."""
+    kind = type(e)
+    if kind is Neg:
+        if isinstance(left, Const):
+            return Const(-left.value)
+        if isinstance(left, Neg):
+            return left.arg
+        return e if left is e.arg else Neg(left)
+    if kind is Add:
+        if _is_const(left, 0.0):
+            return right
+        if _is_const(right, 0.0):
+            return left
+        if isinstance(left, Const) and isinstance(right, Const):
+            folded = _finite_const(left.value + right.value)
+            if folded is not None:
+                return folded
+        if isinstance(right, Neg) and right.arg == left:
+            return ZERO
+        if isinstance(left, Neg) and left.arg == right:
+            return ZERO
+        return e if left is e.left and right is e.right else Add(left, right)
+    if kind is Sub:
+        if _is_const(right, 0.0):
+            return left
+        if _is_const(left, 0.0):
+            return neg(right) if not isinstance(right, Neg) else right.arg
+        if isinstance(left, Const) and isinstance(right, Const):
+            folded = _finite_const(left.value - right.value)
+            if folded is not None:
+                return folded
+        if left == right:
+            return ZERO
+        return e if left is e.left and right is e.right else Sub(left, right)
+    if kind is Mul:
+        if _is_const(left, 0.0) or _is_const(right, 0.0):
+            return ZERO
+        if _is_const(left, 1.0):
+            return right
+        if _is_const(right, 1.0):
+            return left
+        if isinstance(left, Const) and isinstance(right, Const):
+            folded = _finite_const(left.value * right.value)
+            if folded is not None:
+                return folded
+        return e if left is e.left and right is e.right else Mul(left, right)
+    if kind is Div:
+        if _is_const(right, 1.0):
+            return left
+        if _is_const(left, 0.0) and not _is_const(right, 0.0):
+            return ZERO
+        if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
+            folded = _finite_const(left.value / right.value)
+            if folded is not None:
+                return folded
+        return e if left is e.left and right is e.right else Div(left, right)
+    if kind is Pow:
+        base, expo = left, right
+        if _is_const(expo, 1.0):
+            return base
+        if _is_const(expo, 0.0):
+            return ONE
+        if isinstance(base, Const) and isinstance(expo, Const):
+            try:
+                value = math.pow(base.value, expo.value)
+            except (ValueError, OverflowError):
+                value = math.inf
+            if math.isfinite(value):
+                return Const(value)
+        return e if base is e.base and expo is e.exponent else Pow(base, expo)
+    if isinstance(left, Const):
+        try:
+            value = MATH_FUNCS[e.func](left.value)
+        except (ValueError, OverflowError):
+            value = math.inf
+        if math.isfinite(value):
+            return Const(value)
+    return e if left is e.arg else Call(e.func, left)
 
 # ---------------------------------------------------------------------------
 # the symbolic push-forward through a frame change

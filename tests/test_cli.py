@@ -1025,12 +1025,69 @@ def test_sum_entry_at_max_depth_runs_analyze_and_flat(tmp_path, capsys, where):
     assert capsys.readouterr().err == ""
 
 
+# a connection entry of each node kind, and the frames its walks may take: sums
+# and negations as deep as the parse budget, products whose derivative is about
+# twice as deep, and quotients and powers, three times as deep
+_DEEP_ENTRIES = {
+    "product": ("*".join(["(1+0.001*x1)"] * (MAX_DEPTH - 2)), 2 * MAX_DEPTH + 100),
+    "negation": ("-" * (MAX_DEPTH - 1) + "x1", MAX_DEPTH + 100),
+    "quotient": ("/".join(["(2+x1)"] * 200), 3 * 200 + 100),
+    "power": ("1^" * 200 + "x1", 3 * 200 + 100),
+}
+
+
+@pytest.mark.parametrize("kind", _DEEP_ENTRIES)
+def test_deep_entry_of_every_kind_runs_analyze_and_flat(tmp_path, capsys, kind):
+    # the budgets have about 100 frames to spare; a walk that took two frames
+    # per level of any node kind would need about twice as many
+    entry, budget = _DEEP_ENTRIES[kind]
+    spec = _zero_spec_with_entry(tmp_path, entry)
+    capsys.readouterr()
+    argv = ("analyze", spec, "--at", "x1=0.5,x2=0.5", "--out", str(tmp_path / "a.json"))
+    assert _run_with_frame_budget(budget, *argv) == EXIT_OK
+    argv = ("frame", spec, "flat", "--grid", "5x5", "--out", str(tmp_path / "frame.json"))
+    assert _run_with_frame_budget(budget, *argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("terms, argv", [
+    (328, ("analyze", "--at", "x1=0.5,x2=0.5")),
+    (327, ("frame", "flat", "--grid", "5x5", "--out", "frame.json")),
+], ids=["analyze", "flat"])
+def test_deep_quotient_runs_at_the_default_recursion_limit(tmp_path, terms, argv):
+    # the largest connection entry of terms (2+x1) joined by / that a fresh
+    # CLI process runs: its derivatives are about three times as deep
+    spec = _zero_spec_with_entry(tmp_path, "/".join(["(2+x1)"] * terms))
+    proc = run_fresh(tmp_path, "-m", "normframes.cli", argv[0], spec, *argv[1:])
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
 def _zero_spec_with_entry(tmp_path, entry):
     doc = json.loads(Path(ZERO).read_text())
     doc["derivation"]["connection"]["1,1,1"] = entry
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     return str(spec)
+
+
+@pytest.mark.parametrize("entry, names", [
+    ("1e308*10", "1e+308*10.0 is undefined: overflow encountered in multiply"),
+    ("1e308*10*x1", "1e+308*10.0*x1 is undefined: overflow encountered in multiply"),
+    ("x1*(1e308*10)", "x1*(1e+308*10.0) is undefined: overflow encountered in multiply"),
+    ("1e308+1e308", "1e+308+1e+308 is undefined: overflow encountered in add"),
+    ("-1e308-1e308", "-1e+308-1e+308 is undefined: overflow encountered in subtract"),
+    ("1e308/0.1", "1e+308/0.1 is undefined: overflow encountered in divide"),
+    # the derivative's fold 2*1e308 overflows too, and keeps its node
+    ("1e308^2", "1e+308^2.0 is undefined: overflow encountered in power"),
+    ("exp(1000)", "exp(1000.0) is undefined: overflow encountered in exp"),
+])
+def test_constant_overflow_is_a_domain_error_naming_the_expression(tmp_path, capsys, entry, names):
+    # a constant fold whose IEEE result is not finite keeps its node, so the
+    # evaluation overflows and names the expression, as a call's fold does
+    spec = _zero_spec_with_entry(tmp_path, entry)
+    capsys.readouterr()
+    assert run("analyze", spec, "--at", "x1=0.5,x2=0.5") == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"domain error: {names}\n"
 
 
 @pytest.mark.parametrize(

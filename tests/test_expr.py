@@ -31,10 +31,13 @@ from normframes.expr import (
     Sym,
     Symbol,
     UnknownSymbolError,
+    ZERO,
+    _depth,
     compile_exprs,
     component_symbols,
     coordinate_symbols,
     differentiate,
+    directional_derivatives,
     evaluate,
     frame_derivative_symbol,
     free_symbols,
@@ -505,28 +508,65 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_rules(monkeypatch):
+    """Count the nodes the fold expands: the calls of the per-kind rules in
+    expr._RULES, one per composite node whose children were folded."""
+    expanded = []
+    for kind, rule in list(expr_module._RULES.items()):
+        def counted(e, a, b, _rule=rule):
+            expanded.append(e)
+            if len(expanded) > 100 * DOUBLINGS:
+                raise AssertionError("the fold expands shared subtrees again")
+            return _rule(e, a, b)
+
+        monkeypatch.setitem(expr_module._RULES, kind, counted)
+    return expanded
+
+
 # one call at the root plus one per child reference; each distinct node is expanded once
 WALK_CALLS = 1 + 4 * DOUBLINGS
 EXPANSIONS = 2 * DOUBLINGS
+# the fold folds leaves in place: one call at the root plus one per reference
+# to a composite child (each Add holds its Mul, each Mul but the first two e_j)
+FOLD_CALLS = 1 + DOUBLINGS + 2 * (DOUBLINGS - 1)
+
+
+def _expanded_once(expanded):
+    return len({id(e) for e in expanded}) == len(expanded) == EXPANSIONS
 
 
 def test_simplify_walks_each_distinct_node_once(monkeypatch):
     dag = _doubling_dag(Sym(R))
-    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_calls(monkeypatch, "_rewrite")
+    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_rules(monkeypatch)
     assert simplify(dag) is dag  # nothing folds, so the DAG comes back as it is
-    assert (len(calls), len(expanded)) == (WALK_CALLS, EXPANSIONS)
+    assert len(calls) == FOLD_CALLS and _expanded_once(expanded)
 
 
 def test_substitute_walks_each_distinct_node_once(monkeypatch):
     x1 = component_symbols(1)[0]
     dag = _doubling_dag(Sym(x1))
-    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_calls(monkeypatch, "_rewrite")
+    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_rules(monkeypatch)
     out = substitute(dag, {x1: Sym(R)})
     # and one call for the binding, folded once up front
-    assert (len(calls), len(expanded)) == (WALK_CALLS + 1, EXPANSIONS)
+    assert len(calls) == FOLD_CALLS + 1 and _expanded_once(expanded)
     monkeypatch.undo()
     assert out.right == Sym(R) and out.left.left is out.left.right  # the result shares as the input
     assert free_symbols(out) == {R}
+
+
+@pytest.mark.parametrize("product", [
+    lambda dag: Mul(dag, Const(0.0)),
+    lambda dag: Mul(Const(-0.0), dag),
+    lambda dag: Mul(Sub(Sym(THETA), Sym(THETA)), dag),  # the left factor folds to 0
+], ids=["raw-right-zero", "raw-left-zero", "left-folds-to-zero"])
+def test_fold_never_expands_a_subtree_times_zero(monkeypatch, product):
+    dag = _doubling_dag(Sym(R))
+    e = product(dag)
+    calls, expanded = _count_calls(monkeypatch, "_fold"), _count_rules(monkeypatch)
+    assert simplify(e) is ZERO
+    assert not any(node is dag or node is dag.left for node in expanded)
+    assert len(expanded) == (1 if type(e.left) is Sub else 0)
+    assert len(calls) == 1 + len(expanded)
 
 
 def test_differentiate_walks_each_distinct_node_once(monkeypatch):
@@ -639,6 +679,52 @@ def test_compiled_deep_chain_runs_within_a_few_stack_frames():
     for _ in range(links):
         z = 0.5 * z + th_vals
     assert np.array_equal(got[0], z)
+
+
+def _within_frames(levels, fn, *args):
+    """``fn(*args)`` allowed at most ``levels`` stack frames above the caller's."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + levels)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# a chain of MAX_DEPTH - 1 nodes of one kind over the leaf x: MAX_DEPTH levels
+_CHAINS = {
+    "sum": lambda x: Add(x, Sym(THETA)),
+    "difference": lambda x: Sub(Sym(THETA), x),
+    "product": lambda x: Mul(x, Sym(R)),
+    "quotient": lambda x: Div(x, Sym(R)),
+    "power": lambda x: Pow(x, Const(-1.0)),
+    "negation": Neg,
+    "call": lambda x: Call("sin", x),
+}
+FRAME_SLACK = 20  # the public call, the memo's array loop, a rule and a node constructor
+
+
+@pytest.mark.parametrize("kind", _CHAINS)
+def test_every_walk_takes_one_stack_frame_per_level(kind):
+    x1 = component_symbols(1)[0]
+    chain = Sym(x1)
+    for _ in range(MAX_DEPTH - 1):
+        chain = _CHAINS[kind](chain)
+    assert _depth(chain) == MAX_DEPTH
+    levels = MAX_DEPTH + FRAME_SLACK
+    bound = _within_frames(levels, substitute, chain, {x1: Sym(R)})
+    _within_frames(levels, simplify, chain)
+    derivative = _within_frames(levels, differentiate, bound, R)
+    # frame derivatives differentiate and fold in one walk of the input
+    identity = np.array([[Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]], dtype=object)
+    _within_frames(levels, directional_derivatives, bound, POLAR_SYMS, identity)
+    # derived trees are deeper than their inputs; the fold still takes one frame a level
+    folded = _within_frames(_depth(derivative) + FRAME_SLACK, simplify, derivative)
+    compiled = _within_frames(FRAME_SLACK, compile_exprs, [bound, folded], POLAR_SYMS)
+    assert compiled(np.array([0.5, 1.5]), np.array([0.25, 0.5])).shape == (2, 2)
 
 
 def test_compiled_run_holds_only_live_values():

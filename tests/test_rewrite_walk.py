@@ -27,20 +27,23 @@ from normframes.expr import (
     Call,
     Const,
     Div,
+    Expr,
     Mul,
     Neg,
     Pow,
     Sub,
     Sym,
     _fold,
-    _rewrite,
     component_symbols,
     coordinate_symbols,
     differentiate,
+    directional_derivatives,
     frame_derivative_symbol,
     simplify,
     substitute,
 )
+
+from reference import fold_oracle, rewrite_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(
@@ -85,10 +88,10 @@ def ref_fold(e):
     if isinstance(e, (Const, Sym)):
         return e
     if isinstance(e, (Neg, Call)):
-        return _rewrite(e, ref_fold(e.arg), None)
+        return rewrite_oracle(e, ref_fold(e.arg), None)
     if isinstance(e, Pow):
-        return _rewrite(e, ref_fold(e.base), ref_fold(e.exponent))
-    return _rewrite(e, ref_fold(e.left), ref_fold(e.right))
+        return rewrite_oracle(e, ref_fold(e.base), ref_fold(e.exponent))
+    return rewrite_oracle(e, ref_fold(e.left), ref_fold(e.right))
 
 
 def ref_diff(e, s):
@@ -238,3 +241,170 @@ def test_w_templates_instantiate_as_before(path):
         got = w_of(deriv, x).components
         for idx in np.ndindex(template.shape):
             assert_same_tree(got[idx], ref_simplify(ref_subst(template[idx], bindings)))
+
+
+# ---------------------------------------------------------------------------
+# the fold against its former walk (reference.fold_oracle) on shared DAGs
+
+_SIGNED_CONSTANTS = [Const(0.0), Const(-0.0), Const(1.0), Const(-1.0), Const(2.0), Const(0.5)]
+
+
+@st.composite
+def _dags(draw, leaves):
+    """A DAG grown from a pool: each new node takes its children from the
+    nodes made so far, so subtrees are shared many times.  Beside every
+    node kind it makes Neg chains, the cancellations x-x and x+(-x), and
+    zero factors, raw or folded, over the largest node so far."""
+    nodes = draw(st.lists(leaves, min_size=2, max_size=6))
+    for _ in range(draw(st.integers(4, 24))):
+        a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        big = nodes[-1]
+        shape = draw(st.sampled_from([Add, Sub, Mul, Div, Pow, Neg, Call, "--x", "x-x", "x+(-x)",
+                                      "(-x)+x", "big*0", "0*big", "(x-x)*big", "big*(x-x)"]))
+        if shape is Call:
+            node = Call(draw(st.sampled_from(FUNCTIONS)), a)
+        elif shape is Neg:
+            node = Neg(a)
+        elif shape == "--x":
+            node = Neg(Neg(a))
+        elif shape == "x-x":
+            node = Sub(a, a)
+        elif shape == "x+(-x)":
+            node = Add(a, Neg(a))
+        elif shape == "(-x)+x":
+            node = Add(Neg(a), a)
+        elif shape == "big*0":
+            node = Mul(big, draw(st.sampled_from([Const(0.0), Const(-0.0)])))
+        elif shape == "0*big":
+            node = Mul(draw(st.sampled_from([Const(0.0), Const(-0.0)])), big)
+        elif shape == "(x-x)*big":
+            node = Mul(Sub(a, a), big)
+        elif shape == "big*(x-x)":
+            node = Mul(big, Sub(a, a))
+        else:
+            node = shape(a, b)
+        nodes.append(node)
+    return nodes[-1]
+
+
+_dag_coordinate_trees = _dags(st.one_of(st.sampled_from(_SIGNED_CONSTANTS), _coordinates))
+_dag_templates = _dags(st.one_of(st.sampled_from(_SIGNED_CONSTANTS), _coordinates,
+                                 st.sampled_from([Sym(s) for s in PLACEHOLDERS])))
+_dag_bindings = st.dictionaries(st.sampled_from(PLACEHOLDERS), _dag_coordinate_trees)
+
+
+def assert_fold_matches_oracle(got, want, source):
+    assert got == want
+    assert_same_tree(got, want)  # and the same sign on every zero
+    if want is source:
+        assert got is source  # nothing folded: the input itself, still shared
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_dag_templates)
+def test_simplify_matches_the_former_fold(tree):
+    assert_fold_matches_oracle(simplify(tree), fold_oracle(tree, {}, {}), tree)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_dag_templates, _dag_bindings)
+def test_substitute_matches_the_former_fold(template, bindings):
+    memo: dict = {}
+    folded = {key: fold_oracle(val, {}, memo) for key, val in bindings.items()}
+    want = fold_oracle(template, folded, memo)
+    assert_fold_matches_oracle(substitute(template, bindings), want, template)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(_dag_templates, min_size=2, max_size=4))
+def test_simplify_of_an_array_matches_the_former_fold_entry_by_entry(trees):
+    entries = np.empty(len(trees), dtype=object)
+    entries[:] = trees
+    memo: dict = {}
+    got = simplify(entries)
+    for tree, out in zip(trees, got):
+        assert_fold_matches_oracle(out, fold_oracle(tree, {}, memo), tree)
+
+
+# every node kind over every pair of children from a pool of leaves and
+# small folded or foldable trees, including constants that overflow together
+_X1 = PLACEHOLDERS[0]
+_POOL = [*_SIGNED_CONSTANTS, Const(-2.0), Const(1e308), Sym(R), Sym(THETA), Sym(_X1),
+         Neg(Sym(R)), Neg(Sym(_X1)), Sub(Sym(R), Sym(R)), Add(Sym(R), Neg(Sym(R))),
+         Mul(Sym(R), Const(0.0)), Pow(Sym(R), Const(2.0)), Call("sin", Sym(R)),
+         Div(Const(1.0), Const(0.0)), Add(Sym(_X1), Const(0.0))]
+_ONE_NODE = ([kind(a, b) for kind in (Add, Sub, Mul, Div, Pow) for a in _POOL for b in _POOL]
+             + [Neg(a) for a in _POOL] + [Call(name, a) for name in FUNCTIONS for a in _POOL])
+
+
+def test_every_rule_matches_the_former_fold_on_every_pair_of_children():
+    bindings = {_X1: Sub(Sym(THETA), Const(0.0))}
+    for tree in _ONE_NODE:
+        assert_fold_matches_oracle(simplify(tree), fold_oracle(tree, {}, {}), tree)
+        memo: dict = {}
+        folded = {key: fold_oracle(val, {}, memo) for key, val in bindings.items()}
+        want = fold_oracle(tree, folded, memo)
+        assert_fold_matches_oracle(substitute(tree, bindings), want, tree)
+
+
+# ---------------------------------------------------------------------------
+# frame derivatives folded as they are built, against the raw partials folded
+
+
+def sharing(entries):
+    """The DAG under ``entries`` up to renaming: each distinct node numbered
+    in first-visit order, with its kind, field values and child numbers.
+    Constants count by object, as the tape gives each its own register;
+    symbols count by name, as the tape reads them."""
+    numbers, out = {}, []
+
+    def visit(e):
+        if isinstance(e, Sym):
+            return e.symbol.name
+        if id(e) not in numbers:
+            if isinstance(e, Const):
+                fields = (repr(e.value),)
+            else:
+                fields = tuple(visit(c) if isinstance(c, Expr) else c
+                               for c in (getattr(e, name) for name in e._fields))
+            numbers[id(e)] = len(numbers)
+            out.append((type(e).__name__, fields))
+        return numbers[id(e)]
+
+    return [visit(e) for e in np.asarray(entries, dtype=object).flat], out
+
+
+def raw_directional_derivatives(e, symbols, matrix):
+    """The sums over the raw partials of differentiate, simplified once."""
+    partials = [differentiate(e, s) for s in symbols]
+    return simplify(np.stack([np.asarray(sum(matrix[a, i] * p for a, p in enumerate(partials)),
+                                         dtype=object) for i in range(matrix.shape[1])]))
+
+
+_frame_entries = st.one_of(st.sampled_from([Const(0.0), Const(-0.0), Const(1.0), Const(2.0)]),
+                           _dag_coordinate_trees)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_dag_coordinate_trees, min_size=1, max_size=3),
+       st.lists(_frame_entries, min_size=4, max_size=4))
+def test_directional_derivatives_build_the_trees_of_the_raw_partials(trees, entries):
+    f = np.empty(len(trees), dtype=object)
+    f[:] = trees
+    matrix = np.array(entries, dtype=object).reshape(2, 2)
+    got = directional_derivatives(f, (R, THETA), matrix)
+    want = raw_directional_derivatives(f, (R, THETA), matrix)
+    assert got.shape == want.shape == (2, len(trees))
+    assert sharing(got) == sharing(want)
+
+
+@pytest.mark.parametrize("f", [
+    Pow(Neg(Const(0.0)), Sym(R)),  # Neg's zero derivative is -0.0, which a quotient keeps
+    Div(Const(1.0), Sub(Sym(THETA), Sym(THETA))),  # 0/0 stays a quotient
+    Pow(Sub(Sym(THETA), Sym(THETA)), Sym(THETA)),  # so does u^v's
+    Add(Neg(Sym(THETA)), Neg(Const(0.0))),
+], ids=["neg-zero-base", "zero-quotient", "zero-power", "neg-zero-sum"])
+def test_directional_derivatives_keep_what_a_zero_derivative_folds_to(f):
+    matrix = np.array([[Const(1.0), Const(0.0)], [Sym(R), Const(1.0)]], dtype=object)
+    got = directional_derivatives(f, (R, THETA), matrix)
+    assert sharing(got) == sharing(raw_directional_derivatives(f, (R, THETA), matrix))
