@@ -551,7 +551,7 @@ def cmd_frame(args) -> int:
         doc["locus"] = {
             "grid": {
                 "axes": [ax for ax in result.axes],
-                "base_index": list(result.base_index),
+                "base_index": [0] * n,  # every lattice fills from node 0
             }
         }
         doc["verifier"] = {
@@ -806,7 +806,7 @@ def _verify_nodes_by_transport(setup, doc, kind) -> tuple[float, dict]:
         h = DEFAULT_STEP  # whatever step built the file
         check_lattice_axes(axes, h, chart.domain)
         m_fns = direction_functions(setup.deriv)
-    propagators, _ = lattice_propagators(m_fns, axes, h)
+    propagators = lattice_propagators(m_fns, axes, h)
     worst, worst_at = grid_edge_residual(axes, matrices, propagators)
     if kind == "grid":
         return worst, {"max_residual": worst, "worst_edge": worst_at}

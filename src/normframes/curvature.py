@@ -54,12 +54,13 @@ def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorF
     n = frame.dimension
     w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
     C = frame.anholonomy()
+    holonomic = C.is_zero
     comps = []
     for i in range(n):
         acc: Expr = Const(0.0)
         for l in range(n):
             acc = acc + w_x[i, l] * y.components[l] - w_y[i, l] * x.components[l]
-        if not C.is_zero:
+        if not holonomic:
             for k in range(n):
                 for l in range(n):
                     acc = acc - C.components[i, k, l] * x.components[k] * y.components[l]
@@ -77,6 +78,7 @@ def curvature_tensor(deriv: Connection) -> TensorField:
     n = frame.dimension
     g = deriv.gamma
     C = frame.anholonomy()
+    holonomic = C.is_zero
     dg = frame.frame_derivatives(g)  # dg[l, i, j, k] = E_l(G^i_{jk})
     out = np.empty((n, n, n, n), dtype=object)
     for i in range(n):
@@ -86,7 +88,7 @@ def curvature_tensor(deriv: Connection) -> TensorField:
                     acc: Expr = -dg[l, i, j, k] + dg[k, i, j, l]
                     for m in range(n):
                         acc = acc - g[m, j, k] * g[i, m, l] + g[m, j, l] * g[i, m, k]
-                    if not C.is_zero:
+                    if not holonomic:
                         for m in range(n):
                             acc = acc - g[i, j, m] * C.components[m, k, l]
                     out[i, j, k, l] = simplify(acc)
@@ -105,10 +107,11 @@ def torsion_tensor(deriv: Derivation) -> TensorField:
     n = frame.dimension
     w_frames = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
     C = frame.anholonomy()
+    holonomic = C.is_zero
     out = np.empty((n, n, n), dtype=object)
     for i, k, l in np.ndindex(out.shape):
         acc: Expr = -(w_frames[l][i, k] - w_frames[k][i, l])
-        if not C.is_zero:
+        if not holonomic:
             acc = acc - C.components[i, k, l]
         out[i, k, l] = simplify(acc)
     return TensorField(frame, 1, 2, out)

@@ -51,6 +51,7 @@ FRAME_DERIVATIVE = "frame-derivative"
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 
 _MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
+_SMALLEST_NORMAL = 2.0**-1022  # a fold of nonzero operands below it has underflowed
 
 
 class ExprError(Exception):
@@ -795,12 +796,18 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
 
 
 def _const_fold(fn, *values):
-    """``Const(fn(*values))``, or None where the IEEE result is not finite."""
+    """``Const(fn(*values))``, or None where the IEEE result is not finite or
+    underflowed: 0 or subnormal from operands none of which is 0.  A sum or
+    difference is exact there, so ``1 - 1`` still folds to 0."""
     try:
         value = fn(*values)
     except (ValueError, OverflowError):
         return None
-    return Const(value) if math.isfinite(value) else None
+    if not math.isfinite(value):
+        return None
+    if abs(value) < _SMALLEST_NORMAL and all(values) and fn not in (operator.add, operator.sub):
+        return None
+    return Const(value)
 
 
 def _fold_neg(e: Neg, a: Expr, _) -> Expr:

@@ -10,9 +10,12 @@ transformation law):
 * a whole neighborhood, for flat linear connections (grid integration of
   the frame equations, with a path-independence audit).
 
-A curve frame is the 1-D lattice of its node parameters, with the one
-direction function M(s) = W_X(curve(s)): curves and grids share one
-transport, one edge verifier and one set of file checks.
+Every lattice fills forward from its node 0: a frame is unique up to a
+constant matrix, so any other base node would give the same frame times a
+constant.  A curve frame is the 1-D lattice of its node parameters, with
+the one direction function M(s) = W_X(curve(s)); below its base node it is
+the lattice of the parameters taken downward.  So curves and grids share
+one transport, one fill, one edge verifier and one set of file checks.
 """
 
 from __future__ import annotations
@@ -604,17 +607,14 @@ def transport_along_curve(
 ) -> CurveFrame:
     """Solve dA/ds = -W_X(curve(s)) A with A(s0) = b0 on the curve nodes.
 
-    The nodes are a 1-D lattice based at the node nearest s0: one classical
-    RK4 step per node interval, forward from the base above it and backward
-    below it.
+    The nodes are two 1-D lattices that start at the node nearest s0: its
+    parameters up to the last node, and down to the first.  Each fills
+    forward from b0, in one classical RK4 step per node interval.
     """
     frame = deriv.frame
     chart = frame.chart
     n = frame.dimension
-    b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (n, n) or abs(np.linalg.det(b0)) <= DEGENERACY_TOL:
-        raise ValueError("initial matrix must be square and invertible")
-
+    b0 = _base_matrix(b0, n)
     _require_budget(curve.node_count(), f"a curve at step {curve.step!r}")
     s_values = curve.node_values()
     points = curve_points(chart, curve.exprs, s_values)
@@ -635,11 +635,9 @@ def transport_along_curve(
 
     m_fn = curve_direction_function(deriv, x, curve.exprs)
     base = int(np.argmin(np.abs(s_values - curve.s0)))
-    # only the segments the fill reads: backward below the base, forward from it
-    jobs = [_edge_job(m_fn, [s_values], 0, None, s_values[1 : base + 1], s_values[:base])[0],
-            _edge_job(m_fn, [s_values], 0, None, s_values[base:-1], s_values[base + 1 :])[0]]
-    segments = np.concatenate(_rk4_kernel(jobs))  # segment i joins nodes i and i + 1
-    matrices = _fill_lattice((len(s_values),), (base,), b0, [segments], [segments])
+    up, down = (_fill_lattice((len(ax),), b0, lattice_propagators([m_fn], [ax], None))
+                for ax in (s_values[base:], s_values[base::-1]))
+    matrices = np.concatenate([down[:0:-1], up])
 
     degenerate = np.abs(np.linalg.det(matrices)) <= DEGENERACY_TOL
     if degenerate.any():
@@ -675,7 +673,6 @@ class GridSpec:
     unless a tighter box is given."""
 
     counts: tuple[int, ...]
-    base_index: Optional[tuple[int, ...]] = None
     box: Optional[tuple[tuple[float, float], ...]] = None
 
     def _box(self, chart: Chart) -> tuple[tuple[float, float], ...]:
@@ -703,20 +700,14 @@ class GridSpec:
             return math.inf
         return float(nodes * sum(max(1, math.ceil(e)) for e in per_edge))
 
-    def base(self) -> tuple[int, ...]:
-        base = tuple(0 for _ in self.counts) if self.base_index is None else tuple(self.base_index)
-        if len(base) != len(self.counts) or not all(0 <= i < c for i, c in zip(base, self.counts)):
-            raise ValueError(f"base_index {base} is not a node of the {self.counts} lattice")
-        return base
-
 
 @dataclass
 class GridFrame:
-    """Numeric frame transform on a lattice, with verifier data attached."""
+    """Numeric frame transform on a lattice, with verifier data attached;
+    its base node is node 0."""
 
     chart: Chart
     axes: list
-    base_index: tuple[int, ...]
     matrices: np.ndarray  # shape counts + (n, n)
     gamma_prime_residual: float
     path_audit_deviation: float
@@ -726,9 +717,6 @@ class GridFrame:
     @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
-
-    def matrix_at(self, index: tuple[int, ...]) -> np.ndarray:
-        return self.matrices[tuple(index)]
 
 
 def direction_functions(deriv: Derivation) -> list:
@@ -777,45 +765,36 @@ def check_lattice_axes(axes: list, h: Optional[float], box=None) -> None:
     _require_budget(steps, f"re-transporting the {'grid edges' if grid else 'curve segments'}")
 
 
-def _edge_job(m_fn, axes: list, axis: int, h: Optional[float], lo, hi):
-    """The kernel job of the lattice edges from the nodes ``lo`` to the nodes
-    ``hi`` along ``axis`` (every node along the other axes), and the lattice
-    shape of their propagators."""
-    mesh = np.meshgrid(*[lo if d == axis else a for d, a in enumerate(axes)], indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=-1)
-    lengths = np.take(hi - lo, np.indices(mesh[0].shape)[axis]).ravel()
-    steps = 1 if h is None else _step_counts(lengths, h)
-    return (m_fn, starts, np.eye(len(axes))[axis], lengths, steps), mesh[0].shape
-
-
-def lattice_propagators(m_fns: list, axes: list, h: Optional[float], base=None) -> tuple:
+def lattice_propagators(m_fns: list, axes: list, h: Optional[float]) -> list:
     """Propagators of the lattice edges in one kernel call, at RK4 step
     ``h`` or, when ``h`` is None, in one step per edge.
 
     ``m_fns`` holds one compiled M per axis (:func:`direction_functions`, or
-    :func:`curve_direction_function` for a curve).  Returns (forward,
-    backward), one entry per axis.  forward[a] has the lattice shape, one
-    shorter along a, plus (n, n): entry [idx] carries A from node idx to
-    idx + e_a.  backward[a] holds only the edges below ``base`` (default:
-    the first node) along a, all that a fill from the base reads: entry
-    [idx] carries A back from idx + e_a to idx; None where base[a] is 0.
+    :func:`curve_direction_function` for a curve).  Returns one array per
+    axis a, of the lattice shape, one shorter along a, plus (n, n): entry
+    [idx] carries A from node idx to idx + e_a, all that a fill from node 0
+    reads.  An axis may run downward, as a curve's parameters below its
+    base node do; its edges then have negative lengths.
     """
-    base = (0,) * len(axes) if base is None else base
-    edges = [(a, ax[:-1], ax[1:]) for a, ax in enumerate(axes)]
-    edges += [(a, ax[1 : b + 1], ax[:b]) for a, (ax, b) in enumerate(zip(axes, base)) if b > 0]
-    jobs, shapes = zip(*(_edge_job(m_fns[a], axes, a, h, lo, hi) for a, lo, hi in edges))
-    props = [p.reshape(s + p.shape[1:]) for p, s in zip(_rk4_kernel(jobs), shapes)]
-    backward = iter(props[len(axes) :])
-    return props[: len(axes)], [next(backward) if b > 0 else None for b in base]
+    jobs, shapes = [], []
+    for a, ax in enumerate(axes):
+        mesh = np.meshgrid(*[ax[:-1] if d == a else other for d, other in enumerate(axes)],
+                           indexing="ij")
+        lengths = np.take(np.diff(ax), np.indices(mesh[0].shape)[a]).ravel()
+        starts = np.stack([m.ravel() for m in mesh], axis=-1)
+        steps = 1 if h is None else _step_counts(lengths, h)
+        jobs.append((m_fns[a], starts, np.eye(len(axes))[a], lengths, steps))
+        shapes.append(mesh[0].shape)
+    return [p.reshape(s + p.shape[1:]) for p, s in zip(_rk4_kernel(jobs), shapes)]
 
 
 def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dict]]:
     """Transformed components on a lattice frame, in integrated form.
 
     Carries each node's matrix across each lattice edge with that edge's
-    propagator (``propagators[axis]``, the forward entries of
-    :func:`lattice_propagators`) and measures A_next^{-1} (carried - A_next)
-    per unit length.  Returns the worst value and its edge as {"node": [...],
+    propagator (``propagators[axis]``, as :func:`lattice_propagators`
+    returns them) and measures A_next^{-1} (carried - A_next) per unit
+    length.  Returns the worst value and its edge as {"node": [...],
     "axis": a}, or None when every value is zero (or there is no edge).
     The edges are measured in blocks of lattice rows along axis 0, at most
     _M_CALL_POINTS // 2 edges each, as the kernel's chunks; each edge's value
@@ -868,32 +847,37 @@ def _pointwise_linearity_gate(deriv: Derivation, seed: int, family: Optional[Pla
         )
 
 
-def _fill_lattice(shape, base, b0, forward, backward) -> np.ndarray:
-    """Fill the lattice along axis-ordered polylines from the base node:
-    along axis 0 first, then every filled node's fibre along axis 1, and so on."""
+def _fill_lattice(shape, b0, forward) -> np.ndarray:
+    """Fill the lattice along axis-ordered polylines from node 0: along
+    axis 0 first, then every filled node's fibre along axis 1, and so on."""
     values = np.full(shape + b0.shape, np.nan)
-    values[base] = b0
+    values[(0,) * len(shape)] = b0
     for axis in range(len(shape)):
         # the nodes filled so far and their edges along axis, position along axis first
-        line = (slice(None),) * (axis + 1) + tuple(base[axis + 1 :])
+        line = (slice(None),) * (axis + 1) + (0,) * (len(shape) - axis - 1)
         v = np.moveaxis(values[line], axis, 0)
         f = np.moveaxis(forward[axis][line], axis, 0)
-        for i in range(base[axis], shape[axis] - 1):
+        for i in range(shape[axis] - 1):
             np.matmul(f[i], v[i], out=v[i + 1])
-        if base[axis]:
-            b = np.moveaxis(backward[axis][line], axis, 0)
-            for i in range(base[axis], 0, -1):
-                np.matmul(b[i - 1], v[i], out=v[i - 1])
     return values
 
 
-def _fill_lattice_reversed(shape, base, b0, forward, backward) -> np.ndarray:
+def _fill_lattice_reversed(shape, b0, forward) -> np.ndarray:
     """:func:`_fill_lattice` in reverse axis order, the last axis first: the
     same fill on the axis-reversed lattice, transposed back."""
     flip = tuple(reversed(range(len(shape)))) + (len(shape), len(shape) + 1)
-    forward, backward = ([None if p is None else p.transpose(flip) for p in props[::-1]]
-                         for props in (forward, backward))
-    return _fill_lattice(shape[::-1], base[::-1], b0, forward, backward).transpose(flip)
+    forward = [p.transpose(flip) for p in forward[::-1]]
+    return _fill_lattice(shape[::-1], b0, forward).transpose(flip)
+
+
+def _base_matrix(b0, n: int) -> np.ndarray:
+    """The matrix a frame starts from, as floats: ``b0``, or the identity
+    when None.  Raises ValueError unless it is a finite, invertible n x n
+    matrix."""
+    b0 = np.eye(n) if b0 is None else np.asarray(b0, dtype=float)
+    if b0.shape != (n, n) or not np.isfinite(b0).all() or abs(np.linalg.det(b0)) <= DEGENERACY_TOL:
+        raise ValueError(f"base matrix must be a finite, invertible {n}x{n} matrix")
+    return b0
 
 
 def flat_frame_neighborhood(
@@ -905,9 +889,10 @@ def flat_frame_neighborhood(
 ) -> GridFrame:
     """Frame with vanishing components on a whole grid; flat connections only.
 
-    Integrates the frame equations along axis-ordered polylines from the
-    base node.  Path independence is audited with the same fill in reverse
-    axis order, from the same edge propagators, compared at every node.
+    Integrates the frame equations along axis-ordered polylines from node
+    0, where the frame is ``b0`` (default: the identity).  Path
+    independence is audited with the same fill in reverse axis order, from
+    the same edge propagators, compared at every node.
     The transformed components are verified at every node in integrated
     (edge-transport) form.  ``seed`` drives the flatness test, the
     obstruction reported when it fails, the linearity probe, and the
@@ -931,8 +916,7 @@ def flat_frame_neighborhood(
             obstruction,
         )
     axes = grid.axes(chart)
-    base_index = grid.base()
-    base_point = np.array([axes[a][i] for a, i in enumerate(base_index)])
+    base_point = np.array([ax[0] for ax in axes])
     family = vanishing_family(deriv)  # the probe and the gate evaluate one build
     verdict = linearity_probe(deriv, base_point, seed=seed, family=family)
     if not verdict.is_linear:
@@ -944,17 +928,14 @@ def flat_frame_neighborhood(
     _pointwise_linearity_gate(deriv, seed, family)
     del family  # its W trees die before the transport allocates
 
-    b0 = np.eye(n) if b0 is None else np.asarray(b0, dtype=float)
-    if abs(np.linalg.det(b0)) <= DEGENERACY_TOL:
-        raise ValueError("base matrix must be invertible")
-
+    b0 = _base_matrix(b0, n)
     m_fns = direction_functions(deriv)
-    forward, backward = lattice_propagators(m_fns, axes, h, base_index)
+    forward = lattice_propagators(m_fns, axes, h)
     shape = tuple(len(ax) for ax in axes)
-    values = _fill_lattice(shape, base_index, b0, forward, backward)
+    values = _fill_lattice(shape, b0, forward)
 
     # path-independence audit: the same fill in reverse axis order, at every node
-    alt = _fill_lattice_reversed(shape, base_index, b0, forward, backward)
+    alt = _fill_lattice_reversed(shape, b0, forward)
     audit_dev = float(np.max(np.abs(alt - values)))
     if audit_dev > GRID_TOL:
         raise VerificationError(
@@ -978,7 +959,6 @@ def flat_frame_neighborhood(
     return GridFrame(
         chart=chart,
         axes=axes,
-        base_index=base_index,
         matrices=values,
         gamma_prime_residual=gamma_resid,
         path_audit_deviation=audit_dev,
@@ -1128,7 +1108,8 @@ def constancy_check(first, second, tol: Optional[float] = None) -> ConstancyVerd
         tol = GRID_TOL if tol is None else tol
         if first.matrices.shape != second.matrices.shape:
             raise ValueError("grid frames must share a lattice")
-        ref = np.linalg.solve(first.matrix_at(first.base_index), second.matrix_at(first.base_index))
+        base = (0,) * len(first.axes)
+        ref = np.linalg.solve(first.matrices[base], second.matrices[base])
         a12 = np.linalg.solve(first.matrices, second.matrices)
         worst = float(np.max(np.abs(a12 - ref)))
         return ConstancyVerdict(worst <= tol, ref, worst, tol)

@@ -35,8 +35,8 @@ or closed-form routes are compared against:
   ``derivation.linearity_probe`` (placeholder families, one tape each) is
   checked bit for bit.
 * the lattice fill node by node, ``polyline_product``: a matrix carried
-  from the base node to one target node along the given axis order, one
-  edge at a time, against which ``frames._fill_lattice`` and the path
+  from node 0 to one target node along the given axis order, one edge at a
+  time, against which ``frames._fill_lattice`` and the path
   audit's reversed fill are checked bit for bit.
 * the transport compatibility identity, ``integrability_residual``:
   [X,Y](A) + (R(X,Y) + W_{[X,Y]}) A at sample points, which vanishes for a
@@ -50,6 +50,7 @@ grid frame's node).
 """
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -163,6 +164,15 @@ def _finite_const(value: float):
     return Const(value) if math.isfinite(value) else None
 
 
+def _inexact_const(value: float, *operands):
+    """A folded product, quotient, power or function value, or None when the
+    node is kept: the IEEE result is not finite, or it underflowed (0 or
+    below the normal range while no operand is 0)."""
+    if abs(value) < sys.float_info.min and 0.0 not in operands:
+        return None
+    return _finite_const(value)
+
+
 def fold_oracle(e, bindings, memo: dict):
     """``expr._fold`` by its former walk: every child folded, then one rule
     chain (:func:`rewrite_oracle`) at the node.  A product with a zero
@@ -233,7 +243,7 @@ def rewrite_oracle(e, left, right):
         if _is_const(right, 1.0):
             return left
         if isinstance(left, Const) and isinstance(right, Const):
-            folded = _finite_const(left.value * right.value)
+            folded = _inexact_const(left.value * right.value, left.value, right.value)
             if folded is not None:
                 return folded
         return e if left is e.left and right is e.right else Mul(left, right)
@@ -243,7 +253,7 @@ def rewrite_oracle(e, left, right):
         if _is_const(left, 0.0) and not _is_const(right, 0.0):
             return ZERO
         if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
-            folded = _finite_const(left.value / right.value)
+            folded = _inexact_const(left.value / right.value, left.value, right.value)
             if folded is not None:
                 return folded
         return e if left is e.left and right is e.right else Div(left, right)
@@ -258,16 +268,18 @@ def rewrite_oracle(e, left, right):
                 value = math.pow(base.value, expo.value)
             except (ValueError, OverflowError):
                 value = math.inf
-            if math.isfinite(value):
-                return Const(value)
+            folded = _inexact_const(value, base.value, expo.value)
+            if folded is not None:
+                return folded
         return e if base is e.base and expo is e.exponent else Pow(base, expo)
     if isinstance(left, Const):
         try:
             value = MATH_FUNCS[e.func](left.value)
         except (ValueError, OverflowError):
             value = math.inf
-        if math.isfinite(value):
-            return Const(value)
+        folded = _inexact_const(value, left.value)
+        if folded is not None:
+            return folded
     return e if left is e.arg else Call(e.func, left)
 
 # ---------------------------------------------------------------------------
@@ -421,18 +433,15 @@ def linearity_probe_oracle(deriv, x0, seed: int = DEFAULT_SEED, tol: float = PRO
     return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)
 
 
-def polyline_product(forward, backward, base, target, order, b0) -> np.ndarray:
-    """Carry b0 from the base node to the target node along the given axis
-    order, one edge propagator at a time."""
+def polyline_product(forward, target, order, b0) -> np.ndarray:
+    """Carry b0 from node 0 to the target node along the given axis order,
+    one edge propagator at a time."""
     a = b0
-    current = list(base)
+    current = [0] * len(target)
     for axis in order:
         while current[axis] < target[axis]:
             a = forward[axis][tuple(current)] @ a
             current[axis] += 1
-        while current[axis] > target[axis]:
-            current[axis] -= 1
-            a = backward[axis][tuple(current)] @ a
     return a
 
 

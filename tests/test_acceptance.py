@@ -138,7 +138,7 @@ def test_criterion_03_flat_frame_neighborhood_positive(polar_flat_frame):
             [[np.cos(theta), np.sin(theta)], [-np.sin(theta) / r, np.cos(theta) / r]]
         )
 
-    p0 = node_point(polar_flat_frame, polar_flat_frame.base_index)
+    p0 = node_point(polar_flat_frame, (0, 0))  # the base node
     correction = np.linalg.inv(cartesian(*p0))
     oracle_worst = 0.0
     for idx in np.ndindex(21, 21):

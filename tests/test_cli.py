@@ -1213,6 +1213,19 @@ def test_transport_domain_failure_in_a_late_block_exits_3(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and not report.exists()
 
 
+def test_an_underflowing_constant_fold_keeps_the_entry_in_the_message(tmp_path, capsys):
+    # 1e308/1e-308 overflows and stays a node; its derivative's (1e-308)^2 underflows to 0
+    # and must stay a node too, or the message names a derived 0/0, not the entry
+    spec = json.loads(Path(ZERO).read_text())
+    spec["derivation"]["connection"] = {"1,1,1": "1e308/1e-308"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert run("analyze", str(spec_path), "--at", "x1=0.1,x2=0.2",
+               "--out", str(tmp_path / "a.json")) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("domain error: 1e+308/1e-308 is undefined: ")
+
+
 @pytest.mark.parametrize("entry, named", [
     ("s+1/0", "s+1.0/0.0"),
     ("s+1e300*1e300", "s+1e+300*1e+300"),

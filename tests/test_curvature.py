@@ -1,13 +1,14 @@
 """Curvature/torsion forms, tensors, operator oracles, and verdicts."""
 
 import gc
+import json
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normframes import matops
+from normframes import expr, matops
 from normframes import (
     Connection,
     Const,
@@ -30,7 +31,7 @@ from normframes import (
 from normframes.cli import build_analysis_report, load_manifold_spec
 from normframes.expr import Sym, evaluate, simplify
 
-from conftest import affine_fields, riemann_classical
+from conftest import affine_fields, coordinate_spec, riemann_classical
 from reference import (
     curvature_operator_oracle,
     integrability_residual,
@@ -512,3 +513,21 @@ def test_cached_w_dies_with_its_field(lie_plane):
     del x
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_curvature_tensor_compares_expressions_o_n4_times(n, tmp_path, monkeypatch):
+    # one zero test of the anholonomy per call, not one per (i, j, k, l) entry
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(coordinate_spec(n)))
+    deriv = load_manifold_spec(str(spec)).deriv
+    calls = []
+    equal = expr._Record.__eq__
+
+    def counting(self, other):
+        calls.append(None)
+        return equal(self, other)
+
+    monkeypatch.setattr(expr._Record, "__eq__", counting)
+    curvature_tensor(deriv)
+    assert len(calls) <= n**4

@@ -309,6 +309,22 @@ def test_constant_folding():
     assert simplify(parse_expr("2+3", POLAR_SYMS)) == Const(5.0)
 
 
+@pytest.mark.parametrize("source", ["1e-200*1e-200", "1e-300/1e300", "1e-308^2", "exp(-1000)",
+                                    "1e-310*0.5"])
+def test_a_fold_that_underflows_keeps_its_node(source):
+    # 0 or subnormal from nonzero operands is an underflow, as inf is an overflow
+    e = parse_expr(source, POLAR_SYMS)
+    assert simplify(e) == e
+
+
+@pytest.mark.parametrize("source, value", [("1-1", 0.0), ("1e-308-1e-308", 0.0),
+                                           ("1e-308-9e-309", 1e-308 - 9e-309), ("0*2", 0.0),
+                                           ("0^2", 0.0), ("0/3", 0.0), ("sin(0)", 0.0)])
+def test_exact_and_zero_operand_folds_still_fold(source, value):
+    # a sum or difference is exact below the normal range; a zero operand makes a true zero
+    assert simplify(parse_expr(source, POLAR_SYMS)) == Const(value)
+
+
 def test_no_trig_rewriting():
     e = parse_expr("sin(theta)^2+cos(theta)^2", POLAR_SYMS)
     assert simplify(e) == e

@@ -15,6 +15,7 @@ from normframes import (
     Chart,
     Connection,
     Const,
+    CurveSpec,
     DegenerateFrameError,
     FrameField,
     GridSpec,
@@ -22,11 +23,13 @@ from normframes import (
     NotLinearConnectionError,
     PointFrameSpec,
     SymbolicTransform,
+    VectorField,
     constancy_check,
     flat_frame_neighborhood,
     frame_at_point_connection,
     holonomicity_check,
     torsion_tensor,
+    transport_along_curve,
 )
 from normframes import frames, matops
 from normframes.cli import EXIT_OK, load_manifold_spec, main
@@ -70,7 +73,7 @@ def test_polar_flat_frame_meets_tolerances(polar_flat_frame):
 
 
 def test_polar_flat_frame_matches_cartesian_oracle(polar_flat_frame):
-    p0 = node_point(polar_flat_frame, polar_flat_frame.base_index)
+    p0 = node_point(polar_flat_frame, (0, 0))  # the base node
     correction = np.linalg.inv(cartesian_in_polar(*p0))
     worst = 0.0
     for idx in np.ndindex(*(len(ax) for ax in polar_flat_frame.axes)):
@@ -80,30 +83,18 @@ def test_polar_flat_frame_matches_cartesian_oracle(polar_flat_frame):
     assert worst <= 1e-5
 
 
-def test_interior_base_grid_matches_oracle_and_base_zero_grid(polar_connection):
-    # an interior base node fills by backward as well as forward sweeps
-    grid = GridSpec((11, 11), base_index=(5, 5))
-    frame = flat_frame_neighborhood(polar_connection, grid, h=1e-3)
-    assert frame.gamma_prime_residual <= 1e-6
-    assert frame.path_audit_deviation <= 1e-6
-    assert np.array_equal(frame.matrix_at((5, 5)), np.eye(2))
-    correction = np.linalg.inv(cartesian_in_polar(*node_point(frame, (5, 5))))
-    worst = 0.0
-    for idx in np.ndindex(11, 11):
-        oracle = cartesian_in_polar(*node_point(frame, idx)) @ correction
-        worst = max(worst, float(np.max(np.abs(frame.matrices[idx] - oracle))))
-    assert worst <= 1e-5
-    base_zero = flat_frame_neighborhood(polar_connection, GridSpec((11, 11)), h=1e-3)
-    verdict = constancy_check(base_zero, frame)
-    assert verdict.constant
-    assert verdict.max_deviation <= 1e-9
-
-
-@pytest.mark.parametrize("base_index", [(-1, 0), (7, 0)])
-def test_base_index_outside_the_lattice_is_rejected(polar_connection, base_index):
-    grid = GridSpec((5, 5), base_index=base_index)
-    with pytest.raises(ValueError, match=re.escape(f"base_index {base_index}")):
-        flat_frame_neighborhood(polar_connection, grid, h=1e-3)
+@pytest.mark.parametrize("b0", [np.eye(3), [[1.0, 2.0]], [[1.0, 0.0], [0.0, np.inf]],
+                                [[1.0, 2.0], [2.0, 4.0]]],
+                         ids=["3x3", "1x2", "infinite", "singular"])
+def test_grids_and_curves_refuse_a_bad_base_matrix_alike(polar_connection, b0):
+    # one check: an n x n matrix of finite entries with |det| > DEGENERACY_TOL
+    message = re.escape("base matrix must be a finite, invertible 2x2 matrix")
+    with pytest.raises(ValueError, match=message):
+        flat_frame_neighborhood(polar_connection, GridSpec((5, 5)), b0=b0, h=1e-2)
+    curve = CurveSpec((Const(1.0), Sym(Symbol("s"))), (0.0, 1.0), 0.5, 1e-2)
+    x = VectorField(polar_connection.frame, [Const(0.0), Const(1.0)])
+    with pytest.raises(ValueError, match=message):
+        transport_along_curve(polar_connection, x, curve, b0)
 
 
 def test_linearity_gate_rejects_lie_type_at_first_sample_point(lie_plane):
@@ -149,21 +140,15 @@ def scalar_rk4_propagator(start, axis, length, h):
 
 def test_edge_propagators_match_scalar_loop(polar_connection):
     axes = GridSpec((11, 11)).axes(polar_connection.chart)
-    # based at the last node, every edge has a backward propagator too
-    forward_props, backward_props = frames.lattice_propagators(
-        direction_functions(polar_connection), axes, 1e-3, (10, 10))
+    props = frames.lattice_propagators(direction_functions(polar_connection), axes, 1e-3)
     worst = 0.0
     for axis in range(2):
-        for backward in (False, True):
-            props = (backward_props if backward else forward_props)[axis]
-            assert props.shape == tuple(10 if d == axis else 11 for d in range(2)) + (2, 2)
-            for idx in np.ndindex(props.shape[:2]):
-                lo = np.array([axes[d][idx[d]] for d in range(2)])
-                hi = lo.copy()
-                hi[axis] = axes[axis][idx[axis] + 1]
-                start, end = (hi, lo) if backward else (lo, hi)
-                ref = scalar_rk4_propagator(start, axis, float(end[axis] - start[axis]), 1e-3)
-                worst = max(worst, float(np.max(np.abs(props[idx] - ref))))
+        assert props[axis].shape == tuple(10 if d == axis else 11 for d in range(2)) + (2, 2)
+        for idx in np.ndindex(props[axis].shape[:2]):
+            start = np.array([axes[d][idx[d]] for d in range(2)])
+            length = float(axes[axis][idx[axis] + 1] - start[axis])
+            ref = scalar_rk4_propagator(start, axis, length, 1e-3)
+            worst = max(worst, float(np.max(np.abs(props[axis][idx] - ref))))
     assert worst <= 1e-12
 
 
@@ -302,71 +287,60 @@ def test_domain_failure_in_a_late_block_raises_domain_error():
     assert block > 1 and len(points) - 1 in {899 // block + 1, 900 // block + 1}
 
 
-def edge_segments(axes, axis, backward):
+def edge_segments(axes, axis):
     """Start points and signed lengths of every lattice edge along ``axis``,
     node by node, and the lattice shape of the edges."""
     shape = tuple(len(ax) - (d == axis) for d, ax in enumerate(axes))
     starts, lengths = [], []
     for idx in np.ndindex(*shape):
-        start = [axes[d][i] for d, i in enumerate(idx)]
-        lo, hi = axes[axis][idx[axis]], axes[axis][idx[axis] + 1]
-        start[axis] = hi if backward else lo
-        starts.append(start)
-        lengths.append(lo - hi if backward else hi - lo)
+        starts.append([axes[d][i] for d, i in enumerate(idx)])
+        lengths.append(axes[axis][idx[axis] + 1] - axes[axis][idx[axis]])
     return np.array(starts), np.array(lengths), shape
 
 
 # RK4 steps per edge at h = 1e-3: 100 along axis 0; 200, 50 and 250 along axis 1 and 20
-# and 150 along axis 2, whose uneven edges fall into several step groups
-LATTICE_AXES = [np.linspace(-0.3, 0.0, 4), np.array([-0.2, 0.0, 0.05, 0.3]),
+# and 150 along axis 2, whose uneven edges fall into several step groups; axis 0 runs
+# downward, as a curve's parameters below its base node do
+LATTICE_AXES = [np.linspace(0.0, -0.3, 4), np.array([-0.2, 0.0, 0.05, 0.3]),
                 np.array([0.1, 0.12, 0.27])]
-LATTICE_BASE = (2, 1, 1)
 
 
 def test_lattice_propagators_equal_per_step_loop_bit_for_bit():
     points = []
     m_fns = [counted(M3, points) for _ in range(3)]
-    forward, backward = frames.lattice_propagators(m_fns, LATTICE_AXES, 1e-3, LATTICE_BASE)
-    # every axis has a base index above 0, so every axis has backward edges
+    props = frames.lattice_propagators(m_fns, LATTICE_AXES, 1e-3)
     for axis in range(3):
-        for back, props in ((False, forward[axis]), (True, backward[axis])):
-            starts, lengths, shape = edge_segments(LATTICE_AXES, axis, back)
-            expected = per_step_rk4_propagators(M3, 3, starts, np.eye(3)[axis], lengths,
-                                                _step_counts(lengths, 1e-3))
-            expected = expected.reshape(shape + (3, 3))
-            if back:  # only the edges below the base along the axis: a fill reads no other
-                expected = expected[(slice(None),) * axis + (slice(LATTICE_BASE[axis]),)]
-            assert np.array_equal(props, expected)
+        starts, lengths, shape = edge_segments(LATTICE_AXES, axis)
+        expected = per_step_rk4_propagators(M3, 3, starts, np.eye(3)[axis], lengths,
+                                            _step_counts(lengths, 1e-3))
+        assert np.array_equal(props[axis], expected.reshape(shape + (3, 3)))
     assert points and max(points) <= frames._M_CALL_POINTS
 
 
-def fill_lattice_by_node(shape, base, b0, forward, backward):
+def fill_lattice_by_node(shape, b0, forward):
     """Reference: the lattice fill indexing one line position at a time."""
     values = np.full(shape + b0.shape, np.nan)
-    values[base] = b0
+    values[(0,) * len(shape)] = b0
     for axis in range(len(shape)):
         def at(i, axis=axis):
-            return (slice(None),) * axis + (i,) + tuple(base[axis + 1 :])
+            return (slice(None),) * axis + (i,) + (0,) * (len(shape) - axis - 1)
 
-        for i in range(base[axis], shape[axis] - 1):
+        for i in range(shape[axis] - 1):
             values[at(i + 1)] = forward[axis][at(i)] @ values[at(i)]
-        for i in range(base[axis], 0, -1):
-            values[at(i - 1)] = backward[axis][at(i - 1)] @ values[at(i)]
     return values
 
 
 def random_edges(shape):
-    """Seeded forward and backward propagators of every lattice edge, and a
-    base matrix: 3 x 3 on every lattice, so that no two products commute."""
+    """Seeded propagators of every lattice edge, and a base matrix: 3 x 3
+    on every lattice, so that no two products commute."""
     rng = np.random.default_rng(11)
     n = 3
     edges = [shape[:a] + (shape[a] - 1,) + shape[a + 1 :] + (n, n) for a in range(len(shape))]
     forward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
-    backward = [np.eye(n) + 0.1 * rng.standard_normal(s) for s in edges]
-    return forward, backward, np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    return forward, np.eye(n) + 0.1 * rng.standard_normal((n, n))
 
 
-LATTICES = [((9,), (4,)), ((5, 4), (2, 1)), ((4, 3, 5), (1, 1, 2))]  # interior bases
+LATTICES = [(9,), (5, 4), (4, 3, 5)]
 
 
 @pytest.mark.parametrize("shape", [(70, 40), (30, 10, 10)], ids=["2d", "3d"])
@@ -391,34 +365,32 @@ def test_edge_residual_in_blocks_equals_the_whole_array_form(shape):
     assert frames.grid_edge_residual(axes, matrices, props) == expected
 
 
-@pytest.mark.parametrize("shape, base", LATTICES)
-def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape, base):
-    forward, backward, b0 = random_edges(shape)
-    values = frames._fill_lattice(shape, base, b0, forward, backward)
+@pytest.mark.parametrize("shape", LATTICES)
+def test_fill_lattice_equals_node_by_node_fill_bit_for_bit(shape):
+    forward, b0 = random_edges(shape)
+    values = frames._fill_lattice(shape, b0, forward)
     assert not np.isnan(values).any()
-    assert np.array_equal(values, fill_lattice_by_node(shape, base, b0, forward, backward))
+    assert np.array_equal(values, fill_lattice_by_node(shape, b0, forward))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["axis-order", "reverse-axis-order"])
-@pytest.mark.parametrize("shape, base", LATTICES)
-def test_fill_equals_polyline_product_at_every_node_bit_for_bit(shape, base, reverse):
+@pytest.mark.parametrize("shape", LATTICES)
+def test_fill_equals_polyline_product_at_every_node_bit_for_bit(shape, reverse):
     # the path audit compares the two fills: each must be its polyline product, edge by edge
-    forward, backward, b0 = random_edges(shape)
+    forward, b0 = random_edges(shape)
     fill = frames._fill_lattice_reversed if reverse else frames._fill_lattice
-    values = fill(shape, base, b0, forward, backward)
+    values = fill(shape, b0, forward)
     order = list(range(len(shape)))[::-1 if reverse else 1]
     for node in np.ndindex(shape):
-        assert np.array_equal(values[node],
-                              polyline_product(forward, backward, base, node, order, b0))
+        assert np.array_equal(values[node], polyline_product(forward, node, order, b0))
 
 
 def test_path_audit_compares_every_node_whatever_the_seed(polar_connection):
     # the deviation is the largest difference of the two fills over the whole lattice
-    grid, h = GridSpec((9, 7), base_index=(4, 3)), 1e-2
+    grid, h = GridSpec((9, 7)), 1e-2
     built = [flat_frame_neighborhood(polar_connection, grid, h=h, seed=seed) for seed in (3, 42)]
-    forward, backward = frames.lattice_propagators(built[0].m_functions, built[0].axes, h,
-                                                   grid.base_index)
-    alt = frames._fill_lattice_reversed((9, 7), grid.base_index, np.eye(2), forward, backward)
+    forward = frames.lattice_propagators(built[0].m_functions, built[0].axes, h)
+    alt = frames._fill_lattice_reversed((9, 7), np.eye(2), forward)
     worst = float(np.max(np.abs(alt - built[0].matrices)))
     assert worst > 0.0 and [frame.path_audit_deviation for frame in built] == [worst, worst]
 
@@ -438,15 +410,24 @@ def kernel_calls(monkeypatch):
 
 
 def test_one_kernel_call_per_lattice(tmp_path, kernel_calls):
-    # an interior base node: the backward edges go into the same call
     deriv = load_manifold_spec(SPH3).deriv
-    flat_frame_neighborhood(deriv, GridSpec((4, 4, 4), base_index=(1, 2, 1)), h=1e-2)
+    flat_frame_neighborhood(deriv, GridSpec((4, 4, 4)), h=1e-2)
     assert len(kernel_calls) == 1
     frame, report = tmp_path / "frame.json", tmp_path / "report.json"
     assert main(["frame", SPH3, "flat", "--grid", "4x4x4", "--out", str(frame)]) == EXIT_OK
     assert len(kernel_calls) == 2
     assert main(["verify", SPH3, str(frame), "--out", str(report)]) == EXIT_OK
     assert len(kernel_calls) == 3
+    # a curve is two lattices from its base node, half_turn's node 750 of 1,501: one call
+    # for the 750 segments up from it, one for the 750 down from it; its verify
+    # re-transports all 1,500 in one call
+    polar = str(Path(__file__).resolve().parent.parent / "demos" / "specs" / "polar_euclidean.json")
+    assert main(["frame", polar, "curve", "--field", "angular", "--curve", "half_turn",
+                 "--out", str(frame)]) == EXIT_OK
+    assert main(["verify", polar, str(frame), "--out", str(report)]) == EXIT_OK
+    lengths = [[np.asarray(job[3]) for job in jobs] for jobs, in kernel_calls[3:]]
+    assert [[len(ln) for ln in jobs] for jobs in lengths] == [[750], [750], [1500]]
+    assert (lengths[0][0] > 0).all() and (lengths[1][0] < 0).all()
 
 
 def test_sphere_rejected_with_obstruction(sphere_connection):
@@ -513,7 +494,7 @@ def test_lie_type_rejected_as_nonlinear(lie_plane):
 def test_torsion_fixture_builds_flat_frame(torsion_flat_frame):
     assert torsion_flat_frame.gamma_prime_residual <= 1e-6
     # closed form: A = diag(exp(-x2), 1) relative to the base node
-    base_pt = node_point(torsion_flat_frame, torsion_flat_frame.base_index)
+    base_pt = node_point(torsion_flat_frame, (0, 0))
     for idx in np.ndindex(*(len(ax) for ax in torsion_flat_frame.axes)):
         pt = node_point(torsion_flat_frame, idx)
         expected = np.diag([np.exp(-(pt[1] - base_pt[1])), 1.0])
@@ -549,7 +530,7 @@ def test_torsion_frame_is_anholonomic_with_matching_commutator(torsion_flat_fram
     # independent hand value at the base node: [E_1', E_2'] = +E_1' while
     # T(E_1', E_2') = -E_1' there (A = identity at the base)
     t_vals = torsion_tensor(torsion_plane).evaluate_at(
-        node_point(torsion_flat_frame, torsion_flat_frame.base_index)
+        node_point(torsion_flat_frame, (0, 0))
     )
     assert t_vals[0, 0, 1] == -1.0
 
@@ -559,7 +540,7 @@ def test_grid_holonomicity_one_tape_equals_one_compile_per_array(
     # B, C and T of every node from one tape, and from one compile each
     grids = [polar_flat_frame, torsion_flat_frame,
              flat_frame_neighborhood(load_manifold_spec(SPH3).deriv,
-                                     GridSpec((4, 4, 4), base_index=(2, 1, 2)), h=1e-2)]
+                                     GridSpec((4, 4, 4)), h=1e-2)]
     one_tape = [holonomicity_check(grid) for grid in grids]
     monkeypatch.setattr(matops, "evaluate_arrays", lambda arrays, symbols, points: [
         matops.evaluate_points(arr, symbols, points) for arr in arrays])

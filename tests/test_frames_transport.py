@@ -82,7 +82,8 @@ def test_polar_circle_transport_matches_rotation(polar_connection, polar_circle)
 
 def one_job_curve_matrices(deriv, x, curve, b0):
     """Reference: every segment of the curve in one kernel job, forward from
-    s_i at and after the node nearest s0 and backward from s_{i+1} before it."""
+    s_i at and after the node nearest s0 and backward from s_{i+1} before it,
+    carried node by node from b0 at that node."""
     s_values = curve.node_values()
     m_fn = frames.curve_direction_function(deriv, x, curve.exprs)
     base = int(np.argmin(np.abs(s_values - curve.s0)))
@@ -90,7 +91,13 @@ def one_job_curve_matrices(deriv, x, curve, b0):
     starts = np.where(ahead, s_values[:-1], s_values[1:])[:, None]
     signed = np.where(ahead, 1.0, -1.0) * np.diff(s_values)
     props = frames._rk4_kernel([(m_fn, starts, 1.0, signed, 1)])[0]
-    return frames._fill_lattice((len(s_values),), (base,), b0, [props], [props])
+    matrices = np.empty((len(s_values),) + b0.shape)
+    matrices[base] = b0
+    for i in range(base, len(s_values) - 1):
+        matrices[i + 1] = props[i] @ matrices[i]
+    for i in range(base, 0, -1):
+        matrices[i - 1] = props[i - 1] @ matrices[i]
+    return matrices
 
 
 @pytest.mark.parametrize("s0", [0.0, 0.75, np.pi / 2], ids=["first", "interior", "last"])

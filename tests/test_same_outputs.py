@@ -1,7 +1,10 @@
 """tools/same_outputs.py: byte-identity of CLI results between two source trees."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from conftest import coordinate_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +84,14 @@ def test_flags_no_construction_reads_are_refused_with_one_line():
         (2, b"", b"input error: --probe-seed applies only to frame point and flat\n"),
     ]
     assert [report is None for *_, report in results] == [False, True, True, True]
+
+
+def test_dimension_ops_run_the_6d_coordinate_spec():
+    tool = load_tool()
+    assert json.loads(tool.COORDINATE6_SPEC.read_text()) == coordinate_spec(6)
+    results = tool.run_group(tool.SRC, tool.dimension_runs())
+    assert [(code, out, err) for code, out, err, _ in results] == [
+        (0, b"", b""),
+        (5, b"", b"flatness violation: derivation is not flat (max curvature entry 1.97957); "
+                 b"no neighborhood-wide vanishing-component frame exists\n"),
+    ]

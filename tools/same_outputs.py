@@ -18,7 +18,9 @@ one line of compact JSON, with CRLF line ends, with one ragged matrix row,
 cut off inside its matrices, and with one point off the curve; a
 four-node curve frame with JSON strings and booleans for numbers; a
 non-string ``kind``; and a symbolic locus outside the domain box and at
-NaN.  Flags
+NaN.  ``analyze`` and a ``frame ... flat`` at step 0.01 (refused: not
+flat) run on the tool's 6-D coordinate spec ``tools/specs/coordinate6.json``,
+where the curvature tensor has n^4 entries.  Flags
 that no construction reads run on the polar demo spec: ``verify --tol`` -1
 and NaN, and ``--probe-seed`` on a curve frame.  Each op runs as a fresh
 ``python -m normframes.cli``, once with ``PARENT_SRC`` and once with this
@@ -43,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMO_SPECS = ROOT / "demos" / "specs"
 POLE_SPEC = ROOT / "tools" / "specs" / "w_pole.json"
+COORDINATE6_SPEC = ROOT / "tools" / "specs" / "coordinate6.json"
 FRAME_FILES = sorted((ROOT / "tools" / "specs").glob("frame_*.json"))
 POLE, AWAY = "r=1.0,theta=0.5", "r=1.5,theta=0.5"
 PROBE_SEEDS = (-3, 2**70)
@@ -103,6 +106,15 @@ def probe_seed_runs(seed: int) -> list:
             ("verify", path, "flat.json", "--out", "verify.json")]
 
 
+def dimension_runs() -> list:
+    """analyze and a flat frame (refused, not flat) on the 6-D coordinate spec."""
+    path = str(COORDINATE6_SPEC)
+    at = ",".join(f"x{i}=1.5" for i in range(1, 7))
+    return [("analyze", path, "--at", at, "--out", "analysis.json"),
+            ("frame", path, "flat", "--grid", "3x3x3x3x3x3", "--step", "0.01",
+             "--out", "flat.json")]
+
+
 def frame_file_runs() -> list:
     """verify of each of the tool's frame files against the polar demo spec."""
     path = str(DEMO_SPECS / "polar_euclidean.json")
@@ -156,7 +168,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent_src} holds no normframes package")
     groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
               + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
-              + [frame_file_runs(), flag_runs()])
+              + [dimension_runs(), frame_file_runs(), flag_runs()])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
         print(line)
