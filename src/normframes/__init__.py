@@ -45,7 +45,6 @@ from .geometry import (
     VectorField,
     anholonomy_coefficients,
     commutator,
-    vanishes_on_chart,
 )
 from .derivation import (
     Connection,
@@ -59,19 +58,15 @@ from .derivation import (
     linearity_probe,
     symmetrize_connection,
     template_symbols,
-    w_derivatives,
     w_of,
 )
 from .curvature import (
     ProbeForms,
     Verdict,
-    curvature_matrix,
-    curvature_tensor,
     is_flat,
     is_torsion_free,
     sampled_verdict,
-    torsion_tensor,
-    torsion_vector,
+    torsion_tensor_at,
 )
 from .frames import (
     ConstancyVerdict,

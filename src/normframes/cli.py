@@ -365,6 +365,8 @@ def parse_point(text: str, chart: Chart) -> np.ndarray:
         name = name.strip()
         if name not in chart.coordinates:
             raise ValueError(f"unknown coordinate {name!r} in --at")
+        if name in values:
+            raise ValueError(f"coordinate {name!r} is given twice in --at")
         try:
             values[name] = float(val)
         except ValueError:
@@ -379,8 +381,14 @@ def parse_point(text: str, chart: Chart) -> np.ndarray:
 # analyze
 
 
-def _verdict_dict(verdict) -> dict:
-    return {"value": bool(verdict), "residual": verdict.max_residual, "tol": verdict.tol}
+def _verdict_dict(verdict, chart: Chart, points, labels) -> dict:
+    """A sampled verdict: value, residual and tolerance, and where the
+    residual sits: the sample point, the form's label and the component."""
+    point, form, *component = verdict.worst
+    worst = {"point": {name: float(v) for name, v in zip(chart.coordinates, points[point])},
+             "form": labels[form], "component": component}
+    return {"value": bool(verdict), "residual": verdict.max_residual, "tol": verdict.tol,
+            "worst": worst}
 
 
 def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> dict:
@@ -390,27 +398,26 @@ def build_analysis_report(setup: ManifoldSetup, at: np.ndarray, seed: int) -> di
     n = chart.dimension
     anhol = frame.anholonomy()
     tables: dict = {"anholonomy": anhol.evaluate_at(at)}
-    # built once: the tables read the frame-pair forms, the verdicts sample all of them
+    # one evaluation: the tables read the forms at --at, the verdicts on the cloud
     forms = ProbeForms(deriv, seed)
-    curvature = list(forms.curvature())
-    torsion = list(forms.torsion())
+    names = forms.labels()
+    cloud = chart.sample_points(seed=seed)
+    curvature, torsion = forms.at(np.vstack([at, cloud]))
     if isinstance(deriv, Connection):
-        tables["curvature_tensor"] = curvature[0].evaluate_at(at)
-        tables["torsion_tensor"] = torsion[0].evaluate_at(at)
+        tables["curvature_tensor"] = curvature[0, 0]
+        tables["torsion_tensor"] = torsion[0, 0]
         tables["connection"] = deriv.gamma_at(at)
     else:
-        labels = [f"E{i + 1},E{j + 1}" for i in range(n) for j in range(i + 1, n)]
-        tables["curvature_matrix"] = {
-            label: form.evaluate_at(at) for label, form in zip(labels, curvature)
-        }
-        tables["torsion_vector"] = {label: form.at(at) for label, form in zip(labels, torsion)}
+        frame_pairs = names[:n * (n - 1) // 2]  # the frame pairs come first
+        tables["curvature_matrix"] = dict(zip(frame_pairs, curvature[0]))
+        tables["torsion_vector"] = dict(zip(frame_pairs, torsion[0]))
 
-    flat = sampled_verdict(curvature, chart, seed)
-    tfree = sampled_verdict(torsion, chart, seed)
+    flat = sampled_verdict(curvature[1:])
+    tfree = sampled_verdict(torsion[1:])
     linear = linearity_probe(deriv, at, seed=seed)
     verdicts = {
-        "flat": _verdict_dict(flat),
-        "torsion_free": _verdict_dict(tfree),
+        "flat": _verdict_dict(flat, chart, cloud, names),
+        "torsion_free": _verdict_dict(tfree, chart, cloud, names),
         "linear_at_point": {
             "value": linear.is_linear,
             "residual": linear.max_residual,

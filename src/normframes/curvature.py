@@ -1,10 +1,30 @@
-"""Curvature and torsion: component forms, tensors and verdicts.
+"""Curvature and torsion: their component forms at points, and verdicts.
 
-The closed component expressions here are what verdicts and the CLI use.
-The test suite keeps them in agreement with brute-force operator
-evaluation through the derivation action, D_X D_Y - D_Y D_X - D_[X,Y] and
-D_X Y - D_Y X - [X,Y], its ground truth.  Sign conventions follow the component formulas
-verbatim; recorded signs on the fixtures are outputs, never inputs.
+The forms are computed numerically at the points where they are read, from
+first-order jets (value plus the frame derivatives E_k = B^a_k d/dx^a) run
+on the compiled tape of their symbolic inputs: the W template, the probe
+fields' components and E_k(X^i), the anholonomy C and the connection
+coefficients.  No curvature or torsion expression is built.  For a field
+pair,
+
+    R(X,Y) = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_[X,Y],
+    T(X,Y) = W_X Y - W_Y X - C(X,Y),
+
+with X(W_Y) = X^k E_k(W_Y) from the template's jets at X's components and
+frame derivatives, and W_[X,Y] from the template's values at the bracket
+[X,Y]^i = X(Y^i) - Y(X^i) + C^i_{jk} X^j Y^k and its E_l, which the jets of
+X, Y and C give.  For a connection,
+
+    R^i_{jkl} = -E_l(G^i_{jk}) + E_k(G^i_{jl}) - G^m_{jk} G^i_{ml}
+                + G^m_{jl} G^i_{mk} - G^i_{jm} C^m_{kl},
+    T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl},
+
+with (W_{E_l})^i_k = G^i_{kl}.  The test suite keeps these in agreement
+with the symbolic forms of ``tests/reference.py`` and with brute-force
+operator evaluation through the derivation action, D_X D_Y - D_Y D_X -
+D_[X,Y] and D_X Y - D_Y X - [X,Y], its ground truth.  Sign conventions
+follow the component formulas verbatim; recorded signs on the fixtures are
+outputs, never inputs.
 """
 
 from __future__ import annotations
@@ -14,116 +34,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Const, Expr, simplify
-from .geometry import (
-    DEFAULT_SEED,
-    IDENTITY_TOL,
-    FrameField,
-    TensorField,
-    VectorField,
-    commutator,
-    vanishes_on_chart,
-)
-from .derivation import (
-    Connection,
-    Derivation,
-    VariantError,
-    seeded_affine_fields,
-    w_derivatives,
-    w_of,
-)
+from . import matops
+from .expr import ZERO, Const, component_symbols, compile_exprs
+from .geometry import DEFAULT_SEED, IDENTITY_TOL, FrameField, VectorField
+from .derivation import Connection, Derivation, seeded_affine_fields
 from .rng import Generator
-
-
-def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
-    """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
-    (1,1) tensor field for the fixed pair of fields.  W_X, W_Y, W_{[X,Y]}
-    and the frame derivatives are the ones ``deriv`` keeps per field."""
-    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
-    x_wy = x.contract(w_derivatives(deriv, y))
-    y_wx = y.contract(w_derivatives(deriv, x))
-    w_brk = w_of(deriv, commutator(x, y)).components
-    # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
-    total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
-    return TensorField(deriv.frame, 1, 1, simplify(total))
-
-
-def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
-    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l."""
-    frame = deriv.frame
-    n = frame.dimension
-    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
-    C = frame.anholonomy()
-    holonomic = C.is_zero
-    comps = []
-    for i in range(n):
-        acc: Expr = Const(0.0)
-        for l in range(n):
-            acc = acc + w_x[i, l] * y.components[l] - w_y[i, l] * x.components[l]
-        if not holonomic:
-            for k in range(n):
-                for l in range(n):
-                    acc = acc - C.components[i, k, l] * x.components[k] * y.components[l]
-        comps.append(simplify(acc))
-    return VectorField(frame, comps)
-
-
-def curvature_tensor(deriv: Connection) -> TensorField:
-    """R^i_{jkl} = -E_l(G^i_{jk}) + E_k(G^i_{jl}) - G^m_{jk} G^i_{ml}
-    + G^m_{jl} G^i_{mk} - G^i_{jm} C^m_{kl}, with G the connection array;
-    a (1,3) tensor field."""
-    if not isinstance(deriv, Connection):
-        raise VariantError("the curvature tensor requires the connection variant")
-    frame = deriv.frame
-    n = frame.dimension
-    g = deriv.gamma
-    C = frame.anholonomy()
-    holonomic = C.is_zero
-    dg = frame.frame_derivatives(g)  # dg[l, i, j, k] = E_l(G^i_{jk})
-    out = np.empty((n, n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc: Expr = -dg[l, i, j, k] + dg[k, i, j, l]
-                    for m in range(n):
-                        acc = acc - g[m, j, k] * g[i, m, l] + g[m, j, l] * g[i, m, k]
-                    if not holonomic:
-                        for m in range(n):
-                            acc = acc - g[i, j, m] * C.components[m, k, l]
-                    out[i, j, k, l] = simplify(acc)
-    return TensorField(frame, 1, 3, out)
-
-
-def torsion_tensor(deriv: Derivation) -> TensorField:
-    """T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl}, a (1,2)
-    tensor field.
-
-    Built from the frame-direction component matrices of any derivation;
-    for a connection (W_{E_l})^i_k = G^i_{kl}.  The result is a tensor only
-    for linear connections.
-    """
-    frame = deriv.frame
-    n = frame.dimension
-    w_frames = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
-    C = frame.anholonomy()
-    holonomic = C.is_zero
-    out = np.empty((n, n, n), dtype=object)
-    for i, k, l in np.ndindex(out.shape):
-        acc: Expr = -(w_frames[l][i, k] - w_frames[k][i, l])
-        if not holonomic:
-            acc = acc - C.components[i, k, l]
-        out[i, k, l] = simplify(acc)
-    return TensorField(frame, 1, 2, out)
 
 
 @dataclass
 class Verdict:
-    """A boolean decision plus the residual that justifies it."""
+    """A boolean decision plus the residual that justifies it, and where
+    the residual sits: (point, form, component) indices into the sampled
+    forms, the first of the largest."""
 
     value: bool
     max_residual: float
     tol: float
+    worst: tuple
 
     def __bool__(self) -> bool:
         return self.value
@@ -141,45 +68,256 @@ def _probe_pairs(frame: FrameField, seed: int) -> list[tuple[VectorField, Vector
     return pairs
 
 
+def _frame_seeds(frame: FrameField, points) -> list:
+    """Each coordinate's tangent along the frame, B^a_k as [k, point] (a
+    unit column on a coordinate frame): seeded with these, jets carry E_k."""
+    n = frame.dimension
+    if frame.is_coordinate:
+        return list(np.eye(n)[:, :, None])
+    b = matops.evaluate_points(frame.matrix, frame.chart.symbols, points)  # [P, a, k]
+    return [b[:, a].T for a in range(n)]
+
+
+def _jets(exprs, frame: FrameField, points, seeds):
+    """Values [expr, P] and frame derivatives E_k [expr, k, P] of
+    coordinate-only expressions."""
+    return compile_exprs(exprs, frame.chart.symbols).jets(points.T, seeds)
+
+
+def _anholonomy(frame: FrameField, points, seeds):
+    """C^i_{jk} [i, P] and E_l(C^i_{jk}) [l, i, P] for each column (j, k)
+    holding a nonzero entry, and those columns."""
+    C = frame.anholonomy().components
+    n = frame.dimension
+    columns = [(j, k) for j, k in np.ndindex(n, n) if not all(e == ZERO for e in C[:, j, k])]
+    if not columns:
+        return [], [], []
+    c, dc = _jets([e for j, k in columns for e in C[:, j, k]], frame, points, seeds)
+    return (np.split(c, len(columns)), np.split(np.moveaxis(dc, 1, 0), len(columns), axis=1),
+            columns)
+
+
+def _torsion(w, c):
+    """T^i_{kl} [i, k, l, P] from W_{E_k} as w[k, i, j, P] and C (or None)."""
+    t = w.transpose(1, 0, 2, 3) - w.transpose(1, 2, 0, 3)
+    return t if c is None else t - c
+
+
+def _connection_forms(deriv: Connection, points, seeds, c):
+    """The curvature [i, j, k, l, P] and torsion [i, k, l, P] tensors."""
+    n, count = deriv.frame.dimension, len(points)
+    g, dg = _jets(deriv.gamma.ravel(), deriv.frame, points, seeds)
+    g, dg = g.reshape(n, n, n, count), dg.reshape(n, n, n, n, count)  # dg[i,j,k,l] = E_l(G^i_jk)
+    r = dg.swapaxes(2, 3) - dg
+    gg = 0.0  # sum_m G^i_{ml} G^m_{jk}, as [i, j, k, l]
+    for m in range(n):
+        gg = gg + g[:, m, None, None] * g[m, None, :, :, None]
+    r += gg.swapaxes(2, 3) - gg
+    if c is not None:
+        for m in range(n):
+            r -= g[:, :, m, None, None] * c[m]
+    return r, _torsion(g.transpose(2, 0, 1, 3), c)
+
+
+class _TemplateTape:
+    """A derivation's W template compiled once over the coordinates, X1..Xn
+    and the dX[i,j] it reads.  A field's inputs are its components x [i, P]
+    and frame derivatives dx [k, i, P] = E_k(X^i); several fields are one
+    run over the columns (field, point)."""
+
+    def __init__(self, deriv: Derivation):
+        frame = deriv.frame
+        self.n = frame.dimension
+        self.slots = [(i, j) for _, i, j in deriv.template_derivatives]
+        symbols = (frame.chart.symbols + component_symbols(self.n)
+                   + tuple(s for s, _, _ in deriv.template_derivatives))
+        self.tape = compile_exprs(deriv.w_template.ravel(), symbols)
+
+    def _inputs(self, points, xs, dxs) -> list:
+        rows = list(np.tile(points.T, len(xs)))
+        rows += [np.concatenate([x[m] for x in xs]) for m in range(self.n)]
+        return rows + [np.concatenate([dx[j, i] for dx in dxs]) for i, j in self.slots]
+
+    def values(self, points, xs, dxs) -> list:
+        """W [i, j, P] of each field."""
+        w = self.tape(*self._inputs(points, xs, dxs))
+        return np.split(w.reshape(self.n, self.n, -1), len(xs), axis=-1)
+
+    def jets(self, points, seeds, fields) -> tuple[list, list]:
+        """W [i, j, P] and E_k(W) [i, j, k, P] of each field.  An input whose
+        E_l vanish identically (a constant component or frame derivative)
+        keeps the tangent None, so what the fold would drop raises nothing."""
+        n = self.n
+        flat = lambda parts: np.concatenate(parts, axis=-1)  # [l, P] per field -> [l, (f, P)]
+        tangents = [np.tile(s, len(fields)) if s.shape[1] > 1 else s for s in seeds]
+        tangents += [flat([f.dx[:, m] for f in fields]) if fields[0].varies[m] else None
+                     for m in range(n)]
+        tangents += [flat([f.ddx[j, i] for f in fields]) if fields[0].varies[n + k] else None
+                     for k, (i, j) in enumerate(self.slots)]
+        w, dw = self.tape.jets(self._inputs(points, [f.x for f in fields],
+                                            [f.dx for f in fields]), tangents)
+        return (np.split(w.reshape(n, n, -1), len(fields), axis=-1),
+                np.split(dw.reshape(n, n, n, -1), len(fields), axis=-1))
+
+
+class _Field:
+    """A probe field at the points: x [i, P], dx [k, i, P] = E_k(X^i), ddx
+    [k, i, l, P] = E_l(E_k(X^i)) (None where every E_k(X^i) is constant),
+    and which template inputs vary: each X^m, then each slot's E_j(X^i)."""
+
+    def __init__(self, x, dx, ddx, varies):
+        self.x, self.dx, self.ddx, self.varies = x, dx, ddx, varies
+
+
+def _fields_at(fields, slots, frame: FrameField, points, seeds) -> list:
+    """Each field's :class:`_Field`: the components and E_k(X^i) from one
+    tape, and E_l(E_k(X^i)) from the jets of the fields whose E_k(X^i) vary."""
+    n, count = frame.dimension, len(points)
+    exprs = [e for f in fields for e in (*f.components, *f.component_derivatives.flat)]
+    values = matops.evaluate_points(exprs, frame.chart.symbols, points).T
+    varying = [f for f in fields if not all(isinstance(e, Const) for e in f.component_derivatives.flat)]
+    ddx = {}
+    if varying:
+        _, tangents = _jets([e for f in varying for e in f.component_derivatives.flat],
+                            frame, points, seeds)
+        ddx = dict(zip(map(id, varying), tangents.reshape(len(varying), n, n, n, count)))
+    out = []
+    for f, rows in zip(fields, np.split(values, len(fields))):
+        varies = [not isinstance(e, Const) for e in f.components]
+        varies += [not isinstance(f.component_derivatives[j, i], Const) for i, j in slots]
+        out.append(_Field(rows[:n], rows[n:].reshape(n, n, count), ddx.get(id(f)), varies))
+    return out
+
+
+def _pair_forms(deriv: Derivation, pairs, points, seeds):
+    """R(X,Y) [i, j, P] and T(X,Y) [i, P] of each pair, stacked along a
+    first axis."""
+    template = _TemplateTape(deriv)
+    curvature, torsion, brackets = _pair_terms(deriv, template, pairs, points, seeds)
+    # the fields' jets are gone before the brackets' run
+    w_brk = template.values(points, *zip(*brackets))
+    return np.stack([r - w for r, w in zip(curvature, w_brk)]), np.stack(torsion)
+
+
+def _pair_terms(deriv: Derivation, template: _TemplateTape, pairs, points, seeds):
+    """Of each pair: R(X,Y) + W_[X,Y], T(X,Y), and [X,Y] with its E_l, as
+    the template's inputs."""
+    frame = deriv.frame
+    n = frame.dimension
+    unique = list({id(f): f for pair in pairs for f in pair}.values())
+    fields = dict(zip(map(id, unique), _fields_at(unique, template.slots, frame, points, seeds)))
+    # fields whose template inputs vary alike share a jet run
+    groups = {}
+    for f in fields.values():
+        groups.setdefault(tuple(f.varies), []).append(f)
+    for group in groups.values():
+        for f, w, dw in zip(group, *template.jets(points, seeds, group)):
+            f.w, f.dw = w, dw
+    c, dc, columns = _anholonomy(frame, points, seeds)
+
+    curvature, torsion, brackets = [], [], []
+    for p, q in pairs:
+        a, b = fields[id(p)], fields[id(q)]
+        r = 0.0  # X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X
+        t = 0.0  # W_X Y - W_Y X - C(X,Y)
+        brk = 0.0  # [X,Y]^i = X(Y^i) - Y(X^i) + C(X,Y)^i
+        dbrk = 0.0  # E_l([X,Y]^i), as [l, i]
+        for k in range(n):
+            r = r + a.x[k] * b.dw[:, :, k] - b.x[k] * a.dw[:, :, k]
+            r = r + a.w[:, k, None] * b.w[k] - b.w[:, k, None] * a.w[k]
+            t = t + a.w[:, k] * b.x[k] - b.w[:, k] * a.x[k]
+            brk = brk + a.x[k] * b.dx[k] - b.x[k] * a.dx[k]
+            dbrk = dbrk + a.dx[:, k, None] * b.dx[k] - b.dx[:, k, None] * a.dx[k]
+            if b.ddx is not None:
+                dbrk = dbrk + a.x[k] * b.ddx[k].swapaxes(0, 1)
+            if a.ddx is not None:
+                dbrk = dbrk - b.x[k] * a.ddx[k].swapaxes(0, 1)
+        for (j, k), c_jk, dc_jk in zip(columns, c, dc):
+            xy = a.x[j] * b.x[k]
+            brk = brk + c_jk * xy
+            t = t - c_jk * xy
+            dbrk = dbrk + dc_jk * xy + c_jk * (a.dx[:, j, None] * b.x[k] + a.x[j] * b.dx[:, k, None])
+        curvature.append(r)
+        torsion.append(t)
+        brackets.append((brk, dbrk))
+    return curvature, torsion, brackets
+
+
 class ProbeForms:
     """The forms :func:`is_flat` and :func:`is_torsion_free` test, for one
-    derivation and probe seed, built one at a time by :meth:`curvature` and
-    :meth:`torsion`.  A connection has one of each, its curvature and
-    torsion tensors.  Any other variant has one per probe pair (the frame
-    pairs (E_i, E_j), i < j, first); while the pairs live, the derivation
-    keeps each probe field's W_X and E_k(W_X), so the curvature and torsion
-    forms build them once between them."""
+    derivation and probe seed.  A connection has one of each, its curvature
+    and torsion tensors.  Any other variant has one per probe pair: the
+    frame pairs (E_i, E_j), i < j, first, then (with ``seeded``) four pairs
+    of seeded affine fields.  :meth:`at` evaluates both kinds at once."""
 
-    def __init__(self, deriv: Derivation, seed: int = DEFAULT_SEED):
+    def __init__(self, deriv: Derivation, seed: int = DEFAULT_SEED, seeded: bool = True):
         self.deriv = deriv
         self.seed = seed
+        self.seeded = seeded
 
     @cached_property
     def pairs(self) -> list[tuple[VectorField, VectorField]]:
-        return _probe_pairs(self.deriv.frame, self.seed)
+        pairs = _probe_pairs(self.deriv.frame, self.seed)
+        n = self.deriv.frame.dimension
+        return pairs if self.seeded else pairs[:n * (n - 1) // 2]
 
-    def curvature(self):
+    def labels(self) -> list:
+        """Each form's name in a report: "E1,E2" for a frame pair, else its
+        index (0 for a connection's one tensor)."""
         if isinstance(self.deriv, Connection):
-            yield curvature_tensor(self.deriv)
-            return
-        for x, y in self.pairs:
-            yield curvature_matrix(self.deriv, x, y)
+            return [0]
+        n = self.deriv.frame.dimension
+        frame_pairs = [f"E{i + 1},E{j + 1}" for i in range(n) for j in range(i + 1, n)]
+        return frame_pairs + list(range(len(frame_pairs), len(self.pairs)))
 
-    def torsion(self):
+    def at(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The curvature and torsion forms at the points [P, n], as arrays over
+        [point, form, component]: [P, 1, n, n, n, n] and [P, 1, n, n, n] for a
+        connection, [P, pair, n, n] and [P, pair, n] otherwise."""
+        frame = self.deriv.frame
+        points = np.asarray(points, dtype=float)
+        seeds = _frame_seeds(frame, points)
         if isinstance(self.deriv, Connection):
-            yield torsion_tensor(self.deriv)
-            return
-        for x, y in self.pairs:
-            yield torsion_vector(self.deriv, x, y)
+            r, t = _connection_forms(self.deriv, points, seeds, _values_of_c(frame, points))
+            return np.moveaxis(r, -1, 0)[:, None], np.moveaxis(t, -1, 0)[:, None]
+        r, t = _pair_forms(self.deriv, self.pairs, points, seeds)
+        return np.moveaxis(r, -1, 0), np.moveaxis(t, -1, 0)
 
 
-def sampled_verdict(forms, chart, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
-    """Largest |component| of the forms (tensor or vector fields) over the
-    chart's sample cloud.  Each form gets one compiled evaluation; given one
-    at a time, only one form's trees and code stay alive."""
-    worst = max(vanishes_on_chart(np.ravel(form.components), chart, tol=tol, seed=seed)[1]
-                for form in forms)
-    return Verdict(worst <= tol, worst, tol)
+def _values_of_c(frame: FrameField, points):
+    """C^i_{jk} [i, j, k, P], or None on a holonomic frame."""
+    C = frame.anholonomy()
+    if C.is_zero:
+        return None
+    values = matops.evaluate_points(C.components, frame.chart.symbols, points)
+    return np.moveaxis(values, 0, -1)
+
+
+def torsion_tensor_at(deriv: Derivation, points) -> np.ndarray:
+    """T^i_{kl} at the points [P, n], as [P, i, k, l]: the torsion formula on
+    W_{E_k} of any derivation (a tensor only for linear connections)."""
+    frame = deriv.frame
+    n = frame.dimension
+    points = np.asarray(points, dtype=float)
+    c = _values_of_c(frame, points)
+    if isinstance(deriv, Connection):
+        g = matops.evaluate_points(deriv.gamma, frame.chart.symbols, points)  # [P, i, j, k]
+        w = np.moveaxis(g, (3, 0), (0, 3))
+    else:
+        # X^i = delta_ik, E_l(X^i) = 0
+        ones, zeros = np.ones(len(points)), np.zeros((n, n, len(points)))
+        w = np.stack(_TemplateTape(deriv).values(points, list(np.eye(n)[:, :, None] * ones),
+                                                 [zeros] * n))
+    return np.moveaxis(_torsion(w, c), -1, 0)
+
+
+def sampled_verdict(forms: np.ndarray, tol: float = IDENTITY_TOL) -> Verdict:
+    """Largest |component| of the forms [point, form, component...] and
+    where it sits: the first such entry in row-major order."""
+    magnitude = np.abs(forms)
+    residual = float(np.max(magnitude))
+    worst = tuple(int(i) for i in np.argwhere(magnitude == residual)[0])
+    return Verdict(residual <= tol, residual, tol, worst)
 
 
 def is_flat(deriv: Derivation, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL) -> Verdict:
@@ -188,10 +326,12 @@ def is_flat(deriv: Derivation, seed: int = DEFAULT_SEED, tol: float = IDENTITY_T
     Connections test the full tensor; other variants probe the matrix form
     over a deterministic family of field pairs.
     """
-    return sampled_verdict(ProbeForms(deriv, seed).curvature(), deriv.chart, seed, tol)
+    points = deriv.chart.sample_points(seed=seed)
+    return sampled_verdict(ProbeForms(deriv, seed).at(points)[0], tol)
 
 
 def is_torsion_free(
     deriv: Derivation, seed: int = DEFAULT_SEED, tol: float = IDENTITY_TOL
 ) -> Verdict:
-    return sampled_verdict(ProbeForms(deriv, seed).torsion(), deriv.chart, seed, tol)
+    points = deriv.chart.sample_points(seed=seed)
+    return sampled_verdict(ProbeForms(deriv, seed).at(points)[1], tol)

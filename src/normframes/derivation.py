@@ -6,8 +6,8 @@ D_X E_j = (W_X)^i_j E_i.  Every variant is a case of one formula,
 (W_X)^i_j = (S_X)^i_j - E_j(X^i) + C^i_{kj} X^k, so each is held as its W
 template: W_X as expressions in the coordinates, the component symbols
 X1..Xn and the frame derivatives dX[i,j] = E_j(X^i); :func:`w_of` is one
-substitution into it.  A derivation keeps W_X and E_k(W_X) for each live
-field X, read-only, so each is built once however many verdicts read it.
+substitution into it.  A derivation keeps W_X for each live field X,
+read-only, so it is built once however many readers it has.
 Four variants are supported:
 
 * :class:`Connection` -- coefficients Gamma^i_{jk} (k is the direction leg),
@@ -95,9 +95,8 @@ class Derivation:
 
     def __init__(self, frame: FrameField):
         self.frame = frame
-        # W_X and E_k(W_X) keyed by field identity: an entry dies with its field
+        # W_X keyed by field identity: an entry dies with its field
         self._w = weakref.WeakKeyDictionary()
-        self._dw = weakref.WeakKeyDictionary()
 
     @property
     def chart(self) -> Chart:
@@ -112,7 +111,9 @@ class Derivation:
         return self._build_template()
 
     @cached_property
-    def _template_derivatives(self) -> list[tuple[Symbol, int, int]]:
+    def template_derivatives(self) -> list[tuple[Symbol, int, int]]:
+        """(dX[i+1,j+1], i, j) for each frame derivative E_j(X^i) the W
+        template reads."""
         used = set().union(*map(free_symbols, self.w_template.flat))
         return [slot for slot in _frame_derivative_slots(self.frame.dimension) if slot[0] in used]
 
@@ -209,23 +210,13 @@ def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     w = deriv._w.get(x)
     if w is None:
         bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
-        slots = deriv._template_derivatives
+        slots = deriv.template_derivatives
         if slots:
             dx = x.component_derivatives  # dx[j, i] = E_j(X^i)
             bindings.update((s, dx[j, i]) for s, i, j in slots)
         # VectorField holds coordinate-only components, and E_j of one is coordinate-only
         w = deriv._w[x] = matops.read_only(substitute_unchecked(deriv.w_template, bindings))
     return TensorField(frame, 1, 1, w)
-
-
-def w_derivatives(deriv: Derivation, x: VectorField) -> np.ndarray:
-    """E_k(W_X) stacked along k, as [k, i, j]; built once per field and
-    derivation, and read-only."""
-    dw = deriv._dw.get(x)
-    if dw is None:
-        w = w_of(deriv, x).components
-        dw = deriv._dw[x] = matops.read_only(deriv.frame.frame_derivatives(w))
-    return dw
 
 
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:

@@ -12,7 +12,7 @@ lives for one public call.  The fold applies one rule per node kind and skips
 the other factor of a zero product; frame derivatives are folded as built.
 Compilation lays the nodes out as one tape of numpy operations, generating no
 Python source: the one numeric evaluator, at one point (:func:`evaluate`) as
-on a point set.  All operations are pure, so concurrent reads are safe.
+on a point set, and in jet mode with first derivatives beside the values.  All operations are pure, so concurrent reads are safe.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -1012,6 +1012,22 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
     ends, so a :class:`DomainError` names the first expression whose
     evaluation fails.  A result register is emptied after its last read,
     so a run holds the live values only, not one array per node.
+
+    ``compiled.jets(values, tangents)`` runs the same tape in jet mode:
+    each register also carries its tangent, the derivative along ``m``
+    directions stacked on a new first axis.  ``tangents`` gives one per
+    symbol, an array that broadcasts to ``(m,) + shape``, or None where
+    the symbol does not vary.  Each entry keeps its ufunc call, so the
+    values are bit-identical to ``compiled(*values)``, and adds the tangent
+    rule of its operation (:data:`_TANGENTS`); a tangent stays None, and
+    costs nothing, until a varying operand reaches it.  Returns the values
+    ``(len(exprs),) + shape`` and the tangents ``(len(exprs), m) + shape``
+    (zero where None).  The tangents run under the same ``errstate``,
+    register release and non-finite check as the values, so a pole of a
+    derivative raises :class:`DomainError` naming the expression too.
+    Seeding each coordinate's tangent with the frame matrix row B^a_k makes
+    the tangents the frame derivatives E_k = B^a_k d/dx^a (forward mode:
+    Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).
     """
     exprs = list(exprs)
     order = list(symbols)
@@ -1089,12 +1105,95 @@ def compile_exprs(exprs, symbols: Iterable[Symbol]):
                 out[i] = r[root]
                 for k in dead:
                     r[k] = None
-        if not np.isfinite(out).all():
-            bad = next(e for e, row in zip(exprs, out) if not np.isfinite(row).all())
-            raise DomainError(f"evaluation produced a non-finite value for {to_source(bad)}")
+        _require_finite(exprs, out)
         return out
 
+    def jets(vals, tangents):
+        if len(vals) != len(order) or len(tangents) != len(order):
+            raise TypeError(f"expected {len(order)} coordinate values and tangents")
+        r = list(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in vals)))
+        shape = r[0].shape if r else ()
+        m = next((np.shape(d)[0] for d in tangents if d is not None), 0)
+        t = [None if d is None else np.broadcast_to(d, (m,) + shape) for d in tangents]
+        r += registers[len(r):]
+        t += [None] * (len(registers) - len(t))
+        out = np.empty((len(segments),) + shape)
+        tout = np.zeros((len(segments), m) + shape)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for i, (entries, root, dead) in enumerate(segments):
+                try:
+                    for fn, dst, a, b, free in entries:
+                        u, du = r[a], t[a]
+                        if b < 0:
+                            w = r[dst] = fn(u)
+                            if du is not None:
+                                t[dst] = _TANGENTS[fn](u, w, du)
+                        else:
+                            v, dv = r[b], t[b]
+                            w = r[dst] = fn(u, v)
+                            if du is not None or dv is not None:
+                                t[dst] = _TANGENTS[fn](u, v, w, du, dv)
+                        for k in free:
+                            r[k] = t[k] = None
+                except FloatingPointError as err:
+                    raise DomainError(f"{to_source(exprs[i])} is undefined: {err}") from None
+                out[i] = r[root]
+                if t[root] is not None:
+                    tout[i] = t[root]
+                for k in dead:
+                    r[k] = t[k] = None
+        _require_finite(exprs, out)
+        _require_finite(exprs, tout)
+        return out, tout
+
+    compiled.jets = jets
     return compiled
+
+
+def _require_finite(exprs, rows) -> None:
+    if not np.isfinite(rows).all():
+        bad = next(e for e, row in zip(exprs, rows) if not np.isfinite(row).all())
+        raise DomainError(f"evaluation produced a non-finite value for {to_source(bad)}")
+
+
+# Tangent rules of the jet mode, one per tape operation: given the operand
+# values u (and v), the result w and the operand tangents du (and dv, either
+# None where it is zero), the result's tangent.  The power rule is that of
+# ``_derivative``: c u^(c-1) du for an exponent that does not vary, else
+# u^v (dv log u + v du/u).
+
+
+def _mul_tangent(u, v, w, du, dv):
+    return du * v if dv is None else u * dv if du is None else du * v + u * dv
+
+
+def _div_tangent(u, v, w, du, dv):
+    return du / v if dv is None else -(w * dv) / v if du is None else (du - w * dv) / v
+
+
+def _pow_tangent(u, v, w, du, dv):
+    if dv is None:
+        return (v * np.power(u, v - 1.0)) * du
+    grow = dv * np.log(u)
+    return w * (grow if du is None else grow + v * (du / u))
+
+
+_TANGENTS = {
+    np.add: lambda u, v, w, du, dv: du if dv is None else dv if du is None else du + dv,
+    np.subtract: lambda u, v, w, du, dv: du if dv is None else -dv if du is None else du - dv,
+    np.multiply: _mul_tangent,
+    np.divide: _div_tangent,
+    np.power: _pow_tangent,
+    np.negative: lambda u, w, du: -du,
+    np.sin: lambda u, w, du: np.cos(u) * du,
+    np.cos: lambda u, w, du: -np.sin(u) * du,
+    np.tan: lambda u, w, du: du / np.cos(u) ** 2,
+    np.exp: lambda u, w, du: w * du,
+    np.log: lambda u, w, du: du / u,
+    np.sqrt: lambda u, w, du: du / (2.0 * w),
+    np.sinh: lambda u, w, du: np.cosh(u) * du,
+    np.cosh: lambda u, w, du: np.sinh(u) * du,
+}
 
 
 def _release_dead_results(segments, registers, inputs: int) -> list:

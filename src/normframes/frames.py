@@ -47,7 +47,7 @@ from .derivation import (
     vanishing_family,
     w_of,
 )
-from .curvature import curvature_matrix, is_flat, sampled_verdict, torsion_tensor
+from .curvature import ProbeForms, is_flat, sampled_verdict, torsion_tensor_at
 from .rng import Generator
 
 POINT_TOL = 1e-10
@@ -907,9 +907,9 @@ def flat_frame_neighborhood(
 
     flat = is_flat(deriv, seed)
     if not flat:
-        e = deriv.frame.coordinate_vector
-        forms = (curvature_matrix(deriv, e(i), e(j)) for i in range(n) for j in range(i + 1, n))
-        obstruction = sampled_verdict(forms, chart, seed).max_residual
+        # |R(E_i, E_j)| over the cloud: a connection's tensor, else the frame pairs
+        frame_pairs = ProbeForms(deriv, seed, seeded=False).at(chart.sample_points(seed=seed))[0]
+        obstruction = sampled_verdict(frame_pairs).max_residual
         raise NotFlatError(
             f"derivation is not flat (max curvature entry {obstruction:.6g}); "
             "no neighborhood-wide vanishing-component frame exists",
@@ -1009,10 +1009,9 @@ def holonomicity_check(
         points = chart.sample_points() if at is None else chart.point(at)[None]
         arrays = [transform.entries, frame.frame_derivatives(transform.entries),
                   frame.anholonomy().components]
-        if deriv is not None:
-            arrays.append(torsion_tensor(deriv).components)
+        torsion = () if deriv is None else (torsion_tensor_at(deriv, points),)
         worst, twisted = _commutator_maxima(
-            points, *matops.evaluate_arrays(arrays, chart.symbols, points))
+            points, *matops.evaluate_arrays(arrays, chart.symbols, points), *torsion)
         sym_tol = IDENTITY_TOL if tol is None else tol
         return HolonomicityVerdict(worst <= sym_tol, worst, sym_tol, "symbolic",
                                    torsion_match_residual=twisted)
@@ -1056,9 +1055,10 @@ def _holonomicity_grid(grid_frame: GridFrame, tol: Optional[float]) -> Holonomic
     a = grid_frame.matrices
     mesh = np.meshgrid(*grid_frame.axes, indexing="ij")
     nodes = np.stack(mesh, axis=-1)
+    flat_nodes = nodes.reshape(-1, n)
     b, c, t = (v.reshape(a.shape[:-2] + v.shape[1:]) for v in matops.evaluate_arrays(
-        [frame.matrix, frame.anholonomy().components, torsion_tensor(deriv).components],
-        frame.chart.symbols, nodes.reshape(-1, n)))
+        [frame.matrix, frame.anholonomy().components], frame.chart.symbols, flat_nodes)
+        + [torsion_tensor_at(deriv, flat_nodes)])
 
     def maxima(part, da, *torsion):
         ea = np.einsum("...Aa,...Aij->...aij", b[part], da)  # E_a(A) = B^alpha_a dA/dx^alpha

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -106,21 +106,6 @@ class Chart:
             cloud = lo + Generator(seed).random((count, self.dimension)) * (hi - lo)
             points = self._clouds[count, seed] = matops.read_only(cloud)
         return points
-
-
-def vanishes_on_chart(
-    exprs: Iterable[Expr],
-    chart: Chart,
-    tol: float = IDENTITY_TOL,
-    seed: int = DEFAULT_SEED,
-) -> tuple[bool, float]:
-    """Probabilistic identity test: evaluate on the chart's sample cloud.
-
-    Returns (verdict, max |value| observed).
-    """
-    values = matops.evaluate_points(list(exprs), chart.symbols, chart.sample_points(seed=seed))
-    worst = float(np.max(np.abs(values), initial=0.0))
-    return worst <= tol, worst
 
 
 def require_invertible(points, matrices, describe=None) -> None:
@@ -303,8 +288,7 @@ class TensorField:
     """Type (p,q) tensor; components stored densely, upper indices first.
 
     The one frame-attached component array: the anholonomy C^i_{jk} is
-    (1,2), W_X and the curvature matrix R(X,Y) are (1,1), the curvature
-    tensor is (1,3) and the torsion tensor (1,2).
+    (1,2) and W_X is (1,1).
     """
 
     frame: FrameField

@@ -26,6 +26,12 @@ or closed-form routes are compared against:
   ``compose_frame``.  They take the adjugate inverse of A, so they serve
   n <= 4; the numeric law ``frames.transformed_components`` has no such
   limit.
+* the sampled identity test of expressions, ``vanishes_on_chart``, and
+  the symbolic curvature and torsion forms, ``curvature_matrix``,
+  ``curvature_tensor``, ``torsion_vector`` and ``torsion_tensor`` (with
+  ``w_derivatives``, E_k(W_X)): folded expression trees, against
+  which the library's numeric forms at points (``curvature.ProbeForms``,
+  jets on the compiled tape) are checked.
 * the operator oracles ``curvature_operator_oracle`` and
   ``torsion_operator_oracle``, which apply D_X D_Y - D_Y D_X - D_[X,Y] and
   D_X Y - D_Y X - [X,Y] through the derivation action, against which the
@@ -76,18 +82,26 @@ from normframes.expr import (
     to_source,
 )
 from normframes import matops
-from normframes.curvature import curvature_matrix
 from normframes.derivation import (
     PROBE_PAIRS,
     PROBE_TOL,
     Connection,
+    Derivation,
     LinearityVerdict,
+    VariantError,
     apply_derivation,
     vanishing_fields,
     w_of,
 )
-from normframes.expr import simplify
-from normframes.geometry import DEFAULT_SEED, FrameField, TensorField, VectorField, commutator
+from normframes.expr import Expr, simplify
+from normframes.geometry import (
+    DEFAULT_SEED,
+    IDENTITY_TOL,
+    FrameField,
+    TensorField,
+    VectorField,
+    commutator,
+)
 
 MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
 
@@ -344,6 +358,109 @@ def transform_connection(deriv: Connection, transform) -> Connection:
             acc = acc + ainv[ip, i] * a[k, kp] * ek_a[k, i, jp]
         gamma[ip, jp, kp] = simplify(acc)
     return Connection(composed_frame(transform), gamma)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic curvature and torsion forms
+
+
+def vanishes_on_chart(
+    exprs,
+    chart,
+    tol: float = IDENTITY_TOL,
+    seed: int = DEFAULT_SEED,
+) -> tuple[bool, float]:
+    """Probabilistic identity test: evaluate on the chart's sample cloud.
+
+    Returns (verdict, max |value| observed).
+    """
+    values = matops.evaluate_points(list(exprs), chart.symbols, chart.sample_points(seed=seed))
+    worst = float(np.max(np.abs(values), initial=0.0))
+    return worst <= tol, worst
+
+
+
+
+def w_derivatives(deriv: Derivation, x: VectorField) -> np.ndarray:
+    """E_k(W_X) stacked along k, as [k, i, j]."""
+    return deriv.frame.frame_derivatives(w_of(deriv, x).components)
+
+
+def curvature_matrix(deriv: Derivation, x: VectorField, y: VectorField) -> TensorField:
+    """(R(X,Y))^i_k = X(W_Y) - Y(W_X) + W_X W_Y - W_Y W_X - W_{[X,Y]}, a
+    (1,1) tensor field for the fixed pair of fields."""
+    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
+    x_wy = x.contract(w_derivatives(deriv, y))
+    y_wx = y.contract(w_derivatives(deriv, x))
+    w_brk = w_of(deriv, commutator(x, y)).components
+    # "+ -e", not "- e": a - b builds Sub, a different tree from Add(a, Neg(b))
+    total = x_wy + -y_wx + (w_x @ w_y + -(w_y @ w_x)) + -w_brk
+    return TensorField(deriv.frame, 1, 1, simplify(total))
+
+
+def torsion_vector(deriv: Derivation, x: VectorField, y: VectorField) -> VectorField:
+    """(W_X)^i_l Y^l - (W_Y)^i_l X^l - C^i_{kl} X^k Y^l."""
+    frame = deriv.frame
+    n = frame.dimension
+    w_x, w_y = w_of(deriv, x).components, w_of(deriv, y).components
+    C = frame.anholonomy()
+    holonomic = C.is_zero
+    comps = []
+    for i in range(n):
+        acc: Expr = Const(0.0)
+        for l in range(n):
+            acc = acc + w_x[i, l] * y.components[l] - w_y[i, l] * x.components[l]
+        if not holonomic:
+            for k in range(n):
+                for l in range(n):
+                    acc = acc - C.components[i, k, l] * x.components[k] * y.components[l]
+        comps.append(simplify(acc))
+    return VectorField(frame, comps)
+
+
+def curvature_tensor(deriv: Connection) -> TensorField:
+    """R^i_{jkl} = -E_l(G^i_{jk}) + E_k(G^i_{jl}) - G^m_{jk} G^i_{ml}
+    + G^m_{jl} G^i_{mk} - G^i_{jm} C^m_{kl}, with G the connection array;
+    a (1,3) tensor field."""
+    if not isinstance(deriv, Connection):
+        raise VariantError("the curvature tensor requires the connection variant")
+    frame = deriv.frame
+    n = frame.dimension
+    g = deriv.gamma
+    C = frame.anholonomy()
+    holonomic = C.is_zero
+    dg = frame.frame_derivatives(g)  # dg[l, i, j, k] = E_l(G^i_{jk})
+    out = np.empty((n, n, n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    acc: Expr = -dg[l, i, j, k] + dg[k, i, j, l]
+                    for m in range(n):
+                        acc = acc - g[m, j, k] * g[i, m, l] + g[m, j, l] * g[i, m, k]
+                    if not holonomic:
+                        for m in range(n):
+                            acc = acc - g[i, j, m] * C.components[m, k, l]
+                    out[i, j, k, l] = simplify(acc)
+    return TensorField(frame, 1, 3, out)
+
+
+def torsion_tensor(deriv: Derivation) -> TensorField:
+    """T^i_{kl} = -((W_{E_l})^i_k - (W_{E_k})^i_l) - C^i_{kl}, a (1,2)
+    tensor field, from the frame-direction component matrices of any
+    derivation; for a connection (W_{E_l})^i_k = G^i_{kl}."""
+    frame = deriv.frame
+    n = frame.dimension
+    w_frames = [w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)]
+    C = frame.anholonomy()
+    holonomic = C.is_zero
+    out = np.empty((n, n, n), dtype=object)
+    for i, k, l in np.ndindex(out.shape):
+        acc: Expr = -(w_frames[l][i, k] - w_frames[k][i, l])
+        if not holonomic:
+            acc = acc - C.components[i, k, l]
+        out[i, k, l] = simplify(acc)
+    return TensorField(frame, 1, 2, out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from normframes import (
     VectorField,
     WTemplate,
     constancy_check,
-    curvature_matrix,
-    curvature_tensor,
     flat_frame_neighborhood,
     frame_at_point_connection,
     frame_at_point_general,
@@ -38,8 +36,6 @@ from normframes import (
     linearity_probe,
     shell_component_growth,
     symmetrize_connection,
-    torsion_tensor,
-    torsion_vector,
     transport_along_curve,
 )
 from normframes.cli import (
@@ -52,11 +48,15 @@ from normframes.expr import Sym, differentiate, evaluate, parse_expr, to_source
 
 from conftest import affine_fields
 from reference import (
+    curvature_matrix,
     curvature_operator_oracle,
+    curvature_tensor,
     integrability_residual,
     node_point,
     to_vector,
     torsion_operator_oracle,
+    torsion_tensor,
+    torsion_vector,
 )
 from test_expr import random_expr
 

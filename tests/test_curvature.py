@@ -18,27 +18,28 @@ from normframes import (
     SymbolicTransform,
     TensorField,
     VectorField,
-    curvature_matrix,
-    curvature_tensor,
     is_flat,
     is_torsion_free,
-    torsion_tensor,
-    torsion_vector,
-    vanishes_on_chart,
-    w_derivatives,
     w_of,
 )
 from normframes.cli import build_analysis_report, load_manifold_spec
+from normframes.curvature import sampled_verdict
+from normframes.geometry import IDENTITY_TOL
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields, coordinate_spec, riemann_classical
 from reference import (
+    curvature_matrix,
     curvature_operator_oracle,
+    curvature_tensor,
     integrability_residual,
     inverse_entries,
     to_vector,
     torsion_operator_oracle,
+    torsion_tensor,
+    torsion_vector,
     transform_connection,
+    vanishes_on_chart,
 )
 
 
@@ -452,14 +453,14 @@ def _analyze_spec(name: str):
 def test_analysis_builds_one_w_per_field(w_builds, name):
     setup = _analyze_spec(name)
     n = setup.chart.dimension
-    # a connection's forms read W_{E_k} (torsion tensor); any other variant's
-    # read every probe field once, plus one commutator field per pair
-    forms = n if isinstance(setup.deriv, Connection) else n + 4 + n * (n - 1) // 2 + 4
-    # the linearity probe, over placeholders: the n*n fields d^a E_l and one
-    # mixed field vanishing at p, then X and aX + bY, whatever PROBE_PAIRS is;
-    # the W_{E_k} it reads on success are the forms'
+    # the forms build no W: they run jets of the connection coefficients, or
+    # of the W template at the probe fields.  The linearity probe, over
+    # placeholders: the n*n fields d^a E_l and one mixed field vanishing at
+    # p, then X and aX + bY, whatever PROBE_PAIRS is; on success (here the
+    # connection) it reads the W_{E_k}
     probe = n * n + 1 + 2
-    assert len(w_builds) == forms + probe
+    basis = n if isinstance(setup.deriv, Connection) else 0
+    assert len(w_builds) == probe + basis
 
 
 def test_warm_analysis_derives_each_field_once(monkeypatch):
@@ -473,42 +474,37 @@ def test_warm_analysis_derives_each_field_once(monkeypatch):
 
     monkeypatch.setattr(FrameField, "frame_derivatives", recording)
     _analyze_spec("s4_template")
-    # the anholonomy; E_k(X^i) of the 18 form fields (commutators read them
-    # too), of the probe's X, aX + bY and mixed vanishing field, and of the
-    # offsets x^a - p^a that its n*n fields d^a E_l share; the offsets again
-    # for the concrete field of the probe's witness; E_k(W_X) of the 8 probe
-    # fields
-    assert len(calls) == 1 + 18 + 3 + 1 + 1 + 8
+    # the anholonomy; E_k(X^i) of the 8 probe fields (the forms take every
+    # other derivative from jets, and build no commutator field), of the
+    # probe's X, aX + bY and mixed vanishing field, and of the offsets
+    # x^a - p^a that its n*n fields d^a E_l share; the offsets again for the
+    # concrete field of the probe's witness
+    assert len(calls) == 1 + 8 + 3 + 1 + 1
 
 
 def test_field_caches_are_read_only_shared_and_change_no_tree(lie_plane):
     forms = ProbeForms(lie_plane)
     x, y = forms.pairs[-1]
-    cached = (w_of(lie_plane, x).components, w_derivatives(lie_plane, x), x.component_derivatives)
+    cached = (w_of(lie_plane, x).components, x.component_derivatives)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = Const(1.0)
-    again = (w_of(lie_plane, x).components, w_derivatives(lie_plane, x), x.component_derivatives)
+    again = (w_of(lie_plane, x).components, x.component_derivatives)
     assert all(a is b for a, b in zip(cached, again))
     frame = lie_plane.frame
     assert all(frame.coordinate_vector(k) is frame.coordinate_vector(k) for k in range(2))
-    # caching changes no tree: each form matches one built from new objects,
-    # whose caches are empty
-
-    def uncached(build, x, y):
-        fresh = LieType(frame)
-        return build(fresh, VectorField(frame, x.components), VectorField(frame, y.components))
-
-    for (x, y), form in zip(forms.pairs, forms.curvature()):
-        assert repr(form.components) == repr(uncached(curvature_matrix, x, y).components)
-    for (x, y), form in zip(forms.pairs, forms.torsion()):
-        assert repr(form.components) == repr(uncached(torsion_vector, x, y).components)
+    # caching changes no value: the forms match those of new objects, a new
+    # frame's basis fields and a new derivation, whose caches are empty
+    points = lie_plane.chart.sample_points()
+    fresh = ProbeForms(LieType(FrameField(lie_plane.chart)))
+    for got, want in zip(forms.at(points), fresh.at(points)):
+        assert np.array_equal(got, want)
 
 
 def test_cached_w_dies_with_its_field(lie_plane):
     (x,) = affine_fields(lie_plane.frame, 251, 1)
-    refs = [weakref.ref(w_of(lie_plane, x).components), weakref.ref(w_derivatives(lie_plane, x))]
+    refs = [weakref.ref(w_of(lie_plane, x).components)]
     assert all(ref() is not None for ref in refs)
     del x
     gc.collect()
@@ -531,3 +527,63 @@ def test_curvature_tensor_compares_expressions_o_n4_times(n, tmp_path, monkeypat
     monkeypatch.setattr(expr._Record, "__eq__", counting)
     curvature_tensor(deriv)
     assert len(calls) <= n**4
+
+
+# ---------------------------------------------------------------------------
+# the numeric forms against the symbolic oracle of tests/reference.py
+
+SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(
+    (ROOT / "benchmarks" / "specs").glob("*.json")
+)
+
+
+def _oracle_forms(forms, points):
+    """The symbolic forms of tests/reference.py at the points, shaped as
+    ProbeForms.at gives them."""
+    deriv = forms.deriv
+    symbols = deriv.chart.symbols
+    if isinstance(deriv, Connection):
+        r = matops.evaluate_points(curvature_tensor(deriv).components, symbols, points)
+        t = matops.evaluate_points(torsion_tensor(deriv).components, symbols, points)
+        return r[:, None], t[:, None]
+    r = [curvature_matrix(deriv, x, y).components for x, y in forms.pairs]
+    t = [np.array(torsion_vector(deriv, x, y).components, dtype=object) for x, y in forms.pairs]
+    r, t = matops.evaluate_arrays([np.stack(r), np.stack(t)], symbols, points)
+    return r, t
+
+
+@pytest.mark.parametrize("source", SPEC_FILES + [4, 5, 6],
+                         ids=lambda s: f"{s}-D" if isinstance(s, int) else f"{s.parent.parent.name}/{s.stem}")
+def test_numeric_forms_match_the_symbolic_oracle(tmp_path, source):
+    if isinstance(source, int):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(coordinate_spec(source)))
+        source = path
+    setup = load_manifold_spec(str(source))
+    chart = setup.chart
+    centre = np.array([(lo + hi) / 2.0 for lo, hi in chart.domain])
+    points = np.vstack([centre, chart.sample_points()])  # --at, then the cloud
+    forms = ProbeForms(setup.deriv)
+    for got, want in zip(forms.at(points), _oracle_forms(forms, points)):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))).all()
+        # the verdict each gives on the cloud
+        worst = float(np.max(np.abs(want[1:])))
+        assert bool(sampled_verdict(got[1:])) == (worst <= IDENTITY_TOL)
+
+
+def test_analyze_folds_a_quarter_of_what_the_symbolic_forms_folded():
+    # at the parent of the numeric forms, analyze s4_template made 59,164 _fold
+    # visits, most of them building the curvature and torsion trees
+    setup = load_manifold_spec(str(ROOT / "benchmarks" / "specs" / "s4_template.json"))
+    calls = []
+    real = expr._fold
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_fold", counting)
+        build_analysis_report(setup, np.array([(lo + hi) / 2.0 for lo, hi in setup.chart.domain]), 42)
+    assert 0 < len(calls) <= 59164 // 4

@@ -23,8 +23,6 @@ from normframes import (
     linearity_probe,
     symmetrize_connection,
     template_symbols,
-    torsion_tensor,
-    vanishes_on_chart,
     w_of,
 )
 from normframes import derivation, expr, frames, matops
@@ -58,7 +56,9 @@ from reference import (
     linearity_probe_oracle,
     seeded_affine_fields as reference_affine_fields,
     to_vector,
+    torsion_tensor,
     transform_w,
+    vanishes_on_chart,
 )
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -476,6 +476,84 @@ def test_compiled_agrees_with_evaluate(tree, r_val, th_val):
     assert compiled(r_val, th_val)[0] == pytest.approx(got[0, 0], rel=1e-15, abs=0.0)
 
 
+# jet mode: the compiled tape carrying first derivatives
+
+_jet_leaf = st.sampled_from([Sym(R), Sym(THETA), Const(1.0), Const(-2.0), Const(0.5), Const(3.0)])
+
+
+def _extend_jets(children):
+    return st.one_of(
+        _extend(children),
+        st.builds(Div, children, children),
+        st.builds(Call, st.sampled_from(["tan", "log", "sqrt"]), children),
+        st.builds(Pow, children, children),
+    )
+
+
+_jet_trees = st.recursive(_jet_leaf, _extend_jets, max_leaves=16)
+UNIT = [np.array([1.0, 0.0])[:, None], np.array([0.0, 1.0])[:, None]]  # d/dr, d/dtheta
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(_jet_trees, min_size=1, max_size=3), st.floats(0.5, 2.0), st.floats(0.1, 1.5))
+def test_jet_values_are_the_compiled_values_bit_for_bit(trees, r_val, th_val):
+    compiled = compile_exprs(trees, POLAR_SYMS)
+    points = (np.array([r_val, 1.25]), np.array([th_val, 0.7]))
+    try:
+        want = compiled(*points)
+    except DomainError:
+        with pytest.raises(DomainError):
+            compiled.jets(points, UNIT)
+        return
+    try:
+        got, tangents = compiled.jets(points, UNIT)
+    except DomainError:
+        return  # a derivative's pole: see test_jet_domain_errors_name_the_expression
+    assert got.tobytes() == want.tobytes()
+    assert tangents.shape == (len(trees), 2, 2) and np.isfinite(tangents).all()
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_jet_trees, st.floats(0.5, 2.0), st.floats(0.1, 1.5))
+def test_jet_tangents_match_differentiate(tree, r_val, th_val):
+    compiled = compile_exprs([tree], POLAR_SYMS)
+    derivatives = compile_exprs([differentiate(tree, s) for s in POLAR_SYMS], POLAR_SYMS)
+    try:
+        _, tangents = compiled.jets((np.array([r_val]), np.array([th_val])), UNIT)
+        want = derivatives(r_val, th_val)
+    except DomainError:
+        return
+    got = tangents[0, :, 0]
+    scale = 1.0 + np.abs(want)
+    assert (np.abs(got - want) <= 1e-12 * scale).all(), (to_source(tree), got, want)
+
+
+def test_jet_tangent_of_an_input_that_does_not_vary_is_none():
+    # d/dr only: theta's tangent is None, so sqrt(theta) at 0 raises nothing
+    e = parse_expr("r*sqrt(theta)", POLAR_SYMS)
+    values, tangents = compile_exprs([e], POLAR_SYMS).jets((2.0, 0.0), [np.ones(1), None])
+    assert values[0] == 0.0 and tangents.shape == (1, 1) and tangents[0, 0] == 0.0
+    # a root that does not vary has zero tangents; scalar points take (m,) tangents
+    _, tangents = compile_exprs([Const(2.0), Sym(THETA)], POLAR_SYMS).jets(
+        (1.0, 1.0), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert (tangents == [[0.0, 0.0], [0.0, 1.0]]).all()
+
+
+@pytest.mark.parametrize("source, r_val, th_val", [
+    ("sqrt(r)", 0.0, 1.0),  # the value is 0, its derivative has a pole
+    ("theta/(r-1)", 1.0, 1.0),  # a quotient's pole
+    ("(r-1)^theta", 1.0, 0.0),  # u^v at 0^0: the value is 1, d/dr needs log(0)
+    ("log(r)", 0.0, 1.0),
+    ("log(r)", -1.0, 1.0),
+    ("sqrt(r*theta)", 0.0, 0.0),
+], ids=["sqrt-at-0", "quotient-pole", "pow-0-0", "log-0", "log-negative", "sqrt-of-product"])
+def test_jet_domain_errors_name_the_expression(source, r_val, th_val):
+    e = parse_expr(source, POLAR_SYMS)
+    compiled = compile_exprs([e], POLAR_SYMS)
+    with pytest.raises(DomainError, match=re.escape(to_source(e))):
+        compiled.jets((np.array([r_val]), np.array([th_val])), UNIT)
+
+
 def test_compiled_deep_trees_agree_with_evaluate():
     # deep chains and nests run on the tape like any other tree
     chain = parse_expr("-r" + "+theta-theta" * 150, POLAR_SYMS)

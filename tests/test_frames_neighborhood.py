@@ -28,7 +28,6 @@ from normframes import (
     flat_frame_neighborhood,
     frame_at_point_connection,
     holonomicity_check,
-    torsion_tensor,
     transport_along_curve,
 )
 from normframes import frames, matops
@@ -42,7 +41,13 @@ from normframes.frames import (
     direction_functions,
 )
 
-from reference import compose_frame, integrability_residual, node_point, polyline_product
+from reference import (
+    compose_frame,
+    integrability_residual,
+    node_point,
+    polyline_product,
+    torsion_tensor,
+)
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "benchmarks" / "specs"
 SPH3 = str(BENCH_SPECS / "sph3_orthonormal.json")
@@ -464,11 +469,12 @@ def test_flat_frame_samples_only_the_clouds_of_its_seed(polar_connection, monkey
 
 
 @pytest.mark.parametrize(
-    "spec, builds", [("unit_sphere", 3), ("s4_template", 24)], ids=["connection", "template"]
+    "spec, builds", [("unit_sphere", 0), ("s4_template", 0)], ids=["connection", "template"]
 )
 def test_flat_refusal_reports_the_frame_pair_curvature(spec, builds, w_builds):
-    # the refusal reads |R(E_i, E_j)| off the curvature matrices, not the integrability
-    # report, which would build each bracket and its W once more
+    # the refusal reads |R(E_i, E_j)| off the frame-pair forms, which jets on the
+    # compiled tapes give without building any W; the integrability report
+    # builds each bracket and its W
     deriv = load_manifold_spec(str(BENCH_SPECS / f"{spec}.json")).deriv
     frame = deriv.frame
     n = frame.dimension
@@ -483,7 +489,7 @@ def test_flat_refusal_reports_the_frame_pair_curvature(spec, builds, w_builds):
         for i in range(n)
         for j in range(i + 1, n)
     )
-    assert err.value.obstruction_norm == expected
+    assert err.value.obstruction_norm == pytest.approx(expected, rel=1e-12)
 
 
 def test_lie_type_rejected_as_nonlinear(lie_plane):

@@ -13,15 +13,12 @@ from normframes import (
     VectorField,
     anholonomy_coefficients,
     commutator,
-    curvature_tensor,
-    torsion_tensor,
-    vanishes_on_chart,
 )
 from normframes import geometry, matops
 from normframes.expr import Sym, evaluate, simplify
 
 from conftest import affine_fields
-from reference import change_vector_frame
+from reference import change_vector_frame, curvature_tensor, torsion_tensor, vanishes_on_chart
 
 
 def test_chart_rejects_duplicate_names():

@@ -19,7 +19,7 @@ import pytest
 
 from normframes import frames, matops
 from normframes.cli import load_manifold_spec
-from normframes.curvature import _probe_pairs, curvature_matrix
+from normframes.curvature import _probe_pairs
 from normframes.derivation import (
     Connection,
     SymbolicTransform,
@@ -40,7 +40,7 @@ from normframes.expr import (
 from normframes.frames import PointFrameResult, constancy_check, direction_functions
 from normframes.geometry import VectorField, commutator
 
-from reference import composed_frame, inverse_entries, transform_w
+from reference import composed_frame, curvature_matrix, inverse_entries, transform_w
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "demos" / "specs").glob("*.json")) + sorted(

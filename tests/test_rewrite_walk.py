@@ -236,7 +236,7 @@ def test_w_templates_instantiate_as_before(path):
     template = deriv.w_template
     for x in [f for pair in _probe_pairs(frame, 42) for f in pair]:
         bindings = dict(zip(component_symbols(frame.dimension), x.components))
-        for s, i, j in deriv._template_derivatives:
+        for s, i, j in deriv.template_derivatives:
             bindings[s] = frame.frame_derivative(j, x.components[i])
         got = w_of(deriv, x).components
         for idx in np.ndindex(template.shape):

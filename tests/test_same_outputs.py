@@ -35,6 +35,28 @@ def test_every_differing_part_is_reported():
     ]
 
 
+def test_a_differing_output_file_is_measured():
+    tool = load_tool()
+    group = [("analyze", "spec.json", "--out", "a.json")]
+    doc = {"t": [1.0, -2.0, 3], "v": {"value": True, "kind": "x"}}
+    left = [(0, b"", b"", json.dumps(doc).encode())]
+    doc["t"][1], doc["t"][2] = -2.5, 3.25
+    numbers = [(0, b"", b"", json.dumps(doc).encode())]
+    assert tool.mismatches(group, left, numbers) == [
+        "analyze spec.json --out a.json: output file differs: largest numeric difference "
+        "0.5 (relative 0.2) at $.t[1]; no boolean, string or key differs"]
+    doc["v"] = {"value": False, "kind": "x", "extra": None}
+    doc["t"] = [1.0, -2.0, 3]
+    flipped = [(0, b"", b"", json.dumps(doc).encode())]
+    assert tool.mismatches(group, left, flipped) == [
+        "analyze spec.json --out a.json: output file differs: no number differs; "
+        "booleans, strings or keys differ at $.v, $.v.value"]
+    # an output that is not JSON on one side is reported as differing, no more
+    broken = [(0, b"", b"", b"{")]
+    assert tool.mismatches(group, left, broken) == [
+        "analyze spec.json --out a.json: output file differs"]
+
+
 def test_failing_ops_are_compared_with_their_messages():
     tool = load_tool()
     pole = tool.run_group(tool.SRC, tool.pole_runs())

@@ -28,7 +28,10 @@ checkout's ``src/`` on ``PYTHONPATH``.
 The ops of one group share a new empty directory per side, so ``verify``
 reads the frame file its group wrote.  Exit code, stdout, stderr and the
 bytes of the ``--out`` file must match.  Prints each mismatch and exits 1
-if there is any.
+if there is any.  An output file that differs is described further when
+both sides are JSON: the JSON path of the largest numeric difference, with
+its absolute and relative size, and the paths where a boolean, string,
+null, key set or array length differs.
 """
 
 from __future__ import annotations
@@ -147,8 +150,54 @@ def run_group(src: Path, group: list) -> list:
     return results
 
 
+def json_differences(left: bytes, right: bytes):
+    """What differs between two JSON documents: the largest numeric
+    difference as (absolute, relative, JSON path), or None, and the paths
+    where a boolean, string, null, type, length or key set differs.  None
+    when either is not JSON."""
+    try:
+        docs = json.loads(left), json.loads(right)
+    except ValueError:
+        return None
+    largest, other = None, []
+    stack = [("$", *docs)]
+    while stack:
+        path, a, b = stack.pop()
+        number = (int, float)
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                other.append(path)
+            stack += [(f"{path}.{key}", a[key], b[key]) for key in a if key in b]
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                other.append(path)
+            stack += [(f"{path}[{k}]", x, y) for k, (x, y) in enumerate(zip(a, b))]
+        elif (isinstance(a, number) and isinstance(b, number)
+              and not isinstance(a, bool) and not isinstance(b, bool)):
+            gap = abs(a - b)
+            if gap and (largest is None or gap > largest[0]):
+                largest = (gap, gap / max(abs(a), abs(b)), path)
+        elif type(a) is not type(b) or a != b:
+            other.append(path)
+    return largest, sorted(other)
+
+
+def _describe(part: str, x, y) -> str:
+    """``part differs``, with the JSON differences of an output file."""
+    found = json_differences(x, y) if part == "output file" and None not in (x, y) else None
+    if found is None:
+        return f"{part} differs"
+    largest, other = found
+    numbers = ("no number differs" if largest is None else
+               f"largest numeric difference {largest[0]:.3g} (relative {largest[1]:.3g}) "
+               f"at {largest[2]}")
+    rest = ("no boolean, string or key differs" if not other else
+            f"booleans, strings or keys differ at {', '.join(other)}")
+    return f"{part} differs: {numbers}; {rest}"
+
+
 def mismatches(group: list, left: list, right: list) -> list:
-    return [f"{' '.join(argv)}: {part} differs"
+    return [f"{' '.join(argv)}: {_describe(part, x, y)}"
             for argv, a, b in zip(group, left, right)
             for part, x, y in zip(PARTS, a, b) if x != y]
 
