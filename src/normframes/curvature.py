@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matops
-from .expr import ZERO, Const, component_symbols, compile_exprs
+from .expr import ZERO, Const, compile_exprs
 from .geometry import DEFAULT_SEED, IDENTITY_TOL, FrameField, VectorField
 from .derivation import Connection, Derivation, seeded_affine_fields
 from .rng import Generator
@@ -119,45 +119,23 @@ def _connection_forms(deriv: Connection, points, seeds, c):
     return r, _torsion(g.transpose(2, 0, 1, 3), c)
 
 
-class _TemplateTape:
-    """A derivation's W template compiled once over the coordinates, X1..Xn
-    and the dX[i,j] it reads.  A field's inputs are its components x [i, P]
-    and frame derivatives dx [k, i, P] = E_k(X^i); several fields are one
-    run over the columns (field, point)."""
-
-    def __init__(self, deriv: Derivation):
-        frame = deriv.frame
-        self.n = frame.dimension
-        self.slots = [(i, j) for _, i, j in deriv.template_derivatives]
-        symbols = (frame.chart.symbols + component_symbols(self.n)
-                   + tuple(s for s, _, _ in deriv.template_derivatives))
-        self.tape = compile_exprs(deriv.w_template.ravel(), symbols)
-
-    def _inputs(self, points, xs, dxs) -> list:
-        rows = list(np.tile(points.T, len(xs)))
-        rows += [np.concatenate([x[m] for x in xs]) for m in range(self.n)]
-        return rows + [np.concatenate([dx[j, i] for dx in dxs]) for i, j in self.slots]
-
-    def values(self, points, xs, dxs) -> list:
-        """W [i, j, P] of each field."""
-        w = self.tape(*self._inputs(points, xs, dxs))
-        return np.split(w.reshape(self.n, self.n, -1), len(xs), axis=-1)
-
-    def jets(self, points, seeds, fields) -> tuple[list, list]:
-        """W [i, j, P] and E_k(W) [i, j, k, P] of each field.  An input whose
-        E_l vanish identically (a constant component or frame derivative)
-        keeps the tangent None, so what the fold would drop raises nothing."""
-        n = self.n
-        flat = lambda parts: np.concatenate(parts, axis=-1)  # [l, P] per field -> [l, (f, P)]
-        tangents = [np.tile(s, len(fields)) if s.shape[1] > 1 else s for s in seeds]
-        tangents += [flat([f.dx[:, m] for f in fields]) if fields[0].varies[m] else None
-                     for m in range(n)]
-        tangents += [flat([f.ddx[j, i] for f in fields]) if fields[0].varies[n + k] else None
-                     for k, (i, j) in enumerate(self.slots)]
-        w, dw = self.tape.jets(self._inputs(points, [f.x for f in fields],
-                                            [f.dx for f in fields]), tangents)
-        return (np.split(w.reshape(n, n, -1), len(fields), axis=-1),
-                np.split(dw.reshape(n, n, n, -1), len(fields), axis=-1))
+def _template_jets(deriv: Derivation, points, seeds, fields) -> tuple[list, list]:
+    """W [i, j, P] and E_k(W) [i, j, k, P] of each field, from the template
+    tape's jets.  An input whose E_l vanish identically (a constant component
+    or frame derivative) keeps the tangent None: what a fold drops raises nothing."""
+    n = deriv.frame.dimension
+    slots = [(i, j) for _, i, j in deriv.template_derivatives]
+    stack = lambda parts: np.stack(parts, axis=-1)  # [..., P] per field -> [..., P, field]
+    rows = [*points.T[:, :, None], *stack([f.x for f in fields])]
+    rows += [stack([f.dx[j, i] for f in fields]) for i, j in slots]
+    tangents = [s[:, :, None] for s in seeds]
+    tangents += [stack([f.dx[:, m] for f in fields]) if fields[0].varies[m] else None
+                 for m in range(n)]
+    tangents += [stack([f.ddx[j, i] for f in fields]) if fields[0].varies[n + k] else None
+                 for k, (i, j) in enumerate(slots)]
+    w, dw = deriv.template_tape.jets(rows, tangents)
+    return (list(np.moveaxis(w.reshape((n, n) + w.shape[1:]), -1, 0)),
+            list(np.moveaxis(dw.reshape((n, n, n) + w.shape[1:]), -1, 0)))
 
 
 class _Field:
@@ -192,26 +170,28 @@ def _fields_at(fields, slots, frame: FrameField, points, seeds) -> list:
 def _pair_forms(deriv: Derivation, pairs, points, seeds):
     """R(X,Y) [i, j, P] and T(X,Y) [i, P] of each pair, stacked along a
     first axis."""
-    template = _TemplateTape(deriv)
-    curvature, torsion, brackets = _pair_terms(deriv, template, pairs, points, seeds)
-    # the fields' jets are gone before the brackets' run
-    w_brk = template.values(points, *zip(*brackets))
-    return np.stack([r - w for r, w in zip(curvature, w_brk)]), np.stack(torsion)
+    curvature, torsion, brackets = _pair_terms(deriv, pairs, points, seeds)
+    # after the fields' jets are gone: [X,Y]^i [P, pair, i], E_l([X,Y]^i) [P, pair, l, i]
+    brk = np.stack([b for b, _ in brackets]).transpose(2, 0, 1)
+    dbrk = np.stack([d for _, d in brackets]).transpose(3, 0, 1, 2)
+    w_brk = deriv.w_at(points[:, None], brk, dbrk)
+    return np.stack(curvature) - np.moveaxis(w_brk, 0, -1), np.stack(torsion)
 
 
-def _pair_terms(deriv: Derivation, template: _TemplateTape, pairs, points, seeds):
+def _pair_terms(deriv: Derivation, pairs, points, seeds):
     """Of each pair: R(X,Y) + W_[X,Y], T(X,Y), and [X,Y] with its E_l, as
     the template's inputs."""
     frame = deriv.frame
     n = frame.dimension
     unique = list({id(f): f for pair in pairs for f in pair}.values())
-    fields = dict(zip(map(id, unique), _fields_at(unique, template.slots, frame, points, seeds)))
+    slots = [(i, j) for _, i, j in deriv.template_derivatives]
+    fields = dict(zip(map(id, unique), _fields_at(unique, slots, frame, points, seeds)))
     # fields whose template inputs vary alike share a jet run
     groups = {}
     for f in fields.values():
         groups.setdefault(tuple(f.varies), []).append(f)
     for group in groups.values():
-        for f, w, dw in zip(group, *template.jets(points, seeds, group)):
+        for f, w, dw in zip(group, *_template_jets(deriv, points, seeds, group)):
             f.w, f.dw = w, dw
     c, dc, columns = _anholonomy(frame, points, seeds)
 
@@ -300,14 +280,8 @@ def torsion_tensor_at(deriv: Derivation, points) -> np.ndarray:
     n = frame.dimension
     points = np.asarray(points, dtype=float)
     c = _values_of_c(frame, points)
-    if isinstance(deriv, Connection):
-        g = matops.evaluate_points(deriv.gamma, frame.chart.symbols, points)  # [P, i, j, k]
-        w = np.moveaxis(g, (3, 0), (0, 3))
-    else:
-        # X^i = delta_ik, E_l(X^i) = 0
-        ones, zeros = np.ones(len(points)), np.zeros((n, n, len(points)))
-        w = np.stack(_TemplateTape(deriv).values(points, list(np.eye(n)[:, :, None] * ones),
-                                                 [zeros] * n))
+    # W_{E_k}: X^i = delta_ik, E_l(X^i) = 0, as [k, i, j, P]
+    w = np.moveaxis(deriv.w_at(points[:, None], np.eye(n), np.zeros((n, n, n))), 0, -1)
     return np.moveaxis(_torsion(w, c), -1, 0)
 
 

@@ -6,8 +6,8 @@ D_X E_j = (W_X)^i_j E_i.  Every variant is a case of one formula,
 (W_X)^i_j = (S_X)^i_j - E_j(X^i) + C^i_{kj} X^k, so each is held as its W
 template: W_X as expressions in the coordinates, the component symbols
 X1..Xn and the frame derivatives dX[i,j] = E_j(X^i); :func:`w_of` is one
-substitution into it.  A derivation keeps W_X for each live field X,
-read-only, so it is built once however many readers it has.
+substitution into it where a tree is the result.  W at points is one run of
+the template's compiled tape on numbers, X^i and E_k(X^i) (:meth:`Derivation.w_at`).
 Four variants are supported:
 
 * :class:`Connection` -- coefficients Gamma^i_{jk} (k is the direction leg),
@@ -19,10 +19,9 @@ Four variants are supported:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import islice
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -36,6 +35,7 @@ from .expr import (
     Sym,
     Symbol,
     component_symbols,
+    compile_exprs,
     frame_derivative_symbol,
     free_symbols,
     simplify,
@@ -95,8 +95,6 @@ class Derivation:
 
     def __init__(self, frame: FrameField):
         self.frame = frame
-        # W_X keyed by field identity: an entry dies with its field
-        self._w = weakref.WeakKeyDictionary()
 
     @property
     def chart(self) -> Chart:
@@ -116,6 +114,21 @@ class Derivation:
         template reads."""
         used = set().union(*map(free_symbols, self.w_template.flat))
         return [slot for slot in _frame_derivative_slots(self.frame.dimension) if slot[0] in used]
+
+    @cached_property
+    def template_tape(self):
+        """The W template compiled once over the coordinates, X1..Xn and the
+        dX[i,j] it reads: the one evaluator of W at points."""
+        symbols = (self.chart.symbols + component_symbols(self.frame.dimension)
+                   + tuple(s for s, _, _ in self.template_derivatives))
+        return compile_exprs(self.w_template.ravel(), symbols)
+
+    def w_at(self, points, x, dx) -> np.ndarray:
+        """W_X [..., i, j] from the points [..., n], X^i [..., i] and E_k(X^i)
+        [..., k, i], broadcast together: many fields and points in one run."""
+        rows = [*np.moveaxis(points, -1, 0), *np.moveaxis(x, -1, 0)]
+        w = self.template_tape(*rows, *(dx[..., j, i] for _, i, j in self.template_derivatives))
+        return np.moveaxis(w, 0, -1).reshape(w.shape[1:] + (self.frame.dimension,) * 2)
 
 
 def _lie_template(frame: FrameField) -> np.ndarray:
@@ -202,21 +215,17 @@ def template_symbols(chart: Chart, n: int) -> dict[str, Symbol]:
 def w_of(deriv: Derivation, x: VectorField) -> TensorField:
     """Component matrix W_X of the derivation for the field X, in D's frame:
     its W template with X1..Xn bound to X's components and each dX[i,j] it
-    uses bound to E_j(X^i); a (1,1) tensor field.  The components are built
-    once per field and derivation, and are read-only."""
+    uses bound to E_j(X^i); a (1,1) tensor field, built on every call."""
     frame = deriv.frame
     if x.frame is not frame:
         raise ValueError("vector field must be given in the derivation's frame")
-    w = deriv._w.get(x)
-    if w is None:
-        bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
-        slots = deriv.template_derivatives
-        if slots:
-            dx = x.component_derivatives  # dx[j, i] = E_j(X^i)
-            bindings.update((s, dx[j, i]) for s, i, j in slots)
-        # VectorField holds coordinate-only components, and E_j of one is coordinate-only
-        w = deriv._w[x] = matops.read_only(substitute_unchecked(deriv.w_template, bindings))
-    return TensorField(frame, 1, 1, w)
+    bindings: dict[Symbol, Expr] = dict(zip(component_symbols(frame.dimension), x.components))
+    slots = deriv.template_derivatives
+    if slots:
+        dx = x.component_derivatives  # dx[j, i] = E_j(X^i)
+        bindings.update((s, dx[j, i]) for s, i, j in slots)
+    # VectorField holds coordinate-only components, and E_j of one is coordinate-only
+    return TensorField(frame, 1, 1, substitute_unchecked(deriv.w_template, bindings))
 
 
 def apply_derivation(deriv: Derivation, x: VectorField, t: TensorField) -> TensorField:
@@ -275,7 +284,7 @@ class LinearityVerdict:
 
 def _affine_field(frame: FrameField, coeffs) -> VectorField:
     """The field with components c[i, 0] + c[i, a+1] x^a, for an (n, n+1)
-    array of Exprs: constants, or placeholder symbols."""
+    array of constant Exprs."""
     syms = frame.chart.symbols
     comps = []
     for row in coeffs:
@@ -297,71 +306,81 @@ def seeded_affine_fields(frame: FrameField, rng, count: int) -> list[VectorField
 def vanishing_fields(frame: FrameField, anchor, mixes) -> list[VectorField]:
     """Fields vanishing where x = ``anchor``: with d^a = x^a - anchor^a, d^a E_l
     for every (a, l), then sum_a mix[i, a] d^a E_i for each (n, n) ``mixes``
-    entry.  Anchor and mixes hold Exprs: constants, or placeholder symbols.
-    The d^a E_l fields read their E_k(X^i) off the E_k(d^a), derived once."""
+    entry.  Anchor and mixes hold Exprs."""
     n = frame.dimension
     offsets = np.array([Sym(s) - x0 for s, x0 in zip(frame.chart.symbols, anchor)], dtype=object)
     zero = Const(0.0)
-    slopes = frame.frame_derivatives(offsets)  # E_k(d^a) as [k, a]
-    fields = []
-    for a, l in np.ndindex(n, n):
-        derivatives = np.full((n, n), zero, dtype=object)  # E_k of a zero component is zero
-        derivatives[:, l] = slopes[:, a]
-        comps = [offsets[a] if i == l else zero for i in range(n)]
-        fields.append(VectorField(frame, comps, _derivatives=derivatives))
+    fields = [VectorField(frame, [offsets[a] if i == l else zero for i in range(n)])
+              for a, l in np.ndindex(n, n)]
     return fields + [VectorField(frame, simplify(mix @ offsets)) for mix in mixes]
 
 
-def _placeholders(name: str, shape) -> np.ndarray:
-    """Sym nodes @name<index> in an object array of ``shape``: placeholder
-    coordinates, whose '@' names no chart coordinate or template can use."""
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = Sym(Symbol(f"@{name}{','.join(map(str, idx))}"))
-    return out
+# The probe fields' X^i and E_k(X^i) at points, worked out from their
+# coefficients as what the concrete fields' compiled trees give there.  A
+# folded sum has no term that is Const 0, so these sums leave such terms out.
+# Where the probe's tape run raises DomainError, the concrete fields' W trees
+# are evaluated instead: the tape also runs terms that a fold drops (a pole
+# times a component that is Const 0), and a tree names a failing field.
 
 
-class PlaceholderW:
-    """W of probe fields built once over placeholder symbols, stacked as
-    [field, i, j].  Evaluating it at rows of chart coordinates and
-    placeholder values gives W of the concrete fields of the family, from
-    one compiled tape: a placeholder keeps every tree shape, and the folds
-    a constant would trigger are the same IEEE operations on the tape.
-    A row's values follow the ``placeholders`` arrays, each in row-major order."""
-
-    def __init__(self, deriv: Derivation, fields, *placeholders: np.ndarray):
-        self.chart = deriv.chart
-        names = tuple(e.symbol for arr in placeholders for e in arr.flat)
-        self.symbols = self.chart.symbols + names
-        self.w = np.stack([w_of(deriv, x).components for x in fields])
-
-    def at(self, points, values) -> np.ndarray:
-        """W at the points [P, n] and placeholder values [P, m], as [P, field, i, j]."""
-        rows = np.hstack([points, np.reshape(values, (len(points), -1))])
-        return matops.evaluate_points(self.w, self.symbols, rows)
+def _folded_sums(terms, keep) -> np.ndarray:
+    """sum_a terms[..., a] over the a where ``keep``, left to right from the
+    first kept term; +0 where none is kept."""
+    terms = np.where(keep, terms, -0.0)  # x + -0.0 is x, for either zero too
+    total = reduce(np.add, np.moveaxis(terms, -1, 0))
+    total[~keep.any(axis=-1)] = 0.0
+    return total
 
 
-def vanishing_family(deriv: Derivation) -> PlaceholderW:
-    """:func:`vanishing_fields` at a placeholder anchor p with one placeholder
-    mix c: n*n fields d^a E_l, then the mixed one; its values are p, then c."""
-    n = deriv.frame.dimension
-    anchor, mix = _placeholders("p", (n,)), _placeholders("c", (n, n))
-    return PlaceholderW(deriv, vanishing_fields(deriv.frame, anchor, mix[None]), anchor, mix)
+def _frame_derivative_values(frame: FrameField, points, partials) -> np.ndarray:
+    """E_k(X^i) = sum_a B^a_k d X^i/dx^a [P, field, k, i] at the points [P, n]
+    from the constant partials [P, field, i, a], with B's entries folded as
+    E_k(X^i) holds them and no term whose partial or folded entry is 0."""
+    folded = simplify(frame.matrix)
+    dropped = np.array([[type(e) is Const and e.value == 0.0 for e in row] for row in folded])
+    b = matops.evaluate_points(folded, frame.chart.symbols, points)[:, None]  # [P, 1, a, k]
+    c = partials[..., None, :, :]
+    return _folded_sums(np.swapaxes(b, -1, -2)[..., :, None, :] * c, ~dropped.T[:, None] & (c != 0))
 
 
-def _superposition_families(deriv: Derivation) -> tuple[PlaceholderW, PlaceholderW]:
-    """W_X and W_{aX+bY} for affine X and Y with placeholder coefficients
-    and scales, in the shapes :func:`seeded_affine_fields` and
-    :meth:`VectorField.scaled` build.  W_Y is W_X at Y's coefficients.  The
-    values of W_X are X's coefficients; those of W_{aX+bY} are X's, Y's,
-    then a and b."""
-    frame = deriv.frame
-    n = frame.dimension
-    cx, cy = _placeholders("x", (n, n + 1)), _placeholders("y", (n, n + 1))
-    ab = _placeholders("s", (2,))
-    x, y = _affine_field(frame, cx), _affine_field(frame, cy)
-    return (PlaceholderW(deriv, [x], cx),
-            PlaceholderW(deriv, [x.scaled(ab[0]) + y.scaled(ab[1])], cx, cy, ab))
+def _vanishing_terms(points, mixes):
+    """X^i [P, field, i] and d X^i/dx^a [P, field, i, a] of
+    :func:`vanishing_fields` anchored at each of the points [P, n], there,
+    with its mixes [P, m, n, n]."""
+    count, n = points.shape
+    # d (d^a E_l)^i/dx^c is 1 where i = l and c = a, else 0
+    unit = np.eye(n * n).reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n, n)
+    partials = np.concatenate([np.broadcast_to(unit, (count,) + unit.shape), mixes], axis=1)
+    # d^a is +0 at the anchor, or the tree x^a where the anchor's x^a is 0
+    offsets = np.where(points == 0.0, points, 0.0)[:, None, None, :]
+    return np.concatenate([np.zeros((count, n * n, n)),
+                           _folded_sums(mixes * offsets, mixes != 0.0)], axis=1), partials
+
+
+def vanishing_w(deriv: Derivation, points, mixes) -> np.ndarray:
+    """W [P, field, i, j] of :func:`vanishing_fields` anchored at each of the
+    points [P, n], there, with its mixes [P, m, n, n]."""
+    x, partials = _vanishing_terms(points, mixes)
+    return deriv.w_at(points[:, None], x, _frame_derivative_values(deriv.frame, points, partials))
+
+
+def _probe_inputs(x0, mixes, coeffs, scales):
+    """X^i [field, i] and d X^i/dx^a [field, i, a] at x0 of the vanishing
+    fields, then of aX + bY, X and Y of each pair: X and Y alternate in the
+    affine ``coeffs``, and ``scales`` holds a and b."""
+    n = len(x0)
+    xy = _folded_sums(np.concatenate([coeffs[..., :1], coeffs[..., 1:] * x0], axis=-1),
+                      coeffs != 0.0).reshape(-1, 2, n)
+    slopes = coeffs[..., 1:].reshape(-1, 2, n, n)
+    ab = scales[:, :, None]
+    # a X^i is left out where a is 0 or X^i is the tree 0
+    kept = (ab != 0.0) & (coeffs != 0.0).any(axis=-1).reshape(-1, 2, n)
+    combined = _folded_sums((ab * xy).swapaxes(1, 2), kept.swapaxes(1, 2))
+    combined_slopes = ab[:, 0, :, None] * slopes[:, 0] + ab[:, 1, :, None] * slopes[:, 1]
+    x, partials = (v[0] for v in _vanishing_terms(x0[None], mixes[None]))
+    x = np.concatenate([x, np.concatenate([combined[:, None], xy], axis=1).reshape(-1, n)])
+    return x, np.concatenate([partials, np.concatenate([combined_slopes[:, None], slopes], axis=1)
+                              .reshape(-1, n, n)])
 
 
 def _concrete_probe_fields(frame: FrameField, x0, mixes, coeffs, scales):
@@ -379,20 +398,17 @@ def linearity_probe(
     x0,
     seed: int = DEFAULT_SEED,
     tol: float = PROBE_TOL,
-    family: Optional[PlaceholderW] = None,
 ) -> LinearityVerdict:
     """Decide whether the derivation acts as a linear connection at x0.
 
     Two sampled conditions: (i) W_X(x0) = 0 for probe fields vanishing at
     x0 (the n*n fields d^a E_l and two seeded mixes), and (ii) W is
     additive and homogeneous in X at x0, |W_{aX+bY} - a W_X - b W_Y|(x0)
-    for PROBE_PAIRS seeded affine pairs.  Each family of probe fields is
-    built once over placeholders and evaluated at every seeded draw; a
-    caller that also needs :func:`vanishing_family` passes it as
-    ``family``.  The witness of a failure is the first condition over
-    ``tol``, in that order; its field (X of a pair) is the one concrete
-    field the probe builds.  On success the matrices Gamma_k := W_{E_k}(x0)
-    are extracted.
+    for PROBE_PAIRS seeded affine pairs.  One run of the template tape on
+    the fields' X^i and E_k(X^i) at x0 gives every W.  The witness of a
+    failure is the first condition over ``tol``, in that order; its field
+    (X of a pair) is built concretely.  On success the matrices Gamma_k :=
+    W_{E_k}(x0) are extracted.
     """
     frame = deriv.frame
     n = frame.dimension
@@ -404,27 +420,21 @@ def linearity_probe(
     scales = np.reshape([round(v, 6) for v in rng.uniform(-2.0, 2.0, 2 * PROBE_PAIRS).tolist()],
                         (PROBE_PAIRS, 2))
 
+    x, partials = _probe_inputs(x0, mixes, coeffs, scales)
     try:
-        family = vanishing_family(deriv) if family is None else family
-        w = family.at(np.tile(x0, (2, 1)), np.hstack([np.tile(x0, (2, 1)), mixes.reshape(2, -1)]))
-        single, combined = _superposition_families(deriv)
-        wx = single.at(np.tile(x0, (2 * PROBE_PAIRS, 1)), coeffs)[:, 0]  # X, then Y, of each pair
-        wc = combined.at(np.tile(x0, (PROBE_PAIRS, 1)),
-                         np.hstack([coeffs.reshape(PROBE_PAIRS, -1), scales]))[:, 0]
+        w = deriv.w_at(x0, x, _frame_derivative_values(frame, x0[None], partials[None])[0])
     except DomainError:
-        # name the W that fails in the concrete field's terms, not the placeholders'
-        for probe in _concrete_probe_fields(frame, x0, mixes, coeffs, scales):
-            w_of(deriv, probe).evaluate_at(x0)
-        raise
-    vanishing = np.max(np.abs(w), axis=(-2, -1))  # [mix, field]
+        fields = _concrete_probe_fields(frame, x0, mixes, coeffs, scales)
+        w = np.stack([w_of(deriv, f).evaluate_at(x0) for f in fields])
+    probes = n * n + 2
+    wc, wx, wy = (w[probes + k:probes + 3 * PROBE_PAIRS:3] for k in range(3))
     a, b = scales[:, 0, None, None], scales[:, 1, None, None]
-    superposition = np.max(np.abs(wc - a * wx[::2] - b * wx[1::2]), axis=(-2, -1))
-    residuals = np.concatenate([vanishing[0], vanishing[1, -1:], superposition]).tolist()
+    residuals = np.concatenate([np.max(np.abs(w[:probes]), axis=(-2, -1)),
+                                np.max(np.abs(wc - a * wx - b * wy), axis=(-2, -1))]).tolist()
 
     max_residual = max(residuals)
     first = next((k for k, r in enumerate(residuals) if r > tol), None)
     if first is not None:
-        probes = len(residuals) - PROBE_PAIRS
         # a pair's witness is its X, the second of (aX + bY, X, Y)
         at = first if first < probes else probes + 3 * (first - probes) + 1
         probe = next(islice(_concrete_probe_fields(frame, x0, mixes, coeffs, scales), at, None))
@@ -435,7 +445,15 @@ def linearity_probe(
         }
         return LinearityVerdict(False, max_residual, x0, tol, witness=witness)
 
-    basis = np.stack([w_of(deriv, frame.coordinate_vector(k)).components for k in range(n)])
-    values = matops.evaluate_points(basis, frame.chart.symbols, x0[None])[0]
-    gammas = np.moveaxis(values, 0, -1).copy()  # [k, i, j] -> [i, j, k], C-ordered
+    # W_{E_k}(x0) is W at X = 0, dX = 0 plus its jet along X^k alone, which
+    # keeps only the terms of X^k, as the fold of W_{E_k} does
+    inputs = [*x0[:, None], *np.zeros((n + len(deriv.template_derivatives), 1))]
+    try:
+        jets = [deriv.template_tape.jets(inputs, [np.ones((1, 1)) if m == n + k else None
+                                                  for m in range(len(inputs))]) for k in range(n)]
+        gammas = np.stack([np.where(w == 0.0, dw[:, 0], w + dw[:, 0]).reshape(n, n)
+                           for w, dw in jets], axis=-1)  # [i, j, k]
+    except DomainError:
+        gammas = np.stack([w_of(deriv, frame.coordinate_vector(k)).evaluate_at(x0)
+                           for k in range(n)], axis=-1)
     return LinearityVerdict(True, max_residual, x0, tol, gammas=gammas)

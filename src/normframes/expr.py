@@ -797,15 +797,16 @@ def _fold(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
 
 def _const_fold(fn, *values):
     """``Const(fn(*values))``, or None where the IEEE result is not finite or
-    underflowed: 0 or subnormal from operands none of which is 0.  A sum or
-    difference is exact there, so ``1 - 1`` still folds to 0."""
+    underflowed: 0 or subnormal from nonzero operands.  A sum or difference is
+    exact there and a log is 0 only at 1, so ``1 - 1`` and ``log(1)`` fold to 0."""
     try:
         value = fn(*values)
     except (ValueError, OverflowError):
         return None
     if not math.isfinite(value):
         return None
-    if abs(value) < _SMALLEST_NORMAL and all(values) and fn not in (operator.add, operator.sub):
+    exact = fn in (operator.add, operator.sub, math.log)
+    if abs(value) < _SMALLEST_NORMAL and all(values) and not exact:
         return None
     return Const(value)
 

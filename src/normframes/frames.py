@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matops
-from .expr import Const, Expr, Sym, Symbol, compile_exprs, differentiate, simplify
+from .expr import Const, DomainError, Expr, Sym, Symbol, compile_exprs, differentiate, simplify
 from .geometry import (
     DEFAULT_SEED,
     DEGENERACY_TOL,
@@ -41,10 +41,9 @@ from .derivation import (
     PROBE_TOL,
     Derivation,
     LinearityVerdict,
-    PlaceholderW,
     SymbolicTransform,
     linearity_probe,
-    vanishing_family,
+    vanishing_w,
     w_of,
 )
 from .curvature import ProbeForms, is_flat, sampled_verdict, torsion_tensor_at
@@ -224,8 +223,14 @@ def frame_at_point_general(
     chart = frame.chart
     n = frame.dimension
     x0 = chart.point(spec.anchor)
-    w0 = w_of(deriv, x).evaluate_at(x0)
-    x_val = x.at(x0)
+    try:
+        x_val, dx = (v[0] for v in matops.evaluate_arrays(
+            [np.array(x.components, dtype=object), x.component_derivatives], chart.symbols,
+            x0[None]))
+        w0 = deriv.w_at(x0, x_val, dx)
+    except DomainError:
+        w0 = w_of(deriv, x).evaluate_at(x0)  # before X's components, which W may not read
+        x_val = x.at(x0)
 
     if float(np.max(np.abs(x_val))) <= ZERO_FIELD_TOL:
         w_norm = float(np.max(np.abs(w0)))
@@ -282,7 +287,7 @@ def anchor_residual(deriv: Derivation, x: VectorField, transform: SymbolicTransf
     """
     points = deriv.chart.point(x0)[None]
     ea = deriv.frame.frame_derivatives(transform.entries)
-    a, inner = _law_terms(deriv, transform, ea, [x], points)
+    a, inner = _law_terms(deriv, transform, ea, points, x)
     if abs(float(np.linalg.det(a[0]))) > DEGENERACY_TOL:
         inner = np.linalg.solve(a[:, None], inner)
     return float(np.max(np.abs(inner)))
@@ -331,16 +336,26 @@ def frame_at_point_connection(
     )
 
 
-def _law_terms(deriv: Derivation, transform: SymbolicTransform, ea, fields, points):
-    """A and W_X A + X(A) for each of the fields X at the points [P, n], as
-    [P, i, j] and [P, X, i, j], with X(A) = X^k E_k(A) from the E_k(A) ``ea``.
-    A, the E_k(A), each W_X and each X^k are evaluated from one compiled tape."""
-    a, ea, w, xs = matops.evaluate_arrays(
-        [transform.entries, ea,
-         np.stack([w_of(deriv, x).components for x in fields]),
-         [x.components for x in fields]],
-        deriv.chart.symbols, points)
-    return a, w @ a[:, None] + np.einsum("pxk,pkij->pxij", xs, ea)
+def _law_terms(deriv: Derivation, transform: SymbolicTransform, ea, points, x=None):
+    """A and W_X A + X(A) [P, X, i, j] at the points [P, n], X(A) = X^k E_k(A)
+    from the E_k(A) ``ea``, for the field ``x`` or else each column field
+    E_k' = A^i_k' E_i.  A, E_k(A), X^i and E_k(X^i) come from one tape, W_X
+    from the template's, or after a DomainError from the fields' W trees."""
+    symbols = deriv.chart.symbols
+    own = [] if x is None else [np.array(x.components, dtype=object), x.component_derivatives]
+    try:
+        a, eav, *inputs = matops.evaluate_arrays([transform.entries, ea, *own], symbols, points)
+        # X^i as [P, X, i] and E_k(X^i) as [P, X, k, i]
+        xs, dxs = ((a.swapaxes(1, 2), eav.transpose(0, 3, 1, 2)) if x is None
+                   else (inputs[0][:, None], inputs[1][:, None]))
+        w = deriv.w_at(points[:, None], xs, dxs)
+    except DomainError:
+        fields = [x] if x is not None else [VectorField(deriv.frame, list(col))
+                                             for col in transform.entries.T]
+        a, eav, w, xs = matops.evaluate_arrays(
+            [transform.entries, ea, np.stack([w_of(deriv, f).components for f in fields]),
+             [f.components for f in fields]], symbols, points)
+    return a, w @ a[:, None] + np.einsum("pxk,pkij->pxij", xs, eav)
 
 
 def transformed_components(deriv: Derivation, transform: SymbolicTransform, points) -> np.ndarray:
@@ -348,13 +363,9 @@ def transformed_components(deriv: Derivation, transform: SymbolicTransform, poin
     transformed frame direction E_k' = A^a_k' E_a, at the points [P, n], as
     [P, k', i, j].  A singular A raises DegenerateFrameError naming the point.
     E_k(A) is derived once; the column fields read their E_k(A^i_k') from it."""
-    frame = deriv.frame
     points = np.asarray(points, dtype=float)
-    entries = transform.entries
-    ea = frame.frame_derivatives(entries)  # [k, i, j]
-    fields = [VectorField(frame, list(entries[:, k]), _derivatives=ea[:, :, k])
-              for k in range(frame.dimension)]
-    a, inner = _law_terms(deriv, transform, ea, fields, points)
+    ea = deriv.frame.frame_derivatives(transform.entries)  # [k, i, j]
+    a, inner = _law_terms(deriv, transform, ea, points)
     require_invertible(points, a)
     return np.linalg.solve(a[:, None], inner)
 
@@ -822,21 +833,19 @@ def grid_edge_residual(axes, matrices, propagators) -> tuple[float, Optional[dic
     return worst, worst_at
 
 
-def _pointwise_linearity_gate(deriv: Derivation, seed: int, family: Optional[PlaceholderW] = None):
+def _pointwise_linearity_gate(deriv: Derivation, seed: int):
     """Vanishing fields must have vanishing components at every sample point.
 
-    The fields vanishing at a point p are :func:`vanishing_family`, built
-    once over placeholder p and mix coefficients (``family``, when the
-    caller has it); their W matrices are evaluated at x = p over the cloud.
+    At each point p of the cloud, the fields of :func:`vanishing_fields`
+    anchored at p, with one seeded mix, are evaluated there in one run
+    (:func:`vanishing_w`).
     """
-    family = vanishing_family(deriv) if family is None else family
     chart = deriv.chart
     n = chart.dimension
     points = chart.sample_points(seed=seed)
     # one mix per point, drawn point by point from the seeded stream
-    draws = np.round(Generator(seed).uniform(-1.0, 1.0, size=(len(points), n * n)), 6)
-    values = family.at(points, np.hstack([points, draws]))
-    residuals = np.max(np.abs(values), axis=(-2, -1))  # [point, probe]
+    mixes = np.round(Generator(seed).uniform(-1.0, 1.0, size=(len(points), 1, n, n)), 6)
+    residuals = np.max(np.abs(vanishing_w(deriv, points, mixes)), axis=(-2, -1))  # [point, probe]
     failing = np.argwhere(residuals > PROBE_TOL)
     if failing.size:
         row, probe = failing[0]
@@ -917,16 +926,14 @@ def flat_frame_neighborhood(
         )
     axes = grid.axes(chart)
     base_point = np.array([ax[0] for ax in axes])
-    family = vanishing_family(deriv)  # the probe and the gate evaluate one build
-    verdict = linearity_probe(deriv, base_point, seed=seed, family=family)
+    verdict = linearity_probe(deriv, base_point, seed=seed)
     if not verdict.is_linear:
         raise NotLinearConnectionError(
             "derivation is not a linear connection at the base node "
             f"(probe residual {verdict.max_residual:.3e})",
             verdict,
         )
-    _pointwise_linearity_gate(deriv, seed, family)
-    del family  # its W trees die before the transport allocates
+    _pointwise_linearity_gate(deriv, seed)
 
     b0 = _base_matrix(b0, n)
     m_fns = direction_functions(deriv)

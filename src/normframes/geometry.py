@@ -53,7 +53,7 @@ class Chart:
     def __post_init__(self):
         if len(set(self.coordinates)) != len(self.coordinates):
             raise ValueError("coordinate names must be distinct")
-        # expressions can name only identifiers; other names are free for placeholders
+        # expressions can name only identifiers, so no other name could be used
         if not all(c.isascii() and c.isidentifier() for c in self.coordinates):
             raise ValueError("coordinate names must be identifiers")
         if len(self.domain) != len(self.coordinates):
@@ -221,10 +221,9 @@ class FrameField:
 
 
 class VectorField:
-    """X = X^i E_i with coordinate-only component Exprs.  ``_derivatives``,
-    when given, is E_k(X^i) as [k, i], already derived by the caller."""
+    """X = X^i E_i with coordinate-only component Exprs."""
 
-    def __init__(self, frame: FrameField, components, _derivatives=None):
+    def __init__(self, frame: FrameField, components):
         self.frame = frame
         n = frame.dimension
         comps = []
@@ -237,8 +236,6 @@ class VectorField:
         if len(comps) != n:
             raise ValueError(f"expected {n} components")
         self.components = tuple(comps)
-        if _derivatives is not None:
-            self.component_derivatives = matops.read_only(_derivatives)
 
     @property
     def chart(self) -> Chart:

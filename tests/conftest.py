@@ -231,8 +231,8 @@ def coordinate_spec(n: int) -> dict:
 
 @pytest.fixture
 def w_builds(monkeypatch):
-    """One entry per W_X built while the test runs (a cache miss of w_of,
-    which instantiates the W template once per field)."""
+    """One entry per W_X tree built while the test runs (a call of w_of,
+    which instantiates the W template)."""
     builds = []
     real = derivation.substitute_unchecked
 

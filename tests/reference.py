@@ -38,7 +38,7 @@ or closed-form routes are compared against:
   closed curvature and torsion forms are checked.
 * the linearity probe over concrete fields, ``linearity_probe_oracle``:
   one W build and one evaluation per seeded probe field, against which
-  ``derivation.linearity_probe`` (placeholder families, one tape each) is
+  ``derivation.linearity_probe`` (one run of the template tape) is
   checked bit for bit.
 * the lattice fill node by node, ``polyline_product``: a matrix carried
   from node 0 to one target node along the given axis order, one edge at a
@@ -291,7 +291,9 @@ def rewrite_oracle(e, left, right):
             value = MATH_FUNCS[e.func](left.value)
         except (ValueError, OverflowError):
             value = math.inf
-        folded = _inexact_const(value, left.value)
+        # a log is 0 only at 1, exactly, and never below the normal range
+        folded = (_finite_const(value) if e.func == "log"
+                  else _inexact_const(value, left.value))
         if folded is not None:
             return folded
     return e if left is e.arg else Call(e.func, left)

@@ -244,8 +244,9 @@ def test_holonomic_point_frame_verifies(tmp_path):
 
 
 def test_holonomic_point_frame_compiles_five_arrays(tmp_path, monkeypatch):
-    # X(x0) for the seed, then W_X(x0), X(x0) and B^-1(x0) for the construction and one
-    # tape for its anchor check; the certificate reuses the construction's W_X(x0) and X(x0)
+    # X(x0) for the seed, then X(x0) and E_k(X^i)(x0), the W template and B^-1(x0) for
+    # the construction and one tape for its anchor check; the certificate reuses the
+    # construction's W_X(x0) and X(x0)
     compiles = []
 
     def counting(exprs, symbols):
@@ -258,6 +259,30 @@ def test_holonomic_point_frame_compiles_five_arrays(tmp_path, monkeypatch):
     argv = ("frame", SPHERE, "point", "--at", "theta=1.0,phi=0.5", "--field", "meridian")
     assert run(*argv, "--holonomic", "--out", str(tmp_path / "frame.json")) == EXIT_OK
     assert len(compiles) == 5
+
+
+def test_no_command_compiles_a_placeholder_symbol(tmp_path, monkeypatch):
+    # W at points comes from numbers fed to the compiled W template, so no
+    # command compiles a placeholder: an '@' name, which no expression can spell
+    names = []
+
+    def recording(exprs, symbols):
+        symbols = list(symbols)
+        names.extend(s.name for s in symbols)
+        return compile_exprs(exprs, symbols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normframes") and vars(module).get("compile_exprs") is compile_exprs:
+            monkeypatch.setattr(module, "compile_exprs", recording)
+    at, frame = "r=1.5,theta=0.8", str(tmp_path / "frame.json")
+    modes = [("point", "--at", at), ("point", "--at", at, "--field", "radial", "--holonomic"),
+             ("flat", "--grid", "5x5"),
+             ("curve", "--field", "angular", "--curve", "unit_circle", "--step", "0.05")]
+    assert run("analyze", POLAR, "--at", at, "--out", str(tmp_path / "analysis.json")) == EXIT_OK
+    for mode in modes:
+        assert run("frame", POLAR, *mode, "--out", frame) == EXIT_OK
+        assert run("verify", POLAR, frame, "--out", str(tmp_path / "verify.json")) == EXIT_OK
+    assert names and not [name for name in names if name.startswith("@")]
 
 
 def _point_ops(fields):
@@ -1087,12 +1112,13 @@ def test_deep_entry_of_every_kind_runs_analyze_and_flat(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("terms, argv", [
-    (328, ("analyze", "--at", "x1=0.5,x2=0.5")),
-    (327, ("frame", "flat", "--grid", "5x5", "--out", "frame.json")),
+    (MAX_DEPTH - 1, ("analyze", "--at", "x1=0.5,x2=0.5")),
+    (MAX_DEPTH - 1, ("frame", "flat", "--grid", "5x5", "--out", "frame.json")),
 ], ids=["analyze", "flat"])
 def test_deep_quotient_runs_at_the_default_recursion_limit(tmp_path, terms, argv):
-    # the largest connection entry of terms (2+x1) joined by / that a fresh
-    # CLI process runs: its derivatives are about three times as deep
+    # a connection entry of terms (2+x1) joined by /, as deep as the parse budget
+    # allows, runs in a fresh CLI process: no walk of a command recurses along
+    # its derivatives, which are about three times as deep
     spec = _zero_spec_with_entry(tmp_path, "/".join(["(2+x1)"] * terms))
     proc = run_fresh(tmp_path, "-m", "normframes.cli", argv[0], spec, *argv[1:])
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")

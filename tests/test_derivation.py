@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normframes import (
     Chart,
@@ -595,6 +597,33 @@ def test_linearity_probe_matches_the_oracle_on_a_quadratic_template(polar):
         _assert_same_verdict(verdict, linearity_probe_oracle(deriv, at))
 
 
+_TEMPLATE = [["X1/(x1-2)", "-x2*X2"], ["0", "X2/(x1+3)"]]
+
+
+@pytest.mark.parametrize("connection, template, at", [
+    ({"1,1,1": "-x1", "1,1,2": "x2", "2,1,2": "-sin(x2)", "2,2,1": "x1/(x2-3)"}, None, [0.0, 0.0]),
+    ({"1,1,1": "-x1", "1,2,2": "-(x1*x2)", "2,1,1": "1/(x1-2)"}, None, [0.0, 0.5]),
+    (None, _TEMPLATE, [-0.5, 0.0]),
+    (None, _TEMPLATE, [0.5, 0.0]),
+], ids=["connection-origin", "connection-axis", "template-left", "template-right"])
+def test_linearity_probe_gammas_keep_the_signs_of_exact_zeros(connection, template, at):
+    # W_{E_k}(x0) keeps only the terms of X^k, so a zero keeps the sign the
+    # folded W_{E_k} gives it: -0 for -x1 at x1 = 0, +0 for X1/(x1-2) at X1 = 0
+    chart = Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
+    frame = FrameField.coordinate(chart)
+    if template:
+        syms = template_symbols(chart, 2)
+        deriv = WTemplate(frame, [[parse_expr(e, syms) for e in row] for row in template])
+    else:
+        gamma = np.full((2, 2, 2), Const(0.0), dtype=object)
+        for key, text in connection.items():
+            gamma[tuple(int(v) - 1 for v in key.split(","))] = parse_expr(text, chart.symbols)
+        deriv = Connection(frame, gamma)
+    verdict = linearity_probe(deriv, at)
+    assert verdict.is_linear and np.signbit(verdict.gammas).any()
+    _assert_same_verdict(verdict, linearity_probe_oracle(deriv, at))
+
+
 def test_seeded_affine_fields_draw_as_the_reference_loop():
     # one draw for all coefficients: the same stream, rounding and trees
     for path in SPEC_FILES:
@@ -602,6 +631,41 @@ def test_seeded_affine_fields_draw_as_the_reference_loop():
         got = derivation.seeded_affine_fields(frame, np.random.default_rng(3), 5)
         want = reference_affine_fields(frame, np.random.default_rng(3), 5)
         assert [repr(x.components) for x in got] == [repr(x.components) for x in want]
+
+
+_FRACTIONS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: f"{p.parent.parent.name}/{p.stem}")
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spots=st.lists(_FRACTIONS, min_size=4, max_size=4),
+       zero=st.integers(2, 9), one=st.integers(2, 9))
+def test_probe_inputs_are_the_compiled_values_of_the_concrete_fields(path, seed, spots, zero,
+                                                                    one):
+    # X^i and E_k(X^i) at x0 of the vanishing fields and the pairs' aX + bY, X
+    # and Y, worked out from their coefficients, bit for bit what the
+    # concrete fields' compiled trees give; exact zeros and ones among the
+    # coefficients and scales take the fold's identity rules
+    frame = load_manifold_spec(str(path)).frame
+    n = frame.dimension
+    lo, hi = np.array(frame.chart.domain).T
+    x0 = lo + np.array(spots[:n]) * (hi - lo)
+    rng = np.random.default_rng(seed)
+    mixes = np.round(rng.uniform(-1.0, 1.0, (2, n, n)), 6)
+    coeffs = np.round(rng.uniform(-1.0, 1.0, (2 * derivation.PROBE_PAIRS, n, n + 1)), 6)
+    scales = np.round(rng.uniform(-2.0, 2.0, (derivation.PROBE_PAIRS, 2)), 6)
+    for arr in (mixes, coeffs, scales):
+        arr.flat[::zero], arr.flat[1::one] = 0.0, 1.0
+    x, partials = derivation._probe_inputs(x0, mixes, coeffs, scales)
+    dx = derivation._frame_derivative_values(frame, x0[None], partials[None])[0]
+    fields = list(derivation._concrete_probe_fields(frame, x0, mixes, coeffs, scales))
+    assert len(fields) == len(x)
+    for field, got_x, got_dx in zip(fields, x, dx):
+        want_x, want_dx = matops.evaluate_arrays(
+            [np.array(field.components, dtype=object), field.component_derivatives],
+            frame.chart.symbols, x0[None])
+        assert got_x.tobytes() == want_x[0].tobytes(), field.components
+        assert got_dx.tobytes() == want_dx[0].tobytes(), field.components
 
 
 @pytest.mark.parametrize("entry, at", [("X1/(r-1)", [1.0, 0.2]), ("log(X1+1)", [1.5, 0.5])],
@@ -622,7 +686,8 @@ def test_linearity_probe_domain_error_names_the_concrete_field(polar, entry, at)
 
 @pytest.mark.parametrize("name", ["s4_template", "polar_euclidean"])
 def test_linearity_probe_compiles_a_fixed_number_of_tapes(monkeypatch, name):
-    # one tape per probe family and one for the Gammas, however many pairs
+    # the W template, and the frame matrix for the probe fields' E_k(X^i),
+    # however many pairs; the Gammas are fields of the template's one run
     calls = []
     real = matops.compile_exprs
 
@@ -631,6 +696,7 @@ def test_linearity_probe_compiles_a_fixed_number_of_tapes(monkeypatch, name):
         return real(exprs, symbols)
 
     monkeypatch.setattr(matops, "compile_exprs", recording)
+    monkeypatch.setattr(derivation, "compile_exprs", recording)
     path = str(ROOT / "benchmarks" / "specs" / f"{name}.json")
     counts = []
     for pairs in (8, 16):
@@ -640,7 +706,7 @@ def test_linearity_probe_compiles_a_fixed_number_of_tapes(monkeypatch, name):
         calls.clear()
         linearity_probe(setup.deriv, at)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 4
+    assert counts[0] == counts[1] == 2
 
 
 def test_transformed_components_derives_the_transform_once(monkeypatch):

@@ -319,9 +319,11 @@ def test_a_fold_that_underflows_keeps_its_node(source):
 
 @pytest.mark.parametrize("source, value", [("1-1", 0.0), ("1e-308-1e-308", 0.0),
                                            ("1e-308-9e-309", 1e-308 - 9e-309), ("0*2", 0.0),
-                                           ("0^2", 0.0), ("0/3", 0.0), ("sin(0)", 0.0)])
+                                           ("0^2", 0.0), ("0/3", 0.0), ("sin(0)", 0.0),
+                                           ("log(1)", 0.0), ("log(1)*r", 0.0)])
 def test_exact_and_zero_operand_folds_still_fold(source, value):
-    # a sum or difference is exact below the normal range; a zero operand makes a true zero
+    # a sum or difference is exact below the normal range, a log is 0 only at 1,
+    # and a zero operand makes a true zero
     assert simplify(parse_expr(source, POLAR_SYMS)) == Const(value)
 
 

@@ -468,6 +468,13 @@ def test_flat_frame_samples_only_the_clouds_of_its_seed(polar_connection, monkey
     assert len(seeds) >= 2 and set(seeds) == {7}
 
 
+def test_flat_frame_builds_w_only_for_its_direction_functions(polar_connection, w_builds):
+    # the linearity probe and the pointwise gate run the template tape; the
+    # transport compiles the folded W_{E_k}, one per direction function
+    flat_frame_neighborhood(polar_connection, GridSpec((3, 3)), h=1e-2)
+    assert len(w_builds) == 2
+
+
 @pytest.mark.parametrize(
     "spec, builds", [("unit_sphere", 0), ("s4_template", 0)], ids=["connection", "template"]
 )

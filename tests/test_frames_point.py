@@ -153,11 +153,18 @@ def test_factorized_seed_certificate_symmetric(lie_plane, lie_field):
     assert abs(result.anchor_determinant) <= 1e-12
 
 
-def test_holonomic_point_frame_builds_w_once(lie_plane, lie_field, w_builds):
-    # the construction, its anchor check and its certificate all read W_X
+def test_holonomic_point_frame_builds_no_w(lie_plane, lie_field, w_builds):
+    # the construction, its anchor check and its certificate read W_X(x0) off
+    # the template tape, fed X's components and E_k(X^i) at the anchor
     spec = PointFrameSpec(anchor=ANCHOR, a_factors=(np.array([1.0, 1.0]), np.eye(2)))
     frame_at_point_general(lie_plane, lie_field, spec)
-    assert len(w_builds) == 1
+    assert w_builds == []
+
+
+def test_connection_point_frame_builds_no_w(polar_connection, w_builds):
+    # the linearity probe, its Gammas and the anchor check run the template tape
+    frame_at_point_connection(polar_connection, PointFrameSpec(anchor=[1.3, 0.7]))
+    assert w_builds == []
 
 
 def test_factorized_seed_refuses_an_asymmetric_certificate(lie_plane, lie_field, monkeypatch):

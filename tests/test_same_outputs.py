@@ -19,8 +19,9 @@ def load_tool():
 def test_same_source_gives_same_outputs_on_one_demo_spec():
     tool = load_tool()
     group = tool.demo_runs(tool.DEMO_SPECS / "zero_connection.json")
-    # analyze, then a frame and its verify for the connection point, the one field and the grid
-    assert [argv[0] for argv in group] == ["analyze"] + ["frame", "verify"] * 3
+    # analyze, then a frame and its verify for the connection point, the one field
+    # without and with --holonomic, and the grid
+    assert [argv[0] for argv in group] == ["analyze"] + ["frame", "verify"] * 4
     assert tool.compare(tool.SRC, [group]) == []
 
 
@@ -63,6 +64,10 @@ def test_failing_ops_are_compared_with_their_messages():
     # analyze and both point frames at the pole, then away from it, then the flat frame
     assert [code for code, *_ in pole] == [3, 3, 3, 0, 0, 0, 3]
     assert all(err.startswith(b"domain error: ") for code, _, err, _ in pole if code == 3)
+    # a flat frame that only the pointwise linearity gate refuses, with its residual
+    ((code, out, err, report),) = tool.run_group(tool.SRC, tool.gate_runs())
+    assert (code, out, report) == (5, b"", None)
+    assert b"do not vanish with the field" in err and b"(residual 1.000e+00)" in err
     refused = tool.run_group(tool.SRC, tool.probe_seed_runs(-3))
     assert [code for code, *_ in refused] == [2, 2, 2, 2]
     assert refused[0][2] == b"input error: expected non-negative integer\n"

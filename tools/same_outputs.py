@@ -3,13 +3,18 @@
     python tools/same_outputs.py PARENT_SRC
 
 Runs every op of ``benchmarks/workloads.build_ops`` at seeds 3, 5 and 7,
-plus ``analyze``, ``frame ... point`` (the connection form and each spec
-field), ``frame ... flat``, ``frame ... curve`` (each spec field along each
-spec curve) and a ``verify`` of each frame file on every demo spec.  Ops
+plus ``analyze``, ``frame ... point`` (the connection form, and each spec
+field with and without ``--holonomic``), ``frame ... flat``, ``frame ...
+curve`` (each spec field along each spec curve) and a ``verify`` of each
+frame file on every demo spec.  Ops
 that fail inside an evaluation run on the tool's own spec
 ``tools/specs/w_pole.json``, whose W template has a pole at r = 1 inside
 its domain box: ``analyze`` and ``frame ... point`` at the pole and away
-from it, and ``frame ... flat`` over the box.  ``analyze``, a point frame and a flat frame with its ``verify``
+from it, and ``frame ... flat`` over the box.  A ``frame ... flat`` on the
+tool's spec ``tools/specs/linear_at_corner.json``, whose W template is a
+linear connection only where x1 = 0 (its base node) and flat everywhere,
+is refused by the pointwise linearity gate over the sample cloud.
+``analyze``, a point frame and a flat frame with its ``verify``
 also run on the polar demo spec at ``--probe-seed`` -3 (refused as input)
 and 2**70 (three 32-bit seed words).  ``verify`` also reads the tool's own
 frame files ``tools/specs/frame_*.json`` against the polar demo spec, laid
@@ -48,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMO_SPECS = ROOT / "demos" / "specs"
 POLE_SPEC = ROOT / "tools" / "specs" / "w_pole.json"
+CORNER_SPEC = ROOT / "tools" / "specs" / "linear_at_corner.json"
 COORDINATE6_SPEC = ROOT / "tools" / "specs" / "coordinate6.json"
 FRAME_FILES = sorted((ROOT / "tools" / "specs").glob("frame_*.json"))
 POLE, AWAY = "r=1.0,theta=0.5", "r=1.5,theta=0.5"
@@ -74,7 +80,8 @@ def demo_runs(spec: Path) -> list:
     centre = ",".join(f"{c}={(lo + hi) / 2.0!r}" for c, (lo, hi) in zip(coords, doc["domain"]))
     fields, curves = doc.get("fields", {}), doc.get("curves", {})
     modes = ([("point", "--at", centre)]
-             + [("point", "--at", centre, "--field", name) for name in fields]
+             + [("point", "--at", centre, "--field", name, *holonomic)
+                for name in fields for holonomic in [(), ("--holonomic",)]]
              + [("flat", "--grid", "x".join(["5"] * len(coords)))]
              + [("curve", "--field", f, "--curve", c) for f in fields for c in curves])
     runs = [("analyze", path, "--at", centre, "--out", "analysis.json")]
@@ -96,6 +103,12 @@ def pole_runs() -> list:
                  ("frame", path, "point", "--at", at, "--field", "radial",
                   "--out", f"field{k}.json")]
     return runs + [("frame", path, "flat", "--grid", "5x5", "--out", "flat.json")]
+
+
+def gate_runs() -> list:
+    """A flat frame that the pointwise linearity gate refuses (exit 5, the
+    residual in the message)."""
+    return [("frame", str(CORNER_SPEC), "flat", "--grid", "5x5", "--out", "flat.json")]
 
 
 def probe_seed_runs(seed: int) -> list:
@@ -216,7 +229,7 @@ def main(argv=None) -> int:
     if not (args.parent_src / "normframes" / "cli.py").is_file():
         parser.error(f"{args.parent_src} holds no normframes package")
     groups = (benchmark_groups() + [demo_runs(spec) for spec in sorted(DEMO_SPECS.glob("*.json"))]
-              + [pole_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
+              + [pole_runs(), gate_runs()] + [probe_seed_runs(seed) for seed in PROBE_SEEDS]
               + [dimension_runs(), frame_file_runs(), flag_runs()])
     problems = compare(args.parent_src.resolve(), groups)
     for line in problems:
